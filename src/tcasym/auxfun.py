@@ -17,11 +17,16 @@ and refuse real inputs otherwise.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational
 
 from .mpnum import (
     GUARD,
@@ -244,7 +249,6 @@ def phi_hat(z, prec):
 # ----------------------------------------------------------------------
 
 F_TILDE_RADIUS = 0.5
-_H_SERIES_RADIUS = 1  # coefficient circle |z-2| = 1; h is analytic on |z-2| < 4
 
 
 def _h_closed_form(z):
@@ -257,41 +261,86 @@ def _h_closed_form(z):
     return mpmath.mpf(-1.5) * pt * mpmath.exp(mpmath.mpf(-1.5) * mpmath.log(z - 2))
 
 
-@lru_cache(maxsize=None)
-def _h_series_coeffs(bits: int):
-    """Real Taylor coefficients of h at 2, by trapezoidal Cauchy sums on the
-    circle |z-2| = 1 (nodes offset off the real axis)."""
-    nterms = max(48, bits // 3 + 24)
-    m_nodes = 8
-    while m_nodes < 4 * nterms:
-        m_nodes *= 2
-    work = bits + 96
+def _h_taylor_terms():
+    """Yield the exact Taylor coefficients c_0 = 1, c_1 = -29/40, ... of h at 2.
+
+    With t = z - 2: arccosh(1 + t/2) = sqrt(t) F(t), F = 2F1(1/2, 1/2; 3/2; -t/4),
+    and sqrt(z^2 - 4) = 2 sqrt(t) S(t), S = sqrt(1 + t/4).  Hence
+    phi_tilde = sqrt(t) G(t) with G = (2F + (2+t) S)/(2+t)^2 - F, and
+    h = -(3/2) G(t)/t.  h is analytic on |z-2| < 2: G has a double pole at
+    t = -2 (z = 0), and F, S branch only at t = -4.  Dividing a series by
+    (2+t) is the recurrence 2 y_k + y_(k-1) = x_k, so each term costs O(1)
+    rational operations.
+    """
+    f, s, s_prev = Fraction(1), Fraction(1), Fraction(0)
+    y1 = y2 = Fraction(0)  # (2F + (2+t) S) / (2+t), then / (2+t)^2
+    k = 0
+    while True:
+        y1 = (2 * f + 2 * s + s_prev - y1) / 2
+        y2 = (y1 - y2) / 2
+        if k:  # G_0 = 0
+            yield Fraction(-3, 2) * (y2 - f)
+        s_prev = s
+        f *= Fraction(-(2 * k + 1) ** 2, 8 * (2 * k + 3) * (k + 1))
+        s *= Fraction(1 - 2 * k, 8 * (k + 1))
+        k += 1
+
+
+def _h_terms(q: float, work: int) -> int:
+    """Fewest Taylor terms m of h whose dropped tail is <= 2^-work at
+    |z-2| <= 2q, for 0 <= q <= 1/4.
+
+    |F_k|, |S_k| <= 4^-k and the coefficients of (2+t)^-2 are bounded by
+    (k+1) 2^-k / 4, so |c_k| <= (3k + 7) 2^-k, and the tail after m terms is
+    at most (4m + 11) q^m.  |h| > 0.7 on |z-2| <= 1/2, so the relative
+    truncation error stays below 2^(1-work).
+    """
+    if q == 0:
+        return 1
+    lq = math.log2(q)
+    m = math.ceil(work / -lq)
+    while math.log2(4 * m + 11) + m * lq > -work:
+        m += 1
+    return m
+
+
+_H_EXACT: list[Fraction] = []  # exact c_k, extended on demand and shared by every width
+_H_TERMS = _h_taylor_terms()     # the generator that extends _H_EXACT
+_H_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=8)
+def _h_coeffs(work: int):
+    """The c_k rounded to ``work`` bits, as many as |z-2| < 1/2 needs."""
+    m = _h_terms(F_TILDE_RADIUS / 2, work)
+    with _H_LOCK:
+        if len(_H_EXACT) < m:
+            _H_EXACT.extend(islice(_H_TERMS, m - len(_H_EXACT)))
+        exact = _H_EXACT[:m]
     with mp.workprec(work):
-        roots = [mpmath.exp(2j * mpmath.pi * (m + mpmath.mpf(1) / 2) / m_nodes) for m in range(m_nodes)]
-        hvals = [_h_closed_form(2 + r) for r in roots]
-        coeffs = []
-        for j in range(nterms):
-            s = mpmath.mpc(0)
-            for m in range(m_nodes):
-                s += hvals[m] * mpmath.conj(roots[m]) ** j
-            # h is real-analytic: imaginary dust is quadrature noise
-            coeffs.append(round_to(bits + 32, s.real / m_nodes))
-    return tuple(coeffs)
+        return tuple(mpmath.mpf(from_rational(c.numerator, c.denominator, work, "n")) for c in exact)
 
 
 def h_factor(z, prec):
     """h(z) with h(2) = 1, the analytic cofactor in the factorization of the
-    turning-point map; evaluated by the cached Taylor series (|z-2| < 0.5)."""
+    turning-point map; a Taylor series in z - 2 (|z-2| < 0.5) with exact
+    rational coefficients, truncated where the tail bound of
+    :func:`_h_terms` at |z-2| drops below the working precision."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     with mp.workprec(bits):
         outside = abs(z - 2) >= F_TILDE_RADIUS
     if outside:
         raise DomainError(f"h_factor: |z-2| must be < {F_TILDE_RADIUS}")
-    with working(bits, GUARD + 8):
+    work = bits + GUARD + 8
+    coeffs = _h_coeffs(work)
+    with mp.workprec(work):
         u = z - 2
+        # q rounded up past float error, and at most the disk edge checked above
+        q = min(float(abs(u)) / 2 * (1 + 2.0 ** -40), F_TILDE_RADIUS / 2)
+        m = _h_terms(q, work)
         acc = mpmath.mpc(0)
-        for c in reversed(_h_series_coeffs(bits)):
+        for c in reversed(coeffs[:m]):
             acc = acc * u + c
     return round_to(bits, acc)
 

@@ -2,6 +2,7 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import settings
 
 from tcasym.mpnum import LogComplex, working
 
@@ -28,3 +29,10 @@ def rng():
 
 def random_mpc(rng, re_range=(-4, 4), im_range=(-4, 4)):
     return mpmath.mpc(rng.uniform(*re_range), rng.uniform(*im_range))
+
+
+# Property tests stay deterministic and short: fixed examples per test, no
+# per-example deadline (a cold coefficient fill can be slow on a busy host),
+# and no example database written into the working tree.
+settings.register_profile("tcasym", derandomize=True, deadline=None, max_examples=25, database=None)
+settings.load_profile("tcasym")

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from tcasym import auxfun
@@ -238,6 +242,91 @@ class TestTurningPointMap:
     def test_disk_bound(self):
         with pytest.raises(DomainError):
             f_tilde_n(100, mpmath.mpc("2.6", 0), 128)
+
+
+def _h_rel_err(z, bits):
+    """Relative error of h_factor at ``bits`` against the closed form at bits+64."""
+    hs = h_factor(z, bits)
+    with working(bits + 64, 0):
+        hc = auxfun._h_closed_form(mpmath.mpc(z))
+        return abs(hs - hc) / abs(hc)
+
+
+_WIDTHS = st.sampled_from([128, 192, 256, 288])
+_RADII = st.floats(0, 0.49)
+
+
+def _disk_point(r, theta):
+    return mpmath.mpc(2 + r * mpmath.cos(theta), r * mpmath.sin(theta))
+
+
+class TestHSeries:
+    @pytest.mark.parametrize("bits", [128, 192, 256, 288])
+    def test_accurate_at_disk_edge(self, bits, rng):
+        # |z-2| in [0.4, 0.49]: the term count must follow the true radius 2
+        for _ in range(6):
+            theta = rng.choice([1, -1]) * rng.uniform(0.05, 3.09)
+            z = _disk_point(rng.uniform(0.4, 0.49), theta)
+            assert _h_rel_err(z, bits) <= mpmath.ldexp(1, -(bits - 4))
+
+    def test_leading_coefficients(self):
+        # by hand, to O(t^2): 2F + (2+t)S = 4 + 7t/6 + 19t^2/160, (2+t)^-2 = (1 - t + 3t^2/4)/4
+        # and F = 1 - t/24 + 3t^2/640 give G = -2t/3 + 29t^2/60, so h = 1 - 29t/40
+        coeffs = auxfun._h_coeffs(512)
+        assert auxfun._H_EXACT[:2] == [1, Fraction(-29, 40)]
+        with working(512, 0):
+            assert coeffs[0] == 1 and coeffs[1] == mpmath.mpf(-29) / 40
+
+    def test_coefficient_majorant(self):
+        # |c_k| <= (3k + 7) 2^-k underlies the tail bound; the ratios
+        # c_k / c_(k+1) tend to -2, the double pole at z = 0
+        auxfun._h_coeffs(512)
+        c = auxfun._H_EXACT
+        assert len(c) >= 250
+        assert all(abs(ck) * 2**k <= 3 * k + 7 for k, ck in enumerate(c))
+        assert -2.02 < c[-2] / c[-1] < -1.98
+
+    @given(r=_RADII, theta=st.floats(-3.1, 3.1), bits=_WIDTHS)
+    def test_schwarz_bit_for_bit(self, r, theta, bits):
+        z = _disk_point(r, theta)
+        a, b = h_factor(z, bits), h_factor(mpmath.conj(z), bits)
+        assert a.real - b.real == 0 and a.imag + b.imag == 0
+
+    @given(x=st.floats(1.5, 2.5, exclude_min=True, exclude_max=True), bits=_WIDTHS)
+    def test_real_on_real_axis(self, x, bits):
+        assert h_factor(mpmath.mpc(x, 0), bits).imag == 0
+
+    @given(r=_RADII, theta=st.floats(0.05, 3.09), sign=st.sampled_from([1, -1]), bits=_WIDTHS)
+    def test_matches_closed_form(self, r, theta, sign, bits):
+        z = _disk_point(max(r, 1e-3), sign * theta)
+        assert _h_rel_err(z, bits) <= mpmath.ldexp(1, -(bits - 4))
+
+    def test_rounding_cache_bounded(self):
+        assert auxfun._h_coeffs.cache_info().maxsize is not None
+
+    def test_exact_coefficients_shared_across_widths(self, monkeypatch):
+        drawn = []
+
+        def counting():
+            for c in auxfun._h_taylor_terms():
+                drawn.append(c)
+                yield c
+
+        monkeypatch.setattr(auxfun, "_H_EXACT", [])
+        monkeypatch.setattr(auxfun, "_H_TERMS", counting())
+        auxfun._h_coeffs.cache_clear()
+        try:
+            z = mpmath.mpc("2.1", "0.05")
+            h_factor(z, 272)
+            first = list(auxfun._H_EXACT)
+            h_factor(z, 288)
+        finally:
+            auxfun._h_coeffs.cache_clear()
+        need = auxfun._h_terms(0.25, 288 + 24)
+        assert len(first) == auxfun._h_terms(0.25, 272 + 24) < need
+        # the 288-bit call only extended the 272-bit list: no term computed twice
+        assert len(drawn) == len(auxfun._H_EXACT) == need
+        assert all(a is b for a, b in zip(first, auxfun._H_EXACT))
 
 
 class TestDFunctions:
