@@ -16,12 +16,11 @@ Two independent evaluation paths for the rescaled monic polynomials:
 checks, orthogonality reports); ``tcasym.cli`` exposes everything on the
 command line.
 
-Hot loops run on compiled MPFR kernels when the optional extension built
-(see ``tcasym._accel.BACKEND``), with a pure-Python fallback that
-reproduces the recurrence bit for bit.
+The package is pure Python on top of mpmath: every loop runs as written
+in ``tcasym.exact``, with a fixed operation order, so results are
+reproducible bit for bit.  ``BACKEND`` names that single implementation.
 """
 
-from ._accel import BACKEND, HAVE_COMPILED
 from .asym import AsymResult, Params, RegionLabel, classify_region, eval_asym
 from .exact import (
     NodeMass,
@@ -62,4 +61,5 @@ from .mpnum import (
 )
 from .specfun import AiryQuartet, airy_quartet, log_gamma_complex
 
+BACKEND = "pure-python"
 __version__ = "0.1.0"

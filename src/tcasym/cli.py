@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath
 from mpmath import mp
 
-from . import __version__, _accel, asym, exact, harness
+from . import __version__, asym, exact, harness
 from .asym import Params
 from .mpnum import ConfigError, DomainError, LogComplex, bits_of, to_mpc, to_mpf, working
 
@@ -229,25 +229,14 @@ def _record_row(rec: harness.EvalRecord, bits):
 
 
 def _compare_task(task):
-    # z coordinates travel as exact hex literals so worker processes see
+    # z travels as an mpc, which pickles exactly, so worker processes see
     # the same bits the parent computed; alpha converts from the user's
     # string at full precision
-    n, alpha_s, zre_hex, zim_hex, delta, eps, bits = task
+    n, alpha_s, z, delta, eps, bits = task
     params = Params(delta=delta, eps=eps)
     alpha = to_mpf(alpha_s, bits)
-    with mp.workprec(bits):
-        z = mpmath.mpc(_accel.man_exp_to_mpf(*_split_hex(zre_hex)),
-                       _accel.man_exp_to_mpf(*_split_hex(zim_hex)))
     rec = harness.compare_point(n, alpha, z, params, bits)
     return _record_row(rec, bits)
-
-
-def _split_hex(h: str):
-    if h == "0":
-        return "0", 0
-    neg = h.startswith("-")
-    man, exp = (h[3:] if neg else h[2:]).split("p")  # strip sign and 0x
-    return ("-" + man if neg else man), int(exp)
 
 
 def _cmd_compare(args) -> int:
@@ -268,11 +257,9 @@ def _cmd_compare(args) -> int:
         raise ConfigError("alpha must be > 0")
     Params(delta=args.delta, eps=args.eps)  # validate eps < delta up front
 
-    with mp.workprec(bits):
-        coords = [(_accel.mpf_to_hex(+mpmath.mpf(zre)), _accel.mpf_to_hex(+mpmath.mpf(zim)))
-                  for (zre, zim) in pts]
-    tasks = [(n, str(args.alpha), zre, zim, args.delta, args.eps, bits)
-             for n in n_list for (zre, zim) in coords]
+    zs = [to_mpc(p, bits) for p in pts]
+    tasks = [(n, str(args.alpha), z, args.delta, args.eps, bits)
+             for n in n_list for z in zs]
     if args.threads == 1:
         rows = [_compare_task(t) for t in tasks]
     else:

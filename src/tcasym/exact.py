@@ -9,6 +9,11 @@ and is orthogonal with respect to the purely discrete measure with masses
 (k+alpha)^(k-1) e^-k / k! at the nodes +-(k+alpha)^(-1/2).  Everything here
 is computed at an explicit precision; values that scale like exp(n log n)
 leave in LogComplex form.
+
+Two recurrence loops, each with a fixed operation order so results are
+reproducible bit for bit: the renormalised complex one in ``eval_f_raw``
+and the real one in ``_f_real``, shared by the orthogonality sums and
+their tail bound.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from . import _accel
 from .mpnum import (
     GUARD,
     ConfigError,
@@ -50,17 +54,55 @@ def _check_n_alpha(n, alpha):
         raise ConfigError("alpha must be > 0")
 
 
+RENORM_BITS = 16
+
+
+def _max_mag(*vals):
+    """Largest ceil(log2|v|) over nonzero components, or None if all zero."""
+    m = None
+    for v in vals:
+        if v:
+            e = mpmath.mag(v)
+            if m is None or e > m:
+                m = e
+    return m
+
+
 def eval_f_raw(n: int, alpha, x, prec):
     """Renormalized recurrence state: (f_prev, f_curr, scale_exp2).
 
-    The true value of f_n is ``f_curr * 2**scale_exp2``; the state mantissas
-    are kept within [2**-16, 2**16] by exact power-of-two rescaling.
+    The true value of f_n is ``f_curr * 2**scale_exp2``.  Whenever the
+    largest component magnitude leaves [2**-16, 2**16], the whole state is
+    scaled by an exact power of two and the exponent is accreted into
+    ``scale_exp2``.  All arithmetic at exactly ``prec`` bits.
     """
     bits = bits_of(prec)
-    _check_n_alpha(n, to_mpf(alpha, bits))
-    x = to_mpc(x, bits)
     a = to_mpf(alpha, bits)
-    return _accel.recurrence_eval(x, a, n, bits)
+    _check_n_alpha(n, a)
+    x = to_mpc(x, bits)
+    with mp.workprec(bits):
+        xr, xi = x.real, x.imag
+        zero = mpmath.mpf(0)
+        if n == 0:
+            return mpmath.mpc(zero, zero), mpmath.mpc(1, 0), 0
+        fpr, fpi = mpmath.mpf(1), zero
+        fcr, fci = a * xr, a * xi
+        scale = 0
+        for k in range(1, n):
+            s = k + a
+            tr = xr * fcr - xi * fci
+            ti = xr * fci + xi * fcr
+            nr = (s * tr - fpr) / (k + 1)
+            ni = (s * ti - fpi) / (k + 1)
+            fpr, fpi, fcr, fci = fcr, fci, nr, ni
+            e = _max_mag(fpr, fpi, fcr, fci)
+            if e is not None and (e > RENORM_BITS or e < -RENORM_BITS):
+                fpr = mpmath.ldexp(fpr, -e)
+                fpi = mpmath.ldexp(fpi, -e)
+                fcr = mpmath.ldexp(fcr, -e)
+                fci = mpmath.ldexp(fci, -e)
+                scale += e
+        return mpmath.mpc(fpr, fpi), mpmath.mpc(fcr, fci), scale
 
 
 def eval_f(n: int, alpha, x, prec) -> LogComplex:
@@ -123,13 +165,6 @@ def weight_wd(alpha, z, prec) -> LogComplex:
     return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
 
 
-def node_x(k: int, alpha, prec):
-    bits = bits_of(prec)
-    with working(bits):
-        v = 1 / mpmath.sqrt(k + to_mpf(alpha, bits))
-    return round_to(bits, v)
-
-
 def iter_nodes_masses(alpha, k_max: int, prec):
     """Yield NodeMass(k, x_k, mass_k) for k = 0..k_max; log-space masses."""
     bits = bits_of(prec)
@@ -169,29 +204,32 @@ class OrthoSum:
     exact_zero: bool  # odd m+n vanishes term by term under x -> -x
 
 
+def _f_real(f, coeff, alpha, x):
+    """Fill ``f`` with f_0(x)..f_{len(f)-1}(x) at a real point.
+
+    Plain recurrence at the ambient precision (no rescaling needed at
+    the low degrees used here); ``coeff[j]`` is ``j + alpha``.
+    """
+    f[0] = mpmath.mpf(1)
+    if len(f) > 1:
+        f[1] = alpha * x
+    for j in range(1, len(f) - 1):
+        f[j + 1] = (coeff[j] * (x * f[j]) - f[j - 1]) / (j + 1)
+
+
 def _poly_bound_near_zero(degs, alpha, x_hi, prec):
     """Sampled bound on max_j max_{0<=x<=x_hi} |f_j(x)| with a safety factor."""
     bits = bits_of(prec)
+    f = [None] * (max(degs) + 1)
     with working(bits):
+        coeff = [j + alpha for j in range(len(f) - 1)]
         best = mpmath.mpf(0)
         for i in range(9):
             x = x_hi * mpmath.mpf(i) / 8
-            vals = _f_values_real(max(degs), alpha, x, bits)
+            _f_real(f, coeff, alpha, x)
             for d in degs:
-                best = max(best, abs(vals[d]))
+                best = max(best, abs(f[d]))
         return round_to(bits, 2 * best)
-
-
-def _f_values_real(deg, alpha, x, bits):
-    """f_0..f_deg at a real point (plain recurrence, no rescaling needed)."""
-    with mp.workprec(bits):
-        a = mpmath.mpf(alpha)
-        vals = [mpmath.mpf(1)]
-        if deg >= 1:
-            vals.append(a * x)
-        for j in range(1, deg):
-            vals.append(((j + a) * x * vals[j] - vals[j - 1]) / (j + 1))
-        return vals
 
 
 def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
@@ -206,7 +244,22 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     _check_n_alpha(0, a)
     if max_deg < 0 or k_max < 0:
         raise ConfigError("max_deg and k_max must be >= 0")
-    acc, _ = _accel.ortho_accumulate(a, max_deg, 0, k_max + 1, mpmath.mpf(0), bits)
+    pairs = [(m, n) for m in range(max_deg + 1) for n in range(m, max_deg + 1) if (m + n) % 2 == 0]
+    with mp.workprec(bits):
+        acc = {p: mpmath.mpf(0) for p in pairs}
+        coeff = [j + a for j in range(max_deg)]
+        f = [None] * (max_deg + 1)
+        log_fact = mpmath.mpf(0)
+        for k in range(k_max + 1):
+            s = k + a
+            t = mpmath.log(s)
+            xk = 1 / mpmath.sqrt(s)
+            if k > 0:
+                log_fact = log_fact + mpmath.log(k)
+            mass = mpmath.exp((k - 1) * t - k - log_fact)
+            _f_real(f, coeff, a, xk)
+            for p in pairs:
+                acc[p] = acc[p] + f[p[0]] * f[p[1]] * mass
     with working(bits):
         x_hi = 1 / mpmath.sqrt(k_max + a)
         out = {}

@@ -315,15 +315,6 @@ class InterfaceCheck:
     points: tuple
 
 
-_EVAL = {
-    "origin": asym.eval_region_origin,
-    "A": asym.eval_region_a,
-    "B": asym.eval_region_b,
-    "C": asym.eval_region_c,
-    "D": asym.eval_region_d,
-}
-
-
 def _interface_points(name, n, alpha, params, bits):
     """10 sample points per shared region boundary, inset from corners."""
     with working(bits):
@@ -382,8 +373,8 @@ def boundary_consistency(n: int, alpha, params: Params = None, prec=256,
         worst = mpmath.mpf(0)
         pts = _interface_points(name, n, alpha, params, bits)
         for z in pts:
-            va = _EVAL[ra](n, alpha, z, bits).value
-            vb = _EVAL[rb](n, alpha, z, bits).value
+            va = asym._EVALUATORS[ra](n, alpha, z, bits).value
+            vb = asym._EVALUATORS[rb](n, alpha, z, bits).value
             with working(bits):
                 dphi = va.phase - vb.phase
                 twopi = 2 * mpmath.pi

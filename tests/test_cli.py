@@ -91,11 +91,13 @@ class TestCompare:
 
     def test_threads_same_output(self, tmp_path):
         args = ["compare", "--n-list", "50", "--alpha", "1",
-                "--z-list", "1,2;0.5,0.1;3,0.1", "--prec", "128"]
+                "--z-list", "1,2;0.5,0.1;3,0.1;2.05,0.02;0.05,0.05", "--prec", "128"]
         p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         assert run_cli(args + ["--out", str(p1), "--threads", "1"]).returncode == 0
         assert run_cli(args + ["--out", str(p2), "--threads", "3"]).returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
+        rows = p1.read_text().strip().split("\n")[1:]
+        assert {r.split(",")[4] for r in rows} == {"A", "B", "C", "D", "origin"}
 
     def test_json_format(self, capsys):
         code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1",

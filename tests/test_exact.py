@@ -1,8 +1,8 @@
 import mpmath
 import pytest
 
-from tcasym import _accel, _purekernels, exact
-from tcasym.mpnum import ConfigError, DomainError, working
+from tcasym import exact
+from tcasym.mpnum import ConfigError, DomainError, to_mpc, working
 
 from conftest import logc_rel_err, rel_diff
 
@@ -223,34 +223,38 @@ class TestOrtho:
             assert rel_diff(exact.h_norm(1, 1, 128), mpmath.e, 128) < mpmath.mpf(2) ** -110
 
 
-@pytest.mark.skipif(not _accel.HAVE_COMPILED, reason="compiled kernels not built")
-class TestKernelEquivalence:
-    def test_recurrence_bit_identity(self, rng):
-        for prec in (128, 256):
-            with working(prec, 0):
-                x = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                a = mpmath.mpf(1) / 3
-            p1, c1, s1 = _accel.recurrence_eval(x, a, 600, prec)
-            p2, c2, s2 = _purekernels.recurrence_eval(x, a, 600, prec)
-            assert p1 == p2 and c1 == c2 and s1 == s2
+class TestGoldenBits:
+    """Exact mantissa/exponent tuples of both recurrence loops.
 
-    def test_ortho_agreement(self):
-        with working(128, 0):
-            a = mpmath.mpf(1)
-            lf = mpmath.mpf(0)
-        acc1, lf1 = _accel.ortho_accumulate(a, 4, 0, 3001, lf, 128)
-        acc2, lf2 = _purekernels.ortho_accumulate(a, 4, 0, 3001, lf, 128)
-        for key in acc1:
-            assert rel_diff(acc1[key], acc2[key], 128) < mpmath.mpf(2) ** -100
+    Recorded from the implementation these loops were folded from; any
+    change to the operation order or the working precision moves bits.
+    """
 
-    def test_marshalling_roundtrip(self, rng):
-        for _ in range(50):
-            with working(256, 0):
-                x = mpmath.mpf(rng.uniform(-1, 1)) * mpmath.mpf(2) ** rng.randint(-900, 900)
-            h = _accel.mpf_to_hex(x)
-            # parse back exactly through the same path the kernel uses
-            sign = -1 if h.startswith("-") else 1
-            body = h.lstrip("-")
-            man_s, exp_s = body[2:].split("p")
-            y = _accel.man_exp_to_mpf(("-" if sign < 0 else "") + man_s, int(exp_s))
-            assert x == y
+    RAW = [
+        ((60, "1", ("0.3", "0.2"), 128),
+         ((1, 324301386325980572099183166104243800085, -138, 128),
+          (0, 184629995615000865204029322304004566677, -139, 128)),
+         ((1, 3346544270584580479732765285304936739, -133, 122),
+          (1, 202454704752179511615101046112527324325, -140, 128)),
+         -70),
+        ((600, "0.75", ("0.05", "-0.0125"), 256),
+         ((1, 2906936471015331954849437191971921740549407433277482136962228598096426260355, -264, 251),
+          (0, 75889905138768386054308493350297036684771907170617157711651364424469789487935, -271, 256)),
+         ((1, 64475542196984351163172490989437757224357274082609773311059406457000007167693, -274, 256),
+          (0, 33867285081724179692444192923698949767892504170482889906981238192091043396249, -272, 255)),
+         -2224),
+    ]
+
+    @pytest.mark.parametrize("args,prev,curr,scale", RAW)
+    def test_eval_f_raw(self, args, prev, curr, scale):
+        n, alpha, x, prec = args
+        p, c, s = exact.eval_f_raw(n, alpha, to_mpc(x, prec), prec)
+        assert (p.real._mpf_, p.imag._mpf_) == prev
+        assert (c.real._mpf_, c.imag._mpf_) == curr
+        assert s == scale
+
+    def test_ortho_pair_sum(self):
+        # (4, 4) runs the real recurrence to its last step at every node
+        s = exact.ortho_matrix("1.5", 4, 300, 128)[(4, 4)]
+        assert s.value._mpf_ == (0, 83935041668238731037421710230891980875, -130, 126)
+        assert s.tail_bound._mpf_ == (0, 281009235413652135176438007779960229525, -133, 128)
