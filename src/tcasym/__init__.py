@@ -16,9 +16,11 @@ Two independent evaluation paths for the rescaled monic polynomials:
 checks, orthogonality reports); ``tcasym.cli`` exposes everything on the
 command line.
 
-The package is pure Python on top of mpmath: every loop runs as written
-in ``tcasym.exact``, with a fixed operation order, so results are
-reproducible bit for bit.  ``BACKEND`` names that single implementation.
+The package is pure Python on top of mpmath, with no compiled code: the
+exact path's complex recurrence runs in fixed-point Python-int
+arithmetic and everything else in mpmath, each loop with one fixed
+operation order, so results are reproducible bit for bit.  ``BACKEND``
+names that single implementation.
 """
 
 from .asym import AsymResult, Params, RegionLabel, classify_region, eval_asym

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .auxfun import _w_root, d_func, f_tilde_n, h_factor, phi
+from .auxfun import _f_tilde_from_h, _w_root, d_func, h_factor, phi
 from .mpnum import (
     GUARD,
     ConfigError,
@@ -244,8 +244,9 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
     a = to_mpf(alpha, bits)
     if n < 1:
         raise ConfigError("eval_region_c requires n >= 1")
-    ft = f_tilde_n(n, z, bits + GUARD)
-    h = h_factor(z, bits + GUARD)
+    # one h at the width f_tilde_n would use, shared by ftilde and h^(1/6)
+    h = h_factor(z, bits + 2 * GUARD)
+    ft = _f_tilde_from_h(n, z, h, bits + GUARD)
     quartet = airy_quartet(ft, bits + GUARD)
     with working(bits, GUARD + 8):
         p = 2 * a - mpmath.mpf(1) / 2

@@ -354,7 +354,11 @@ def f_tilde_n(n: int, z, prec):
     if n < 1:
         raise ConfigError("f_tilde_n requires n >= 1")
     z = to_mpc(z, bits)
-    h = h_factor(z, bits + GUARD)
+    return _f_tilde_from_h(n, z, h_factor(z, bits + GUARD), bits)
+
+
+def _f_tilde_from_h(n: int, z, h, bits: int):
+    """n^(2/3) (z-2) h^(2/3) from a given h = h_factor(z), rounded to ``bits``."""
     with working(bits, GUARD):
         v = mpmath.mpf(n) ** (mpmath.mpf(2) / 3) * (z - 2) * mpmath.exp(mpmath.mpf(2) / 3 * mpmath.log(h))
     return round_to_mpc(bits, v)

@@ -11,9 +11,19 @@ is computed at an explicit precision; values that scale like exp(n log n)
 leave in LogComplex form.
 
 Two recurrence loops, each with a fixed operation order so results are
-reproducible bit for bit: the renormalised complex one in ``eval_f_raw``
-and the real one in ``_f_real``, shared by the orthogonality sums and
-their tail bound.
+reproducible bit for bit:
+
+* ``eval_f_raw``, the complex recurrence behind every exact value, runs
+  in fixed point on Python ints: the state carries P = bits + 64
+  fraction bits (more if an input needs them to convert exactly), every
+  shift and division rounds toward zero, so parity and Schwarz symmetry
+  hold exactly in the state, and power-of-two renormalisation keeps the
+  integers near 2**P.  Integer arithmetic makes the bits identical
+  across runs, platforms and mpmath backends.
+* ``_f_real``, the real recurrence at low degree shared by the
+  orthogonality sums and their tail bound, runs in mpmath at the
+  caller's precision; its nodes cost a log, a sqrt and an exp each,
+  which dwarf its few recurrence steps.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .mpnum import (
     GUARD,
@@ -55,54 +66,103 @@ def _check_n_alpha(n, alpha):
 
 
 RENORM_BITS = 16
+FIXED_GUARD = 64  # fraction bits of the integer state beyond the requested width
 
 
-def _max_mag(*vals):
-    """Largest ceil(log2|v|) over nonzero components, or None if all zero."""
-    m = None
+def _fixed(v, P):
+    """The finite mpf ``v`` as the integer v * 2**P; exact because P >= -exp."""
+    sign, man, exp, _ = v._mpf_
+    man <<= exp + P
+    return -man if sign else man
+
+
+def _fixed_bits(bits, *vals):
+    """Fraction bits P of the state: bits + FIXED_GUARD, raised so that each
+    nonzero value converts to an integer exactly."""
+    P = bits + FIXED_GUARD
     for v in vals:
         if v:
-            e = mpmath.mag(v)
-            if m is None or e > m:
-                m = e
-    return m
+            P = max(P, -v._mpf_[2])
+    return P
+
+
+def _trunc_shift(v, s):
+    """v / 2**s rounded toward zero: odd in v, unlike the floor of ``>>``."""
+    return v >> s if v >= 0 else -(-v >> s)
+
+
+def _from_fixed(re, im, P):
+    """The state pair re, im (scaled by 2**P) as an mpc, with no rounding."""
+    return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
 
 
 def eval_f_raw(n: int, alpha, x, prec):
     """Renormalized recurrence state: (f_prev, f_curr, scale_exp2).
 
-    The true value of f_n is ``f_curr * 2**scale_exp2``.  Whenever the
-    largest component magnitude leaves [2**-16, 2**16], the whole state is
-    scaled by an exact power of two and the exponent is accreted into
-    ``scale_exp2``.  All arithmetic at exactly ``prec`` bits.
+    The true value of f_n is ``f_curr * 2**scale_exp2``.  The state is kept
+    as four Python ints (real and imaginary parts of f_(k-1) and f_k)
+    scaled by 2**P, with P = bits + FIXED_GUARD, raised where needed so
+    that Re x, Im x and alpha (each rounded to ``prec`` bits) convert to
+    integers exactly.  One step is
+
+        t = (X f_k) >> P                      (complex product)
+        f_(k+1) = (k t + ((A t) >> P) - f_(k-1)) // (k+1)
+
+    with X, A the scaled x and alpha.  Every shift and division rounds
+    toward zero, so the rounding is odd in the sign of its argument: the
+    state at -x and at conj(x) is the exact parity and Schwarz image of
+    the state at x.  Whenever the largest component magnitude leaves
+    [2**-16, 2**16] (bit length outside [P-16, P+16]), the whole state is
+    shifted by that power of two and the exponent is accreted into
+    ``scale_exp2``.  The returned mpc values are the integer state times
+    2**-P, exactly, without rounding to ``prec``.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
-    _check_n_alpha(n, a)
     x = to_mpc(x, bits)
-    with mp.workprec(bits):
-        xr, xi = x.real, x.imag
-        zero = mpmath.mpf(0)
-        if n == 0:
-            return mpmath.mpc(zero, zero), mpmath.mpc(1, 0), 0
-        fpr, fpi = mpmath.mpf(1), zero
-        fcr, fci = a * xr, a * xi
-        scale = 0
-        for k in range(1, n):
-            s = k + a
-            tr = xr * fcr - xi * fci
-            ti = xr * fci + xi * fcr
-            nr = (s * tr - fpr) / (k + 1)
-            ni = (s * ti - fpi) / (k + 1)
-            fpr, fpi, fcr, fci = fcr, fci, nr, ni
-            e = _max_mag(fpr, fpi, fcr, fci)
-            if e is not None and (e > RENORM_BITS or e < -RENORM_BITS):
-                fpr = mpmath.ldexp(fpr, -e)
-                fpi = mpmath.ldexp(fpi, -e)
-                fcr = mpmath.ldexp(fcr, -e)
-                fci = mpmath.ldexp(fci, -e)
-                scale += e
-        return mpmath.mpc(fpr, fpi), mpmath.mpc(fcr, fci), scale
+    if not (mpmath.isfinite(a) and mpmath.isfinite(x)):
+        raise ConfigError(f"alpha and x must be finite, got alpha={a}, x={x}")
+    _check_n_alpha(n, a)
+    xr, xi = x.real, x.imag
+    P = _fixed_bits(bits, a, xr, xi)
+    A, XR, XI = _fixed(a, P), _fixed(xr, P), _fixed(xi, P)
+    one = 1 << P
+    if n == 0:
+        return _from_fixed(0, 0, P), _from_fixed(one, 0, P), 0
+    lo, hi = P - RENORM_BITS, P + RENORM_BITS
+    pr, pi = one, 0
+    cr, ci = _trunc_shift(A * XR, P), _trunc_shift(A * XI, P)
+    scale = 0
+    for k in range(1, n):
+        # truncating shifts and divisions written out: a call per use
+        # costs about a tenth of the step
+        tr = XR * cr - XI * ci
+        ti = XR * ci + XI * cr
+        tr = tr >> P if tr >= 0 else -(-tr >> P)
+        ti = ti >> P if ti >= 0 else -(-ti >> P)
+        ur = A * tr
+        ui = A * ti
+        ur = ur >> P if ur >= 0 else -(-ur >> P)
+        ui = ui >> P if ui >= 0 else -(-ui >> P)
+        d = k + 1
+        nr = k * tr + ur - pr
+        ni = k * ti + ui - pi
+        nr = nr // d if nr >= 0 else -(-nr // d)
+        ni = ni // d if ni >= 0 else -(-ni // d)
+        pr, pi, cr, ci = cr, ci, nr, ni
+        m = max(pr.bit_length(), pi.bit_length(), cr.bit_length(), ci.bit_length())
+        if m > hi or m < lo:
+            e = m - P
+            if e > 0:
+                pr, pi = _trunc_shift(pr, e), _trunc_shift(pi, e)
+                cr, ci = _trunc_shift(cr, e), _trunc_shift(ci, e)
+            else:
+                pr <<= -e
+                pi <<= -e
+                cr <<= -e
+                ci <<= -e
+            scale += e
+    return _from_fixed(pr, pi, P), _from_fixed(cr, ci, P), scale
 
 
 def eval_f(n: int, alpha, x, prec) -> LogComplex:

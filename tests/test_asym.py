@@ -189,6 +189,26 @@ class TestRegionEvaluators:
                     worst = max(worst, abs(v.value.log_mod))
         assert mpmath.isfinite(worst)
 
+    def test_c_region_one_h_evaluation(self, monkeypatch):
+        # h feeds both ftilde and the h^(1/6) factors: one evaluation, at
+        # the width ftilde needs, serves both
+        from tcasym import asym, auxfun
+        calls = []
+        orig = auxfun.h_factor
+
+        def counting(z, prec):
+            calls.append(prec)
+            return orig(z, prec)
+
+        monkeypatch.setattr(asym, "h_factor", counting)
+        monkeypatch.setattr(auxfun, "h_factor", counting)
+        ay = eval_region_c(400, 1, mpmath.mpc("2.03", "0.04"), 256)
+        assert ay.region.tag == "C" and mpmath.isfinite(ay.value.log_mod)
+        assert calls == [256 + 32]
+        calls.clear()
+        eval_asym(400, 1, mpmath.mpc("2.03", "-0.04"), PARAMS, 256)
+        assert calls == [256 + 32]
+
     def test_cancellation_flag_near_zero(self):
         # scan the band for a near-zero of the polynomial; the two-term
         # form must flag severe cancellation rather than fabricate digits

@@ -1,8 +1,11 @@
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from mpmath import mp
 
 from tcasym import exact
-from tcasym.mpnum import ConfigError, DomainError, to_mpc, working
+from tcasym.mpnum import ConfigError, DomainError, to_mpc, to_mpf, working
 
 from conftest import logc_rel_err, rel_diff
 
@@ -39,24 +42,40 @@ class TestEvalF:
         ref = hand_recurrence(37, 1, mpmath.mpc("0.3", "0.1"))
         assert rel_diff(v.to_complex(250), ref, 192) < mpmath.mpf(2) ** -180
 
+    @staticmethod
+    def _bits(state):
+        """The full-width state as exact libmp tuples, plus the scale."""
+        p, c, s = state
+        return (p.real._mpf_, p.imag._mpf_), (c.real._mpf_, c.imag._mpf_), s
+
+    # (n, alpha, prec, |x| scale): small degrees, then degrees whose small
+    # |x| makes the state renormalise many times at 256 bits; alpha 0.7
+    # makes the (A t) >> P step round
+    DEGREES = ((7, "1", 128, 1), (24, "1", 128, 1), (50, "1", 128, 1),
+               (801, "0.7", 256, 0.05), (1200, "0.7", 256, 0.05))
+
     def test_parity_exact_in_arithmetic(self, rng):
-        for n in (7, 24, 50):
-            z = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            _, f1, s1 = exact.eval_f_raw(n, 1, z, 128)
-            _, f2, s2 = exact.eval_f_raw(n, 1, -z, 128)
-            assert s1 == s2
-            if n % 2:  # exact comparisons without ambient re-rounding
-                assert f2.real + f1.real == 0 and f2.imag + f1.imag == 0
-            else:
-                assert f2.real - f1.real == 0 and f2.imag - f1.imag == 0
+        # f_n(-x) = (-1)^n f_n(x): every rounding in the kernel is odd, so
+        # the state at -x is the parity image of the state at x bit for bit
+        neg = mpmath.libmp.mpf_neg
+        for n, alpha, prec, r in self.DEGREES:
+            z = r * mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            p1, c1, s1 = self._bits(exact.eval_f_raw(n, alpha, z, prec))
+            p2, c2, s2 = self._bits(exact.eval_f_raw(n, alpha, -z, prec))
+            assert s1 == s2 and (s1 != 0 or n < 800)
+            odd_prev, odd_curr = (n - 1) % 2, n % 2
+            assert p2 == tuple(neg(t) if odd_prev else t for t in p1)
+            assert c2 == tuple(neg(t) if odd_curr else t for t in c1)
 
     def test_schwarz_exact_in_arithmetic(self, rng):
-        for n in (13, 40):
-            z = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(0.01, 1))
-            _, f1, s1 = exact.eval_f_raw(n, 1, z, 128)
-            _, f2, s2 = exact.eval_f_raw(n, 1, mpmath.conj(z), 128)
-            assert s1 == s2
-            assert f2.real - f1.real == 0 and f2.imag + f1.imag == 0
+        neg = mpmath.libmp.mpf_neg
+        for n, alpha, prec, r in self.DEGREES:
+            z = r * mpmath.mpc(rng.uniform(-1, 1), rng.uniform(0.01, 1))
+            p1, c1, s1 = self._bits(exact.eval_f_raw(n, alpha, z, prec))
+            p2, c2, s2 = self._bits(exact.eval_f_raw(n, alpha, mpmath.conj(z), prec))
+            assert s1 == s2 and (s1 != 0 or n < 800)
+            assert p2 == (p1[0], neg(p1[1]))
+            assert c2 == (c1[0], neg(c1[1]))
 
     def test_no_overflow_large_degree(self):
         v = exact.eval_monic_rescaled(1000, 1, mpmath.mpc(1, 1), 256)
@@ -78,6 +97,17 @@ class TestEvalF:
         assert mpmath.ldexp(1, -17) <= m <= mpmath.ldexp(1, 17)
         assert scale != 0  # the true value is far outside the band
 
+    @pytest.mark.parametrize("alpha,x", [
+        ("nan", "0.5"), ("inf", "0.5"), ("1", ("nan", "0")), ("1", ("0.5", "inf")), ("1", ("-inf", "0.1")),
+    ])
+    def test_non_finite_rejected(self, alpha, x):
+        # a special mpf has mantissa 0: converted to the integer state it
+        # would enter silently as 0
+        with pytest.raises(ConfigError):
+            exact.eval_f_raw(5, alpha, to_mpc(x, 128), 128)
+        with pytest.raises(ConfigError):
+            exact.eval_f(5, alpha, to_mpc(x, 128), 128)
+
     def test_bad_args(self):
         with pytest.raises(ConfigError):
             exact.eval_f(-1, 1, mpmath.mpc(1), 128)
@@ -85,6 +115,67 @@ class TestEvalF:
             exact.eval_f(3, -2, mpmath.mpc(1), 128)
         with pytest.raises(ConfigError):
             exact.eval_monic_rescaled(0, 1, mpmath.mpc(1), 128)
+
+
+def _unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# z = sqrt(n) x drawn from each of the five regions of the default Params
+# (eps 0.15, delta 0.25); x is then rounded to the working precision
+_REGION_Z = st.one_of(
+    st.tuples(_unit(-0.1, 0.1), _unit(-0.1, 0.1)),       # origin
+    st.tuples(_unit(0.2, 1.8), _unit(0.0, 0.2)),         # band strip B
+    st.tuples(_unit(1.9, 2.1), _unit(-0.1, 0.1)),        # turning point C
+    st.tuples(_unit(2.2, 3.0), _unit(0.0, 0.2)),         # saturated strip D
+    st.tuples(_unit(-3.0, 3.0), _unit(0.3, 3.0)),        # outer region A
+)
+
+
+class TestFixedPointKernel:
+    """The integer kernel against a plain mpmath recurrence at 2*bits+64."""
+
+    @staticmethod
+    def reference(n, alpha, x, bits):
+        with mp.workprec(bits):
+            fp, fc = mpmath.mpc(1), alpha * x
+            for k in range(1, n):
+                fp, fc = fc, ((k + alpha) * x * fc - fp) / (k + 1)
+            return fp, fc
+
+    @given(n=st.integers(1, 2500), alpha=_unit(0.5, 2.5), z=_REGION_Z, bits=st.sampled_from([128, 256]))
+    # tiny alpha and |x| with full mantissas: P must rise above bits + 64
+    # for them to convert exactly
+    @example(n=2499, alpha="3.3e-31", z=("1.7e-38", "-2.9e-39"), bits=128)
+    @example(n=1, alpha="0.5", z=("3.1e-60", "0"), bits=256)
+    # renormalising degrees in the band and at the turning point
+    @example(n=1500, alpha=1.0, z=(1.0, 0.0), bits=256)
+    @example(n=2500, alpha=0.5, z=(1.9, 0.1), bits=256)
+    def test_state_matches_reference(self, n, alpha, z, bits):
+        a = to_mpf(alpha, bits)
+        with mp.workprec(bits):
+            x = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / mpmath.sqrt(n)
+        fp, fc, scale = exact.eval_f_raw(n, a, x, bits)
+        rp, rc = self.reference(n, a, x, 2 * bits + 64)
+        with mp.workprec(2 * bits + 64):
+            two_s = mpmath.ldexp(1, scale)
+            # relative to the larger of the pair: well defined near zeros of f_n
+            err = max(abs(fp * two_s - rp), abs(fc * two_s - rc)) / max(abs(rp), abs(rc))
+        assert err <= mpmath.ldexp(1, -bits)
+
+    def test_tiny_inputs_raise_fraction_bits(self):
+        bits = 128
+        a = to_mpf("3.3e-31", bits)
+        x = to_mpc(("1.7e-40", "-2.9e-41"), bits)
+        P = exact._fixed_bits(bits, a, x.real, x.imag)
+        assert P > bits + exact.FIXED_GUARD
+        for v in (a, x.real, x.imag):
+            assert mpmath.libmp.from_man_exp(exact._fixed(v, P), -P) == v._mpf_
+        # f_0 = 1 and f_1 = alpha x to the state's 2^-P resolution
+        fp, fc, scale = exact.eval_f_raw(1, a, x, bits)
+        assert scale == 0 and fp == 1
+        with mp.workprec(3 * P):
+            assert abs(fc - a * x) <= mpmath.ldexp(2, -P)
 
 
 class TestLeadingCoeff:
@@ -226,22 +317,28 @@ class TestOrtho:
 class TestGoldenBits:
     """Exact mantissa/exponent tuples of both recurrence loops.
 
-    Recorded from the implementation these loops were folded from; any
-    change to the operation order or the working precision moves bits.
+    The eval_f_raw states are the fixed-point kernel's full-width integer
+    state (P = bits + 64 fraction bits); the ortho sum is the mpmath real
+    loop.  Any change to the operation order, the rounding or the working
+    precision moves bits.
     """
 
     RAW = [
         ((60, "1", ("0.3", "0.2"), 128),
-         ((1, 324301386325980572099183166104243800085, -138, 128),
-          (0, 184629995615000865204029322304004566677, -139, 128)),
-         ((1, 3346544270584580479732765285304936739, -133, 122),
-          (1, 202454704752179511615101046112527324325, -140, 128)),
+         ((1, 730261801306710685671679205956105193729293206955676149, -189, 179),
+          (0, 831499579453134206992919095380009794875704197380023695, -191, 180)),
+         ((1, 482287856959474719569614960895901833151204219145415071, -190, 179),
+          (1, 227943733220329858559668684793759083755115777679275845, -190, 178)),
          -70),
         ((600, "0.75", ("0.05", "-0.0125"), 256),
-         ((1, 2906936471015331954849437191971921740549407433277482136962228598096426260355, -264, 251),
-          (0, 75889905138768386054308493350297036684771907170617157711651364424469789487935, -271, 256)),
-         ((1, 64475542196984351163172490989437757224357274082609773311059406457000007167693, -274, 256),
-          (0, 33867285081724179692444192923698949767892504170482889906981238192091043396249, -272, 255)),
+         ((1, 209466848122469658206502441709897139633413299340257427134749274388668097005577285779968753553,
+           -320, 307),
+          (0, 42722218563017449120983608044363349288131966077153913668634779104952399690578689678493785979,
+           -320, 305)),
+         ((1, 1134265733643943026973103752832982420300604320991303183159188626825159725289347213110950499,
+           -318, 300),
+          (0, 9532793279631460864588195228051152083526949028217986788756874862304768638413857249408575923,
+           -320, 303)),
          -2224),
     ]
 
