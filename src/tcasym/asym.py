@@ -138,18 +138,21 @@ def _quarter_root_log(z):
 
 def _leading_exponent(n, alpha, z, bits):
     """Master exponent shared by the outer and saturated-strip formulas:
-    prefactor / D * (z^2-4)^(-1/4) varphi(z/2)^(2a-1/2) e^{-n phi - a pi i + pi i/2}."""
+    prefactor / D * (z^2-4)^(-1/4) varphi(z/2)^(2a-1/2) e^{-n phi - a pi i + pi i/2}.
+
+    Returns the exponent, phi(z) and the log-prefactor."""
     a = to_mpf(alpha, bits)
     dd = d_func(n, alpha, z, bits + GUARD, half_plane="upper" if z.imag == 0 else "auto")
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
         phv = _phi_first_quadrant(n, alpha, z, bits + GUARD)
-        w = (_log_prefactor(n, alpha, bits) - mpmath.mpc(dd.log_mod, dd.phase)
+        log_pref = _log_prefactor(n, alpha, bits)
+        w = (log_pref - mpmath.mpc(dd.log_mod, dd.phase)
              + _quarter_root_log(z) + p * u - n * phv
              + mpmath.mpc(0, mpmath.pi) * (mpmath.mpf(1) / 2 - a))
         w = mpmath.mpc(w)
-    return w, phv
+    return w, phv, log_pref
 
 
 def _snap_real(value: LogComplex, bits, flags):
@@ -175,7 +178,7 @@ def eval_region_a(n: int, alpha, z, prec) -> AsymResult:
     """Outer-region leading term; relative accuracy O(1/n)."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    w, _ = _leading_exponent(n, alpha, z, bits)
+    w, _, _ = _leading_exponent(n, alpha, z, bits)
     value = LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
     with working(bits):
         dropped = value.log_mod - mpmath.log(n)
@@ -191,13 +194,13 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    w, phv = _leading_exponent(n, alpha, z, bits)
+    w, phv, log_pref = _leading_exponent(n, alpha, z, bits)
     value = LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
     flags = ()
     with working(bits):
         logn = mpmath.log(n)
         drop_rel = value.log_mod - logn
-        drop_abs = _log_prefactor(n, alpha, bits) + n * phv.real
+        drop_abs = log_pref + n * phv.real
         dropped = max(drop_rel, drop_abs)
         if n * phv.real > -logn:
             flags = ("dropped-term-dominant",)
@@ -266,9 +269,8 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
         bracket_b = c_fac * n6 * h6 / zp * (quartet.ai * ct + quartet.bi * st)
         m_sum = bracket_a + bracket_b
         m_scale = abs(bracket_a) + abs(bracket_b)
-        log_pc = (log_gamma_real(a, bits + GUARD) + mpmath.mpf(n) / 2
-                  - (mpmath.mpf(n) / 2 + a - mpmath.mpf(1) / 2) * mpmath.log(n)
-                  - mpmath.log(2) / 2)
+        # sqrt(pi) times the prefactor shared with the other regions
+        log_pc = _log_prefactor(n, alpha, bits) + mpmath.log(mpmath.pi) / 2
         cancelled = m_scale > 0 and (m_sum == 0 or abs(m_sum) < m_scale * mpmath.ldexp(1, -(bits // 2)))
         if m_sum == 0:
             value = LogComplex.zero()
@@ -336,6 +338,9 @@ def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
     if params is None:
         params = Params()
     z = to_mpc(z, bits)
+    a = to_mpf(alpha, bits)
+    if not (mpmath.isfinite(a) and mpmath.isfinite(z)):
+        raise ConfigError(f"alpha and z must be finite, got alpha={a}, z={z}")
     if z == 0:
         raise DomainError("eval_asym: z = 0 excluded")
     if n < 1:

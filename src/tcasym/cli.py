@@ -409,12 +409,36 @@ def _selftest_checks(bits):
         rep = harness.ortho_report(1, 2, 20000, min(bits, 128))
         return rep.all_pass, "orthogonality matrix within tail bounds"
 
+    def check_log_gamma():
+        # real parts on both sides of the Stirling shift threshold
+        from .specfun import _stirling_threshold, log_gamma_complex, log_gamma_real
+        rng = random.Random(303)
+        t = _stirling_threshold(bits)
+        worst = mpmath.mpf(0)
+        agree = True
+        for _ in range(8):
+            z = mpmath.mpc(rng.uniform(0.5, 2 * t), rng.uniform(-60, 60))
+            a = log_gamma_complex(z, bits)
+            b = log_gamma_complex(z + 1, bits)
+            c = log_gamma_complex(1 - z, bits)
+            with working(bits):
+                rec = abs(b - a - mpmath.log(z)) / max(1, abs(b))
+                # Gamma(z) Gamma(1-z) sin(pi z) = pi
+                refl = abs(mpmath.exp(a + c) * mpmath.sin(mpmath.pi * z) / mpmath.pi - 1) / (abs(a) + abs(c) + 1)
+                worst = max(worst, rec, refl)
+            x = mpmath.mpf(rng.uniform(0.01, 2 * t))
+            agree &= log_gamma_real(x, bits) == log_gamma_complex(x, bits).real
+        ok = agree and worst < mpmath.mpf(2) ** -(bits - 16)
+        return ok, (f"recurrence/reflection residual {mpmath.nstr(worst, 3)}, "
+                    f"real/complex {'bitwise' if agree else 'DIFFER'}")
+
     return [
         ("constants", check_constants),
         ("identities", check_identities),
         ("symmetry", check_symmetry),
         ("regions", check_regions),
         ("orthogonality", check_ortho),
+        ("log-gamma", check_log_gamma),
     ]
 
 

@@ -11,9 +11,24 @@ with sector-correct connection formulas.  Sector membership is decided by
 Arg z in (-pi, pi] alone, so behavior on the Stokes rays arg z = +-2pi/3
 is deterministic (no averaging).
 
-log-gamma: argument shift until Re z is inside the Stirling-valid zone,
-reflection for Re z < 1/2, with the log-sin branch unwound so the result
-is the branch of log Gamma continuous on C \\ (-inf, 0].
+log-gamma: one kernel, run on an mpf for real x > 0 and on an mpc
+otherwise, at bits + 24 guard bits (plus the bit length of |Re z| for
+complex z).  It shifts z by s to Re z >= 10 + p/8 (p the working width),
+sums the Stirling series there with B_2j/(2j(2j-1)) taken from a table
+rounded once per width (an ``lru_cache`` of 8 widths), stopping at the
+first term below 2^-(p+4) (|partial sum| + 1) (the optimal truncation
+error ~exp(-2 pi Re z) is far smaller), and subtracts one logarithm of
+the product z (z+1) ... (z+s-1), multiplied out at p + s.bit_length() +
+2 bits so that it is within 2^-(p+1) relative of the exact product; for
+complex z the winding of that product is restored from a float sum of
+the arguments of the factors.  Re z < 1/2 (z not real) goes through
+the reflection formula, with the log-sin branch unwound so the result
+is the branch of log Gamma continuous on C \\ (-inf, 0].  Every step
+rounds once to nearest at p bits, so the working value is within about
+(J + 4) 2^-p (|log Gamma(z+s)| + 1) of log Gamma(z), J <= p/5 the number
+of Stirling terms taken.  The guard bits keep that below one unit in the
+last place of the rounded result, except near the zeros z = 1, 2 of log
+Gamma, where only this absolute bound holds.
 """
 
 from __future__ import annotations
@@ -21,12 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational
 
 from .mpnum import (
     GUARD,
+    DomainError,
     PoleError,
     bits_of,
     round_to,
@@ -69,42 +87,89 @@ def _stirling_threshold(bits: int) -> int:
     return 10 + bits // 8
 
 
-def _stirling_loggamma(z):
-    """Stirling series at the current mp precision; Re z must be large."""
-    eps = mpmath.ldexp(mpmath.mpf(1), -(mp.prec + 4))
-    out = (z - mpmath.mpf(1) / 2) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
-    zsq = z * z
-    term_scale = abs(out) + 1
-    pw = z
+@lru_cache(maxsize=8)
+def _stirling_table(prec: int):
+    """log(2 pi)/2 and c_j = B_2j / (2j (2j-1)), j = 1, 2, ..., each
+    rounded once to ``prec`` bits.
+
+    The table runs to the first j with |c_j| t^(1-2j) < 2^-(prec+5), t the
+    shift threshold at ``prec``: since |z| >= Re z >= t, the Stirling sum
+    meets its stopping rule at or before that term.
+    """
+    lt = math.log2(_stirling_threshold(prec))
+    coeffs = []
     j = 1
-    prev = mpmath.inf
     while True:
         b = bernoulli_fraction(2 * j)
-        term = mpmath.mpf(b.numerator) / (mpmath.mpf(b.denominator) * (2 * j) * (2 * j - 1)) / pw
-        mag = abs(term)
-        if mag < eps * term_scale:
-            out += term
+        c = b / ((2 * j) * (2 * j - 1))
+        coeffs.append(mpmath.mpf(from_rational(c.numerator, c.denominator, prec, "n")))
+        if math.log2(abs(c.numerator)) - math.log2(c.denominator) - (2 * j - 1) * lt < -(prec + 5):
             break
+        j += 1
+    with mp.workprec(prec):
+        half_log_2pi = mpmath.log(2 * mpmath.pi) / 2
+    return half_log_2pi, tuple(coeffs)
+
+
+def _stirling_loggamma(z):
+    """Stirling series at the current mp precision for an mpf or mpc z
+    with Re z >= the shift threshold; terms are added until one falls
+    below 2^-(prec+4) times |partial sum| + 1."""
+    half_log_2pi, coeffs = _stirling_table(mp.prec)
+    out = (z - mpmath.mpf(1) / 2) * mpmath.log(z) - z + half_log_2pi
+    tol = mpmath.ldexp(abs(out) + 1, -(mp.prec + 4))
+    inv = 1 / z
+    inv_sq = inv * inv
+    prev = mpmath.inf
+    for c in coeffs:
+        term = c * inv
+        mag = abs(term)
+        if mag < tol:
+            out += term
+            return out
         if mag > prev:
             # Series started diverging before reaching target accuracy;
             # the shift threshold is set so this cannot happen.
-            raise ArithmeticError("Stirling series did not converge; argument shifted insufficiently")
+            break
         out += term
         prev = mag
-        pw *= zsq
-        j += 1
-    return out
+        inv *= inv_sq
+    raise ArithmeticError("Stirling series did not converge; argument shifted insufficiently")
 
 
 def _loggamma_shifted(z):
-    """log Gamma for Re z >= 1/2 via recurrence shift + Stirling, at the
-    caller's working precision."""
-    t = _stirling_threshold(mp.prec)
-    shift = int(max(0, math.ceil(t - z.real)))
-    acc = mpmath.mpc(0)
-    for j in range(shift):
-        acc += mpmath.log(z + j)
-    return _stirling_loggamma(z + shift) - acc
+    """log Gamma for an mpf z > 0 or an mpc z with Re z >= 1/2, at the
+    caller's working precision p: Stirling at z + s, with s the shift to
+    Re z >= 10 + p/8, minus log P for P = z (z+1) ... (z+s-1).
+
+    P is multiplied out at p' = p + L + 2 bits, L = s.bit_length(): the
+    s - 1 sums z + j and s - 1 products each round every component once
+    to nearest, a relative error of at most 2^-p' each, so P is within
+    2s 2^-p' < 2^-(p+1) relative of the exact product.  log P, rounded
+    once to p bits, thus differs from sum_j log(z+j) (mod 2 pi i) by at
+    most 2^-(p+1) plus that rounding.  For an mpc the principal Im log P
+    is moved onto the sum of the arguments by 2 pi k, k rounded from the
+    float sum of atan2(Im z, Re z + j); each of those lies in
+    (-pi/2, pi/2) because Re(z+j) >= 1/2, so the sum is off by far less
+    than the pi that would change k.
+    """
+    prec = mp.prec
+    shift = int(max(0, math.ceil(_stirling_threshold(prec) - z.real)))
+    w = _stirling_loggamma(z + shift)
+    if shift == 0:
+        return w
+    with mp.workprec(prec + shift.bit_length() + 2):
+        p = +z
+        for j in range(1, shift):
+            p *= z + j
+    log_p = mpmath.log(p)
+    if isinstance(z, mpmath.mpc):
+        y, x = float(z.imag), float(z.real)
+        args = math.fsum(math.atan2(y, x + j) for j in range(shift))
+        k = round((args - float(log_p.imag)) / (2 * math.pi))
+        if k:
+            log_p += mpmath.mpc(0, 2 * k * mpmath.pi)
+    return w - log_p
 
 
 def _log_sin_pi(z):
@@ -112,23 +177,33 @@ def _log_sin_pi(z):
     (-inf, 0], at the caller's working precision.
 
     For Im z >= 0: factor sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 pi i z});
-    mirrored for Im z < 0.  Real z uses the upper-half limit.
+    mirrored for Im z < 0.  Real z uses the upper-half limit.  The factor
+    1 - e^{2 pi i z} only sees z minus its nearest integer k (an exact
+    subtraction) and comes from expm1, so it keeps its relative accuracy
+    as z approaches the pole at k.
     """
     ipi = mpmath.mpc(0, mpmath.pi)
+    w = z - mpmath.nint(z.real)
     if z.imag >= 0:
-        return -mpmath.log(2) + ipi / 2 - ipi * z + mpmath.log(1 - mpmath.exp(2 * ipi * z))
-    return -mpmath.log(2) - ipi / 2 + ipi * z + mpmath.log(1 - mpmath.exp(-2 * ipi * z))
+        return -mpmath.log(2) + ipi / 2 - ipi * z + mpmath.log(-mpmath.expm1(2 * ipi * w))
+    return -mpmath.log(2) - ipi / 2 + ipi * z + mpmath.log(-mpmath.expm1(-2 * ipi * w))
 
 
 def log_gamma_complex(z, prec):
     """The branch of log Gamma continuous on C \\ (-inf, 0].
 
-    Real z on the cut evaluates to the limit from the upper half-plane.
-    Raises :class:`PoleError` at non-positive integers.
+    Real z on the cut evaluates to the limit from the upper half-plane;
+    real z > 0 runs the real kernel of :func:`log_gamma_real`, so the
+    value is exactly real.  Raises :class:`PoleError` at non-positive
+    integers.
     """
     bits = bits_of(prec)
     z = to_mpc(z, prec)
-    if z.imag == 0 and z.real <= 0 and z.real == mpmath.floor(z.real):
+    if not mpmath.isfinite(z):
+        raise DomainError(f"log_gamma_complex: argument must be finite, got z={z}")
+    if z.imag == 0 and z.real > 0:
+        return round_to_mpc(bits, _log_gamma_positive(z.real, bits))
+    if z.imag == 0 and z.real == mpmath.floor(z.real):
         raise PoleError(f"log_gamma_complex: pole at z={z}")
     guard = GUARD + 8 + max(0, int(abs(z.real)).bit_length())
     with mp.workprec(bits + guard):
@@ -139,15 +214,23 @@ def log_gamma_complex(z, prec):
     return round_to(prec, w)
 
 
+def _log_gamma_positive(x, bits):
+    """log Gamma of an mpf x > 0 in real arithmetic, rounded to ``bits``."""
+    with mp.workprec(bits + GUARD + 8):
+        w = _loggamma_shifted(x)
+    return round_to(bits, w)
+
+
 def log_gamma_real(x, prec):
     """log Gamma for real x > 0 (mpf result)."""
     bits = bits_of(prec)
     with mp.workprec(bits + GUARD + 8):
         x = mpmath.mpf(x)
-        if x <= 0:
-            raise PoleError("log_gamma_real requires x > 0")
-        w = _loggamma_shifted(mpmath.mpc(x)).real
-    return round_to(prec, w)
+    if not mpmath.isfinite(x):
+        raise DomainError(f"log_gamma_real: argument must be finite, got x={x}")
+    if x <= 0:
+        raise PoleError("log_gamma_real requires x > 0")
+    return _log_gamma_positive(x, bits)
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +271,8 @@ def _airy_series(z, bits):
     with mp.workprec(bits + guard):
         z = +z
         third = mpmath.mpf(1) / 3
-        g13 = mpmath.exp(_loggamma_shifted(mpmath.mpc(third)).real)
-        g23 = mpmath.exp(_loggamma_shifted(mpmath.mpc(2 * third)).real)
+        g13 = mpmath.exp(_loggamma_shifted(third))
+        g23 = mpmath.exp(_loggamma_shifted(2 * third))
         c1 = mpmath.mpf(3) ** (-mpmath.mpf(2) / 3) / g23     # Ai(0)
         c2 = -(mpmath.mpf(3) ** (-third)) / g13              # Ai'(0)
         sq3 = mpmath.sqrt(mpmath.mpf(3))

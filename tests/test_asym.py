@@ -209,6 +209,22 @@ class TestRegionEvaluators:
         eval_asym(400, 1, mpmath.mpc("2.03", "-0.04"), PARAMS, 256)
         assert calls == [256 + 32]
 
+    @pytest.mark.parametrize("tag, z", [("C", ("2.03", "0.04")), ("D", ("4", "0.05")), ("A", ("1", "2"))])
+    def test_one_prefactor_per_point(self, monkeypatch, tag, z):
+        # the prefactor's log Gamma(alpha) is evaluated once per point
+        from tcasym import asym
+        calls = []
+        orig = asym.log_gamma_real
+
+        def counting(x, prec):
+            calls.append(prec)
+            return orig(x, prec)
+
+        monkeypatch.setattr(asym, "log_gamma_real", counting)
+        ay = eval_asym(400, 1, mpmath.mpc(*z), PARAMS, 256)
+        assert ay.region.tag == tag
+        assert calls == [256 + 16]
+
     def test_cancellation_flag_near_zero(self):
         # scan the band for a near-zero of the polynomial; the two-term
         # form must flag severe cancellation rather than fabricate digits
@@ -271,6 +287,18 @@ class TestDispatcher:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             eval_asym(100, 1, 0, PARAMS, 128)
+
+    @pytest.mark.parametrize("alpha, z", [
+        (1, mpmath.mpc("nan", 0)),
+        (1, mpmath.mpc(1, "nan")),
+        (1, mpmath.mpc("-inf", 1)),
+        ("nan", mpmath.mpc(1, 1)),
+        ("inf", mpmath.mpc(1, 1)),
+    ])
+    def test_non_finite_rejected(self, alpha, z):
+        # rejected before dispatch, naming the input
+        with pytest.raises(ConfigError, match="must be finite"):
+            eval_asym(100, alpha, z, PARAMS, 128)
 
     def test_rerun_identical(self):
         a = eval_asym(123, 1, mpmath.mpc("0.7", "0.3"), PARAMS, 160)

@@ -179,3 +179,4 @@ class TestSelftest:
         r = run_cli(["selftest"])
         assert r.returncode == 0, r.stdout
         assert "FAIL" not in r.stdout
+        assert "PASS log-gamma:" in r.stdout

@@ -28,6 +28,7 @@ class TestComparePoint:
         # a non-finite point is an error row, not a NaN exact value
         rec = harness.compare_point(100, 1, mpmath.mpc("nan", 0))
         assert "exact:ConfigError" in rec.error and rec.log_exact is None
+        assert "asym:ConfigError" in rec.error and rec.log_asym is None
 
     def test_determinism(self):
         a = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)

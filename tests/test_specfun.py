@@ -1,8 +1,12 @@
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from tcasym.mpnum import PoleError, working
+from tcasym.mpnum import GUARD, DomainError, PoleError, working
 from tcasym.specfun import (
+    _stirling_table,
+    _stirling_threshold,
     airy_quartet,
     airy_series_reference,
     bernoulli_fraction,
@@ -86,6 +90,129 @@ class TestLogGamma:
             log_gamma_complex(z, 128)
         with pytest.raises(PoleError):
             log_gamma_real(0, 128)
+
+
+# Exact results of a plainer operation order (one logarithm per shift
+# step, each Bernoulli ratio converted per term, complex arithmetic for
+# real arguments); the kernel reproduces them bit for bit.
+_GOLDEN_REAL_272 = {
+    "0.5": (0, 4343420193829569392098331731921355054434608873418998304977693505935337479117155667, -272, 272),
+    "2.3": (0, 4680297775926785641292656231754521402701406638929046671387655833613334387499259109, -274, 272),
+    "1601": (0, 4728496002877564112077170469778469433885977209225642939560520802679855247356036321, -258, 272),
+    "1600.7": (0, 2363735414570980111268773711374796937849365653140709414475278749007102736000861573, -257, 271),
+}
+_GOLDEN_COMPLEX_288 = {
+    (-10.07, 0.739): (
+        (1, 61071661736974053110904862759580399834699283251841791493965671872853616963098474716195, -281, 285),
+        (1, 489044627595750311692685189867927665837145416430960688614785403475196942298535479467351, -283, 288)),
+    (-33.6, 64.9): (
+        (1, 118878409505131753930255956531699411260123529215069557753531765767207705761474615027353, -278, 286),
+        (0, 279293851104211047485847476158378675584542057885457398398778094685267792267063149825887, -280, 288)),
+}
+
+
+def _complex_threshold(x, bits):
+    """Shift threshold log_gamma_complex uses at real part x."""
+    return _stirling_threshold(bits + GUARD + 8 + int(abs(x)).bit_length())
+
+
+class TestLogGammaKernel:
+    @pytest.mark.parametrize("x", sorted(_GOLDEN_REAL_272))
+    def test_golden_real(self, x):
+        assert log_gamma_real(mpmath.mpf(x), 272)._mpf_ == _GOLDEN_REAL_272[x]
+
+    @pytest.mark.parametrize("z", sorted(_GOLDEN_COMPLEX_288))
+    def test_golden_complex(self, z):
+        v = log_gamma_complex(mpmath.mpc(*z), 288)
+        assert (v.real._mpf_, v.imag._mpf_) == _GOLDEN_COMPLEX_288[z]
+
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_exact_zeros(self, x):
+        # log Gamma(1) = log Gamma(2) = 0: what remains is the rounding of
+        # a difference of two ~130-sized values at 296 bits
+        assert abs(log_gamma_real(x, 272)) < mpmath.mpf(2) ** -280
+
+    @given(x=st.floats(1e-6, 4000), bits=st.sampled_from([128, 192, 256, 288]))
+    @example(x=0.25, bits=256)
+    @example(x=46.5, bits=272)
+    @example(x=47.5, bits=272)
+    def test_real_against_library(self, x, bits):
+        v = log_gamma_real(mpmath.mpf(x), bits)
+        with working(2 * bits):
+            ref = mpmath.loggamma(mpmath.mpf(x))
+            assert abs(v - ref) <= mpmath.ldexp(max(1, abs(ref)), -(bits - 2))
+
+    @given(re=st.floats(-60, 60), im=st.floats(-400, 400), bits=st.sampled_from([128, 192, 256, 288]))
+    @example(re=0.75, im=300.0, bits=192)
+    @example(re=-40.5, im=-0.125, bits=256)
+    @example(re=0.0, im=7.85e-76, bits=128)
+    @example(re=-5.0, im=-1e-30, bits=192)
+    def test_complex_against_library(self, re, im, bits):
+        z = mpmath.mpc(re, im)
+        if im == 0 and re <= 0 and re == int(re):
+            return
+        v = log_gamma_complex(z, bits)
+        with working(2 * bits):
+            ref = mpmath.loggamma(z)
+            assert abs(v - ref) <= mpmath.ldexp(max(1, abs(ref)), -(bits - 8))
+
+    @given(x=st.floats(0, 4000, exclude_min=True), bits=st.sampled_from([128, 192, 256, 272, 288]))
+    @example(x=0.3, bits=256)
+    @example(x=1601.0, bits=272)
+    def test_real_path_bitwise_complex(self, x, bits):
+        # same kernel on an mpf and on an mpc with zero imaginary part
+        a = log_gamma_real(mpmath.mpf(x), bits)
+        b = log_gamma_complex(mpmath.mpf(x), bits)
+        assert b.imag == 0
+        assert a == b.real
+
+    @given(re=st.floats(0.5, 80), im=st.floats(-400, 400), bits=st.sampled_from([128, 192, 288]))
+    @example(re=0.75, im=300.0, bits=192)
+    @example(re=0.75, im=-300.0, bits=288)
+    @example(re=1.0, im=150.0, bits=128)
+    @example(re=_complex_threshold(36.5, 192) - 0.5, im=250.0, bits=192)
+    @example(re=_complex_threshold(36.5, 192) + 0.5, im=250.0, bits=192)
+    def test_recurrence_residual(self, re, im, bits):
+        # log Gamma(z+1) - log Gamma(z) - log z = 0 with no 2 pi i k left
+        # over: the shift product for large |Im z| winds many times around
+        # the origin, and the branch of its logarithm has to be restored
+        z = mpmath.mpc(re, im)
+        a = log_gamma_complex(z, bits)
+        b = log_gamma_complex(z + 1, bits)
+        with working(bits):
+            resid = abs(b - a - mpmath.log(z))
+            scale = max(1, abs(b))
+        assert resid / scale < mpmath.mpf(2) ** -(bits - 8)
+
+    def test_shift_product_winds(self):
+        # the example above really does wrap: the arguments of z + j sum
+        # to many turns before the Stirling threshold is reached
+        import math
+        t = _complex_threshold(0.75, 192)
+        turns = sum(math.atan2(300.0, 0.75 + j) for j in range(t)) / (2 * math.pi)
+        assert turns > 5
+
+    def test_table_cache_bounded(self):
+        assert _stirling_table.cache_info().maxsize == 8
+
+    def test_table_covers_threshold(self):
+        # the table reaches the first coefficient that meets the stopping
+        # rule at |z| = t, the smallest modulus the Stirling sum sees
+        for prec in (88, 152, 296, 536):
+            _, coeffs = _stirling_table(prec)
+            t = _stirling_threshold(prec)
+            with working(prec):
+                last = abs(coeffs[-1]) / mpmath.mpf(t) ** (2 * len(coeffs) - 1)
+                assert last < mpmath.ldexp(1, -(prec + 4))
+
+    @pytest.mark.parametrize("arg", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, arg):
+        with pytest.raises(DomainError, match="finite"):
+            log_gamma_real(mpmath.mpf(arg), 128)
+        with pytest.raises(DomainError, match="finite"):
+            log_gamma_complex(mpmath.mpc(1, arg), 128)
+        with pytest.raises(DomainError, match="finite"):
+            log_gamma_complex(mpmath.mpc(arg, 0), 128)
 
 
 class TestAiryQuartet:
