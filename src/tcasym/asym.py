@@ -39,7 +39,7 @@ from .mpnum import (
     to_mpf,
     working,
 )
-from .specfun import airy_quartet, log_gamma_real
+from .specfun import airy_rotated, log_gamma_real
 
 REAL_SNAP_TOL = 1e-8  # relative imaginary residual allowed at real arguments
 
@@ -155,8 +155,8 @@ def _leading_exponent(n, alpha, z, bits):
     return w, phv, log_pref
 
 
-def _snap_real(value: LogComplex, bits, flags):
-    """Assert a boundary value is real and snap its phase to 0 or pi."""
+def _snap_real(value: LogComplex, bits):
+    """Assert a value is real and snap its phase to 0 or pi."""
     with mp.workprec(bits):
         ph = value.wrapped_phase(bits)
         d0 = abs(ph)
@@ -164,10 +164,10 @@ def _snap_real(value: LogComplex, bits, flags):
         resid = min(d0, dpi)
         if resid > REAL_SNAP_TOL:
             raise ArithmeticError(
-                f"boundary value expected real; imaginary residual {mpmath.nstr(resid, 5)}"
+                f"value expected real; imaginary residual {mpmath.nstr(resid, 5)}"
             )
         snapped = mpmath.mpf(0) if d0 <= dpi else +mpmath.pi
-    return LogComplex(value.log_mod, snapped), flags + ("real-snapped",)
+    return LogComplex(value.log_mod, snapped)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +226,8 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     value = logc_mul(LogComplex(round_to(bits, wc.real), round_to(bits, wc.imag)), s, bits)
     flags = ("cancel",) if cancelled else ()
     if z.imag == 0 and not value.is_zero():
-        value, flags = _snap_real(value, bits, flags)
+        value = _snap_real(value, bits)
+        flags += ("real-snapped",)
     with working(bits):
         dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
     return AsymResult(value, RegionLabel("B"), round_to(bits, dropped), flags)
@@ -241,17 +242,34 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
         2 cosh(p u)   * (z+2)^(-1/4) n^(1/6) h^(1/6),
     with u = log varphi(z/2) and h the analytic cofactor of the
     turning-point map, so nothing blows up at the band edge.
+
+    They multiply the Airy brackets Ai'(zeta) cos tau + Bi'(zeta) sin tau
+    and Ai(zeta) cos tau + Bi(zeta) sin tau, zeta = ftilde_n(z) and
+    tau = alpha pi - n pi/z^2, taken in the exponentially separated form
+    of DLMF 9.2.11 (w = e^(2 pi i/3)):
+        Ai  cos tau + Bi  sin tau = e^(i tau - pi i/3) Ai(w zeta)
+                                    + e^(-i tau + pi i/3) Ai(conj(w) zeta),
+        Ai' cos tau + Bi' sin tau = e^(i tau + pi i/3) Ai'(w zeta)
+                                    + e^(-i tau - pi i/3) Ai'(conj(w) zeta).
+    Each of the four terms is a LogComplex, so e^|Im tau| is never formed;
+    each bracket is one ``logc_add`` of its two terms and the value one
+    more of the two brackets, all at the working width bits + GUARD + 8.
+    ``cancel`` is set when any of these three sums loses more than half of
+    that width.  On the real axis the value is real; its phase, which
+    carries only rounding residue there, is snapped to 0 or pi without the
+    ``real-snapped`` flag of the boundary values of regions B and origin.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     a = to_mpf(alpha, bits)
     if n < 1:
         raise ConfigError("eval_region_c requires n >= 1")
+    work = bits + GUARD + 8
     # one h at the width f_tilde_n would use, shared by ftilde and h^(1/6)
     h = h_factor(z, bits + 2 * GUARD)
     ft = _f_tilde_from_h(n, z, h, bits + GUARD)
-    quartet = airy_quartet(ft, bits + GUARD)
-    with working(bits, GUARD + 8):
+    ai_w, aid_w, ai_wb, aid_wb = airy_rotated(ft, bits + GUARD)
+    with mp.workprec(work):
         p = 2 * a - mpmath.mpf(1) / 2
         u, w = _u_of(z)
         if w == 0:
@@ -263,24 +281,40 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
         n6 = mpmath.mpf(n) ** (mpmath.mpf(1) / 6)
         h6 = mpmath.exp(mpmath.log(h) / 6)
         zp = mpmath.exp(mpmath.log(z + 2) / 4)
+        fac_a = s_fac * zp / (n6 * h6)
+        fac_b = c_fac * n6 * h6 / zp
         tau = a * mpmath.pi - n * mpmath.pi / (z * z)
-        ct, st = mpmath.cos(tau), mpmath.sin(tau)
-        bracket_a = s_fac * zp / (n6 * h6) * (quartet.ai_d * ct + quartet.bi_d * st)
-        bracket_b = c_fac * n6 * h6 / zp * (quartet.ai * ct + quartet.bi * st)
-        m_sum = bracket_a + bracket_b
-        m_scale = abs(bracket_a) + abs(bracket_b)
+        # Re tau reaches n pi/4; reduced mod 2 pi, every term's phase
+        # stays O(1) and keeps the absolute accuracy of the work width
+        re_tau = tau.real - 2 * mpmath.pi * mpmath.nint(tau.real / (2 * mpmath.pi))
+        third = mpmath.pi / 3
+
+        def term(c, sign, shift):
+            # c e^(sign i (tau + shift)) as a LogComplex
+            if c == 0:
+                return LogComplex.zero()
+            return LogComplex(
+                round_to(work, mpmath.log(abs(c)) - sign * tau.imag),
+                round_to(work, mpmath.atan2(c.imag, c.real) + sign * (re_tau + shift)),
+            )
+
+        br_a, cancel_a = logc_add(term(fac_a * aid_w, 1, third),
+                                  term(fac_a * aid_wb, -1, third), work)
+        br_b, cancel_b = logc_add(term(fac_b * ai_w, 1, -third),
+                                  term(fac_b * ai_wb, -1, -third), work)
+        m, cancel_m = logc_add(br_a, br_b, work)
         # sqrt(pi) times the prefactor shared with the other regions
         log_pc = _log_prefactor(n, alpha, bits) + mpmath.log(mpmath.pi) / 2
-        cancelled = m_scale > 0 and (m_sum == 0 or abs(m_sum) < m_scale * mpmath.ldexp(1, -(bits // 2)))
-        if m_sum == 0:
+        if m.is_zero():
             value = LogComplex.zero()
         else:
-            value = LogComplex(
-                round_to(bits, log_pc + mpmath.log(abs(m_sum))),
-                round_to(bits, mpmath.atan2(m_sum.imag, m_sum.real)),
-            )
+            value = LogComplex(round_to(bits, log_pc + m.log_mod),
+                               round_to(bits, m.wrapped_phase(work)))
+        m_scale = mpmath.exp(br_a.log_mod) + mpmath.exp(br_b.log_mod)
         dropped = log_pc + mpmath.log(m_scale) - mpmath.log(n)
-    flags = ("cancel",) if cancelled else ()
+    if z.imag == 0 and not value.is_zero():
+        value = _snap_real(value, bits)
+    flags = ("cancel",) if (cancel_a or cancel_b or cancel_m) else ()
     return AsymResult(value, RegionLabel("C"), round_to(bits, dropped), flags)
 
 
@@ -312,7 +346,8 @@ def eval_region_origin(n: int, alpha, z, prec) -> AsymResult:
     value = logc_mul(LogComplex(round_to(bits, wc.real), round_to(bits, wc.imag)), s, bits)
     flags = ("cancel",) if cancelled else ()
     if z.imag == 0 and not value.is_zero():
-        value, flags = _snap_real(value, bits, flags)
+        value = _snap_real(value, bits)
+        flags += ("real-snapped",)
     with working(bits):
         dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
     return AsymResult(value, RegionLabel("origin"), round_to(bits, dropped), flags)
@@ -341,6 +376,8 @@ def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
     a = to_mpf(alpha, bits)
     if not (mpmath.isfinite(a) and mpmath.isfinite(z)):
         raise ConfigError(f"alpha and z must be finite, got alpha={a}, z={z}")
+    if a <= 0:
+        raise ConfigError(f"alpha must be > 0, got alpha={a}")
     if z == 0:
         raise DomainError("eval_asym: z = 0 excluded")
     if n < 1:

@@ -1,15 +1,17 @@
-"""Complex Airy quartet and complex log-gamma at configurable precision.
+"""Complex Airy functions and complex log-gamma at configurable precision.
 
-Both functions are implemented from first principles on top of mpnum's
-arithmetic and validated in the test suite against independent oracles
-(re-summed Maclaurin series at elevated precision, reflection/recurrence
-identities, and a third-party library at spot points).
+Both are validated in the test suite against independent oracles
+(mpmath's own Airy functions and log-gamma at elevated precision,
+reflection/recurrence/connection identities, the Wronskian).
 
-Airy: Maclaurin series inside a precision-dependent crossover radius;
-outside, the standard large-argument expansions in zeta = (2/3) z^{3/2}
-with sector-correct connection formulas.  Sector membership is decided by
-Arg z in (-pi, pi] alone, so behavior on the Stokes rays arg z = +-2pi/3
-is deterministic (no averaging).
+Airy: one kernel for every argument.  Ai and Ai' at z, w z and conj(w) z
+(w = e^(2 pi i/3)) and Bi, Bi' at z are fixed combinations of four
+Maclaurin sums 0F1(;b; z^3/9), b in {2/3, 4/3, 1/3, 5/3}, with Ai(0) and
+Ai'(0) (cached for each band of 64 widths).  The sums run at
+bits + GUARD + 24 + ceil(1.93 |z|^1.5) bits, which absorbs their worst
+cancellation exp(4/3 |z|^1.5), so every value is accurate to the full
+requested precision at every argument; there is no dispatch radius and
+no sector choice.
 
 log-gamma: one kernel, run on an mpf for real x > 0 and on an mpc
 otherwise, at bits + 24 guard bits (plus the bit length of |Re z| for
@@ -51,9 +53,6 @@ from .mpnum import (
     round_to_mpc,
     to_mpc,
 )
-
-_LN2 = math.log(2.0)
-
 
 # ----------------------------------------------------------------------
 # Bernoulli numbers (exact rationals, cached)
@@ -247,174 +246,79 @@ class AiryQuartet:
     bi_d: mpmath.mpc
 
 
-def crossover_radius(prec) -> float:
-    """Series/asymptotics dispatch radius.
-
-    The nominal radius 9*(bits/128)^(2/3) balances series length against
-    asymptotic truncation, but the asymptotic series has an optimal-
-    truncation floor ~exp(-2|zeta|), so the radius is raised where needed
-    to keep at least bits/2 + 16 correct bits on the asymptotic side.
-    """
-    bits = bits_of(prec)
-    nominal = 9.0 * (bits / 128.0) ** (2.0 / 3.0)
-    zeta_min = (bits / 2 + 16) * _LN2 / 2.0
-    floor = (1.5 * zeta_min) ** (2.0 / 3.0)
-    return max(nominal, floor)
-
-
-def _airy_series(z, bits):
-    """Maclaurin evaluation of the quartet; valid for any z, used inside
-    the crossover radius.  Works at elevated precision to absorb the
-    exp(4/3 |z|^{3/2}) cancellation in the growing direction."""
-    r = abs(z)
-    guard = GUARD + 24 + int(1.93 * float(r) ** 1.5)
-    with mp.workprec(bits + guard):
-        z = +z
+@lru_cache(maxsize=8)
+def _airy_at_zero(prec: int):
+    """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3),
+    each rounded once to ``prec`` bits."""
+    with mp.workprec(prec + GUARD):
         third = mpmath.mpf(1) / 3
-        g13 = mpmath.exp(_loggamma_shifted(third))
-        g23 = mpmath.exp(_loggamma_shifted(2 * third))
-        c1 = mpmath.mpf(3) ** (-mpmath.mpf(2) / 3) / g23     # Ai(0)
-        c2 = -(mpmath.mpf(3) ** (-third)) / g13              # Ai'(0)
-        sq3 = mpmath.sqrt(mpmath.mpf(3))
-
-        z3 = z ** 3
-        eps = mpmath.ldexp(mpmath.mpf(1), -(mp.prec + 4))
-
-        # f, g and their termwise derivatives share the cube-power ladder:
-        #   f  terms  a_k   = a_{k-1} z^3 / ((3k-1)(3k))
-        #   g  terms  b_k   = b_{k-1} z^3 / ((3k)(3k+1))
-        #   f' terms  a'_k  = a'_{k-1} z^3 / ((3k-3)(3k-1)),  a'_1 = z^2/2
-        #   g' terms  b'_k  = b'_{k-1} z^3 / ((3k-2)(3k))
-        af = mpmath.mpc(1)
-        bg = mpmath.mpc(z)
-        afd = z * z / 2
-        bgd = mpmath.mpc(1)
-        f, g, fd, gd = af, bg, afd, bgd
-        k = 1
-        maxmag = mpmath.mpf(1) + abs(z)
-        while True:
-            af = af * z3 / ((3 * k - 1) * (3 * k))
-            bg = bg * z3 / ((3 * k) * (3 * k + 1))
-            bgd = bgd * z3 / ((3 * k - 2) * (3 * k))
-            if k >= 2:
-                afd = afd * z3 / ((3 * k - 3) * (3 * k - 1))
-                fd += afd
-            f += af
-            g += bg
-            gd += bgd
-            t = max(abs(af), abs(bg), abs(bgd), abs(afd))
-            m = max(abs(f), abs(g), abs(fd), abs(gd), maxmag)
-            if t < eps * m:
-                break
-            k += 1
-            if k > 100000:
-                raise ArithmeticError("airy series failed to converge")
-        ai = c1 * f + c2 * g
-        aid = c1 * fd + c2 * gd
-        bi = sq3 * (c1 * f - c2 * g)
-        bid = sq3 * (c1 * fd - c2 * gd)
-    return ai, bi, aid, bid
+        ai0 = mpmath.cbrt(3) ** -2 / mpmath.gamma(2 * third)
+        aid0 = -1 / (mpmath.cbrt(3) * mpmath.gamma(third))
+    return round_to(prec, ai0), round_to(prec, aid0)
 
 
-_TWO_THIRDS_PI = 2.0943951023931953  # float gate only; exact compare uses mpf
+def _airy_parts(z, bits):
+    """The four Maclaurin parts of Ai at z, as (width, a, b, a', b') with
 
+        a  = Ai(0) 0F1(;2/3; z^3/9),         b  = Ai'(0) z 0F1(;4/3; z^3/9),
+        a' = Ai(0) (z^2/2) 0F1(;5/3; z^3/9), b' = Ai'(0) 0F1(;1/3; z^3/9).
 
-def _airy_asym_principal(z):
-    """Large-|z| expansion of (Ai, Ai') at current precision.
-
-    Only called with |Arg z| <= 2pi/3 (plus rounding slack), where the
-    principal expansion is the numerically correct representation.
+    Every cube root of unity w leaves z^3 unchanged, so the same four sums
+    give Ai(w z) = a + w b and Ai'(w z) = w^2 a' + b', and Bi(z) =
+    sqrt(3) (a - b), Bi'(z) = sqrt(3) (a' - b').  The parts are summed
+    (mpmath's ``hyp0f1`` on its series, exact rational parameters) and
+    returned at width = bits + GUARD + 24 + ceil(1.93 |z|^1.5): the terms
+    reach exp(2/3 |z|^1.5) while Ai(w z) can be as small as
+    exp(-2/3 |z|^1.5), a cancellation of (4/3)|z|^1.5 / log 2 bits, which
+    the width absorbs, so each combination above keeps bits + GUARD + 24
+    bits relative to its own size.
     """
-    zeta = mpmath.mpf(2) / 3 * mpmath.exp(mpmath.mpf(3) / 2 * mpmath.log(z))
-    eps = mpmath.ldexp(mpmath.mpf(1), -(mp.prec + 4))
-    inv = 1 / zeta
-    sp = mpmath.mpc(1)   # sum (-1)^k u_k zeta^-k
-    sq = mpmath.mpc(1)   # sum (-1)^k v_k zeta^-k
-    u = mpmath.mpf(1)
-    pw = mpmath.mpc(1)
-    k = 1
-    prev = mpmath.inf
-    while True:
-        u = u * (6 * k - 5) * (6 * k - 1) / (72 * k)
-        v = u * (6 * k + 1) / (1 - 6 * k)
-        pw = pw * inv
-        tp = u * pw
-        tq = v * pw
-        mag = abs(tp)
-        if mag > prev:
-            break  # optimal truncation reached; floor controlled by dispatch radius
-        sign = -1 if k % 2 else 1
-        sp += sign * tp
-        sq += sign * tq
-        if mag < eps:
-            break
-        prev = mag
-        k += 1
-    zq = mpmath.exp(mpmath.log(z) / 4)  # principal z^(1/4)
-    pref = mpmath.exp(-zeta) / (2 * mpmath.sqrt(mpmath.pi))
-    ai = pref / zq * sp
-    aid = -pref * zq * sq
-    return ai, aid
-
-
-def _airy_ai_any(z):
-    """(Ai, Ai') for any z via the rotation identity outside |arg z| <= 2pi/3."""
-    a = mpmath.atan2(z.imag, z.real)
-    lim = 2 * mpmath.pi / 3
-    if a <= lim and a >= -lim:
-        return _airy_asym_principal(z)
-    w = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi / 3))     # omega
-    wb = mpmath.conj(w)
-    u_val = z * wb
-    v_val = z * w
-    ai_u, aid_u = _airy_asym_principal(u_val)
-    ai_v, aid_v = _airy_asym_principal(v_val)
-    # Ai(z) = -conj(w) Ai(z conj(w)) - w Ai(z w); chain rule for Ai'.
-    ai = -wb * ai_u - w * ai_v
-    aid = -w * aid_u - wb * aid_v
-    return ai, aid
+    width = bits + GUARD + 24 + math.ceil(1.93 * float(abs(z)) ** 1.5)
+    # one cache entry serves a band of 64 widths
+    ai0, aid0 = _airy_at_zero(-(-width // 64) * 64)
+    with mp.workprec(width):
+        x = z ** 3 / 9
+        a = ai0 * mpmath.hyp0f1((2, 3), x, force_series=True)
+        b = aid0 * z * mpmath.hyp0f1((4, 3), x, force_series=True)
+        ad = ai0 * z * z / 2 * mpmath.hyp0f1((5, 3), x, force_series=True)
+        bd = aid0 * mpmath.hyp0f1((1, 3), x, force_series=True)
+    return width, a, b, ad, bd
 
 
 def airy_quartet(z, prec) -> AiryQuartet:
-    """Ai, Bi, Ai', Bi' at a complex point, >= prec/2 correct bits each."""
+    """Ai, Bi, Ai', Bi' at a complex point to full ``prec``-bit accuracy:
+    each is assembled from the parts of :func:`_airy_parts` with about
+    GUARD + 24 bits to spare, then rounded once."""
     bits = bits_of(prec)
     z = to_mpc(z, prec)
-    with mp.workprec(bits):
-        small = abs(z) <= crossover_radius(bits)
-    if small:
-        with mp.workprec(bits + GUARD):
-            vals = _airy_series(z, bits)
-            ai, bi, aid, bid = (+v for v in vals)
-    else:
-        with mp.workprec(bits + GUARD + 16):
-            z = +z
-            ai, aid = _airy_ai_any(z)
-            w = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi / 3))
-            wb = mpmath.conj(w)
-            e6 = mpmath.exp(mpmath.mpc(0, mpmath.pi / 6))
-            e56 = mpmath.exp(mpmath.mpc(0, 5 * mpmath.pi / 6))
-            ai_p, aid_p = _airy_ai_any(z * w)
-            ai_m, aid_m = _airy_ai_any(z * wb)
-            bi = e6 * ai_p + mpmath.conj(e6) * ai_m
-            bid = e56 * aid_p + mpmath.conj(e56) * aid_m
-    return AiryQuartet(
-        round_to_mpc(prec, ai),
-        round_to_mpc(prec, bi),
-        round_to_mpc(prec, aid),
-        round_to_mpc(prec, bid),
-    )
+    width, a, b, ad, bd = _airy_parts(z, bits)
+    with mp.workprec(width):
+        sq3 = mpmath.sqrt(3)
+        vals = (a + b, sq3 * (a - b), ad + bd, sq3 * (ad - bd))
+    return AiryQuartet(*(round_to_mpc(prec, v) for v in vals))
+
+
+def airy_rotated(z, prec):
+    """(Ai(w z), Ai'(w z), Ai(conj(w) z), Ai'(conj(w) z)) for w = e^(2 pi i/3),
+    rounded to ``prec`` bits, from the four sums of :func:`_airy_parts` at z
+    (no rotated argument is ever formed).  For real z the two pairs are
+    exact complex conjugates."""
+    bits = bits_of(prec)
+    z = to_mpc(z, prec)
+    width, a, b, ad, bd = _airy_parts(z, bits)
+    with mp.workprec(width):
+        w = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
+        wb = mpmath.conj(w)
+        vals = (a + w * b, wb * ad + bd, a + wb * b, w * ad + bd)
+    return tuple(round_to_mpc(prec, v) for v in vals)
 
 
 def airy_series_reference(z, prec, extra_factor: int = 4):
-    """Independent check value: the quartet re-summed at ``extra_factor`` times
-    the working precision.  Used by tests as the series-side oracle."""
+    """Independent check value for the tests: the quartet from mpmath's
+    ``airyai``/``airybi`` at ``extra_factor`` times the working precision."""
     bits = bits_of(prec)
-    z = to_mpc(z, bits * extra_factor)
-    with mp.workprec(bits * extra_factor):
-        ai, bi, aid, bid = _airy_series(z, bits * extra_factor)
-    return AiryQuartet(
-        round_to_mpc(prec, ai),
-        round_to_mpc(prec, bi),
-        round_to_mpc(prec, aid),
-        round_to_mpc(prec, bid),
-    )
+    wp = bits * extra_factor
+    z = to_mpc(z, wp)
+    with mp.workprec(wp):
+        vals = (mpmath.airyai(z), mpmath.airybi(z), mpmath.airyai(z, 1), mpmath.airybi(z, 1))
+    return AiryQuartet(*(round_to_mpc(prec, v) for v in vals))

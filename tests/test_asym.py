@@ -12,6 +12,7 @@ from tcasym.asym import (
     eval_region_d,
     eval_region_origin,
 )
+from tcasym.harness import region_grid
 from tcasym.mpnum import ConfigError, DomainError, working
 
 from conftest import logc_rel_err
@@ -300,8 +301,50 @@ class TestDispatcher:
         with pytest.raises(ConfigError, match="must be finite"):
             eval_asym(100, alpha, z, PARAMS, 128)
 
+    @pytest.mark.parametrize("alpha", [0, -1.5])
+    def test_non_positive_alpha_rejected(self, alpha):
+        # rejected before dispatch, as on the exact path
+        with pytest.raises(ConfigError, match="alpha must be > 0"):
+            eval_asym(100, alpha, mpmath.mpc(1, 2), PARAMS, 128)
+
     def test_rerun_identical(self):
         a = eval_asym(123, 1, mpmath.mpc("0.7", "0.3"), PARAMS, 160)
         b = eval_asym(123, 1, mpmath.mpc("0.7", "0.3"), PARAMS, 160)
         assert a.value.log_mod == b.value.log_mod and a.value.phase == b.value.phase
         assert a.dropped_term_bound == b.dropped_term_bound
+
+
+def _matches(v, ref, bits):
+    """v agrees with ref to 2^-(bits-24) max(1, |log_mod|) in log-modulus
+    and in phase (mod 2 pi)."""
+    tol = mpmath.ldexp(1, -(bits - 24)) * max(1, abs(ref.log_mod))
+    with working(4 * bits):
+        dp = v.phase - ref.phase
+        dp -= 2 * mpmath.pi * mpmath.nint(dp / (2 * mpmath.pi))
+        return abs(v.log_mod - ref.log_mod) <= tol and abs(dp) <= tol
+
+
+class TestRegionCLargeDegree:
+    """Region C where |Im tau|, tau = alpha pi - n pi/z^2, is in the
+    hundreds: Ai cos tau and Bi sin tau are each about e^|Im tau| times
+    the bracket, so the brackets must be summed in separated form."""
+
+    @pytest.mark.parametrize("n", [3200, 6400])
+    def test_default_grid_against_1024_bits(self, n):
+        # the top row of the default grid (largest Im z, largest |Im tau|)
+        pts = region_grid("C", n, 1, nre=8, nim=5)[4::5]
+        assert len(pts) == 8
+        for z in pts:
+            v = eval_region_c(n, 1, z, 256)
+            assert not v.value.is_zero(), z
+            if "cancel" not in v.flags:
+                ref = eval_region_c(n, 1, z, 1024)
+                assert _matches(v.value, ref.value, 256), z
+
+    def test_pinned_point(self):
+        # an exact zero with no flag before the separated form
+        z = mpmath.mpc("1.92575", "0.07425")
+        v = eval_region_c(6400, 1, z, 256)
+        ref = eval_region_c(6400, 1, z, 640)
+        assert not v.value.is_zero()
+        assert _matches(v.value, ref.value, 256)

@@ -29,6 +29,10 @@ class TestComparePoint:
         rec = harness.compare_point(100, 1, mpmath.mpc("nan", 0))
         assert "exact:ConfigError" in rec.error and rec.log_exact is None
         assert "asym:ConfigError" in rec.error and rec.log_asym is None
+        # alpha <= 0 is refused by both paths before any evaluation
+        for alpha in (0, -1.5):
+            rec = harness.compare_point(100, alpha, mpmath.mpc(1, 2))
+            assert "exact:ConfigError" in rec.error and "asym:ConfigError" in rec.error
 
     def test_determinism(self):
         a = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import pytest
 from hypothesis import example, given
@@ -5,12 +7,12 @@ from hypothesis import strategies as st
 
 from tcasym.mpnum import GUARD, DomainError, PoleError, working
 from tcasym.specfun import (
+    _airy_at_zero,
     _stirling_table,
     _stirling_threshold,
     airy_quartet,
     airy_series_reference,
     bernoulli_fraction,
-    crossover_radius,
     log_gamma_complex,
     log_gamma_real,
 )
@@ -218,7 +220,7 @@ class TestLogGammaKernel:
 class TestAiryQuartet:
     def test_value_at_zero(self):
         # Ai(0) = 3^(-2/3)/Gamma(2/3), Bi(0) = 3^(-1/6)/Gamma(2/3),
-        # against the series oracle re-summed at 4x precision
+        # against the mpmath oracle at 4x precision
         q = airy_quartet(0, 128)
         ref = airy_series_reference(0, 128)
         for got, want in ((q.ai, ref.ai), (q.bi, ref.bi), (q.ai_d, ref.ai_d), (q.bi_d, ref.bi_d)):
@@ -229,6 +231,9 @@ class TestAiryQuartet:
             bi0 = mpmath.mpf(3) ** (-third / 2) / mpmath.exp(log_gamma_real(2 * third, 192))
         assert rel_diff(q.ai, ai0, 128) < mpmath.mpf(2) ** -118
         assert rel_diff(q.bi, bi0, 128) < mpmath.mpf(2) ** -118
+
+    def test_zero_values_cache_bounded(self):
+        assert _airy_at_zero.cache_info().maxsize == 8
 
     def test_series_oracle_inside_radius(self, rng):
         for _ in range(10):
@@ -272,11 +277,10 @@ class TestAiryQuartet:
                 worst = max(worst, abs(q.ai * q.bi_d - q.ai_d * q.bi - 1 / mpmath.pi) * mpmath.pi)
         assert worst < mpmath.mpf(10) ** -20
 
-    def test_crossover_annulus(self):
-        # both methods must agree near the dispatch radius, all sectors
-        r0 = crossover_radius(128)
+    def test_annulus_all_sectors(self):
+        # radii 11 and 13 at 12 angles against the oracle, to full precision
         with working(160):
-            for rad in (r0 - 1, r0 + 1):
+            for rad in (11, 13):
                 for k in range(12):
                     th = 2 * mpmath.pi * k / 12 + mpmath.mpf("0.1")
                     z = rad * mpmath.exp(mpmath.mpc(0, th))
@@ -284,17 +288,18 @@ class TestAiryQuartet:
                     ref = airy_series_reference(z, 128)
                     for got, want in ((q.ai, ref.ai), (q.bi, ref.bi),
                                       (q.ai_d, ref.ai_d), (q.bi_d, ref.bi_d)):
-                        assert rel_diff(got, want, 128) < mpmath.mpf(10) ** -10
+                        assert rel_diff(got, want, 128) < mpmath.mpf(2) ** -120
 
     def test_stokes_ray_deterministic(self):
-        # points on arg z = 2pi/3 evaluate through a fixed sector choice
+        # a point on arg z = 2pi/3, where Ai changes its asymptotic form
         with working(160):
             z = 15 * mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi / 3))
         a = airy_quartet(z, 128)
         b = airy_quartet(z, 128)
         assert a.ai == b.ai and a.bi == b.bi
         ref = airy_series_reference(z, 128)
-        assert rel_diff(a.ai, ref.ai, 128) < mpmath.mpf(10) ** -10
+        for got, want in ((a.ai, ref.ai), (a.bi, ref.bi), (a.ai_d, ref.ai_d), (a.bi_d, ref.bi_d)):
+            assert rel_diff(got, want, 128) < mpmath.mpf(2) ** -120
 
     def test_against_library_spot(self, rng):
         for _ in range(12):
@@ -304,7 +309,38 @@ class TestAiryQuartet:
                 refs = (mpmath.airyai(z), mpmath.airybi(z),
                         mpmath.airyai(z, 1), mpmath.airybi(z, 1))
             for got, want in zip((q.ai, q.bi, q.ai_d, q.bi_d), refs):
-                assert rel_diff(got, want, 160) < mpmath.mpf(2) ** -80
+                assert rel_diff(got, want, 160) < mpmath.mpf(2) ** -152
+
+    @given(r=st.floats(0, 40), theta=st.floats(-3.1416, 3.1416), prec=st.sampled_from([128, 192, 256]))
+    @example(r=40, theta=0, prec=256)
+    @example(r=40, theta=3.1416, prec=128)
+    @example(r=33, theta=2.0944, prec=192)
+    @example(r=0, theta=0, prec=128)
+    def test_connection_and_wronskian_full_precision(self, r, theta, prec):
+        # DLMF 9.2.11, Ai(z e^(-+2pi i/3)) = e^(-+pi i/3) (Ai(z) +- i Bi(z)) / 2,
+        # its derivative, and Ai Bi' - Ai' Bi = 1/pi, each within
+        # 2^-(prec-8) of the scale of its terms.  The rotated argument is
+        # rounded to prec bits; a first-order Taylor step with the
+        # quartet's own Ai' (and Ai'' = z Ai) carries the value back to
+        # the exact rotation.
+        tol = mpmath.mpf(2) ** -(prec - 8)
+        z = mpmath.mpc(r * math.cos(theta), r * math.sin(theta))
+        q = airy_quartet(z, prec)
+        with working(prec + 64):
+            for s in (1, -1):
+                zr = z * mpmath.exp(mpmath.mpc(0, -s * 2 * mpmath.pi / 3))
+                qr = airy_quartet(zr, prec)
+                with working(prec, 0):
+                    zh = +zr
+                d = zh - zr
+                lhs = qr.ai - qr.ai_d * d
+                lhs_d = qr.ai_d - zh * qr.ai * d
+                rhs = mpmath.exp(mpmath.mpc(0, -s * mpmath.pi / 3)) / 2 * (q.ai + s * 1j * q.bi)
+                rhs_d = mpmath.exp(mpmath.mpc(0, s * mpmath.pi / 3)) / 2 * (q.ai_d + s * 1j * q.bi_d)
+                assert abs(lhs - rhs) <= tol * max(abs(lhs), abs(q.ai) + abs(q.bi))
+                assert abs(lhs_d - rhs_d) <= tol * max(abs(lhs_d), abs(q.ai_d) + abs(q.bi_d))
+            p1, p2 = q.ai * q.bi_d, q.ai_d * q.bi
+            assert abs(p1 - p2 - 1 / mpmath.pi) <= tol * (abs(p1) + abs(p2))
 
     def test_schwarz(self, rng):
         for _ in range(10):
