@@ -10,29 +10,31 @@ and is orthogonal with respect to the purely discrete measure with masses
 is computed at an explicit precision; values that scale like exp(n log n)
 leave in LogComplex form.
 
-Two recurrence loops, each with a fixed operation order so results are
-reproducible bit for bit:
+Two recurrence kernels, both in fixed point on Python ints and each with
+a fixed operation order, so results are reproducible bit for bit across
+runs, platforms and mpmath backends:
 
-* ``eval_f_raw``, the complex recurrence behind every exact value, runs
-  in fixed point on Python ints: the state carries P = bits + 64
-  fraction bits (more if an input needs them to convert exactly), every
-  shift and division rounds toward zero, so parity and Schwarz symmetry
-  hold exactly in the state, and power-of-two renormalisation keeps the
-  integers near 2**P.  Integer arithmetic makes the bits identical
-  across runs, platforms and mpmath backends.
-* ``_f_real``, the real recurrence at low degree shared by the
-  orthogonality sums and their tail bound, runs in mpmath at the
-  caller's precision; its nodes cost a log, a sqrt and an exp each,
-  which dwarf its few recurrence steps.
+* ``eval_f_raw``, the complex recurrence behind every exact value: the
+  state carries P = bits + 64 fraction bits (more if an input needs them
+  to convert exactly), every shift and division rounds toward zero, so
+  parity and Schwarz symmetry hold exactly in the state, and
+  power-of-two renormalisation keeps the integers near 2**P.
+* ``ortho_matrix``, the real recurrence at low degree behind the
+  orthogonality sums, on the same kind of state.  Its nodes and masses
+  come from ``_fixed_nodes_masses``, the one node/mass generator that
+  ``iter_nodes_masses`` also rounds from, so the masses a caller sees are
+  the ones the sums use.  ``_f_real``, the same recurrence in mpmath at
+  the caller's precision, serves only the nine samples of the tail bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_int, from_man_exp, mpf_exp, mpf_log, round_nearest
 
 from .mpnum import (
     GUARD,
@@ -63,17 +65,26 @@ def _check_n_alpha(n, alpha):
         raise ConfigError("degree n must be >= 0")
     if not alpha > 0:
         raise ConfigError("alpha must be > 0")
+    if not mpmath.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha}")
 
 
 RENORM_BITS = 16
 FIXED_GUARD = 64  # fraction bits of the integer state beyond the requested width
 
 
+def _raw_fixed(t, P):
+    """The raw finite libmp value ``t`` as the integer t * 2**P, rounded
+    toward zero (exact when P >= -exp)."""
+    sign, man, exp, _ = t
+    e = exp + P
+    man = man << e if e >= 0 else man >> -e
+    return -man if sign else man
+
+
 def _fixed(v, P):
     """The finite mpf ``v`` as the integer v * 2**P; exact because P >= -exp."""
-    sign, man, exp, _ = v._mpf_
-    man <<= exp + P
-    return -man if sign else man
+    return _raw_fixed(v._mpf_, P)
 
 
 def _fixed_bits(bits, *vals):
@@ -225,26 +236,64 @@ def weight_wd(alpha, z, prec) -> LogComplex:
     return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
 
 
+NODE_LOG_GUARD = 8  # bits of the node logarithms and exponentials beyond P
+
+
+def _node_bits(bits, a, k_max):
+    """Fraction bits P of the node/mass generator and the ortho kernel:
+    bits + FIXED_GUARD + k_max.bit_length(), raised so that alpha converts
+    exactly.  The mass exponents gather an error that grows like
+    k * 2**-P, which the k_max.bit_length() bits absorb."""
+    return _fixed_bits(bits + k_max.bit_length(), a)
+
+
+def _fixed_nodes_masses(A, k_max, P):
+    """Yield (k, X, M) for k = 0..k_max: x_k and mass_k as integers scaled
+    by 2**P, where A is alpha scaled by 2**P.
+
+    With S = (k << P) + A, which is exact, X = isqrt(2**(3P) // S) is
+    2**P x_k rounded down.  log s and log k come from raw ``mpf_log`` at
+    P + NODE_LOG_GUARD bits and are kept as integers scaled by 2**P with
+    an error below two units each, so the exponent
+    (k-1) log s - k - sum_{j<=k} log j is off by less than 4k units; raw
+    ``mpf_exp`` turns it into the mass, whose relative error is therefore
+    below 4k * 2**-P (plus one unit from the final truncation).  Nothing
+    here touches the mpmath context.
+    """
+    wp = P + NODE_LOG_GUARD
+    top = 1 << (3 * P)
+    # trailing zero bits shared by every S: shifted out before from_man_exp,
+    # whose normalisation would strip them a byte at a time
+    z = min(P, (A & -A).bit_length() - 1)
+    log_fact = 0
+    for k in range(k_max + 1):
+        S = (k << P) + A
+        log_s = _raw_fixed(mpf_log(from_man_exp(S >> z, z - P), wp), P)
+        if k > 1:
+            log_fact += _raw_fixed(mpf_log(from_int(k), wp), P)
+        e = (k - 1) * log_s - (k << P) - log_fact
+        yield k, isqrt(top // S), _raw_fixed(mpf_exp(from_man_exp(e, -P), wp), P)
+
+
+def _round_fixed(v, P, bits):
+    """The integer v scaled by 2**-P, rounded once to nearest at ``bits``."""
+    return mp.make_mpf(from_man_exp(v, -P, bits, round_nearest))
+
+
 def iter_nodes_masses(alpha, k_max: int, prec):
-    """Yield NodeMass(k, x_k, mass_k) for k = 0..k_max; log-space masses."""
+    """Yield NodeMass(k, x_k, mass_k) for k = 0..k_max.
+
+    The values are those ``ortho_matrix(alpha, d, k_max, prec)`` sums
+    over, each rounded once to ``prec`` bits.
+    """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
     _check_n_alpha(0, a)
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
-    log_fact = mpmath.mpf(0)
-    for k in range(k_max + 1):
-        # fresh context block per item: a yield inside workprec would leak
-        # the elevated precision into the consumer's frame
-        with working(bits):
-            s = k + a
-            t = mpmath.log(s)
-            x = 1 / mpmath.sqrt(s)
-            if k > 0:
-                log_fact = log_fact + mpmath.log(k)
-            lm = (k - 1) * t - k - log_fact
-            item = NodeMass(k, round_to(bits, x), round_to(bits, mpmath.exp(lm)))
-        yield item
+    P = _node_bits(bits, a, k_max)
+    for k, X, M in _fixed_nodes_masses(_fixed(a, P), k_max, P):
+        yield NodeMass(k, _round_fixed(X, P, bits), _round_fixed(M, P, bits))
 
 
 def nodes_masses(alpha, k_max: int, prec):
@@ -277,19 +326,16 @@ def _f_real(f, coeff, alpha, x):
         f[j + 1] = (coeff[j] * (x * f[j]) - f[j - 1]) / (j + 1)
 
 
-def _poly_bound_near_zero(degs, alpha, x_hi, prec):
-    """Sampled bound on max_j max_{0<=x<=x_hi} |f_j(x)| with a safety factor."""
-    bits = bits_of(prec)
-    f = [None] * (max(degs) + 1)
-    with working(bits):
-        coeff = [j + alpha for j in range(len(f) - 1)]
-        best = mpmath.mpf(0)
-        for i in range(9):
-            x = x_hi * mpmath.mpf(i) / 8
-            _f_real(f, coeff, alpha, x)
-            for d in degs:
-                best = max(best, abs(f[d]))
-        return round_to(bits, 2 * best)
+def _sampled_max_abs_f(max_deg, alpha, x_hi):
+    """For j = 0..max_deg, max |f_j| over the nine points x_hi*i/8, i = 0..8,
+    at the ambient precision: the samples behind the tail bounds."""
+    f = [None] * (max_deg + 1)
+    coeff = [j + alpha for j in range(max_deg)]
+    best = [mpmath.mpf(0)] * (max_deg + 1)
+    for i in range(9):
+        _f_real(f, coeff, alpha, x_hi * mpmath.mpf(i) / 8)
+        best = [max(b, abs(v)) for b, v in zip(best, f)]
+    return best
 
 
 def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
@@ -298,39 +344,68 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     Returns a dict {(m, n): OrthoSum}.  Sums are over both +-x_k, which by
     the parity of f doubles the one-sided sum for even m+n and cancels
     exactly for odd m+n.
+
+    The pass is a fixed-point kernel on Python ints scaled by 2**P, with
+    P = bits + FIXED_GUARD + k_max.bit_length() (``_node_bits``), fed by
+    ``_fixed_nodes_masses``.  Per node, f_0..f_max_deg at x_k run the
+    recurrence (j+1) f_(j+1) = C_j ((X f_j) >> P) >> P - f_(j-1) with the
+    coefficients C_j = (j << P) + A formed once; g_n = (f_n M) >> P; and
+    each even pair accumulates f_m g_n exactly, at scale 2**(2P).  Every
+    shift and division rounds toward zero, as in ``eval_f_raw``.  Each
+    summand is off by a relative 4k * 2**-P from its mass (the exponent
+    error of the generator) plus a few units of 2**-P per recurrence
+    step, so over k <= k_max < 2**k_max.bit_length() the sum is off by
+    O(2**-(bits + 60)) relative to the sum of |summands|; it leaves as
+    2 * acc * 2**(-2P), rounded once to ``prec`` bits.
+
+    The tail bound of pair (m, n) is 4 e^alpha B^2 / sqrt(2 pi k_max),
+    with B twice the largest |f_m|, |f_n| sampled at nine points of
+    [0, x_hi], x_hi = (k_max + alpha)^(-1/2): a heuristic bound on f near
+    zero, not a proven one.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
     _check_n_alpha(0, a)
-    if max_deg < 0 or k_max < 0:
-        raise ConfigError("max_deg and k_max must be >= 0")
+    if max_deg < 0:
+        raise ConfigError("max_deg must be >= 0")
+    if k_max < 1:
+        raise ConfigError("k_max must be >= 1")
     pairs = [(m, n) for m in range(max_deg + 1) for n in range(m, max_deg + 1) if (m + n) % 2 == 0]
-    with mp.workprec(bits):
-        acc = {p: mpmath.mpf(0) for p in pairs}
-        coeff = [j + a for j in range(max_deg)]
-        f = [None] * (max_deg + 1)
-        log_fact = mpmath.mpf(0)
-        for k in range(k_max + 1):
-            s = k + a
-            t = mpmath.log(s)
-            xk = 1 / mpmath.sqrt(s)
-            if k > 0:
-                log_fact = log_fact + mpmath.log(k)
-            mass = mpmath.exp((k - 1) * t - k - log_fact)
-            _f_real(f, coeff, a, xk)
-            for p in pairs:
-                acc[p] = acc[p] + f[p[0]] * f[p[1]] * mass
+    ms = [m for m, _ in pairs]
+    ns = [n for _, n in pairs]
+    P = _node_bits(bits, a, k_max)
+    A = _fixed(a, P)
+    coeff = [(j << P) + A for j in range(max_deg)]
+    f = [1 << P] * (max_deg + 1)
+    acc = [0] * len(pairs)
+    for _, X, M in _fixed_nodes_masses(A, k_max, P):
+        if max_deg:
+            f[1] = (A * X) >> P
+        for j in range(1, max_deg):
+            # truncating shifts and divisions written out, as in eval_f_raw
+            t = X * f[j]
+            t = t >> P if t >= 0 else -(-t >> P)
+            t = coeff[j] * t
+            t = (t >> P if t >= 0 else -(-t >> P)) - f[j - 1]
+            d = j + 1
+            f[j + 1] = t // d if t >= 0 else -(-t // d)
+        g = [v * M >> P if v >= 0 else -(-v * M >> P) for v in f]
+        acc = [s + f[m] * g[n] for s, m, n in zip(acc, ms, ns)]
+    sums = dict(zip(pairs, acc))
     with working(bits):
         x_hi = 1 / mpmath.sqrt(k_max + a)
+        sampled = _sampled_max_abs_f(max_deg, a, x_hi)
+        ea = mpmath.exp(a)
+        den = mpmath.sqrt(2 * mpmath.pi) * mpmath.sqrt(k_max)
         out = {}
         for m in range(max_deg + 1):
             for n in range(m, max_deg + 1):
                 if (m + n) % 2 == 1:
                     out[(m, n)] = OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True)
                     continue
-                mbound = _poly_bound_near_zero((m, n), a, x_hi, bits)
-                tail = 4 * mpmath.exp(a) * mbound ** 2 / (mpmath.sqrt(2 * mpmath.pi) * mpmath.sqrt(k_max))
-                out[(m, n)] = OrthoSum(m, n, round_to(bits, 2 * acc[(m, n)]),
+                mbound = round_to(bits, 2 * max(sampled[m], sampled[n]))
+                tail = 4 * ea * mbound ** 2 / den
+                out[(m, n)] = OrthoSum(m, n, _round_fixed(2 * sums[(m, n)], 2 * P, bits),
                                        round_to(bits, tail), k_max, False)
     return out
 
@@ -356,6 +431,7 @@ def h_norm(n: int, alpha, prec):
     """The orthogonality normalization h_n = 2 e^alpha / ((n+alpha) n!)."""
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
+    _check_n_alpha(n, a)
     with working(bits):
         v = 2 * mpmath.exp(a) / ((n + a) * mpmath.factorial(n))
     return round_to(bits, v)

@@ -25,6 +25,37 @@ def run_main(capsys, args):
     return code, out
 
 
+# stdout of `tcasym ortho --alpha 1 --max-deg 4 --kmax 20000`, recorded
+# before the orthogonality loop moved to the fixed-point kernel
+ORTHO_ALPHA1_DEG4_K20000 = (
+    '{"alpha": 1.0, "max_deg": 4, "k_max": 20000, "all_pass": true, "entries": ['
+    '{"m": 0, "n": 0, "value": 5.40589232381612, "tail_bound": 0.12269010342109937, "target": 5.43656365691809, "within_bound": true, "exact_zero": false}, '
+    '{"m": 0, "n": 1, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 0, "n": 2, "value": 0.015335155401004462, "tail_bound": 0.12269010342109937, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 0, "n": 3, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 0, "n": 4, "value": -0.0038333629072672243, "tail_bound": 0.12269010342109937, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 1, "n": 0, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 1, "n": 1, "value": 2.7182813173090645, "tail_bound": 6.1341984611319126e-06, "target": 2.718281828459045, "within_bound": true, "exact_zero": false}, '
+    '{"m": 1, "n": 2, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 1, "n": 3, "value": 4.2594298389100347e-07, "tail_bound": 6.1341984611319126e-06, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 1, "n": 4, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 2, "n": 0, "value": 0.015335155401004462, "tail_bound": 0.12269010342109937, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 2, "n": 1, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 2, "n": 2, "value": 0.8984266206788365, "tail_bound": 0.030672525855274843, "target": 0.9060939428196817, "within_bound": true, "exact_zero": false}, '
+    '{"m": 2, "n": 3, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 2, "n": 4, "value": 0.0019166175764966003, "tail_bound": 0.030672525855274843, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 3, "n": 0, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 3, "n": 1, "value": 4.2594298389100347e-07, "tail_bound": 6.1341984611319126e-06, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 3, "n": 2, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 3, "n": 3, "value": 0.2265231307652111, "tail_bound": 4.259348900139467e-06, "target": 0.22652348570492042, "within_bound": true, "exact_zero": false}, '
+    '{"m": 3, "n": 4, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 4, "n": 0, "value": -0.0038333629072672243, "tail_bound": 0.12269010342109937, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 4, "n": 1, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 4, "n": 2, "value": 0.0019166175764966003, "tail_bound": 0.030672525855274843, "target": 0.0, "within_bound": true, "exact_zero": false}, '
+    '{"m": 4, "n": 3, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
+    '{"m": 4, "n": 4, "value": 0.04482559597589137, "tail_bound": 0.0019170328659546777, "target": 0.04530469714098409, "within_bound": true, "exact_zero": false}]}\n'
+)
+
 EVAL_KEYS = ["mode", "n", "alpha", "z_re", "z_im", "log_mod", "phase",
              "value_re", "value_im", "dropped_term_bound"]
 
@@ -141,6 +172,12 @@ class TestRegionsAndOrtho:
         offdiag = [e for e in obj["entries"] if e["m"] != e["n"]]
         assert all(abs(e["value"]) <= max(e["tail_bound"], 0) for e in offdiag)
 
+    def test_ortho_output_pinned(self, capsys):
+        code, out = run_main(capsys, ["ortho", "--alpha", "1", "--max-deg", "4",
+                                      "--kmax", "20000"])
+        assert code == 0
+        assert out == ORTHO_ALPHA1_DEG4_K20000
+
 
 class TestErrorsAndConfig:
     def test_domain_error_exit_2(self, capsys):
@@ -159,6 +196,16 @@ class TestErrorsAndConfig:
         code, out = run_main(capsys, ["eval", "--mode", "exact", "--n", "3", "--alpha", "-1",
                                       "--z", "1,0"])
         assert code == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "inf", "--max-deg", "2", "--kmax", "50"],
+        ["--alpha=-inf", "--max-deg", "2", "--kmax", "50"],
+        ["--alpha", "1", "--max-deg", "2", "--kmax", "0"],
+    ])
+    def test_ortho_bad_input_is_config_error(self, capsys, args):
+        code, out = run_main(capsys, ["ortho"] + args)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "config"
 
     def test_env_precision_override(self):
         r = run_cli(["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0",

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from tcasym import exact
-from tcasym.mpnum import ConfigError, DomainError, to_mpc, to_mpf, working
+from tcasym.mpnum import ConfigError, DomainError, round_to, to_mpc, to_mpf, working
 
 from conftest import logc_rel_err, rel_diff
 
@@ -266,6 +267,21 @@ class TestNodesMasses:
 
 
 class TestOrtho:
+    def test_k_max_zero_rejected(self):
+        with pytest.raises(ConfigError, match="k_max must be >= 1"):
+            exact.ortho_matrix(1, 2, 0, 128)
+        with pytest.raises(ConfigError):
+            exact.ortho_sum(0, 2, 1, 0, 128)
+
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigError):
+            exact.ortho_matrix(alpha, 2, 50, 128)
+        with pytest.raises(ConfigError):
+            exact.nodes_masses(alpha, 2, 128)
+        with pytest.raises(ConfigError):
+            exact.h_norm(2, alpha, 128)
+
     def test_odd_pairs_exact_zero(self):
         s = exact.ortho_sum(1, 2, 1, 500, 128)
         assert s.exact_zero and s.value == 0 and s.tail_bound == 0
@@ -314,12 +330,71 @@ class TestOrtho:
             assert rel_diff(exact.h_norm(1, 1, 128), mpmath.e, 128) < mpmath.mpf(2) ** -110
 
 
-class TestGoldenBits:
-    """Exact mantissa/exponent tuples of both recurrence loops.
+def mpmath_pair_sums(a, max_deg, k_max, wp):
+    """The even orthogonality sums by a plain mpmath loop at ``wp`` bits:
+    nodes and masses from mpmath's log, sqrt and exp, and the real
+    recurrence in mpmath (the loop the fixed-point kernel replaced)."""
+    pairs = [(m, n) for m in range(max_deg + 1) for n in range(m, max_deg + 1) if (m + n) % 2 == 0]
+    with mp.workprec(wp):
+        acc = dict.fromkeys(pairs, mpmath.mpf(0))
+        coeff = [j + a for j in range(max_deg)]
+        f = [None] * (max_deg + 1)
+        log_fact = mpmath.mpf(0)
+        for k in range(k_max + 1):
+            s = k + a
+            if k > 0:
+                log_fact += mpmath.log(k)
+            mass = mpmath.exp((k - 1) * mpmath.log(s) - k - log_fact)
+            exact._f_real(f, coeff, a, 1 / mpmath.sqrt(s))
+            for m, n in pairs:
+                acc[(m, n)] += f[m] * f[n] * mass
+        return {p: 2 * v for p, v in acc.items()}
 
-    The eval_f_raw states are the fixed-point kernel's full-width integer
-    state (P = bits + 64 fraction bits); the ortho sum is the mpmath real
-    loop.  Any change to the operation order, the rounding or the working
+
+class TestOrthoKernel:
+    """The fixed-point orthogonality kernel and its node/mass generator."""
+
+    @given(alpha=_unit(0.5, 2.5), k_max=st.integers(1, 2000), max_deg=st.integers(0, 6),
+           bits=st.sampled_from([128, 192]))
+    # more nodes than the strategy draws: the mass error grows with k
+    @example(alpha=0.7, k_max=5000, max_deg=4, bits=128)
+    def test_sums_match_reference(self, alpha, k_max, max_deg, bits):
+        a = to_mpf(alpha, bits)
+        mat = exact.ortho_matrix(a, max_deg, k_max, bits)
+        ref = mpmath_pair_sums(a, max_deg, k_max, 2 * bits + 64)
+        for p, r in ref.items():
+            with mp.workprec(2 * bits + 64):
+                err = abs(mat[p].value - r) / abs(r)
+            assert err <= mpmath.ldexp(1, -(bits - 4)), (p, err)
+
+    def test_nodes_masses_are_the_summed_ones(self, monkeypatch):
+        # the generator's output as ortho_matrix sees it, with its P
+        seen = []
+        generator = exact._fixed_nodes_masses
+
+        def recording(A, k_max, P):
+            for item in generator(A, k_max, P):
+                seen.append((P, item))
+                yield item
+
+        monkeypatch.setattr(exact, "_fixed_nodes_masses", recording)
+        exact.ortho_matrix("1.5", 4, 300, 128)
+        monkeypatch.undo()
+        nodes = exact.nodes_masses("1.5", 300, 128)
+        assert len(seen) == len(nodes) == 301
+        for nm, (P, (k, X, M)) in zip(nodes, seen):
+            assert nm.k == k
+            assert nm.x._mpf_ == round_to(128, mp.make_mpf(from_man_exp(X, -P)))._mpf_
+            assert nm.mass._mpf_ == round_to(128, mp.make_mpf(from_man_exp(M, -P)))._mpf_
+
+
+class TestGoldenBits:
+    """Exact mantissa/exponent tuples of both fixed-point kernels.
+
+    The eval_f_raw states are the complex kernel's full-width integer
+    state (P = bits + 64 fraction bits); the ortho sum is the real kernel's
+    accumulator rounded to 128 bits, and its tail bound the mpmath samples.
+    Any change to the operation order, the rounding or the working
     precision moves bits.
     """
 
@@ -353,5 +428,6 @@ class TestGoldenBits:
     def test_ortho_pair_sum(self):
         # (4, 4) runs the real recurrence to its last step at every node
         s = exact.ortho_matrix("1.5", 4, 300, 128)[(4, 4)]
-        assert s.value._mpf_ == (0, 83935041668238731037421710230891980875, -130, 126)
+        # the value is the 512-bit sum correctly rounded to 128 bits
+        assert s.value._mpf_ == (0, 335740166672954924149686840923567923485, -132, 128)
         assert s.tail_bound._mpf_ == (0, 281009235413652135176438007779960229525, -133, 128)

@@ -144,3 +144,8 @@ class TestOrthoReport:
     def test_max_deg_capped(self):
         with pytest.raises(ConfigError):
             harness.ortho_report(1, 11, 100, 128)
+
+    def test_non_finite_alpha_rejected(self):
+        # inf > 0 holds, so a sign check alone would let inf through
+        with pytest.raises(ConfigError, match="finite"):
+            harness.ortho_report("inf", 2, 50, 128)
