@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -118,6 +119,16 @@ def _parse_z_list(s: str):
 
 
 class _CliParser(argparse.ArgumentParser):
+    # tokens such as -inf, -1,-2 or -2:-1:5,0:1:3 are option values (alpha,
+    # points, grids), not options; argparse only lets plain negative
+    # numbers through
+    _VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+    def _parse_optional(self, arg_string):
+        if self._VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         raise ConfigError(message)
 

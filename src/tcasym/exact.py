@@ -43,6 +43,7 @@ from .mpnum import (
     LogComplex,
     bits_of,
     cut_tolerance,
+    raw_fixed,
     round_to,
     to_mpc,
     to_mpf,
@@ -73,18 +74,9 @@ RENORM_BITS = 16
 FIXED_GUARD = 64  # fraction bits of the integer state beyond the requested width
 
 
-def _raw_fixed(t, P):
-    """The raw finite libmp value ``t`` as the integer t * 2**P, rounded
-    toward zero (exact when P >= -exp)."""
-    sign, man, exp, _ = t
-    e = exp + P
-    man = man << e if e >= 0 else man >> -e
-    return -man if sign else man
-
-
 def _fixed(v, P):
     """The finite mpf ``v`` as the integer v * 2**P; exact because P >= -exp."""
-    return _raw_fixed(v._mpf_, P)
+    return raw_fixed(v._mpf_, P)
 
 
 def _fixed_bits(bits, *vals):
@@ -268,11 +260,11 @@ def _fixed_nodes_masses(A, k_max, P):
     log_fact = 0
     for k in range(k_max + 1):
         S = (k << P) + A
-        log_s = _raw_fixed(mpf_log(from_man_exp(S >> z, z - P), wp), P)
+        log_s = raw_fixed(mpf_log(from_man_exp(S >> z, z - P), wp), P)
         if k > 1:
-            log_fact += _raw_fixed(mpf_log(from_int(k), wp), P)
+            log_fact += raw_fixed(mpf_log(from_int(k), wp), P)
         e = (k - 1) * log_s - (k << P) - log_fact
-        yield k, isqrt(top // S), _raw_fixed(mpf_exp(from_man_exp(e, -P), wp), P)
+        yield k, isqrt(top // S), raw_fixed(mpf_exp(from_man_exp(e, -P), wp), P)
 
 
 def _round_fixed(v, P, bits):
@@ -338,6 +330,16 @@ def _sampled_max_abs_f(max_deg, alpha, x_hi):
     return best
 
 
+def _ortho_alpha(alpha, k_max, bits):
+    """alpha rounded to ``bits``, after the checks every orthogonality sum
+    shares: alpha finite and > 0, k_max >= 1."""
+    a = to_mpf(alpha, bits)
+    _check_n_alpha(0, a)
+    if k_max < 1:
+        raise ConfigError("k_max must be >= 1")
+    return a
+
+
 def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     """All pair sums (m, n) with m <= n <= max_deg in one pass over the nodes.
 
@@ -364,12 +366,9 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     zero, not a proven one.
     """
     bits = bits_of(prec)
-    a = to_mpf(alpha, bits)
-    _check_n_alpha(0, a)
+    a = _ortho_alpha(alpha, k_max, bits)
     if max_deg < 0:
         raise ConfigError("max_deg must be >= 0")
-    if k_max < 1:
-        raise ConfigError("k_max must be >= 1")
     pairs = [(m, n) for m in range(max_deg + 1) for n in range(m, max_deg + 1) if (m + n) % 2 == 0]
     ms = [m for m, _ in pairs]
     ns = [n for _, n in pairs]
@@ -419,6 +418,7 @@ def ortho_sum(m: int, n: int, alpha, k_max: int = 10 ** 6, prec=128) -> OrthoSum
     """
     if m < 0 or n < 0:
         raise ConfigError("m, n must be >= 0")
+    _ortho_alpha(alpha, k_max, bits_of(prec))
     lo, hi = min(m, n), max(m, n)
     if (m + n) % 2 == 1:
         return OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True)

@@ -101,6 +101,15 @@ def cut_tolerance(prec) -> mpmath.mpf:
     return mpmath.ldexp(mpmath.mpf(1), -(bits_of(prec) // 2))
 
 
+def raw_fixed(t, P):
+    """The raw finite libmp value ``t`` as the integer t * 2**P, rounded
+    toward zero (exact when P >= -exp)."""
+    sign, man, exp, _ = t
+    e = exp + P
+    man = man << e if e >= 0 else man >> -e
+    return -man if sign else man
+
+
 def raw_mpf(x):
     """The exact libmp tuple of a real value, never re-rounded."""
     if hasattr(x, "_mpf_"):

@@ -13,42 +13,50 @@ cancellation exp(4/3 |z|^1.5), so every value is accurate to the full
 requested precision at every argument; there is no dispatch radius and
 no sector choice.
 
-log-gamma: one kernel, run on an mpf for real x > 0 and on an mpc
-otherwise, at bits + 24 guard bits (plus the bit length of |Re z| for
-complex z).  It shifts z by s to Re z >= 10 + p/8 (p the working width),
-sums the Stirling series there with B_2j/(2j(2j-1)) taken from a table
-rounded once per width (an ``lru_cache`` of 8 widths), stopping at the
-first term below 2^-(p+4) (|partial sum| + 1) (the optimal truncation
-error ~exp(-2 pi Re z) is far smaller), and subtracts one logarithm of
-the product z (z+1) ... (z+s-1), multiplied out at p + s.bit_length() +
-2 bits so that it is within 2^-(p+1) relative of the exact product; for
-complex z the winding of that product is restored from a float sum of
-the arguments of the factors.  Re z < 1/2 (z not real) goes through
-the reflection formula, with the log-sin branch unwound so the result
-is the branch of log Gamma continuous on C \\ (-inf, 0].  Every step
-rounds once to nearest at p bits, so the working value is within about
-(J + 4) 2^-p (|log Gamma(z+s)| + 1) of log Gamma(z), J <= p/5 the number
-of Stirling terms taken.  The guard bits keep that below one unit in the
-last place of the rounded result, except near the zeros z = 1, 2 of log
-Gamma, where only this absolute bound holds.
+log-gamma: one fixed-point kernel on Python ints, for real x > 0 (the
+pair with im = 0) and for complex z, at working width p = bits + 24
+(plus the bit length of |Re z| for complex z).  The state is (re, im)
+pairs scaled by 2^P, P = p + 32, raised so that z converts exactly.  It
+shifts z by s to u = z + s, Re u >= 10 + p/8, and forms
+(u - 1/2) log u - u + (log 2 pi)/2 with one raw logarithm and 1/u with
+one integer division.  It sums the Stirling series by Horner in 1/u^2
+from a term count J fixed up front (the first j with
+log2|c_j| - (2j-1) log2|u| < -(p+5), from a lower bound on |u| and the
+cut-offs derived from log2|c_j|, c_j = B_2j/(2j(2j-1)); the c_j sit
+with them in an ``lru_cache`` of 8 widths as integers c_j 2^P).  Then it
+subtracts one raw logarithm of the product z (z+1) ... (z+s-1),
+multiplied out in ints at P; for complex z the winding of that product
+is restored from a float sum of the arguments of the factors.
+Re z < 1/2 (z not real) goes through the reflection formula in mpmath,
+with the log-sin branch unwound so the result is the branch of log
+Gamma continuous on C \\ (-inf, 0].  Every shift and division rounds
+down, a few units of 2^-P per Horner step and per product factor; with
+the rounding of the two logarithms the kernel's value is far inside
+(J + 4) 2^-p (|log Gamma(z+s)| + 1) of log Gamma(z), J <= p/5 (the
+kernel's docstring has the constants).  The guard bits keep
+that below one unit in the last place of the result rounded to bits,
+except near the zeros z = 1, 2 of log Gamma, where only this absolute
+bound holds.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_rational
+from mpmath.libmp import fzero, from_man_exp, mpc_log, mpf_log, mpf_neg, mpf_pi, mpf_shift, to_float
 
 from .mpnum import (
     GUARD,
     DomainError,
     PoleError,
     bits_of,
+    raw_fixed,
     round_to,
     round_to_mpc,
     to_mpc,
@@ -86,89 +94,174 @@ def _stirling_threshold(bits: int) -> int:
     return 10 + bits // 8
 
 
-@lru_cache(maxsize=8)
-def _stirling_table(prec: int):
-    """log(2 pi)/2 and c_j = B_2j / (2j (2j-1)), j = 1, 2, ..., each
-    rounded once to ``prec`` bits.
+LOGGAMMA_GUARD = 32  # fraction bits of the log-gamma state beyond the working width
+LOG_GUARD = 8  # bits of the kernel's two logarithms beyond its state
 
-    The table runs to the first j with |c_j| t^(1-2j) < 2^-(prec+5), t the
-    shift threshold at ``prec``: since |z| >= Re z >= t, the Stirling sum
-    meets its stopping rule at or before that term.
+
+@lru_cache(maxsize=8)
+def _stirling_table(p: int):
+    """The log-gamma kernel's constants at working width ``p``: (log 2 pi)/2,
+    2 pi and the Stirling coefficients c_j = B_2j / (2j (2j-1)), j = 1, 2,
+    ..., as integers scaled by 2**P, P = p + LOGGAMMA_GUARD (each within
+    one unit), and the running maxima of the floats
+    -(log2|c_j| + p + 5)/(2j-1), from which :func:`_term_count` picks the
+    term count J.
+
+    The table runs to the first j with log2|c_j| - (2j-1) log2 t < -(p+5),
+    t the shift threshold at ``p``: since |z| >= Re z >= t, the term count
+    the kernel picks never exceeds it.
     """
-    lt = math.log2(_stirling_threshold(prec))
-    coeffs = []
+    P = p + LOGGAMMA_GUARD
+    lt = math.log2(_stirling_threshold(p))
+    coeffs, cuts = [], []
     j = 1
     while True:
         b = bernoulli_fraction(2 * j)
-        c = b / ((2 * j) * (2 * j - 1))
-        coeffs.append(mpmath.mpf(from_rational(c.numerator, c.denominator, prec, "n")))
-        if math.log2(abs(c.numerator)) - math.log2(c.denominator) - (2 * j - 1) * lt < -(prec + 5):
+        den = b.denominator * (2 * j) * (2 * j - 1)
+        coeffs.append((b.numerator << P) // den)
+        log2c = math.log2(abs(b.numerator)) - math.log2(den)
+        # term j meets the stopping rule at |z| iff log2|z| > cut
+        cut = (log2c + p + 5) / (2 * j - 1)
+        cuts.append(max(-cut, cuts[-1]) if cuts else -cut)
+        if cut < lt:
             break
         j += 1
-    with mp.workprec(prec):
-        half_log_2pi = mpmath.log(2 * mpmath.pi) / 2
-    return half_log_2pi, tuple(coeffs)
+    wp = P + LOG_GUARD
+    pi = mpf_pi(wp)
+    half_log_2pi = raw_fixed(mpf_log(mpf_shift(pi, 1), wp), P - 1)
+    return half_log_2pi, raw_fixed(pi, P + 1), tuple(coeffs), tuple(cuts)
 
 
-def _stirling_loggamma(z):
-    """Stirling series at the current mp precision for an mpf or mpc z
-    with Re z >= the shift threshold; terms are added until one falls
-    below 2^-(prec+4) times |partial sum| + 1."""
-    half_log_2pi, coeffs = _stirling_table(mp.prec)
-    out = (z - mpmath.mpf(1) / 2) * mpmath.log(z) - z + half_log_2pi
-    tol = mpmath.ldexp(abs(out) + 1, -(mp.prec + 4))
-    inv = 1 / z
-    inv_sq = inv * inv
-    prev = mpmath.inf
-    for c in coeffs:
-        term = c * inv
-        mag = abs(term)
-        if mag < tol:
-            out += term
-            return out
-        if mag > prev:
-            # Series started diverging before reaching target accuracy;
-            # the shift threshold is set so this cannot happen.
-            break
-        out += term
-        prev = mag
-        inv *= inv_sq
-    raise ArithmeticError("Stirling series did not converge; argument shifted insufficiently")
+def _term_count(cuts, m):
+    """The first j with log2|c_j| - (2j-1) log2 m < -(p+5), from the
+    running maxima ``cuts`` of -(log2|c_j| + p + 5)/(2j-1) in the table
+    at width p; m >= t, so the table length caps it only as a guard."""
+    return min(bisect_right(cuts, -math.log2(m)) + 1, len(cuts))
 
 
-def _loggamma_shifted(z):
-    """log Gamma for an mpf z > 0 or an mpc z with Re z >= 1/2, at the
-    caller's working precision p: Stirling at z + s, with s the shift to
-    Re z >= 10 + p/8, minus log P for P = z (z+1) ... (z+s-1).
+def _raw_from_fixed(v, P):
+    """The integer v scaled by 2**-P as a raw mpf, exactly; trailing zero
+    bits are shifted out first (libmp would strip them a byte at a time)."""
+    tz = (v & -v).bit_length() - 1 if v else 0
+    return from_man_exp(v >> tz, tz - P)
 
-    P is multiplied out at p' = p + L + 2 bits, L = s.bit_length(): the
-    s - 1 sums z + j and s - 1 products each round every component once
-    to nearest, a relative error of at most 2^-p' each, so P is within
-    2s 2^-p' < 2^-(p+1) relative of the exact product.  log P, rounded
-    once to p bits, thus differs from sum_j log(z+j) (mod 2 pi i) by at
-    most 2^-(p+1) plus that rounding.  For an mpc the principal Im log P
-    is moved onto the sum of the arguments by 2 pi k, k rounded from the
-    float sum of atan2(Im z, Re z + j); each of those lies in
-    (-pi/2, pi/2) because Re(z+j) >= 1/2, so the sum is off by far less
-    than the pi that would change k.
+
+def _horner(coeffs, WR, WI, P):
+    """c_1 + w (c_2 + w (... + w c_J)) for w = (WR + i WI) 2**-P, with
+    ``coeffs`` = (c_J, ..., c_1) scaled by 2**P; each step's product is
+    shifted down to 2**P (floor).  For real w the imaginary part stays 0
+    and the loop skips it."""
+    SR = SI = 0
+    if WI:
+        for c in coeffs:
+            SR, SI = c + ((SR * WR - SI * WI) >> P), (SR * WI + SI * WR) >> P
+    else:
+        for c in coeffs:
+            SR = c + ((SR * WR) >> P)
+    return SR, SI
+
+
+def _shift_product(ZR, ZI, s, P):
+    """z (z+1) ... (z+s-1), s >= 1, as (re, im, e) scaled by 2**e: the
+    factors from z + 1 on are multiplied out at P (floor), which keeps the
+    product within 2s units of 2**-P relative, since each partial product
+    has modulus >= 1; the last factor z is multiplied in exactly."""
+    if s == 1:
+        return ZR, ZI, P
+    one = 1 << P
+    QR, QI = ZR + one, ZI
+    if ZI:
+        for j in range(2, s):
+            FR = ZR + j * one
+            QR, QI = (QR * FR - QI * ZI) >> P, (QR * ZI + QI * FR) >> P
+    else:
+        for j in range(2, s):
+            QR = (QR * (ZR + j * one)) >> P
+    return QR * ZR - QI * ZI, QR * ZI + QI * ZR, 2 * P
+
+
+def _loggamma_shifted(z, p):
+    """log Gamma for an mpf z > 0 or an mpc z with Re z >= 1/2 at working
+    width ``p``, returned exactly as the kernel holds it (an mpf for an
+    mpf z, else an mpc; no rounding).
+
+    The state is pairs (re, im) of Python ints scaled by 2**P, P = p +
+    LOGGAMMA_GUARD, raised so that z converts exactly; a real z is the
+    pair with im = 0.  With the shift s = max(0, t - floor(Re z)) to
+    u = z + s, Re u >= t = 10 + p/8,
+
+        log Gamma(z) = (u - 1/2) log u - u + (log 2 pi)/2
+                       + sum_{j=1..J} c_j u^(1-2j) - log(z (z+1) ... (z+s-1)).
+
+    log u is one raw ``mpc_log`` at P + LOG_GUARD bits, and 1/u comes from
+    one integer division.  J is fixed before the sum: the first j with
+    log2|c_j| - (2j-1) log2 m < -(p+5), m the larger integer part of
+    Re u, |Im u| (so m <= |u|); the optimal truncation error
+    ~exp(-2 pi Re u) is far smaller.  The sum runs by Horner in
+    w = 1/u^2 (S = c_J, then S = c_j + w S down to j = 1, times 1/u), so
+    every partial sum stays of the size of its coefficient; forming the
+    powers u^(1-2j) one by one at P would lose them below 2**-P while
+    |c_j| grows past 2**160.  The product (z+1) ... (z+s-1) is multiplied
+    out at P, then by z exactly, and goes through one raw logarithm; for
+    complex z its principal imaginary part is moved onto the sum of the
+    arguments of the factors by 2 pi k, k rounded from the float sum of
+    atan2(Im z, Re z + j) (each in (-pi/2, pi/2) because Re(z+j) >= 1/2,
+    so the float sum is off by far less than the pi that would change k).
+    The kernel runs on whichever of z, conj(z) has Im >= 0 and conjugates
+    back, so conjugate arguments give conjugate results bit for bit.
+
+    Error: every shift and division rounds down, a few units of 2**-P per
+    Horner step and in the leading part, and 2s units relative in the
+    product; truncating log u costs at most |u| units, and the two
+    logarithms round within 2**-(P+8) (|u log u| + |log prod|).  In all
+    the result is within (3J + 3s + 16) 2**-P (|log Gamma(z+s)| + 1) +
+    2**-(P+8) |log prod| of log Gamma(z), far inside the
+    (J + 4) 2**-p (|log Gamma(z+s)| + 1) the module promises.
     """
-    prec = mp.prec
-    shift = int(max(0, math.ceil(_stirling_threshold(prec) - z.real)))
-    w = _stirling_loggamma(z + shift)
-    if shift == 0:
-        return w
-    with mp.workprec(prec + shift.bit_length() + 2):
-        p = +z
-        for j in range(1, shift):
-            p *= z + j
-    log_p = mpmath.log(p)
-    if isinstance(z, mpmath.mpc):
-        y, x = float(z.imag), float(z.real)
-        args = math.fsum(math.atan2(y, x + j) for j in range(shift))
-        k = round((args - float(log_p.imag)) / (2 * math.pi))
-        if k:
-            log_p += mpmath.mpc(0, 2 * k * mpmath.pi)
-    return w - log_p
+    is_complex = isinstance(z, mpmath.mpc)
+    zr, zi = z._mpc_ if is_complex else (z._mpf_, fzero)
+    conj = zi[0] == 1
+    if conj:
+        zi = mpf_neg(zi)
+    half_log_2pi, two_pi, coeffs, cuts = _stirling_table(p)
+    P = p + LOGGAMMA_GUARD
+    for t in (zr, zi):
+        if t[1]:
+            P = max(P, -t[2])
+    d = P - p - LOGGAMMA_GUARD
+    one = 1 << P
+    wp = P + LOG_GUARD
+    ZR, ZI = raw_fixed(zr, P), raw_fixed(zi, P)
+    shift = max(0, _stirling_threshold(p) - (ZR >> P))
+    UR = ZR + shift * one
+    # leading part (u - 1/2) log u - u + (log 2 pi)/2
+    lr, li = mpc_log((_raw_from_fixed(UR, P), zi), wp)
+    LR, LI = raw_fixed(lr, P), raw_fixed(li, P)
+    AR = UR - (one >> 1)
+    out_r = ((AR * LR - ZI * LI) >> P) - UR + (half_log_2pi << d)
+    out_i = ((AR * LI + ZI * LR) >> P) - ZI
+    # Horner in w = 1/u^2 from the term count J, then times 1/u
+    q = (1 << (4 * P)) // (UR * UR + ZI * ZI)
+    IR, II = (UR * q) >> (2 * P), -((ZI * q) >> (2 * P))
+    WR, WI = (IR * IR - II * II) >> P, (IR * II) >> (P - 1)
+    J = _term_count(cuts, max(UR, ZI) >> P)
+    C = coeffs[J - 1::-1] if not d else [c << d for c in coeffs[J - 1::-1]]
+    SR, SI = _horner(C, WR, WI, P)
+    out_r += (SR * IR - SI * II) >> P
+    out_i += (SR * II + SI * IR) >> P
+    if shift:
+        QR, QI, e = _shift_product(ZR, ZI, shift, P)
+        lr, li = mpc_log((_raw_from_fixed(QR, e), _raw_from_fixed(QI, e)), wp)
+        out_r -= raw_fixed(lr, P)
+        out_i -= raw_fixed(li, P)
+        if ZI:
+            y, x = to_float(zi), to_float(zr)
+            args = math.fsum(math.atan2(y, x + j) for j in range(shift))
+            out_i -= round((args - to_float(li)) / (2 * math.pi)) * (two_pi << d)
+    re = _raw_from_fixed(out_r, P)
+    if not is_complex:
+        return mp.make_mpf(re)
+    return mp.make_mpc((re, _raw_from_fixed(-out_i if conj else out_i, P)))
 
 
 def _log_sin_pi(z):
@@ -204,20 +297,18 @@ def log_gamma_complex(z, prec):
         return round_to_mpc(bits, _log_gamma_positive(z.real, bits))
     if z.imag == 0 and z.real == mpmath.floor(z.real):
         raise PoleError(f"log_gamma_complex: pole at z={z}")
-    guard = GUARD + 8 + max(0, int(abs(z.real)).bit_length())
-    with mp.workprec(bits + guard):
-        if z.real >= mpmath.mpf(1) / 2:
-            w = _loggamma_shifted(z)
-        else:
-            w = mpmath.log(mpmath.pi) - _log_sin_pi(z) - _loggamma_shifted(1 - z)
+    p = bits + GUARD + 8 + max(0, int(abs(z.real)).bit_length())
+    if z.real >= mpmath.mpf(1) / 2:
+        w = _loggamma_shifted(z, p)
+    else:
+        with mp.workprec(p):
+            w = mpmath.log(mpmath.pi) - _log_sin_pi(z) - _loggamma_shifted(1 - z, p)
     return round_to(prec, w)
 
 
 def _log_gamma_positive(x, bits):
     """log Gamma of an mpf x > 0 in real arithmetic, rounded to ``bits``."""
-    with mp.workprec(bits + GUARD + 8):
-        w = _loggamma_shifted(x)
-    return round_to(bits, w)
+    return round_to(bits, _loggamma_shifted(x, bits + GUARD + 8))
 
 
 def log_gamma_real(x, prec):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,11 @@ ORTHO_ALPHA1_DEG4_K20000 = (
     '{"m": 4, "n": 3, "value": 0.0, "tail_bound": 0.0, "target": 0.0, "within_bound": true, "exact_zero": true}, '
     '{"m": 4, "n": 4, "value": 0.04482559597589137, "tail_bound": 0.0019170328659546777, "target": 0.04530469714098409, "within_bound": true, "exact_zero": false}]}\n'
 )
+
+# SHA-256 of the stdout of the seven-point acceptance `compare` below,
+# recorded before log-gamma moved to the fixed-point kernel
+ACCEPTANCE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1,-2;1,-2"
+ACCEPTANCE_CSV_SHA256 = "703120f424bea3fdd106e53971bb6785e7cdce1b1431758e9c81f45627024bdb"
 
 EVAL_KEYS = ["mode", "n", "alpha", "z_re", "z_im", "log_mod", "phase",
              "value_re", "value_im", "dropped_term_bound"]
@@ -146,6 +152,30 @@ class TestCompare:
         assert "error:" in lines[1].split(",")[-1]
         assert lines[2].split(",")[9] != ""
 
+    def test_acceptance_csv_pinned(self, capsys):
+        code, out = run_main(capsys, ["compare", "--n-list", "100,400,1600", "--alpha", "1",
+                                      "--prec", "256", "--z-list", ACCEPTANCE_Z_LIST])
+        assert code == 0
+        assert len(out.encode()) == 8392
+        assert hashlib.sha256(out.encode()).hexdigest() == ACCEPTANCE_CSV_SHA256
+
+    def test_negative_point_values(self, capsys):
+        # "-1,-2" as the value of --z, --z-list and --grid, not an option
+        code, out = run_main(capsys, ["eval", "--mode", "asym", "--n", "100", "--alpha", "1",
+                                      "--z", "-1,-2"])
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["z_re"], obj["z_im"], obj["region"]) == (-1.0, -2.0, "A")
+        code2, out2 = run_main(capsys, ["eval", "--mode", "asym", "--n", "100", "--alpha", "1",
+                                        "--z=-1,-2"])
+        assert code2 == 0 and out2 == out
+        code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128",
+                                      "--z-list", "-1,-2;1,2"])
+        assert code == 0 and out.split("\n")[1].startswith("50,1.0,-1.0,-2.0,A,")
+        code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128",
+                                      "--grid", "-2:-1:2,-1:-0.5:2"])
+        assert code == 0 and len(out.strip().split("\n")) == 1 + 4
+
     def test_grid_validation(self, capsys):
         code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1",
                                       "--grid", "junk"])
@@ -200,12 +230,15 @@ class TestErrorsAndConfig:
     @pytest.mark.parametrize("args", [
         ["--alpha", "inf", "--max-deg", "2", "--kmax", "50"],
         ["--alpha=-inf", "--max-deg", "2", "--kmax", "50"],
+        ["--alpha", "-inf", "--max-deg", "2", "--kmax", "50"],
         ["--alpha", "1", "--max-deg", "2", "--kmax", "0"],
     ])
     def test_ortho_bad_input_is_config_error(self, capsys, args):
         code, out = run_main(capsys, ["ortho"] + args)
         assert code == 1
-        assert json.loads(out)["error"]["type"] == "config"
+        err = json.loads(out)["error"]
+        assert err["type"] == "config"
+        assert "expected one argument" not in err["message"]
 
     def test_env_precision_override(self):
         r = run_cli(["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0",

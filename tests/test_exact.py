@@ -282,6 +282,12 @@ class TestOrtho:
         with pytest.raises(ConfigError):
             exact.h_norm(2, alpha, 128)
 
+    @pytest.mark.parametrize("args", [(1, 2, "inf", 0, 128), (1, 2, -3, -5, 128)])
+    def test_odd_pair_validated(self, args):
+        # the odd-pair shortcut returns only after alpha and k_max pass
+        with pytest.raises(ConfigError):
+            exact.ortho_sum(*args)
+
     def test_odd_pairs_exact_zero(self):
         s = exact.ortho_sum(1, 2, 1, 500, 128)
         assert s.exact_zero and s.value == 0 and s.tail_bound == 0

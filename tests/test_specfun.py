@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from tcasym.mpnum import GUARD, DomainError, PoleError, working
 from tcasym.specfun import (
+    LOGGAMMA_GUARD,
     _airy_at_zero,
     _stirling_table,
     _stirling_threshold,
+    _term_count,
     airy_quartet,
     airy_series_reference,
     bernoulli_fraction,
@@ -22,7 +25,6 @@ from conftest import rel_diff
 
 class TestBernoulli:
     def test_known_values(self):
-        from fractions import Fraction
         assert bernoulli_fraction(0) == 1
         assert bernoulli_fraction(1) == Fraction(-1, 2)
         assert bernoulli_fraction(2) == Fraction(1, 6)
@@ -113,6 +115,33 @@ _GOLDEN_COMPLEX_288 = {
 }
 
 
+# Recorded at 272 bits before log-gamma moved to the fixed-point kernel,
+# for arguments the workloads use: alpha, n + alpha and n + 1 (the leading
+# coefficient), and alpha - n/z^2 at a region-A point (n = 100, z = 1+2i:
+# the shifted branch) and a region-D point (z = 4+0.05i: the reflection
+# branch), formed at 280 bits as d_func forms it.
+_GOLDEN_ALPHA_272 = {
+    "0.5": (0, 4343420193829569392098331731921355054434608873418998304977693505935337479117155667, -272, 272),
+    "1.37": (1, 7121426753133621905353878381429428367513800712368086430320464008807501966482492321, -275, 272),
+    "2.5": (0, 1080165149643098788490951375317281641765615959425499292207007114527978026467984445, -271, 270),
+}
+_GOLDEN_SHIFTED_272 = {
+    (100, "1.37"): (0, 338525876019525303881384673503445708544363406082024141845931748916763302552675663, -259, 268),
+    (100, "1"): (0, 336945137867643814628045740542453802142239451752274557891626873912107808203761027, -259, 268),
+    (1600, "1.37"): (0, 2364880209843741459413073526561943065034914766687543838250101934447144699524913219, -257, 271),
+    (2000, "1.37"): (0, 6118146827200738143440801600812987387663273948009466193318254346700446769824423279, -258, 272),
+    (2000, "1"): (0, 6116844184437936085152250336742254752848894309110917741761757748040330350035327591, -258, 272),
+}
+_GOLDEN_D_ARG_272 = {
+    (1, 2): (
+        (0, 5469148298903433893591771143567440254777060089758616587974403647286675982257927311, -268, 272),
+        (0, 5160163661478864121599349747762402073991722511311723467894330295385457882295689237, -266, 272)),
+    (4, 0.05): (
+        (1, 7445947877805564322677562272980044540160474593200533769527041868460666401306241355, -270, 272),
+        (1, 4302325640946111491272494944530728322200256007176389251855345136813674410404497097, -267, 272)),
+}
+
+
 def _complex_threshold(x, bits):
     """Shift threshold log_gamma_complex uses at real part x."""
     return _stirling_threshold(bits + GUARD + 8 + int(abs(x)).bit_length())
@@ -128,6 +157,24 @@ class TestLogGammaKernel:
         v = log_gamma_complex(mpmath.mpc(*z), 288)
         assert (v.real._mpf_, v.imag._mpf_) == _GOLDEN_COMPLEX_288[z]
 
+    @pytest.mark.parametrize("a", sorted(_GOLDEN_ALPHA_272))
+    def test_golden_alpha(self, a):
+        assert log_gamma_real(mpmath.mpf(a), 272)._mpf_ == _GOLDEN_ALPHA_272[a]
+
+    @pytest.mark.parametrize("n, a", sorted(_GOLDEN_SHIFTED_272))
+    def test_golden_n_plus_alpha(self, n, a):
+        with working(272, 0):
+            x = mpmath.mpf(n) + mpmath.mpf(a)
+        assert log_gamma_real(x, 272)._mpf_ == _GOLDEN_SHIFTED_272[(n, a)]
+
+    @pytest.mark.parametrize("z", sorted(_GOLDEN_D_ARG_272))
+    def test_golden_d_function_argument(self, z):
+        with working(256, GUARD + 8):
+            zz = mpmath.mpc(*z)
+            arg = 1 - 100 / (zz * zz)
+        v = log_gamma_complex(arg, 272)
+        assert (v.real._mpf_, v.imag._mpf_) == _GOLDEN_D_ARG_272[z]
+
     @pytest.mark.parametrize("x", [1, 2])
     def test_exact_zeros(self, x):
         # log Gamma(1) = log Gamma(2) = 0: what remains is the rounding of
@@ -138,6 +185,13 @@ class TestLogGammaKernel:
     @example(x=0.25, bits=256)
     @example(x=46.5, bits=272)
     @example(x=47.5, bits=272)
+    # 1024 bits: the shift runs to u ~ 141 with J ~ 200 terms whose
+    # coefficients pass 2^1800 (the threshold is 141 at this width)
+    @example(x=0.5, bits=1024)
+    @example(x=1.37, bits=1024)
+    @example(x=2.5, bits=1024)
+    @example(x=140.5, bits=1024)
+    @example(x=141.5, bits=1024)
     def test_real_against_library(self, x, bits):
         v = log_gamma_real(mpmath.mpf(x), bits)
         with working(2 * bits):
@@ -149,6 +203,10 @@ class TestLogGammaKernel:
     @example(re=-40.5, im=-0.125, bits=256)
     @example(re=0.0, im=7.85e-76, bits=128)
     @example(re=-5.0, im=-1e-30, bits=192)
+    @example(re=1.37, im=0.5, bits=1024)
+    @example(re=0.75, im=-300.0, bits=1024)
+    @example(re=-40.5, im=0.125, bits=1024)
+    @example(re=140.5, im=2.0, bits=1024)
     def test_complex_against_library(self, re, im, bits):
         z = mpmath.mpc(re, im)
         if im == 0 and re <= 0 and re == int(re):
@@ -196,16 +254,36 @@ class TestLogGammaKernel:
 
     def test_table_cache_bounded(self):
         assert _stirling_table.cache_info().maxsize == 8
+        for p in range(100, 120):
+            _stirling_table(p)
+        assert _stirling_table.cache_info().currsize <= 8
 
     def test_table_covers_threshold(self):
-        # the table reaches the first coefficient that meets the stopping
-        # rule at |z| = t, the smallest modulus the Stirling sum sees
-        for prec in (88, 152, 296, 536):
-            _, coeffs = _stirling_table(prec)
-            t = _stirling_threshold(prec)
-            with working(prec):
-                last = abs(coeffs[-1]) / mpmath.mpf(t) ** (2 * len(coeffs) - 1)
-                assert last < mpmath.ldexp(1, -(prec + 4))
+        # the integer table holds c_j 2^P to within one unit and reaches the
+        # first coefficient that meets the stopping rule at |z| = t, the
+        # smallest modulus the Stirling sum sees, and no further
+        for p in (88, 152, 296, 536):
+            _, _, coeffs, cuts = _stirling_table(p)
+            P = p + LOGGAMMA_GUARD
+            t = _stirling_threshold(p)
+            exact = [bernoulli_fraction(2 * j) / ((2 * j) * (2 * j - 1))
+                     for j in range(1, len(coeffs) + 1)]
+            assert all(abs(cj - c * 2 ** P) < 1 for cj, c in zip(coeffs, exact))
+            met = [abs(c) / Fraction(t) ** (2 * j - 1) < Fraction(1, 2 ** (p + 5))
+                   for j, c in enumerate(exact, 1)]
+            assert met[-1] and not any(met[:-1])
+            assert _term_count(cuts, t) == len(coeffs)
+
+    @pytest.mark.parametrize("p", [152, 296])
+    def test_term_count_rule(self, p):
+        # J is the first j with log2|c_j| - (2j-1) log2 m < -(p+5)
+        _, _, coeffs, cuts = _stirling_table(p)
+        for m in list(range(_stirling_threshold(p), 200)) + [500, 2000, 10 ** 6]:
+            def met(j):
+                c = bernoulli_fraction(2 * j) / ((2 * j) * (2 * j - 1))
+                return math.log2(abs(c)) - (2 * j - 1) * math.log2(m) < -(p + 5)
+            first = next(j for j in range(1, len(coeffs) + 1) if met(j))
+            assert _term_count(cuts, m) == first
 
     @pytest.mark.parametrize("arg", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, arg):
