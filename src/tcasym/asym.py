@@ -127,7 +127,7 @@ def _u_of(z):
     return mpmath.log((z + w) / 2), w
 
 
-def _phi_first_quadrant(n, alpha, z, bits):
+def _phi_first_quadrant(z, bits):
     return phi(z, bits, half_plane="upper" if z.imag == 0 else "auto").value
 
 
@@ -146,12 +146,11 @@ def _leading_exponent(n, alpha, z, bits):
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = _phi_first_quadrant(n, alpha, z, bits + GUARD)
+        phv = _phi_first_quadrant(z, bits + GUARD)
         log_pref = _log_prefactor(n, alpha, bits)
         w = (log_pref - mpmath.mpc(dd.log_mod, dd.phase)
              + _quarter_root_log(z) + p * u - n * phv
              + mpmath.mpc(0, mpmath.pi) * (mpmath.mpf(1) / 2 - a))
-        w = mpmath.mpc(w)
     return w, phv, log_pref
 
 
@@ -170,6 +169,28 @@ def _snap_real(value: LogComplex, bits):
     return LogComplex(value.log_mod, snapped)
 
 
+def _require_upper_half(z, name):
+    """The region formulas hold on the closed upper half-plane only."""
+    if z.imag < 0:
+        raise DomainError(f"{name} expects Im z >= 0; use eval_asym for the lower half")
+
+
+def _two_term(tag, n, z, wc, w1, w2, bits) -> AsymResult:
+    """exp(wc) (exp(w1) + exp(w2)), the form of regions B and origin: the
+    terms add through ``logc_add`` (flag ``cancel``), a real z snaps the value
+    onto the axis (``real-snapped``), and the larger term over n is dropped."""
+    s, cancelled = logc_add(LogComplex.from_exponent(w1, bits),
+                            LogComplex.from_exponent(w2, bits), bits)
+    value = logc_mul(LogComplex.from_exponent(wc, bits), s, bits)
+    flags = ("cancel",) if cancelled else ()
+    if z.imag == 0 and not value.is_zero():
+        value = _snap_real(value, bits)
+        flags += ("real-snapped",)
+    with working(bits):
+        dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
+    return AsymResult(value, RegionLabel(tag), round_to(bits, dropped), flags)
+
+
 # ----------------------------------------------------------------------
 # region evaluators
 # ----------------------------------------------------------------------
@@ -178,8 +199,9 @@ def eval_region_a(n: int, alpha, z, prec) -> AsymResult:
     """Outer-region leading term; relative accuracy O(1/n)."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
+    _require_upper_half(z, "eval_region_a")
     w, _, _ = _leading_exponent(n, alpha, z, bits)
-    value = LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    value = LogComplex.from_exponent(w, bits)
     with working(bits):
         dropped = value.log_mod - mpmath.log(n)
     return AsymResult(value, RegionLabel("A"), round_to(bits, dropped))
@@ -194,8 +216,9 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
+    _require_upper_half(z, "eval_region_d")
     w, phv, log_pref = _leading_exponent(n, alpha, z, bits)
-    value = LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    value = LogComplex.from_exponent(w, bits)
     flags = ()
     with working(bits):
         logn = mpmath.log(n)
@@ -211,26 +234,17 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     """Band-strip two-term oscillatory form, cancellation-guarded."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
+    _require_upper_half(z, "eval_region_b")
     a = to_mpf(alpha, bits)
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = _phi_first_quadrant(n, alpha, z, bits + GUARD)
+        phv = _phi_first_quadrant(z, bits + GUARD)
         ipi = mpmath.mpc(0, mpmath.pi)
-        wc = mpmath.mpc(_log_prefactor(n, alpha, bits) + _quarter_root_log(z))
-        w1 = mpmath.mpc(p * u - n * phv - a * ipi + ipi / 2)
-        w2 = mpmath.mpc(-p * u + n * phv + a * ipi)
-    t1 = LogComplex(round_to(bits, w1.real), round_to(bits, w1.imag))
-    t2 = LogComplex(round_to(bits, w2.real), round_to(bits, w2.imag))
-    s, cancelled = logc_add(t1, t2, bits)
-    value = logc_mul(LogComplex(round_to(bits, wc.real), round_to(bits, wc.imag)), s, bits)
-    flags = ("cancel",) if cancelled else ()
-    if z.imag == 0 and not value.is_zero():
-        value = _snap_real(value, bits)
-        flags += ("real-snapped",)
-    with working(bits):
-        dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
-    return AsymResult(value, RegionLabel("B"), round_to(bits, dropped), flags)
+        wc = _log_prefactor(n, alpha, bits) + _quarter_root_log(z)
+        w1 = p * u - n * phv - a * ipi + ipi / 2
+        w2 = -p * u + n * phv + a * ipi
+    return _two_term("B", n, z, wc, w1, w2, bits)
 
 
 def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
@@ -329,28 +343,16 @@ def eval_region_origin(n: int, alpha, z, prec) -> AsymResult:
     a = to_mpf(alpha, bits)
     if z == 0:
         raise DomainError("eval_region_origin: z = 0 excluded")
-    if z.imag < 0:
-        raise DomainError("eval_region_origin expects Im z >= 0; use eval_asym for the lower half")
+    _require_upper_half(z, "eval_region_origin")
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = _phi_first_quadrant(n, alpha, z, bits + GUARD)
+        phv = _phi_first_quadrant(z, bits + GUARD)
         ipi = mpmath.mpc(0, mpmath.pi)
-        wc = mpmath.mpc(_log_prefactor(n, alpha, bits)
-                        - (mpmath.log(2 - z) + mpmath.log(2 + z)) / 4)
-        w1 = mpmath.mpc(ipi * (mpmath.mpf(1) / 4 - a) - n * phv + p * u)
-        w2 = mpmath.mpc(-ipi * (mpmath.mpf(1) / 4 - a) + n * phv - p * u)
-    t1 = LogComplex(round_to(bits, w1.real), round_to(bits, w1.imag))
-    t2 = LogComplex(round_to(bits, w2.real), round_to(bits, w2.imag))
-    s, cancelled = logc_add(t1, t2, bits)
-    value = logc_mul(LogComplex(round_to(bits, wc.real), round_to(bits, wc.imag)), s, bits)
-    flags = ("cancel",) if cancelled else ()
-    if z.imag == 0 and not value.is_zero():
-        value = _snap_real(value, bits)
-        flags += ("real-snapped",)
-    with working(bits):
-        dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
-    return AsymResult(value, RegionLabel("origin"), round_to(bits, dropped), flags)
+        wc = _log_prefactor(n, alpha, bits) - (mpmath.log(2 - z) + mpmath.log(2 + z)) / 4
+        w1 = ipi * (mpmath.mpf(1) / 4 - a) - n * phv + p * u
+        w2 = -ipi * (mpmath.mpf(1) / 4 - a) + n * phv - p * u
+    return _two_term("origin", n, z, wc, w1, w2, bits)
 
 
 _EVALUATORS = {

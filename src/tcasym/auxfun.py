@@ -38,7 +38,6 @@ from .mpnum import (
     dist_to_real_interval,
     require_off_cut,
     round_to,
-    round_to_mpc,
     to_mpc,
     to_mpf,
     working,
@@ -229,7 +228,7 @@ def phi(z, prec, half_plane: str = "auto") -> PhiValue:
             pt = phi_tilde(z, bits + GUARD)
         sgn = 1 if half == "upper" else -1
         v = pt - sgn * mpmath.pi * 1j / (z * z)
-    return PhiValue(round_to_mpc(bits, v), half)
+    return PhiValue(to_mpc(v, bits), half)
 
 
 def phi_hat(z, prec):
@@ -361,7 +360,7 @@ def _f_tilde_from_h(n: int, z, h, bits: int):
     """n^(2/3) (z-2) h^(2/3) from a given h = h_factor(z), rounded to ``bits``."""
     with working(bits, GUARD):
         v = mpmath.mpf(n) ** (mpmath.mpf(2) / 3) * (z - 2) * mpmath.exp(mpmath.mpf(2) / 3 * mpmath.log(h))
-    return round_to_mpc(bits, v)
+    return to_mpc(v, bits)
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +384,7 @@ def d_func(n: int, alpha, z, prec, half_plane: str = "auto") -> LogComplex:
         sgn = 1 if half == "upper" else -1
         log_m = mpmath.log(mpmath.mpf(n)) + sgn * mpmath.pi * 1j - 2 * mpmath.log(z)
         w = log_gamma_complex(a - s, bits + GUARD) - s - _half_log_twopi() + (s - a + mpmath.mpf(1) / 2) * log_m
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return LogComplex.from_exponent(w, bits)
 
 
 def d_tilde_func(n: int, alpha, z, prec) -> LogComplex:
@@ -395,13 +393,7 @@ def d_tilde_func(n: int, alpha, z, prec) -> LogComplex:
     z = to_mpc(z, bits)
     if dist_to_real_interval(z, -_INF, 0, bits) < cut_tolerance(bits):
         raise DomainError(f"d_tilde_func: z={z} on or too close to the cut (-inf, 0]")
-    a = to_mpf(alpha, bits)
-    with working(bits, GUARD + 8):
-        s = n / (z * z)
-        log_p = mpmath.log(mpmath.mpf(n)) - 2 * mpmath.log(z)
-        w = _half_log_twopi() - log_gamma_complex(1 + s - a, bits + GUARD) - s + (s - a + mpmath.mpf(1) / 2) * log_p
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return _d_reflected(n, alpha, z, 1, bits)
 
 
 def d_hat_func(n: int, alpha, z, prec) -> LogComplex:
@@ -410,13 +402,18 @@ def d_hat_func(n: int, alpha, z, prec) -> LogComplex:
     z = to_mpc(z, bits)
     if dist_to_real_interval(z, 0, _INF, bits) < cut_tolerance(bits):
         raise DomainError(f"d_hat_func: z={z} on or too close to the cut [0, inf)")
+    return _d_reflected(n, alpha, z, -1, bits)
+
+
+def _d_reflected(n: int, alpha, z, sign: int, bits: int) -> LogComplex:
+    """D-tilde (sign 1) or D-hat (sign -1): the power (n/z^2)^(s-alpha+1/2),
+    s = n/z^2, takes its log as log n - 2 Log(sign z); callers check the cut."""
     a = to_mpf(alpha, bits)
     with working(bits, GUARD + 8):
         s = n / (z * z)
-        log_p = mpmath.log(mpmath.mpf(n)) - 2 * mpmath.log(-z)
+        log_p = mpmath.log(mpmath.mpf(n)) - 2 * mpmath.log(sign * z)
         w = _half_log_twopi() - log_gamma_complex(1 + s - a, bits + GUARD) - s + (s - a + mpmath.mpf(1) / 2) * log_p
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return LogComplex.from_exponent(w, bits)
 
 
 @dataclass(frozen=True)
@@ -467,8 +464,7 @@ def e_func(alpha, z, prec) -> LogComplex:
                 raise DomainError(f"e_func: z={z} on or too close to a cut")
     with working(bits, GUARD):
         w = _e_prefactor(a, bits) + p * (mpmath.log(2 - z) + mpmath.log(z + 2))
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return LogComplex.from_exponent(w, bits)
 
 
 def e_tilde_func(alpha, z, prec) -> LogComplex:
@@ -481,8 +477,7 @@ def e_tilde_func(alpha, z, prec) -> LogComplex:
         raise DomainError(f"e_tilde_func: z={z} on or too close to the cut (-inf, 2)")
     with working(bits, GUARD):
         w = _e_prefactor(a, bits) + p * (mpmath.log(z - 2) + mpmath.log(z + 2))
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return LogComplex.from_exponent(w, bits)
 
 
 def e_hat_func(alpha, z, prec) -> LogComplex:
@@ -496,8 +491,7 @@ def e_hat_func(alpha, z, prec) -> LogComplex:
         raise DomainError(f"e_hat_func: z={z} on or too close to the cut (-2, inf)")
     with working(bits, GUARD):
         w = _e_prefactor(a, bits) + p * (mpmath.log(-z - 2) + mpmath.log(2 - z))
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return LogComplex.from_exponent(w, bits)
 
 
 def e_family(alpha, z, prec):

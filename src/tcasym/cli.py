@@ -14,7 +14,7 @@ are reported as one machine-readable JSON object on stdout.
 
 ``--threads N`` parallelizes compare sweeps over worker processes (each
 point is computed independently and merged in input order, so output
-bytes do not depend on N; N=1 runs inline).
+bytes do not depend on N; never more workers than points, and one inline).
 """
 
 from __future__ import annotations
@@ -271,10 +271,12 @@ def _cmd_compare(args) -> int:
     zs = [to_mpc(p, bits) for p in pts]
     tasks = [(n, str(args.alpha), z, args.delta, args.eps, bits)
              for n in n_list for z in zs]
-    if args.threads == 1:
+    # a forked pool starts all its workers at the first submit
+    workers = min(args.threads, len(tasks))
+    if workers == 1:
         rows = [_compare_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compare_task, tasks, chunksize=4))
 
     sink = open(args.out, "w") if args.out else sys.stdout

@@ -224,8 +224,7 @@ def weight_wd(alpha, z, prec) -> LogComplex:
         # principal log(1/z^2); z off iR keeps z^2 off (-inf, 0]
         ls = -mpmath.log(z * z)
         w = (s - 1 - a) * ls + (a - s) - log_gamma_complex(s + 1 - a, bits + GUARD)
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return LogComplex.from_exponent(w, bits)
 
 
 NODE_LOG_GUARD = 8  # bits of the node logarithms and exponentials beyond P

@@ -200,8 +200,7 @@ def _darboux_log_value(n, alpha, x, bits):
             raise ConfigError(f"darboux form: Gamma pole at alpha - 1/x^2 = {s}")
         lg = log_gamma_complex(mpmath.mpc(s), bits)
         w = n * mpmath.log(mpmath.mpc(x)) + (s - 1) * mpmath.log(n) + 1 / (x * x) - lg
-        w = mpmath.mpc(w)
-    return LogComplex(round_to(bits, w.real), round_to(bits, w.imag))
+    return LogComplex.from_exponent(w, bits)
 
 
 def darboux_check(alpha, x, n_list, prec=256, params: Params = None) -> DarbouxReport:

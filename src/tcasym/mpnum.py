@@ -10,7 +10,8 @@ pairs ``(log_mod, phase)``.  The phase is deliberately *not* reduced modulo
 2*pi: windings must survive p-th powers of products.  Multiplication and
 division act exactly on the fields; addition factors out the larger modulus
 and reports a cancellation flag when the terms annihilate below
-``2**(-bits/2)`` relative.
+``2**(-bits/2)`` relative.  Every exponent becomes a LogComplex through
+:meth:`LogComplex.from_exponent` alone, so all are rounded the same way.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def to_mpf(x, prec) -> mpmath.mpf:
 
 
 def to_mpc(z, prec) -> mpmath.mpc:
-    """Round a complex-valued input to ``prec`` bits per component."""
+    """Round a complex-valued input to ``prec`` bits per component (inside the
+    context: an mpc() conversion outside would round at the ambient precision)."""
     with mp.workprec(bits_of(prec)):
         if isinstance(z, (tuple, list)) and len(z) == 2:
             v = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1]))
@@ -87,13 +89,6 @@ def round_to(prec, x):
     """Re-round a value (mpf or mpc) to ``prec`` bits."""
     with mp.workprec(bits_of(prec)):
         return +x
-
-
-def round_to_mpc(prec, x) -> mpmath.mpc:
-    """Re-round to ``prec`` bits, coercing to mpc inside the context (an
-    mpc() conversion outside would round at the ambient precision)."""
-    with mp.workprec(bits_of(prec)):
-        return +mpmath.mpc(x)
 
 
 def cut_tolerance(prec) -> mpmath.mpf:
@@ -175,7 +170,9 @@ class LogComplex:
 
     @classmethod
     def from_exponent(cls, w, prec) -> "LogComplex":
-        """Represent exp(w) for a complex exponent w."""
+        """Represent exp(w) for a complex or real exponent w: the one way to
+        build a LogComplex from an exponent.  Each component is rounded once
+        to ``prec`` bits, whatever the ambient precision."""
         w = to_mpc(w, prec)
         return cls(w.real, w.imag)
 
@@ -242,7 +239,7 @@ def logc_pow(a: LogComplex, p, prec) -> LogComplex:
     with working(prec):
         p = mpmath.mpc(p)
         w = p * mpmath.mpc(a.log_mod, a.phase)
-    return LogComplex(round_to(prec, w.real), round_to(prec, w.imag))
+    return LogComplex.from_exponent(w, prec)
 
 
 def logc_add(a: LogComplex, b: LogComplex, prec):
@@ -299,7 +296,7 @@ def sqrt_zsq_minus4_limit(x, prec, upper: bool = True) -> mpmath.mpc:
     if not (-2 <= x <= 2):
         with working(prec):
             s = mpmath.sqrt(x - 2) * mpmath.sqrt(x + 2) if x > 2 else -mpmath.sqrt(mpmath.mpf(x) ** 2 - 4)
-        return round_to_mpc(prec, s)
+        return to_mpc(s, prec)
     with working(prec):
         r = mpmath.sqrt((2 - x) * (2 + x))
         v = mpmath.mpc(0, r if upper else -r)
@@ -318,4 +315,4 @@ def pow_principal(z, p, prec) -> LogComplex:
         p = mpmath.mpc(p)
         logz = mpmath.mpc(mpmath.log(abs(z)), mpmath.atan2(z.imag, z.real))
         w = p * logz
-    return LogComplex(round_to(prec, w.real), round_to(prec, w.imag))
+    return LogComplex.from_exponent(w, prec)

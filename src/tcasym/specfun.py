@@ -58,7 +58,6 @@ from .mpnum import (
     bits_of,
     raw_fixed,
     round_to,
-    round_to_mpc,
     to_mpc,
 )
 
@@ -294,7 +293,7 @@ def log_gamma_complex(z, prec):
     if not mpmath.isfinite(z):
         raise DomainError(f"log_gamma_complex: argument must be finite, got z={z}")
     if z.imag == 0 and z.real > 0:
-        return round_to_mpc(bits, _log_gamma_positive(z.real, bits))
+        return to_mpc(_log_gamma_positive(z.real, bits), bits)
     if z.imag == 0 and z.real == mpmath.floor(z.real):
         raise PoleError(f"log_gamma_complex: pole at z={z}")
     p = bits + GUARD + 8 + max(0, int(abs(z.real)).bit_length())
@@ -386,7 +385,7 @@ def airy_quartet(z, prec) -> AiryQuartet:
     with mp.workprec(width):
         sq3 = mpmath.sqrt(3)
         vals = (a + b, sq3 * (a - b), ad + bd, sq3 * (ad - bd))
-    return AiryQuartet(*(round_to_mpc(prec, v) for v in vals))
+    return AiryQuartet(*(to_mpc(v, prec) for v in vals))
 
 
 def airy_rotated(z, prec):
@@ -401,7 +400,7 @@ def airy_rotated(z, prec):
         w = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
         wb = mpmath.conj(w)
         vals = (a + w * b, wb * ad + bd, a + wb * b, w * ad + bd)
-    return tuple(round_to_mpc(prec, v) for v in vals)
+    return tuple(to_mpc(v, prec) for v in vals)
 
 
 def airy_series_reference(z, prec, extra_factor: int = 4):
@@ -412,4 +411,4 @@ def airy_series_reference(z, prec, extra_factor: int = 4):
     z = to_mpc(z, wp)
     with mp.workprec(wp):
         vals = (mpmath.airyai(z), mpmath.airybi(z), mpmath.airyai(z, 1), mpmath.airybi(z, 1))
-    return AiryQuartet(*(round_to_mpc(prec, v) for v in vals))
+    return AiryQuartet(*(to_mpc(v, prec) for v in vals))

@@ -7,13 +7,14 @@ from tcasym.asym import (
     Params,
     classify_region,
     eval_asym,
+    eval_region_a,
     eval_region_b,
     eval_region_c,
     eval_region_d,
     eval_region_origin,
 )
 from tcasym.harness import region_grid
-from tcasym.mpnum import ConfigError, DomainError, working
+from tcasym.mpnum import ConfigError, DomainError, to_mpc, working
 
 from conftest import logc_rel_err
 
@@ -227,19 +228,44 @@ class TestRegionEvaluators:
         assert calls == [256 + 16]
 
     def test_cancellation_flag_near_zero(self):
-        # scan the band for a near-zero of the polynomial; the two-term
-        # form must flag severe cancellation rather than fabricate digits
-        n = 200
-        flagged = 0
-        for i in range(60):
-            x = mpmath.mpf("0.9") + i * mpmath.mpf("0.001")
-            ay = eval_region_b(n, 1, mpmath.mpc(x, 0), 128)
-            if ay.value.is_zero() or "cancel" in ay.flags:
-                flagged += 1
-        # zeros are spaced ~1/(n psi) ~ 0.04 apart here, so the window
-        # contains at least one; cancellation need not reach the flag
-        # threshold exactly at a grid point, so just require no crash
-        assert flagged >= 0
+        # bisect on the sign of the real-snapped two-term value down to a
+        # zero of the formula; there the two terms annihilate and the sum
+        # must carry the cancellation flag.  Midpoints are formed at 200
+        # bits and rounded to 128 inside to_mpc (an mpc() call outside a
+        # context would round them to 53 bits and never get close enough)
+        def evaluate(evaluator, x):
+            res = evaluator(200, 1, to_mpc((x, 0), 128), 128)
+            return res, mpmath.cos(res.value.phase) > 0
+
+        for evaluator, lo, hi in ((eval_region_b, "0.9", "0.96"),
+                                  (eval_region_origin, "0.05", "0.1")):
+            with mp.workprec(200):
+                lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            (res_lo, pos_lo), (res_hi, pos_hi) = evaluate(evaluator, lo), evaluate(evaluator, hi)
+            assert pos_lo != pos_hi
+            assert res_lo.flags == res_hi.flags == ("real-snapped",)
+            for _ in range(140):
+                with mp.workprec(200):
+                    mid = (lo + hi) / 2
+                res, pos = evaluate(evaluator, mid)
+                if pos == pos_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            assert res.flags == ("cancel", "real-snapped"), evaluator.__name__
+
+    @pytest.mark.parametrize("evaluator, z", [
+        (eval_region_a, (1, -2)),
+        (eval_region_b, (1, -0.05)),
+        (eval_region_d, (4, -0.05)),
+        (eval_region_origin, (0.05, -0.03)),
+    ])
+    def test_lower_half_rejected(self, evaluator, z):
+        # the region formulas hold on the closed upper half-plane; below it
+        # they would return the wrong branch (about pi off in phase)
+        with pytest.raises(DomainError, match="Im z >= 0"):
+            evaluator(100, 1, mpmath.mpc(*z), 128)
+        evaluator(100, 1, mpmath.mpc(z[0], -z[1]), 128)
 
     def test_origin_conjugation_matches_direct(self):
         z = mpmath.mpc("0.05", "-0.03")

@@ -136,6 +136,35 @@ class TestCompare:
         rows = p1.read_text().strip().split("\n")[1:]
         assert {r.split(",")[4] for r in rows} == {"A", "B", "C", "D", "origin"}
 
+    def test_threads_capped_at_task_count(self, capsys, monkeypatch):
+        # a stand-in pool that records its size and maps inline, so no
+        # process is ever started whatever --threads asks for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        args = ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128"]
+        two = args + ["--z-list", "1,2;0.5,0.1"]
+        _, serial = run_main(capsys, two + ["--threads", "1"])
+        code, out = run_main(capsys, two + ["--threads", "64"])
+        assert code == 0 and out == serial and sizes == [2]
+        code, _ = run_main(capsys, args + ["--z-list", "1,2", "--threads", "64"])
+        assert code == 0 and sizes == [2]  # one task runs inline
+        code, _ = run_main(capsys, args + ["--z-list", "1,2;0.5,0.1;3,0.1", "--threads", "2"])
+        assert code == 0 and sizes == [2, 2]
+
     def test_json_format(self, capsys):
         code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1",
                                       "--z-list", "1,2", "--format", "json", "--prec", "128"])

@@ -1,5 +1,8 @@
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from mpmath import mp
 
 from tcasym.mpnum import (
     ConfigError,
@@ -12,7 +15,9 @@ from tcasym.mpnum import (
     logc_mul,
     logc_pow,
     pow_principal,
+    round_to,
     sqrt_zsq_minus4,
+    to_mpc,
     working,
 )
 
@@ -227,3 +232,44 @@ class TestLogComplexOps:
             assert min(abs(w - mpmath.pi), abs(w + mpmath.pi)) < 1e-30
             v2 = LogComplex(mpmath.mpf(0), 5 * mpmath.pi / 2)
             assert abs(v2.wrapped_phase(128) - mpmath.pi / 2) < 1e-30
+
+
+def _bits(v):
+    return (v.real._mpf_, v.imag._mpf_) if isinstance(v, mpmath.mpc) else v._mpf_
+
+
+class TestFromExponent:
+    """``LogComplex.from_exponent`` is the one exponent-to-LogComplex
+    constructor: each component rounded once to the target width, whatever
+    the ambient precision, exactly as the hand-built form rounds it."""
+
+    @given(re=st.floats(-1e4, 1e4), im=st.floats(-1e4, 1e4), real=st.booleans(),
+           b=st.sampled_from([64, 128, 192, 256, 288]), extra=st.integers(1, 300),
+           ambient=st.sampled_from([53, 500]))
+    @example(re=2.5, im=0.0, real=True, b=128, extra=64, ambient=500)
+    @example(re=-7.0, im=3.0, real=False, b=256, extra=1, ambient=53)
+    def test_matches_hand_built(self, re, im, real, b, extra, ambient):
+        # times pi at a width above b, so the mantissas need rounding
+        with mp.workprec(b + extra):
+            w = mpmath.mpf(re) * mpmath.pi if real else mpmath.mpc(re, im) * mpmath.pi
+        with mp.workprec(ambient):
+            got = LogComplex.from_exponent(w, b)
+            want = LogComplex(round_to(b, w.real), round_to(b, w.imag))
+        assert (got.log_mod._mpf_, got.phase._mpf_) == (want.log_mod._mpf_, want.phase._mpf_)
+
+    @given(re=st.floats(-1e4, 1e4), im=st.floats(-1e4, 1e4),
+           b=st.sampled_from([64, 128, 256]), extra=st.integers(1, 300),
+           ambient=st.sampled_from([53, 500]))
+    def test_to_mpc_rounds_like_round_to(self, re, im, b, extra, ambient):
+        with mp.workprec(b + extra):
+            v = mpmath.mpc(re, im) * mpmath.e
+        with mp.workprec(ambient):
+            assert _bits(to_mpc(v, b)) == _bits(round_to(b, v))
+
+    def test_minus_inf_is_zero(self):
+        with mp.workprec(300):
+            w = mpmath.mpc(mpmath.mpf("-inf"), mpmath.pi)
+        v = LogComplex.from_exponent(w, 128)
+        assert v.is_zero()
+        assert v.phase._mpf_ == round_to(128, w.imag)._mpf_
+
