@@ -8,8 +8,8 @@ Two independent evaluation paths for the rescaled monic polynomials:
   with tail bounds);
 * an asymptotic path (``tcasym.asym``): region-wise uniform leading-order
   formulas covering the whole plane, including an Airy-type form through
-  the turning point at the band edge and a dedicated form at the origin
-  where the orthogonality nodes accumulate.
+  the turning point at the band edge; the band formula also serves the
+  disk at the origin where the orthogonality nodes accumulate.
 
 ``tcasym.harness`` quantifies agreement between the two paths
 (convergence-order fits, cross-region consistency, fixed-argument limit

@@ -1,17 +1,18 @@
 """Region classification and region-wise asymptotic evaluation.
 
-The rescaled monic polynomial is approximated by five closed-form leading
-terms, one per region of the closed first quadrant (origin disk, band
-strip B, turning-point disk C around 2, saturated strip D, outer region
-A).  The full-plane dispatcher reduces any nonzero z to the first
+The rescaled monic polynomial is approximated by four closed-form leading
+terms over the five regions of the closed first quadrant: the band strip
+B and the origin disk share one two-term formula, and the turning-point
+disk C around 2, the saturated strip D and the outer region A have their
+own.  The full-plane dispatcher reduces any nonzero z to the first
 quadrant through the parity and reflection symmetries, classifies it,
 dispatches, and undoes the reduction on the LogComplex result, so the
 symmetries hold bit for bit by construction.
 
 Real arguments are evaluated as upper-half-plane boundary values; the
-strip and origin formulas there combine two conjugate oscillatory terms
-into a real value, which is asserted (imaginary residual <= 1e-8
-relative) and then snapped onto the real axis.
+band formula there combines two conjugate oscillatory terms into a real
+value, which is asserted (imaginary residual <= 1e-8 relative) and then
+snapped onto the real axis.
 
 Every result carries ``dropped_term_bound``: the log-magnitude of the
 largest term the formula discards, so downstream error tables can
@@ -175,22 +176,6 @@ def _require_upper_half(z, name):
         raise DomainError(f"{name} expects Im z >= 0; use eval_asym for the lower half")
 
 
-def _two_term(tag, n, z, wc, w1, w2, bits) -> AsymResult:
-    """exp(wc) (exp(w1) + exp(w2)), the form of regions B and origin: the
-    terms add through ``logc_add`` (flag ``cancel``), a real z snaps the value
-    onto the axis (``real-snapped``), and the larger term over n is dropped."""
-    s, cancelled = logc_add(LogComplex.from_exponent(w1, bits),
-                            LogComplex.from_exponent(w2, bits), bits)
-    value = logc_mul(LogComplex.from_exponent(wc, bits), s, bits)
-    flags = ("cancel",) if cancelled else ()
-    if z.imag == 0 and not value.is_zero():
-        value = _snap_real(value, bits)
-        flags += ("real-snapped",)
-    with working(bits):
-        dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
-    return AsymResult(value, RegionLabel(tag), round_to(bits, dropped), flags)
-
-
 # ----------------------------------------------------------------------
 # region evaluators
 # ----------------------------------------------------------------------
@@ -231,9 +216,19 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
 
 
 def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
-    """Band-strip two-term oscillatory form, cancellation-guarded."""
+    """Band-strip two-term oscillatory form, cancellation-guarded; the same
+    formula serves the origin disk, where the nodes accumulate.
+
+    The value is exp(wc) (exp(w1) + exp(w2)), the two terms added through
+    ``logc_add`` (flag ``cancel``); a real z snaps the value onto the axis
+    (``real-snapped``), and the larger term over n is the dropped one.
+    Valid on the closed upper half-plane minus 0; the lower half is served
+    by the dispatcher through conjugation.
+    """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
+    if z == 0:
+        raise DomainError("eval_region_b: z = 0 excluded")
     _require_upper_half(z, "eval_region_b")
     a = to_mpf(alpha, bits)
     with working(bits, GUARD + 8):
@@ -244,7 +239,16 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
         wc = _log_prefactor(n, alpha, bits) + _quarter_root_log(z)
         w1 = p * u - n * phv - a * ipi + ipi / 2
         w2 = -p * u + n * phv + a * ipi
-    return _two_term("B", n, z, wc, w1, w2, bits)
+    s, cancelled = logc_add(LogComplex.from_exponent(w1, bits),
+                            LogComplex.from_exponent(w2, bits), bits)
+    value = logc_mul(LogComplex.from_exponent(wc, bits), s, bits)
+    flags = ("cancel",) if cancelled else ()
+    if z.imag == 0 and not value.is_zero():
+        value = _snap_real(value, bits)
+        flags += ("real-snapped",)
+    with working(bits):
+        dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
+    return AsymResult(value, RegionLabel("B"), round_to(bits, dropped), flags)
 
 
 def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
@@ -271,7 +275,7 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
     ``cancel`` is set when any of these three sums loses more than half of
     that width.  On the real axis the value is real; its phase, which
     carries only rounding residue there, is snapped to 0 or pi without the
-    ``real-snapped`` flag of the boundary values of regions B and origin.
+    ``real-snapped`` flag of the band formula's boundary values.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
@@ -332,31 +336,8 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
     return AsymResult(value, RegionLabel("C"), round_to(bits, dropped), flags)
 
 
-def eval_region_origin(n: int, alpha, z, prec) -> AsymResult:
-    """Origin-disk two-term form (the node accumulation point).
-
-    Valid on the closed upper half-disk minus 0; the lower half is served
-    by the dispatcher through conjugation.
-    """
-    bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    a = to_mpf(alpha, bits)
-    if z == 0:
-        raise DomainError("eval_region_origin: z = 0 excluded")
-    _require_upper_half(z, "eval_region_origin")
-    with working(bits, GUARD + 8):
-        u, _ = _u_of(z)
-        p = 2 * a - mpmath.mpf(1) / 2
-        phv = _phi_first_quadrant(z, bits + GUARD)
-        ipi = mpmath.mpc(0, mpmath.pi)
-        wc = _log_prefactor(n, alpha, bits) - (mpmath.log(2 - z) + mpmath.log(2 + z)) / 4
-        w1 = ipi * (mpmath.mpf(1) / 4 - a) - n * phv + p * u
-        w2 = -ipi * (mpmath.mpf(1) / 4 - a) + n * phv - p * u
-    return _two_term("origin", n, z, wc, w1, w2, bits)
-
-
 _EVALUATORS = {
-    "origin": eval_region_origin,
+    "origin": eval_region_b,
     "A": eval_region_a,
     "B": eval_region_b,
     "C": eval_region_c,
@@ -364,12 +345,12 @@ _EVALUATORS = {
 }
 
 
-def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
-    """Full-plane asymptotic value of the rescaled monic polynomial.
+def locate(n: int, alpha, z, params: Params = None, prec=256):
+    """Validate a point and reduce it to the closed first quadrant.
 
-    Reduces z to the closed first quadrant via parity (phase shift by
-    n pi) and Schwarz conjugation (phase negation), classifies, and
-    dispatches; both reductions act exactly on the LogComplex fields.
+    Returns (z1, label): z1 is z after parity (negated when Re z < 0) and
+    then Schwarz conjugation (when Im < 0), and ``label`` holds the region
+    of z1 and the two reductions.  Nothing is evaluated.
     """
     bits = bits_of(prec)
     if params is None:
@@ -390,20 +371,26 @@ def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
         conjugated = z1.imag < 0
         if conjugated:
             z1 = mpmath.conj(z1)
-    tag = classify_region(z1, n, alpha, params, bits)
-    res = _EVALUATORS[tag](n, alpha, z1, bits)
+    return z1, RegionLabel(classify_region(z1, n, alpha, params, bits), negated, conjugated)
+
+
+def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
+    """Full-plane asymptotic value of the rescaled monic polynomial.
+
+    Reduces z to the closed first quadrant via parity (phase shift by
+    n pi) and Schwarz conjugation (phase negation), classifies (``locate``),
+    and dispatches; both reductions act exactly on the LogComplex fields.
+    """
+    bits = bits_of(prec)
+    z1, label = locate(n, alpha, z, params, bits)
+    res = _EVALUATORS[label.tag](n, alpha, z1, bits)
     value = res.value
     # parity shift first (one rounded add on the reduced phase), exact
     # conjugation last: each symmetry pair then differs by a single
     # identically-rounded operation and compares bit for bit.
-    if negated:
+    if label.negated:
         with mp.workprec(bits):
             value = LogComplex(value.log_mod, value.phase + n * mpmath.pi)
-    if conjugated:
+    if label.conjugated:
         value = value.conjugate()
-    return AsymResult(
-        value,
-        RegionLabel(tag, negated, conjugated),
-        res.dropped_term_bound,
-        res.flags,
-    )
+    return AsymResult(value, label, res.dropped_term_bound, res.flags)

@@ -301,17 +301,17 @@ def _cmd_regions(args) -> int:
     zre, zim = _parse_z(args.z)
     z = to_mpc((zre, zim), bits)
     alpha = to_mpf(args.alpha, bits)
-    res = asym.eval_asym(args.n, alpha, z, params, bits) if z != 0 else None
-    if res is None:
+    if z == 0:
         raise DomainError("z = 0 is excluded")
+    _, label = asym.locate(args.n, alpha, z, params, bits)
     out = {
         "n": args.n,
         "alpha": float(alpha),
         "z_re": float(z.real),
         "z_im": float(z.imag),
-        "region": res.region.tag,
-        "negated": res.region.negated,
-        "conjugated": res.region.conjugated,
+        "region": label.tag,
+        "negated": label.negated,
+        "conjugated": label.conjugated,
     }
     print(json.dumps(out))
     return 0

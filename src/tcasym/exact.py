@@ -23,8 +23,8 @@ runs, platforms and mpmath backends:
   orthogonality sums, on the same kind of state.  Its nodes and masses
   come from ``_fixed_nodes_masses``, the one node/mass generator that
   ``iter_nodes_masses`` also rounds from, so the masses a caller sees are
-  the ones the sums use.  ``_f_real``, the same recurrence in mpmath at
-  the caller's precision, serves only the nine samples of the tail bound.
+  the ones the sums use.  The same per-point recurrence (``_fixed_f_real``)
+  also gives the nine samples behind the tail bounds.
 """
 
 from __future__ import annotations
@@ -304,29 +304,22 @@ class OrthoSum:
     exact_zero: bool  # odd m+n vanishes term by term under x -> -x
 
 
-def _f_real(f, coeff, alpha, x):
-    """Fill ``f`` with f_0(x)..f_{len(f)-1}(x) at a real point.
-
-    Plain recurrence at the ambient precision (no rescaling needed at
-    the low degrees used here); ``coeff[j]`` is ``j + alpha``.
-    """
-    f[0] = mpmath.mpf(1)
+def _fixed_f_real(f, X, A, coeff, P):
+    """Fill ``f[1:]`` with f_1..f_(len(f)-1) at the real point x = X * 2**-P,
+    X >= 0, on integers scaled by 2**P; ``f[0]`` is 2**P and ``coeff[j]``
+    is (j << P) + A.  The step is (j+1) f_(j+1) = C_j ((X f_j) >> P) >> P
+    - f_(j-1), every shift and division rounding toward zero as in
+    ``eval_f_raw``."""
     if len(f) > 1:
-        f[1] = alpha * x
+        f[1] = (A * X) >> P
     for j in range(1, len(f) - 1):
-        f[j + 1] = (coeff[j] * (x * f[j]) - f[j - 1]) / (j + 1)
-
-
-def _sampled_max_abs_f(max_deg, alpha, x_hi):
-    """For j = 0..max_deg, max |f_j| over the nine points x_hi*i/8, i = 0..8,
-    at the ambient precision: the samples behind the tail bounds."""
-    f = [None] * (max_deg + 1)
-    coeff = [j + alpha for j in range(max_deg)]
-    best = [mpmath.mpf(0)] * (max_deg + 1)
-    for i in range(9):
-        _f_real(f, coeff, alpha, x_hi * mpmath.mpf(i) / 8)
-        best = [max(b, abs(v)) for b, v in zip(best, f)]
-    return best
+        # truncating shifts and divisions written out, as in eval_f_raw
+        t = X * f[j]
+        t = t >> P if t >= 0 else -(-t >> P)
+        t = coeff[j] * t
+        t = (t >> P if t >= 0 else -(-t >> P)) - f[j - 1]
+        d = j + 1
+        f[j + 1] = t // d if t >= 0 else -(-t // d)
 
 
 def _ortho_alpha(alpha, k_max, bits):
@@ -348,21 +341,20 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
 
     The pass is a fixed-point kernel on Python ints scaled by 2**P, with
     P = bits + FIXED_GUARD + k_max.bit_length() (``_node_bits``), fed by
-    ``_fixed_nodes_masses``.  Per node, f_0..f_max_deg at x_k run the
-    recurrence (j+1) f_(j+1) = C_j ((X f_j) >> P) >> P - f_(j-1) with the
-    coefficients C_j = (j << P) + A formed once; g_n = (f_n M) >> P; and
-    each even pair accumulates f_m g_n exactly, at scale 2**(2P).  Every
-    shift and division rounds toward zero, as in ``eval_f_raw``.  Each
-    summand is off by a relative 4k * 2**-P from its mass (the exponent
-    error of the generator) plus a few units of 2**-P per recurrence
-    step, so over k <= k_max < 2**k_max.bit_length() the sum is off by
+    ``_fixed_nodes_masses``.  Per node, ``_fixed_f_real`` gives
+    f_0..f_max_deg at x_k; g_n = (f_n M) >> P; and each even pair
+    accumulates f_m g_n exactly, at scale 2**(2P).  Each summand is off by
+    a relative 4k * 2**-P from its mass (the exponent error of the
+    generator) plus a few units of 2**-P per recurrence step, so over
+    k <= k_max < 2**k_max.bit_length() the sum is off by
     O(2**-(bits + 60)) relative to the sum of |summands|; it leaves as
     2 * acc * 2**(-2P), rounded once to ``prec`` bits.
 
     The tail bound of pair (m, n) is 4 e^alpha B^2 / sqrt(2 pi k_max),
-    with B twice the largest |f_m|, |f_n| sampled at nine points of
-    [0, x_hi], x_hi = (k_max + alpha)^(-1/2): a heuristic bound on f near
-    zero, not a proven one.
+    with B twice the largest |f_m|, |f_n| over the nine points
+    (X i) >> 3, i = 0..8, of [0, x_(k_max)] (X the last node, scaled),
+    run through the same kernel and rounded once to ``prec`` bits: a
+    heuristic bound on f near zero, not a proven one.
     """
     bits = bits_of(prec)
     a = _ortho_alpha(alpha, k_max, bits)
@@ -377,22 +369,16 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     f = [1 << P] * (max_deg + 1)
     acc = [0] * len(pairs)
     for _, X, M in _fixed_nodes_masses(A, k_max, P):
-        if max_deg:
-            f[1] = (A * X) >> P
-        for j in range(1, max_deg):
-            # truncating shifts and divisions written out, as in eval_f_raw
-            t = X * f[j]
-            t = t >> P if t >= 0 else -(-t >> P)
-            t = coeff[j] * t
-            t = (t >> P if t >= 0 else -(-t >> P)) - f[j - 1]
-            d = j + 1
-            f[j + 1] = t // d if t >= 0 else -(-t // d)
+        _fixed_f_real(f, X, A, coeff, P)
         g = [v * M >> P if v >= 0 else -(-v * M >> P) for v in f]
         acc = [s + f[m] * g[n] for s, m, n in zip(acc, ms, ns)]
     sums = dict(zip(pairs, acc))
+    # X is now x_(k_max), the inner end of the node set
+    sampled = [0] * (max_deg + 1)
+    for i in range(9):
+        _fixed_f_real(f, X * i >> 3, A, coeff, P)
+        sampled = [max(b, abs(v)) for b, v in zip(sampled, f)]
     with working(bits):
-        x_hi = 1 / mpmath.sqrt(k_max + a)
-        sampled = _sampled_max_abs_f(max_deg, a, x_hi)
         ea = mpmath.exp(a)
         den = mpmath.sqrt(2 * mpmath.pi) * mpmath.sqrt(k_max)
         out = {}
@@ -401,7 +387,7 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
                 if (m + n) % 2 == 1:
                     out[(m, n)] = OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True)
                     continue
-                mbound = round_to(bits, 2 * max(sampled[m], sampled[n]))
+                mbound = _round_fixed(2 * max(sampled[m], sampled[n]), P, bits)
                 tail = 4 * ea * mbound ** 2 / den
                 out[(m, n)] = OrthoSum(m, n, _round_fixed(2 * sums[(m, n)], 2 * P, bits),
                                        round_to(bits, tail), k_max, False)

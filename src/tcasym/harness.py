@@ -216,7 +216,7 @@ def darboux_check(alpha, x, n_list, prec=256, params: Params = None) -> DarbouxR
         raise ConfigError("darboux_check requires |x| > 1")
     rows = []
     for n in n_list:
-        ex = exact.eval_f(n, alpha, mpmath.mpc(x), bits)
+        ex = exact.eval_f(n, alpha, to_mpc(x, bits), bits)
         form = _darboux_log_value(n, alpha, x, bits)
         e1 = float(rel_err_log(ex, form, bits))
         with working(bits):

@@ -1,8 +1,12 @@
+import math
+
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
-from tcasym import exact
+from tcasym import asym, exact
 from tcasym.asym import (
     Params,
     classify_region,
@@ -11,7 +15,7 @@ from tcasym.asym import (
     eval_region_b,
     eval_region_c,
     eval_region_d,
-    eval_region_origin,
+    locate,
 )
 from tcasym.harness import region_grid
 from tcasym.mpnum import ConfigError, DomainError, to_mpc, working
@@ -233,32 +237,31 @@ class TestRegionEvaluators:
         # must carry the cancellation flag.  Midpoints are formed at 200
         # bits and rounded to 128 inside to_mpc (an mpc() call outside a
         # context would round them to 53 bits and never get close enough)
-        def evaluate(evaluator, x):
-            res = evaluator(200, 1, to_mpc((x, 0), 128), 128)
+        def evaluate(x):
+            res = eval_region_b(200, 1, to_mpc((x, 0), 128), 128)
             return res, mpmath.cos(res.value.phase) > 0
 
-        for evaluator, lo, hi in ((eval_region_b, "0.9", "0.96"),
-                                  (eval_region_origin, "0.05", "0.1")):
+        # one interval in the band strip, one in the origin disk
+        for lo, hi in (("0.9", "0.96"), ("0.05", "0.1")):
             with mp.workprec(200):
                 lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
-            (res_lo, pos_lo), (res_hi, pos_hi) = evaluate(evaluator, lo), evaluate(evaluator, hi)
+            (res_lo, pos_lo), (res_hi, pos_hi) = evaluate(lo), evaluate(hi)
             assert pos_lo != pos_hi
             assert res_lo.flags == res_hi.flags == ("real-snapped",)
             for _ in range(140):
                 with mp.workprec(200):
                     mid = (lo + hi) / 2
-                res, pos = evaluate(evaluator, mid)
+                res, pos = evaluate(mid)
                 if pos == pos_lo:
                     lo = mid
                 else:
                     hi = mid
-            assert res.flags == ("cancel", "real-snapped"), evaluator.__name__
+            assert res.flags == ("cancel", "real-snapped"), (lo, hi)
 
     @pytest.mark.parametrize("evaluator, z", [
         (eval_region_a, (1, -2)),
         (eval_region_b, (1, -0.05)),
         (eval_region_d, (4, -0.05)),
-        (eval_region_origin, (0.05, -0.03)),
     ])
     def test_lower_half_rejected(self, evaluator, z):
         # the region formulas hold on the closed upper half-plane; below it
@@ -267,11 +270,15 @@ class TestRegionEvaluators:
             evaluator(100, 1, mpmath.mpc(*z), 128)
         evaluator(100, 1, mpmath.mpc(z[0], -z[1]), 128)
 
+    def test_band_formula_rejects_zero(self):
+        with pytest.raises(DomainError, match="z = 0 excluded"):
+            eval_region_b(100, 1, 0, 128)
+
     def test_origin_conjugation_matches_direct(self):
         z = mpmath.mpc("0.05", "-0.03")
         ay = eval_asym(300, 1, z, PARAMS, 192)
         assert ay.region.tag == "origin" and ay.region.conjugated
-        direct = eval_region_origin(300, 1, mpmath.conj(z), 192)
+        direct = eval_region_b(300, 1, mpmath.conj(z), 192)
         assert ay.value.log_mod == direct.value.log_mod
         assert ay.value.phase + direct.value.phase == 0
 
@@ -311,6 +318,19 @@ class TestDispatcher:
         lab = eval_asym(100, 1, mpmath.mpc(-1, -0.05), PARAMS, 128).region
         assert lab.tag == "B" and lab.negated and not lab.conjugated
 
+    def test_band_formula_serves_origin(self):
+        # four formulas over five regions
+        assert asym._EVALUATORS["origin"] is asym._EVALUATORS["B"] is eval_region_b
+        assert len(set(asym._EVALUATORS.values())) == 4
+
+    def test_locate_matches_dispatch(self):
+        for z in (mpmath.mpc("-0.05", "-0.02"), mpmath.mpc(1, "-0.05"), mpmath.mpc("-2.05", "0.02"),
+                  mpmath.mpc(4, "0.05"), mpmath.mpc(-1, 2)):
+            z1, label = locate(100, 1, z, PARAMS, 128)
+            assert z1.real >= 0 and z1.imag >= 0
+            assert label == eval_asym(100, 1, z, PARAMS, 128).region
+            assert label.tag == classify_region(z1, 100, 1, PARAMS, 128)
+
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             eval_asym(100, 1, 0, PARAMS, 128)
@@ -348,6 +368,25 @@ def _matches(v, ref, bits):
         dp = v.phase - ref.phase
         dp -= 2 * mpmath.pi * mpmath.nint(dp / (2 * mpmath.pi))
         return abs(v.log_mod - ref.log_mod) <= tol and abs(dp) <= tol
+
+
+class TestBandFormulaOriginDisk:
+    """The band formula keeps its precision across the origin disk, down
+    to |z| = 1e-3 and up to n = 6400.  Off the axis, arg z stays above
+    1e-30: closer than 2^-(bits/2) to the real axis the formula refuses the
+    point as on its cut."""
+
+    @given(log_r=st.floats(-3, math.log10(0.149)),
+           theta=st.one_of(st.just(0.0), st.floats(1e-30, math.pi / 2)),
+           n=st.integers(50, 6400), alpha=st.floats(0.5, 2.5))
+    def test_256_bits_against_1024(self, log_r, theta, n, alpha):
+        r = 10 ** log_r
+        z = (r * math.cos(theta), r * math.sin(theta))
+        v = eval_asym(n, alpha, z, PARAMS, 256)
+        assert v.region.tag == "origin"
+        ref = eval_asym(n, alpha, z, PARAMS, 1024)
+        if "cancel" not in v.flags + ref.flags:
+            assert _matches(v.value, ref.value, 256), (z, n, alpha)
 
 
 class TestRegionCLargeDegree:

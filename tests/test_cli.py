@@ -58,9 +58,9 @@ ORTHO_ALPHA1_DEG4_K20000 = (
 )
 
 # SHA-256 of the stdout of the seven-point acceptance `compare` below,
-# recorded before log-gamma moved to the fixed-point kernel
+# recorded when the origin disk moved to the band formula
 ACCEPTANCE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1,-2;1,-2"
-ACCEPTANCE_CSV_SHA256 = "703120f424bea3fdd106e53971bb6785e7cdce1b1431758e9c81f45627024bdb"
+ACCEPTANCE_CSV_SHA256 = "da971174a82b8d8a76b353b7c270715dd4e525ccae8850684667c79b9cbdba39"
 
 EVAL_KEYS = ["mode", "n", "alpha", "z_re", "z_im", "log_mod", "phase",
              "value_re", "value_im", "dropped_term_bound"]
@@ -222,6 +222,19 @@ class TestRegionsAndOrtho:
         code, out = run_main(capsys, ["regions", "--n", "400", "--alpha", "1", "--z", "2,0"])
         obj = json.loads(out)
         assert code == 0 and obj["region"] == "C"
+
+    def test_regions_does_not_evaluate(self, capsys, monkeypatch):
+        from tcasym import asym
+
+        def refuse(*args):
+            raise AssertionError("regions evaluated a formula")
+
+        for tag in asym._EVALUATORS:
+            monkeypatch.setitem(asym._EVALUATORS, tag, refuse)
+        for z, tag in (("0.05,0.05", "origin"), ("1,0.05", "B"), ("2.05,-0.02", "C"),
+                       ("-4,0.05", "D"), ("1,2", "A")):
+            code, out = run_main(capsys, ["regions", "--n", "400", "--alpha", "1", "--z", z])
+            assert code == 0 and json.loads(out)["region"] == tag
 
     def test_ortho_within_bounds(self, capsys):
         code, out = run_main(capsys, ["ortho", "--alpha", "1", "--max-deg", "2",

@@ -343,15 +343,16 @@ def mpmath_pair_sums(a, max_deg, k_max, wp):
     pairs = [(m, n) for m in range(max_deg + 1) for n in range(m, max_deg + 1) if (m + n) % 2 == 0]
     with mp.workprec(wp):
         acc = dict.fromkeys(pairs, mpmath.mpf(0))
-        coeff = [j + a for j in range(max_deg)]
-        f = [None] * (max_deg + 1)
         log_fact = mpmath.mpf(0)
         for k in range(k_max + 1):
             s = k + a
             if k > 0:
                 log_fact += mpmath.log(k)
             mass = mpmath.exp((k - 1) * mpmath.log(s) - k - log_fact)
-            exact._f_real(f, coeff, a, 1 / mpmath.sqrt(s))
+            x = 1 / mpmath.sqrt(s)
+            f = [mpmath.mpf(1), a * x]
+            for j in range(1, max_deg):
+                f.append(((j + a) * (x * f[j]) - f[j - 1]) / (j + 1))
             for m, n in pairs:
                 acc[(m, n)] += f[m] * f[n] * mass
         return {p: 2 * v for p, v in acc.items()}
@@ -399,7 +400,8 @@ class TestGoldenBits:
 
     The eval_f_raw states are the complex kernel's full-width integer
     state (P = bits + 64 fraction bits); the ortho sum is the real kernel's
-    accumulator rounded to 128 bits, and its tail bound the mpmath samples.
+    accumulator rounded to 128 bits, and its tail bound comes from the same
+    kernel's samples.
     Any change to the operation order, the rounding or the working
     precision moves bits.
     """

@@ -3,8 +3,8 @@ import dataclasses
 import mpmath
 import pytest
 
-from tcasym import harness
-from tcasym.mpnum import ConfigError
+from tcasym import exact, harness
+from tcasym.mpnum import ConfigError, to_mpc, to_mpf
 
 
 class TestComparePoint:
@@ -76,6 +76,16 @@ class TestDarboux:
         for ra, rb in zip(a.rows, b.rows):
             assert abs(ra.rel_err_formula - rb.rel_err_formula) < 1e-12
 
+    def test_exact_path_at_full_width(self):
+        # 1.3 is not a binary fraction: the exact path must see the same
+        # 256-bit x as the formula, not its 53-bit rounding
+        x = to_mpf("1.3", 256)
+        rep = harness.darboux_check(1, "1.3", [100, 400], 256)
+        for row in rep.rows:
+            ex = exact.eval_f(row.n, 1, to_mpc(x, 256), 256)
+            form = harness._darboux_log_value(row.n, 1, x, 256)
+            assert row.rel_err_formula == float(harness.rel_err_log(ex, form, 256))
+
     def test_gamma_pole_rejected(self):
         # alpha - 1/x^2 = 0 exactly at alpha = 1/4, x = 2
         with pytest.raises(ConfigError):
@@ -100,9 +110,10 @@ class TestBoundaryConsistency:
                 assert by_name8[name] < by_name4[name]
 
     def test_identical_pair_zero(self):
-        # the two saturated-side evaluators share the leading term exactly
-        checks = harness.boundary_consistency(400, 1, prec=160, interfaces=("D/A",))
-        assert checks[0].max_log_ratio == 0.0
+        # the saturated-side evaluators share the leading term exactly, and
+        # the origin disk runs the band formula itself
+        checks = harness.boundary_consistency(400, 1, prec=160, interfaces=("D/A", "origin/B"))
+        assert [c.max_log_ratio for c in checks] == [0.0, 0.0]
 
     def test_points_count(self):
         checks = harness.boundary_consistency(200, 1, prec=128, interfaces=("B/A",))
