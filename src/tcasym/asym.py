@@ -33,6 +33,7 @@ from .mpnum import (
     DomainError,
     LogComplex,
     bits_of,
+    cut_tolerance,
     logc_add,
     logc_mul,
     round_to,
@@ -350,7 +351,10 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
 
     Returns (z1, label): z1 is z after parity (negated when Re z < 0) and
     then Schwarz conjugation (when Im < 0), and ``label`` holds the region
-    of z1 and the two reductions.  Nothing is evaluated.
+    of z1 and the two reductions.  A band or origin-disk z1 with Re z1 > 0
+    and 0 < Im z1 < 2^-(bits/2), where the band formula would refuse it as
+    on its cut, is snapped onto the axis (flagged real-snapped there).
+    Nothing is evaluated.
     """
     bits = bits_of(prec)
     if params is None:
@@ -371,7 +375,11 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
         conjugated = z1.imag < 0
         if conjugated:
             z1 = mpmath.conj(z1)
-    return z1, RegionLabel(classify_region(z1, n, alpha, params, bits), negated, conjugated)
+    tag = classify_region(z1, n, alpha, params, bits)
+    if tag in ("B", "origin") and z1.real > 0 and 0 < z1.imag < cut_tolerance(bits):
+        z1 = to_mpc(z1.real, bits)
+        tag = classify_region(z1, n, alpha, params, bits)
+    return z1, RegionLabel(tag, negated, conjugated)
 
 
 def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:

@@ -250,16 +250,6 @@ def phi_hat(z, prec):
 F_TILDE_RADIUS = 0.5
 
 
-def _h_closed_form(z):
-    """-(3/2) phi_tilde(z) (z-2)^(-3/2): the analytic cofactor of the
-    turning-point map.  Valid off the real segment left of 2 (the two
-    branch jumps cancel, so this continues analytically across the band)."""
-    w = _w_root(z)
-    el = mpmath.log((z + w) / 2)
-    pt = (2 / (z * z) - 1) * el + w / (2 * z)
-    return mpmath.mpf(-1.5) * pt * mpmath.exp(mpmath.mpf(-1.5) * mpmath.log(z - 2))
-
-
 def _h_taylor_terms():
     """Yield the exact Taylor coefficients c_0 = 1, c_1 = -29/40, ... of h at 2.
 

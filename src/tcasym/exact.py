@@ -14,13 +14,15 @@ Two recurrence kernels, both in fixed point on Python ints and each with
 a fixed operation order, so results are reproducible bit for bit across
 runs, platforms and mpmath backends:
 
-* ``eval_f_raw``, the complex recurrence behind every exact value: the
-  state carries P = bits + 64 fraction bits (more if an input needs them
-  to convert exactly), every shift and division rounds toward zero, so
-  parity and Schwarz symmetry hold exactly in the state, and
-  power-of-two renormalisation keeps the integers near 2**P.
+* ``eval_f_raw``, the complex recurrence behind every exact value, run
+  division-free for g_k = k! f_k: floor shifts on a state with
+  P = bits + 64 fraction bits (more if an input needs them to convert
+  exactly), at the first-quadrant image of x, whose result maps back
+  exactly, so parity and Schwarz symmetry hold bit for bit; power-of-two
+  renormalisation every 8 steps keeps the integers near 2**P.
 * ``ortho_matrix``, the real recurrence at low degree behind the
-  orthogonality sums, on the same kind of state.  Its nodes and masses
+  orthogonality sums, on the same kind of state but stepping f_k itself
+  (truncating shifts and a division by k+1).  Its nodes and masses
   come from ``_fixed_nodes_masses``, the one node/mass generator that
   ``iter_nodes_masses`` also rounds from, so the masses a caller sees are
   the ones the sums use.  The same per-point recurrence (``_fixed_f_real``)
@@ -70,8 +72,10 @@ def _check_n_alpha(n, alpha):
         raise ConfigError(f"alpha must be finite, got {alpha}")
 
 
-RENORM_BITS = 16
+RENORM_BITS = 16  # the returned state's largest bit length lies in [P-16, P+16]
 FIXED_GUARD = 64  # fraction bits of the integer state beyond the requested width
+BLOCK_STEPS = 8  # recurrence steps between two checks of the state's size
+WINDOW_BITS = 48  # a check rescales the state once it leaves [P-48, P+48]
 
 
 def _fixed(v, P):
@@ -89,9 +93,15 @@ def _fixed_bits(bits, *vals):
     return P
 
 
-def _trunc_shift(v, s):
-    """v / 2**s rounded toward zero: odd in v, unlike the floor of ``>>``."""
-    return v >> s if v >= 0 else -(-v >> s)
+def _renorm(state, P, width):
+    """(state, e): the ints of ``state`` times 2**-e (floor), with e the
+    shift that brings their largest bit length to P, when that length lies
+    outside [P - width, P + width]; else the state unchanged and e = 0."""
+    m = max(map(int.bit_length, state))
+    if P - width <= m <= P + width:
+        return state, 0
+    e = m - P
+    return (tuple(v >> e for v in state) if e > 0 else tuple(v << -e for v in state)), e
 
 
 def _from_fixed(re, im, P):
@@ -100,25 +110,31 @@ def _from_fixed(re, im, P):
 
 
 def eval_f_raw(n: int, alpha, x, prec):
-    """Renormalized recurrence state: (f_prev, f_curr, scale_exp2).
+    """Renormalized state of g_k = k! f_k: (g_(n-1), g_n, scale_exp2).
 
-    The true value of f_n is ``f_curr * 2**scale_exp2``.  The state is kept
-    as four Python ints (real and imaginary parts of f_(k-1) and f_k)
-    scaled by 2**P, with P = bits + FIXED_GUARD, raised where needed so
-    that Re x, Im x and alpha (each rounded to ``prec`` bits) convert to
-    integers exactly.  One step is
+    g_n is ``g_curr * 2**scale_exp2``, and g_(k+1) = (k+alpha) x g_k -
+    k g_(k-1), g_(-1) = 0, g_0 = 1, needs no division.  The state is four
+    ints (Re and Im of g_(k-1), g_k) scaled by 2**P, P = bits + FIXED_GUARD,
+    raised so that Re x, Im x and alpha (rounded to ``prec`` bits) convert
+    exactly to X, A.  With C_k = (k << P) + A, one add per step, a step is
+    t = (X g_k) >> P (complex product), g_(k+1) = ((C_k t) >> P) - k g_(k-1),
+    every ``>>`` a floor shift: below one unit of error in t, below
+    k+alpha+1 units in g_(k+1).  The loop runs at |Re x| + i |Im x|, and
+    its state is mapped exactly: conjugated when one of Re x, Im x is
+    negative, g_k negated for odd k when Re x < 0.  Parity and Schwarz
+    symmetry therefore hold bit for bit, whatever the rounding.
 
-        t = (X f_k) >> P                      (complex product)
-        f_(k+1) = (k t + ((A t) >> P) - f_(k-1)) // (k+1)
-
-    with X, A the scaled x and alpha.  Every shift and division rounds
-    toward zero, so the rounding is odd in the sign of its argument: the
-    state at -x and at conj(x) is the exact parity and Schwarz image of
-    the state at x.  Whenever the largest component magnitude leaves
-    [2**-16, 2**16] (bit length outside [P-16, P+16]), the whole state is
-    shifted by that power of two and the exponent is accreted into
-    ``scale_exp2``.  The returned mpc values are the integer state times
-    2**-P, exactly, without rounding to ``prec``.
+    Every BLOCK_STEPS = 8 steps, a state whose largest bit length has left
+    [P-48, P+48] (WINDOW_BITS) is shifted back to P, the exponent accreted
+    into ``scale_exp2``.  Between checks it mostly grows, as n! f_n does,
+    and it cannot fall far: M_k = [[0, 1], [-k, (k+alpha) x]] has
+    determinant k >= 1, so a step shrinks the state (max norm) by at most
+    |M_k^-1| = max(1, ((k+alpha)|x| + 1)/k).  For |x|, alpha <= 2.5 that is
+    below 3.5 from k = 8 on: a block loses under 15 bits (the sqrt 2
+    between a complex modulus and its parts included) and stays above
+    P-64; the first starts at P and loses under 19.  A last shift puts
+    the largest bit length into [P-16, P+16] (RENORM_BITS).  The mpc values
+    are the integer state times 2**-P, exactly, not rounded to ``prec``.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
@@ -128,56 +144,44 @@ def eval_f_raw(n: int, alpha, x, prec):
     _check_n_alpha(n, a)
     xr, xi = x.real, x.imag
     P = _fixed_bits(bits, a, xr, xi)
-    A, XR, XI = _fixed(a, P), _fixed(xr, P), _fixed(xi, P)
+    A, XR, XI = _fixed(a, P), abs(_fixed(xr, P)), abs(_fixed(xi, P))
     one = 1 << P
-    if n == 0:
-        return _from_fixed(0, 0, P), _from_fixed(one, 0, P), 0
-    lo, hi = P - RENORM_BITS, P + RENORM_BITS
-    pr, pi = one, 0
-    cr, ci = _trunc_shift(A * XR, P), _trunc_shift(A * XI, P)
-    scale = 0
-    for k in range(1, n):
-        # truncating shifts and divisions written out: a call per use
-        # costs about a tenth of the step
-        tr = XR * cr - XI * ci
-        ti = XR * ci + XI * cr
-        tr = tr >> P if tr >= 0 else -(-tr >> P)
-        ti = ti >> P if ti >= 0 else -(-ti >> P)
-        ur = A * tr
-        ui = A * ti
-        ur = ur >> P if ur >= 0 else -(-ur >> P)
-        ui = ui >> P if ui >= 0 else -(-ui >> P)
-        d = k + 1
-        nr = k * tr + ur - pr
-        ni = k * ti + ui - pi
-        nr = nr // d if nr >= 0 else -(-nr // d)
-        ni = ni // d if ni >= 0 else -(-ni // d)
-        pr, pi, cr, ci = cr, ci, nr, ni
-        m = max(pr.bit_length(), pi.bit_length(), cr.bit_length(), ci.bit_length())
-        if m > hi or m < lo:
-            e = m - P
-            if e > 0:
-                pr, pi = _trunc_shift(pr, e), _trunc_shift(pi, e)
-                cr, ci = _trunc_shift(cr, e), _trunc_shift(ci, e)
-            else:
-                pr <<= -e
-                pi <<= -e
-                cr <<= -e
-                ci <<= -e
-            scale += e
-    return _from_fixed(pr, pi, P), _from_fixed(cr, ci, P), scale
+    pr, pi, cr, ci, C, scale, k = 0, 0, one, 0, A, 0, 0
+    while k < n:
+        for j in range(k, min(k + BLOCK_STEPS, n)):
+            tr = (XR * cr - XI * ci) >> P
+            ti = (XR * ci + XI * cr) >> P
+            pr, pi, cr, ci = cr, ci, (C * tr >> P) - j * pr, (C * ti >> P) - j * pi
+            C += one
+        k = j + 1
+        (pr, pi, cr, ci), e = _renorm((pr, pi, cr, ci), P, WINDOW_BITS)
+        scale += e
+    (pr, pi, cr, ci), e = _renorm((pr, pi, cr, ci), P, RENORM_BITS)
+    if xr < 0:  # g_k(-x) = (-1)^k g_k(x), and one of n-1, n is odd
+        pr, pi, cr, ci = (pr, pi, -cr, -ci) if n % 2 else (-pr, -pi, cr, ci)
+    if (xr < 0) != (xi < 0):
+        pi, ci = -pi, -ci
+    return _from_fixed(pr, pi, P), _from_fixed(cr, ci, P), scale + e
+
+
+def _log_g_over(n, alpha, x, bits, log_den):
+    """log(g_n(x) / d), rounded once, with log d = ``log_den()`` evaluated
+    at the working precision of ``bits`` after the kernel's checks."""
+    _, g, scale = eval_f_raw(n, alpha, x, bits)
+    if g == 0:
+        return LogComplex.zero()
+    with working(bits):
+        lm = mpmath.log(abs(g)) + scale * mpmath.log(2) - log_den()
+        ph = mpmath.atan2(g.imag, g.real)
+    return LogComplex(round_to(bits, lm), round_to(bits, ph))
 
 
 def eval_f(n: int, alpha, x, prec) -> LogComplex:
-    """f_n(alpha; x) by forward recurrence, returned as LogComplex."""
+    """f_n(alpha; x) = g_n(x) / n! by forward recurrence, as LogComplex;
+    for n <= 1, g_n = f_n and nothing is subtracted."""
     bits = bits_of(prec)
-    _, f, scale = eval_f_raw(n, alpha, x, bits)
-    if f == 0:
-        return LogComplex.zero()
-    with working(bits):
-        lm = mpmath.log(abs(f)) + scale * mpmath.log(2)
-        ph = mpmath.atan2(f.imag, f.real)
-    return LogComplex(round_to(bits, lm), round_to(bits, ph))
+    return _log_g_over(n, alpha, x, bits,
+                       lambda: log_gamma_real(mpmath.mpf(n + 1), bits + GUARD) if n >= 2 else 0)
 
 
 def log_leading_coeff(n: int, alpha, prec):
@@ -192,18 +196,16 @@ def log_leading_coeff(n: int, alpha, prec):
 
 
 def eval_monic_rescaled(n: int, alpha, z, prec) -> LogComplex:
-    """The monic polynomial at the rescaled argument: f_n(n^(-1/2) z) / gamma_n."""
+    """The monic polynomial at the rescaled argument: f_n(n^(-1/2) z) / gamma_n
+    = g_n Gamma(alpha) / Gamma(n+alpha), the n! of g_n and gamma_n cancelling."""
     bits = bits_of(prec)
     if n < 1:
         raise ConfigError("eval_monic_rescaled requires n >= 1")
+    a = to_mpf(alpha, bits)
     with working(bits):
         x = to_mpc(z, bits) / mpmath.sqrt(mpmath.mpf(n))
-    v = eval_f(n, alpha, round_to(bits, x), bits)
-    if v.is_zero():
-        return v
-    lg = log_leading_coeff(n, alpha, bits)
-    with mp.workprec(bits):
-        return LogComplex(v.log_mod - lg, v.phase)
+    return _log_g_over(n, a, round_to(bits, x), bits,
+                       lambda: log_gamma_real(n + a, bits + GUARD) - log_gamma_real(a, bits + GUARD))
 
 
 def weight_wd(alpha, z, prec) -> LogComplex:
@@ -308,12 +310,12 @@ def _fixed_f_real(f, X, A, coeff, P):
     """Fill ``f[1:]`` with f_1..f_(len(f)-1) at the real point x = X * 2**-P,
     X >= 0, on integers scaled by 2**P; ``f[0]`` is 2**P and ``coeff[j]``
     is (j << P) + A.  The step is (j+1) f_(j+1) = C_j ((X f_j) >> P) >> P
-    - f_(j-1), every shift and division rounding toward zero as in
-    ``eval_f_raw``."""
+    - f_(j-1), every shift and division rounding toward zero."""
     if len(f) > 1:
         f[1] = (A * X) >> P
     for j in range(1, len(f) - 1):
-        # truncating shifts and divisions written out, as in eval_f_raw
+        # truncating shifts and divisions written out: a call per use
+        # costs about a tenth of the step
         t = X * f[j]
         t = t >> P if t >= 0 else -(-t >> P)
         t = coeff[j] * t

@@ -69,17 +69,24 @@ _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli_fraction(m: int) -> Fraction:
-    """B_m as an exact Fraction (B_1 = -1/2 convention)."""
-    while len(_bernoulli_cache) <= m:
-        k = len(_bernoulli_cache)
-        if k % 2 == 1:
-            _bernoulli_cache.append(Fraction(0))
-            continue
-        # sum_{j=0}^{k} C(k+1, j) B_j = 0
-        acc = Fraction(0)
-        for j in range(k):
-            acc += math.comb(k + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (k + 1))
+    """B_m as an exact Fraction (B_1 = -1/2 convention).
+
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent numbers T_j
+    (tan x = sum T_j x^(2j-1) / (2j-1)!), all of T_1..T_N from one integer
+    recurrence in O(N^2) multiply-adds (Brent and Zimmermann, Modern
+    Computer Arithmetic, Algorithm TangentNumbers).  Each fill at least
+    doubles the cache, from scratch.
+    """
+    have = len(_bernoulli_cache) // 2 - 1  # B_2, B_4, ..., B_2have are cached
+    if m > 2 * have + 1:
+        N = max(m // 2, 2 * have + 1)
+        t = [math.factorial(k) for k in range(N)]  # t[j] becomes T_(j+1)
+        for k in range(1, N):
+            for j in range(k, N):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        for j in range(have + 1, N + 1):
+            q = 4 ** j
+            _bernoulli_cache.extend((Fraction((-1) ** (j - 1) * 2 * j * t[j - 1], q * (q - 1)), Fraction(0)))
     return _bernoulli_cache[m]
 
 
@@ -402,13 +409,3 @@ def airy_rotated(z, prec):
         vals = (a + w * b, wb * ad + bd, a + wb * b, w * ad + bd)
     return tuple(to_mpc(v, prec) for v in vals)
 
-
-def airy_series_reference(z, prec, extra_factor: int = 4):
-    """Independent check value for the tests: the quartet from mpmath's
-    ``airyai``/``airybi`` at ``extra_factor`` times the working precision."""
-    bits = bits_of(prec)
-    wp = bits * extra_factor
-    z = to_mpc(z, wp)
-    with mp.workprec(wp):
-        vals = (mpmath.airyai(z), mpmath.airybi(z), mpmath.airyai(z, 1), mpmath.airybi(z, 1))
-    return AiryQuartet(*(to_mpc(v, prec) for v in vals))

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -335,6 +335,23 @@ class TestDispatcher:
         with pytest.raises(DomainError):
             eval_asym(100, 1, 0, PARAMS, 128)
 
+    def test_near_axis_snapped(self):
+        # Im z below 2^-(bits/2) in the origin disk and the band: the point
+        # is evaluated on the axis, not refused as on the cut
+        for z in (mpmath.mpc("0.1", "1.7e-76"), mpmath.mpc("-0.1", "-1.7e-76"), mpmath.mpc(1, "1e-45")):
+            v = eval_asym(50, 1, z, PARAMS, 256)
+            on_axis = eval_asym(50, 1, z.real, PARAMS, 256)
+            assert "real-snapped" in v.flags and v.region.tag == on_axis.region.tag
+            assert v.value.log_mod == on_axis.value.log_mod
+            z1, label = locate(50, 1, z, PARAMS, 256)
+            assert z1.imag == 0 and label == v.region
+        # at or above the tolerance nothing moves, nor on the imaginary
+        # axis, where snapping would land on the excluded z = 0
+        z1, _ = locate(50, 1, mpmath.mpc("0.1", "1e-30"), PARAMS, 256)
+        assert z1.imag > 0
+        with pytest.raises(DomainError, match="cut"):
+            eval_asym(50, 1, mpmath.mpc(0, "1e-45"), PARAMS, 256)
+
     @pytest.mark.parametrize("alpha, z", [
         (1, mpmath.mpc("nan", 0)),
         (1, mpmath.mpc(1, "nan")),
@@ -372,19 +389,23 @@ def _matches(v, ref, bits):
 
 class TestBandFormulaOriginDisk:
     """The band formula keeps its precision across the origin disk, down
-    to |z| = 1e-3 and up to n = 6400.  Off the axis, arg z stays above
-    1e-30: closer than 2^-(bits/2) to the real axis the formula refuses the
-    point as on its cut."""
+    to |z| = 1e-3 and up to n = 6400, at every arg z.  A point closer than
+    2^-(bits/2) to the real axis is snapped onto it (``locate``), so the
+    1024-bit reference is taken at the point the 256-bit call evaluates."""
 
     @given(log_r=st.floats(-3, math.log10(0.149)),
-           theta=st.one_of(st.just(0.0), st.floats(1e-30, math.pi / 2)),
+           theta=st.one_of(st.just(0.0), st.floats(1e-300, math.pi / 2)),
            n=st.integers(50, 6400), alpha=st.floats(0.5, 2.5))
+    # snapped at 256 bits only; the draw that found the refusal
+    @example(log_r=-1, theta=1e-50, n=400, alpha=1.0)
+    @example(log_r=-1, theta=1.7e-74, n=50, alpha=1.0)
     def test_256_bits_against_1024(self, log_r, theta, n, alpha):
         r = 10 ** log_r
         z = (r * math.cos(theta), r * math.sin(theta))
         v = eval_asym(n, alpha, z, PARAMS, 256)
         assert v.region.tag == "origin"
-        ref = eval_asym(n, alpha, z, PARAMS, 1024)
+        z1, _ = locate(n, alpha, z, PARAMS, 256)
+        ref = eval_asym(n, alpha, z1, PARAMS, 1024)
         if "cancel" not in v.flags + ref.flags:
             assert _matches(v.value, ref.value, 256), (z, n, alpha)
 

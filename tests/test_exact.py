@@ -134,15 +134,16 @@ _REGION_Z = st.one_of(
 
 
 class TestFixedPointKernel:
-    """The integer kernel against a plain mpmath recurrence at 2*bits+64."""
+    """The integer kernel against a plain mpmath run of its recurrence for
+    g_k = k! f_k at 2*bits+64."""
 
     @staticmethod
     def reference(n, alpha, x, bits):
         with mp.workprec(bits):
-            fp, fc = mpmath.mpc(1), alpha * x
+            gp, gc = mpmath.mpc(1), alpha * x
             for k in range(1, n):
-                fp, fc = fc, ((k + alpha) * x * fc - fp) / (k + 1)
-            return fp, fc
+                gp, gc = gc, (k + alpha) * x * gc - k * gp
+            return gp, gc
 
     @given(n=st.integers(1, 2500), alpha=_unit(0.5, 2.5), z=_REGION_Z, bits=st.sampled_from([128, 256]))
     # tiny alpha and |x| with full mantissas: P must rise above bits + 64
@@ -152,6 +153,9 @@ class TestFixedPointKernel:
     # renormalising degrees in the band and at the turning point
     @example(n=1500, alpha=1.0, z=(1.0, 0.0), bits=256)
     @example(n=2500, alpha=0.5, z=(1.9, 0.1), bits=256)
+    # the largest degree compared, in the band and at the turning point
+    @example(n=6400, alpha=0.75, z=(1.2, 0.05), bits=256)
+    @example(n=6400, alpha=1.0, z=(2.0, 0.05), bits=256)
     def test_state_matches_reference(self, n, alpha, z, bits):
         a = to_mpf(alpha, bits)
         with mp.workprec(bits):
@@ -163,6 +167,39 @@ class TestFixedPointKernel:
             # relative to the larger of the pair: well defined near zeros of f_n
             err = max(abs(fp * two_s - rp), abs(fc * two_s - rc)) / max(abs(rp), abs(rc))
         assert err <= mpmath.ldexp(1, -bits)
+
+    @given(n=st.integers(1, 2500), alpha=_unit(0.5, 2.5), z=_REGION_Z, bits=st.sampled_from([128, 256]))
+    @example(n=6400, alpha=0.75, z=(1.2, 0.05), bits=256)
+    @example(n=6400, alpha=2.5, z=(3.0, 3.0), bits=128)
+    def test_state_in_final_window(self, n, alpha, z, bits):
+        # between checks the state may roam over [P-64, P+48] and beyond;
+        # the last renormalisation puts the largest bit length of the four
+        # ints back into [P-16, P+16], i.e. its exponent relative to 2^-P
+        a = to_mpf(alpha, bits)
+        with mp.workprec(bits):
+            x = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / mpmath.sqrt(n)
+        fp, fc, _ = exact.eval_f_raw(n, a, x, bits)
+        m = max(t[2] + t[3] for v in (fp, fc) for t in (v.real._mpf_, v.imag._mpf_) if t[1])
+        assert -exact.RENORM_BITS <= m <= exact.RENORM_BITS
+
+    @given(n=st.integers(1, 2500), alpha=_unit(0.5, 2.5), z=_REGION_Z, bits=st.sampled_from([128, 256]))
+    @example(n=6400, alpha=0.75, z=(1.2, 0.05), bits=256)
+    def test_monic_is_f_over_leading_coeff(self, n, alpha, z, bits):
+        # eval_monic_rescaled drops the n! of g_n = n! f_n against the one in
+        # gamma_n; the long way round through f_n agrees to the rounding
+        a = to_mpf(alpha, bits)
+        zc = to_mpc(z, bits)
+        v = exact.eval_monic_rescaled(n, a, zc, bits)
+        with working(bits):
+            x = round_to(bits, zc / mpmath.sqrt(n))
+        f = exact.eval_f(n, a, x, bits)
+        lg = exact.log_leading_coeff(n, a, bits)
+        assert v.is_zero() == f.is_zero() and v.phase == f.phase
+        if v.is_zero():
+            return
+        with mp.workprec(bits + 64):
+            tol = mpmath.ldexp(1, -(bits - 8)) * max(1, abs(v.log_mod))
+            assert abs(v.log_mod - (f.log_mod - lg)) <= tol
 
     def test_tiny_inputs_raise_fraction_bits(self):
         bits = 128
@@ -399,33 +436,34 @@ class TestGoldenBits:
     """Exact mantissa/exponent tuples of both fixed-point kernels.
 
     The eval_f_raw states are the complex kernel's full-width integer
-    state (P = bits + 64 fraction bits); the ortho sum is the real kernel's
-    accumulator rounded to 128 bits, and its tail bound comes from the same
-    kernel's samples.
+    state of g_k = k! f_k (P = bits + 64 fraction bits), each within
+    2^-bits of the same kernel run at P + 128; the ortho sum is the real
+    kernel's accumulator rounded to 128 bits, and its tail bound comes from
+    the same kernel's samples.
     Any change to the operation order, the rounding or the working
     precision moves bits.
     """
 
     RAW = [
         ((60, "1", ("0.3", "0.2"), 128),
-         ((1, 730261801306710685671679205956105193729293206955676149, -189, 179),
-          (0, 831499579453134206992919095380009794875704197380023695, -191, 180)),
-         ((1, 482287856959474719569614960895901833151204219145415071, -190, 179),
-          (1, 227943733220329858559668684793759083755115777679275845, -190, 178)),
-         -70),
+         ((1, 109328478986638937329709300123013245968240262209191455853, -191, 187),
+          (0, 62242461632920767049241216395922479860252671048958617483, -192, 186)),
+         ((1, 2166118962025209218545823986799939837744560196866451348195, -191, 191),
+          (1, 511886455027273056747073026232017540296549178235123809317, -190, 189)),
+         191),
         ((600, "0.75", ("0.05", "-0.0125"), 256),
-         ((1, 209466848122469658206502441709897139633413299340257427134749274388668097005577285779968753553,
-           -320, 307),
-          (0, 42722218563017449120983608044363349288131966077153913668634779104952399690578689678493785979,
-           -320, 305)),
-         ((1, 1134265733643943026973103752832982420300604320991303183159188626825159725289347213110950499,
-           -318, 300),
-          (0, 9532793279631460864588195228051152083526949028217986788756874862304768638413857249408575923,
-           -320, 303)),
-         -2224),
+         ((1, 70060175293991371774939940458818893963851151165547906344257573779213524146583806177524091558329,
+           -320, 316),
+          (0, 7144629683173572992943046523689904447666858485595075886622454667311234443418771820355286350349,
+           -319, 312)),
+         ((1, 455252123233936657370351222953446917015132147252800998902468653342324775243645945736877821127831,
+           -319, 318),
+          (0, 1913054521606811502176702434033960566382130948998470083230734234421599190125106869474761949529769,
+           -320, 320)),
+         2436),
     ]
 
-    @pytest.mark.parametrize("args,prev,curr,scale", RAW)
+    @pytest.mark.parametrize("args,prev,curr,scale", RAW, ids=["n60-128bit", "n600-256bit"])
     def test_eval_f_raw(self, args, prev, curr, scale):
         n, alpha, x, prec = args
         p, c, s = exact.eval_f_raw(n, alpha, to_mpc(x, prec), prec)

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tcasym import exact, harness
 from tcasym.mpnum import ConfigError, to_mpc, to_mpf
@@ -33,6 +36,26 @@ class TestComparePoint:
         for alpha in (0, -1.5):
             rec = harness.compare_point(100, alpha, mpmath.mpc(1, 2))
             assert "exact:ConfigError" in rec.error and "asym:ConfigError" in rec.error
+
+    def test_near_axis_band_point(self):
+        # Im z = 1e-45 < 2^-128: the band point is snapped onto the axis,
+        # not turned into an asym:DomainError row
+        rec = harness.compare_point(400, 1, mpmath.mpc(1, "1e-45"))
+        assert rec.error is None and rec.region == "B" and "real-snapped" in rec.flags
+        assert rec.log_asym == harness.compare_point(400, 1, mpmath.mpc(1, 0)).log_asym
+
+    @given(log_r=st.floats(-3, math.log10(1.8)), log_theta=st.floats(-300, -2),
+           quadrant=st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]),
+           n=st.integers(2, 2000), alpha=st.floats(0.5, 2.5))
+    def test_near_axis_no_error_rows(self, log_r, log_theta, quadrant, n, alpha):
+        # origin disk and band, arg z down to 1e-300
+        r, theta = 10 ** log_r, 10 ** log_theta
+        z = (quadrant[0] * r * math.cos(theta), quadrant[1] * r * math.sin(theta))
+        rec = harness.compare_point(n, alpha, z)
+        assert rec.error is None, (z, n, alpha)
+        assert rec.region in ("origin", "B")
+        if abs(z[1]) < 2.0 ** -128:
+            assert "real-snapped" in rec.flags
 
     def test_determinism(self):
         a = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)

@@ -6,21 +6,43 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tcasym.mpnum import GUARD, DomainError, PoleError, working
+from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, to_mpc, working
 from tcasym.specfun import (
     LOGGAMMA_GUARD,
+    AiryQuartet,
     _airy_at_zero,
     _stirling_table,
     _stirling_threshold,
     _term_count,
     airy_quartet,
-    airy_series_reference,
     bernoulli_fraction,
     log_gamma_complex,
     log_gamma_real,
 )
 
 from conftest import rel_diff
+
+
+def airy_series_reference(z, prec, extra_factor: int = 4):
+    """Independent check value: the quartet from mpmath's ``airyai``/``airybi``
+    at ``extra_factor`` times the working precision."""
+    bits = bits_of(prec)
+    wp = bits * extra_factor
+    z = to_mpc(z, wp)
+    with mpmath.mp.workprec(wp):
+        vals = (mpmath.airyai(z), mpmath.airybi(z), mpmath.airyai(z, 1), mpmath.airybi(z, 1))
+    return AiryQuartet(*(to_mpc(v, prec) for v in vals))
+
+
+def bernoulli_by_binomial_sums(m_max):
+    """B_0..B_m_max by sum_{j<=k} C(k+1, j) B_j = 0, in Fractions."""
+    b = [Fraction(1)]
+    for k in range(1, m_max + 1):
+        if k % 2 == 1 and k > 1:
+            b.append(Fraction(0))
+            continue
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
 
 
 class TestBernoulli:
@@ -30,6 +52,10 @@ class TestBernoulli:
         assert bernoulli_fraction(2) == Fraction(1, 6)
         assert bernoulli_fraction(3) == 0
         assert bernoulli_fraction(12) == Fraction(-691, 2730)
+
+    def test_matches_binomial_recurrence(self):
+        # the tangent-number values against the defining recurrence, exactly
+        assert [bernoulli_fraction(m) for m in range(421)] == bernoulli_by_binomial_sums(420)
 
 
 class TestLogGamma:
