@@ -172,15 +172,18 @@ def g_prime_boundary(x, prec, upper: bool = True):
     return round_to(bits, v)
 
 
-def phi_tilde(z, prec, on_cut: str = "reject"):
+def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0):
     """Regularized phase, analytic on C \\ (-inf, 2]; real negative on (2, inf).
 
     Closed form (2/z^2 - 1) log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/(2z).
     ``on_cut='upper'``/``'lower'`` permits band points x in (0, 2) and
     returns the one-sided limit; 'reject' (default) raises near the cut.
+    ``extra`` widens the evaluation and the returned value by that many
+    bits; the cut test stays at ``prec``.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
+    work = bits + extra
     near_cut = dist_to_real_interval(z, -_INF, 2, bits) < cut_tolerance(bits)
     if near_cut and not z.real > 2:
         if on_cut == "reject":
@@ -191,17 +194,17 @@ def phi_tilde(z, prec, on_cut: str = "reject"):
             raise DomainError("phi_tilde boundary values available only for Re z > 0")
         # dedicated boundary form on the band: the limit is purely
         # imaginary, +-i [ (2/x^2 - 1) acos(x/2) + sqrt(4-x^2)/(2x) ]
-        with working(bits, GUARD + 8):
+        with working(work, GUARD + 8):
             x = z.real
             b = (2 / (x * x) - 1) * mpmath.acos(x / 2) \
                 + mpmath.sqrt((2 - x) * (2 + x)) / (2 * x)
             v = mpmath.mpc(0, b if on_cut == "upper" else -b)
-        return round_to(bits, v)
-    with working(bits, GUARD + 8):
+        return round_to(work, v)
+    with working(work, GUARD + 8):
         w = _w_root(z)
         el = mpmath.log((z + w) / 2)
         v = (2 / (z * z) - 1) * el + w / (2 * z)
-    return round_to(bits, v)
+    return round_to(work, v)
 
 
 @dataclass(frozen=True)
@@ -221,11 +224,11 @@ def phi(z, prec, half_plane: str = "auto") -> PhiValue:
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     half = _resolve_half(z, half_plane)
-    with working(bits, GUARD + 8):
-        if z.imag == 0:
-            pt = phi_tilde(z, bits + GUARD, on_cut=half) if z.real <= 2 else phi_tilde(z, bits + GUARD)
-        else:
-            pt = phi_tilde(z, bits + GUARD)
+    # phi_tilde ~ i pi / z^2 cancels to O(1): widen both by the bits lost
+    extra = max(0, 2 - 2 * mpmath.mag(z) - GUARD) if z else 0
+    with working(bits, GUARD + 8 + extra):
+        on_cut = half if z.imag == 0 and z.real <= 2 else "reject"
+        pt = phi_tilde(z, bits + GUARD, on_cut=on_cut, extra=extra)
         sgn = 1 if half == "upper" else -1
         v = pt - sgn * mpmath.pi * 1j / (z * z)
     return PhiValue(to_mpc(v, bits), half)

@@ -14,10 +14,10 @@ output bit for bit.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from . import asym, exact
 from .asym import Params
@@ -125,14 +125,14 @@ class ConvergenceFit:
 def convergence_fit(alpha, z, n_list, params: Params = None, prec=256) -> ConvergenceFit:
     """Fit the empirical convergence order at one point.
 
-    Requires at least 4 degrees; raises :class:`ConfigError` on degenerate
-    data (vanishing/failed rel_err).  Records flagged near-zero are
-    excluded; dropped-term-dominant records flag the fit instead of
-    failing it.
+    Requires at least 4 strictly increasing degrees; raises
+    :class:`ConfigError` on degenerate data (vanishing/failed rel_err).
+    Records flagged near-zero are excluded; dropped-term-dominant records
+    flag the fit instead of failing it.
     """
     n_list = tuple(int(n) for n in n_list)
-    if len(n_list) < 4 or sorted(n_list) != list(n_list):
-        raise ConfigError("n_list must be increasing with length >= 4")
+    if len(n_list) < 4 or any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("n_list must be strictly increasing with length >= 4")
     recs = [compare_point(n, alpha, z, params, prec) for n in n_list]
     flags = []
     pts = []
@@ -151,18 +151,17 @@ def convergence_fit(alpha, z, n_list, params: Params = None, prec=256) -> Conver
         pts.append((math.log(r.n), math.log(r.rel_err)))
     if len(pts) < 3:
         raise ConfigError("degenerate fit: fewer than 3 usable records after near-zero exclusion")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    xs, ys = zip(*pts)
+    slope, intercept = statistics.linear_regression(xs, ys)
+    resid = math.sqrt(statistics.fmean((y - (slope * x + intercept)) ** 2 for x, y in pts))
     region = recs[0].region
     return ConvergenceFit(
         z=recs[0].z,
         region=region,
         n_list=n_list,
         rel_errs=tuple(errs),
-        p=float(-slope),
-        c=float(math.exp(intercept)),
+        p=-slope,
+        c=math.exp(intercept),
         residual=resid,
         nu_list=tuple(lee_wong_nu(n, alpha) for n in n_list),
         flags=tuple(dict.fromkeys(flags)),

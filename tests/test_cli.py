@@ -295,6 +295,15 @@ class TestErrorsAndConfig:
         assert digits2 > digits  # default 256 bits
 
 
+def test_import_leaves_numpy_unloaded():
+    # every CLI launch and pool worker pays for what the package imports;
+    # checked on module state in a fresh interpreter, not on timing
+    code = "import sys, tcasym, tcasym.cli; print('numpy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 @pytest.mark.slow
 class TestSelftest:
     def test_selftest_passes(self):

@@ -57,6 +57,16 @@ class TestComparePoint:
         if abs(z[1]) < 2.0 ** -128:
             assert "real-snapped" in rec.flags
 
+    @pytest.mark.parametrize("x", ["1e-50", "1e-100", "1e-300"])
+    def test_origin_tiny_real_z_keeps_phase(self, x):
+        # phi_tilde and i pi/z^2 cancel to O(1) as z -> 0: at 256 bits the
+        # rel_err must match a 768-bit evaluation, not drift to O(1)
+        rec = harness.compare_point(400, 1, (x, 0), prec=256)
+        ref = harness.compare_point(400, 1, (x, 0), prec=768)
+        assert rec.error is None and rec.region == "origin"
+        assert rec.rel_err == pytest.approx(ref.rel_err, rel=1e-12)
+        assert rec.rel_err == pytest.approx(4.1675e-4, rel=1e-4)
+
     def test_determinism(self):
         a = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)
         b = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)
@@ -82,6 +92,29 @@ class TestConvergenceFit:
     def test_short_ladder_rejected(self):
         with pytest.raises(ConfigError):
             harness.convergence_fit(1, mpmath.mpc(1, 2), [100, 200, 400])
+
+    @pytest.mark.parametrize("n_list", [[100, 100, 100, 100], [100, 200, 200, 400], [800, 400, 200, 100]])
+    def test_repeated_or_decreasing_degrees_rejected(self, n_list):
+        # a repeated degree would fit an "order" to fewer distinct points
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            harness.convergence_fit(1, mpmath.mpc(1, 2), n_list)
+
+    def test_matches_closed_form_least_squares(self):
+        n_list = (100, 200, 400, 800)
+        fit = harness.convergence_fit(1, mpmath.mpc(1, 2), n_list)
+        assert not any(f.startswith("near-zero") for f in fit.flags)
+        xs = [math.log(n) for n in n_list]
+        ys = [math.log(e) for e in fit.rel_errs]
+        k = len(xs)
+        sx, sy = sum(xs), sum(ys)
+        sxx = sum(x * x for x in xs)
+        sxy = sum(x * y for x, y in zip(xs, ys))
+        slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
+        intercept = (sy - slope * sx) / k
+        resid = math.sqrt(sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys)) / k)
+        assert fit.p == pytest.approx(-slope, abs=1e-12)
+        assert fit.c == pytest.approx(math.exp(intercept), rel=1e-12)
+        assert fit.residual == pytest.approx(resid, abs=1e-12)
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(ConfigError):
