@@ -17,8 +17,9 @@ checks, orthogonality reports); ``tcasym.cli`` exposes everything on the
 command line.
 
 The package is pure Python on top of mpmath, with no compiled code: the
-exact path's complex recurrence runs in fixed-point Python-int
-arithmetic and everything else in mpmath, each loop with one fixed
+complex recurrence, the orthogonality sums with their node/mass
+generator, and log-gamma run in one fixed-point Python-int format
+(``tcasym.mpnum``), everything else in mpmath, each loop with one fixed
 operation order, so results are reproducible bit for bit.  ``BACKEND``
 names that single implementation.
 """

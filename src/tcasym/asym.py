@@ -9,10 +9,11 @@ quadrant through the parity and reflection symmetries, classifies it,
 dispatches, and undoes the reduction on the LogComplex result, so the
 symmetries hold bit for bit by construction.
 
-Real arguments are evaluated as upper-half-plane boundary values; the
-band formula there combines two conjugate oscillatory terms into a real
-value, which is asserted (imaginary residual <= 1e-8 relative) and then
-snapped onto the real axis.
+Real arguments are evaluated as upper-half-plane boundary values.  Every
+region's value there is asserted real (imaginary residual <= 1e-8
+relative) and its phase snapped to 0 or pi; only the band formula, which
+combines two conjugate oscillatory terms into that real value, flags the
+snap (``real-snapped``).
 
 Every result carries ``dropped_term_bound``: the log-magnitude of the
 largest term the formula discards, so downstream error tables can
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .auxfun import _f_tilde_from_h, _w_root, d_func, h_factor, phi
+from .auxfun import _f_tilde_from_h, _u_of, d_func, h_factor, phi
 from .mpnum import (
     GUARD,
     ConfigError,
@@ -119,16 +120,6 @@ def _log_prefactor(n, alpha, bits):
             - mpmath.log(2 * mpmath.pi) / 2)
 
 
-def _u_of(z):
-    """u = Log((z + sqrt(z^2-4))/2) = log varphi(z/2); principal branch.
-
-    On the closed first quadrant the argument never meets (-inf, 0], and
-    band-real z picks up the upper-limit value automatically.
-    """
-    w = _w_root(z)
-    return mpmath.log((z + w) / 2), w
-
-
 def _phi_first_quadrant(z, bits):
     return phi(z, bits, half_plane="upper" if z.imag == 0 else "auto").value
 
@@ -188,6 +179,8 @@ def eval_region_a(n: int, alpha, z, prec) -> AsymResult:
     _require_upper_half(z, "eval_region_a")
     w, _, _ = _leading_exponent(n, alpha, z, bits)
     value = LogComplex.from_exponent(w, bits)
+    if z.imag == 0:
+        value = _snap_real(value, bits)
     with working(bits):
         dropped = value.log_mod - mpmath.log(n)
     return AsymResult(value, RegionLabel("A"), round_to(bits, dropped))
@@ -205,6 +198,8 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     _require_upper_half(z, "eval_region_d")
     w, phv, log_pref = _leading_exponent(n, alpha, z, bits)
     value = LogComplex.from_exponent(w, bits)
+    if z.imag == 0:
+        value = _snap_real(value, bits)
     flags = ()
     with working(bits):
         logn = mpmath.log(n)

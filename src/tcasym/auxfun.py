@@ -33,6 +33,7 @@ from .mpnum import (
     ConfigError,
     DomainError,
     LogComplex,
+    _w_root,
     bits_of,
     cut_tolerance,
     dist_to_real_interval,
@@ -98,10 +99,12 @@ def density_psi(x, prec, zero_limit: bool = True):
 # Square-root and Joukowski helpers (product-principal branches)
 # ----------------------------------------------------------------------
 
-def _w_root(z):
-    """sqrt(z-2) sqrt(z+2), principal factors: analytic off [-2, 2], ~z at
-    infinity; evaluated at the caller's working precision."""
-    return mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)
+def _u_of(z):
+    """(u, w): w = sqrt(z-2) sqrt(z+2) and u = Log((z + w)/2) = log varphi(z/2),
+    at the caller's working precision.  On the closed first quadrant the
+    log's argument never meets (-inf, 0], and a band z gets the upper limit."""
+    w = _w_root(z)
+    return mpmath.log((z + w) / 2), w
 
 
 def varphi(z, prec):
@@ -145,8 +148,7 @@ def g_prime(z, prec, half_plane: str = "auto"):
         return g_prime_boundary(z.real, bits, upper=(_resolve_half(z, half_plane) == "upper"))
     half = _resolve_half(z, half_plane)
     with working(bits):
-        w = _w_root(z)
-        el = mpmath.log((z + w) / 2)
+        el, w = _u_of(z)
         sgn = 1 if half == "upper" else -1
         z3 = z * z * z
         v = 4 * el / z3 + w / (z * z) - sgn * 2 * mpmath.pi * 1j / z3
@@ -163,8 +165,7 @@ def g_prime_boundary(x, prec, upper: bool = True):
         raise DomainError("g_prime_boundary: x in {0, +-2}")
     with working(bits):
         z = mpmath.mpc(x, 0)
-        w = _w_root(z)                      # upper limit on (-2,2) by Arg convention
-        el = mpmath.log((z + w) / 2)
+        el, w = _u_of(z)  # upper limit on (-2,2) by Arg convention
         z3 = z * z * z
         v = 4 * el / z3 + w / (z * z) - 2 * mpmath.pi * 1j / z3
         if not upper:
@@ -201,8 +202,7 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0):
             v = mpmath.mpc(0, b if on_cut == "upper" else -b)
         return round_to(work, v)
     with working(work, GUARD + 8):
-        w = _w_root(z)
-        el = mpmath.log((z + w) / 2)
+        el, w = _u_of(z)
         v = (2 / (z * z) - 1) * el + w / (2 * z)
     return round_to(work, v)
 

@@ -10,20 +10,21 @@ and is orthogonal with respect to the purely discrete measure with masses
 is computed at an explicit precision; values that scale like exp(n log n)
 leave in LogComplex form.
 
-Two recurrence kernels, both in fixed point on Python ints and each with
-a fixed operation order, so results are reproducible bit for bit across
-runs, platforms and mpmath backends:
+Two recurrence kernels, both in the fixed-point format of
+``tcasym.mpnum`` (Python ints, every shift and division rounding down)
+and each with a fixed operation order, so results are reproducible bit
+for bit across runs, platforms and mpmath backends:
 
 * ``eval_f_raw``, the complex recurrence behind every exact value, run
-  division-free for g_k = k! f_k: floor shifts on a state with
-  P = bits + 64 fraction bits (more if an input needs them to convert
-  exactly), at the first-quadrant image of x, whose result maps back
-  exactly, so parity and Schwarz symmetry hold bit for bit; power-of-two
-  renormalisation every 8 steps keeps the integers near 2**P.
+  division-free for g_k = k! f_k on a state with P = bits + 64 fraction
+  bits (more if an input needs them to convert exactly), at the
+  first-quadrant image of x, whose result maps back exactly, so parity
+  and Schwarz symmetry hold bit for bit; power-of-two renormalisation
+  every 8 steps keeps the integers near 2**P.
 * ``ortho_matrix``, the real recurrence at low degree behind the
   orthogonality sums, on the same kind of state but stepping f_k itself
-  (truncating shifts and a division by k+1).  Its nodes and masses
-  come from ``_fixed_nodes_masses``, the one node/mass generator that
+  (one floor division by k+1 a step).  Its nodes and masses come from
+  ``_fixed_nodes_masses``, the one node/mass generator that
   ``iter_nodes_masses`` also rounds from, so the masses a caller sees are
   the ones the sums use.  The same per-point recurrence (``_fixed_f_real``)
   also gives the nine samples behind the tail bounds.
@@ -36,7 +37,7 @@ from math import isqrt
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, mpf_exp, mpf_log, round_nearest
+from mpmath.libmp import from_int, mpf_exp, mpf_log
 
 from .mpnum import (
     GUARD,
@@ -45,6 +46,9 @@ from .mpnum import (
     LogComplex,
     bits_of,
     cut_tolerance,
+    fixed_bits,
+    fixed_mpf,
+    fixed_raw,
     raw_fixed,
     round_to,
     to_mpc,
@@ -78,21 +82,6 @@ BLOCK_STEPS = 8  # recurrence steps between two checks of the state's size
 WINDOW_BITS = 48  # a check rescales the state once it leaves [P-48, P+48]
 
 
-def _fixed(v, P):
-    """The finite mpf ``v`` as the integer v * 2**P; exact because P >= -exp."""
-    return raw_fixed(v._mpf_, P)
-
-
-def _fixed_bits(bits, *vals):
-    """Fraction bits P of the state: bits + FIXED_GUARD, raised so that each
-    nonzero value converts to an integer exactly."""
-    P = bits + FIXED_GUARD
-    for v in vals:
-        if v:
-            P = max(P, -v._mpf_[2])
-    return P
-
-
 def _renorm(state, P, width):
     """(state, e): the ints of ``state`` times 2**-e (floor), with e the
     shift that brings their largest bit length to P, when that length lies
@@ -102,11 +91,6 @@ def _renorm(state, P, width):
         return state, 0
     e = m - P
     return (tuple(v >> e for v in state) if e > 0 else tuple(v << -e for v in state)), e
-
-
-def _from_fixed(re, im, P):
-    """The state pair re, im (scaled by 2**P) as an mpc, with no rounding."""
-    return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
 
 
 def eval_f_raw(n: int, alpha, x, prec):
@@ -143,8 +127,8 @@ def eval_f_raw(n: int, alpha, x, prec):
         raise ConfigError(f"alpha and x must be finite, got alpha={a}, x={x}")
     _check_n_alpha(n, a)
     xr, xi = x.real, x.imag
-    P = _fixed_bits(bits, a, xr, xi)
-    A, XR, XI = _fixed(a, P), abs(_fixed(xr, P)), abs(_fixed(xi, P))
+    P = fixed_bits(bits + FIXED_GUARD, a._mpf_, xr._mpf_, xi._mpf_)
+    A, XR, XI = (abs(raw_fixed(v._mpf_, P)) for v in (a, xr, xi))
     one = 1 << P
     pr, pi, cr, ci, C, scale, k = 0, 0, one, 0, A, 0, 0
     while k < n:
@@ -161,7 +145,8 @@ def eval_f_raw(n: int, alpha, x, prec):
         pr, pi, cr, ci = (pr, pi, -cr, -ci) if n % 2 else (-pr, -pi, cr, ci)
     if (xr < 0) != (xi < 0):
         pi, ci = -pi, -ci
-    return _from_fixed(pr, pi, P), _from_fixed(cr, ci, P), scale + e
+    return (mp.make_mpc((fixed_raw(pr, P), fixed_raw(pi, P))),
+            mp.make_mpc((fixed_raw(cr, P), fixed_raw(ci, P))), scale + e)
 
 
 def _log_g_over(n, alpha, x, bits, log_den):
@@ -237,7 +222,7 @@ def _node_bits(bits, a, k_max):
     bits + FIXED_GUARD + k_max.bit_length(), raised so that alpha converts
     exactly.  The mass exponents gather an error that grows like
     k * 2**-P, which the k_max.bit_length() bits absorb."""
-    return _fixed_bits(bits + k_max.bit_length(), a)
+    return fixed_bits(bits + FIXED_GUARD + k_max.bit_length(), a._mpf_)
 
 
 def _fixed_nodes_masses(A, k_max, P):
@@ -255,22 +240,14 @@ def _fixed_nodes_masses(A, k_max, P):
     """
     wp = P + NODE_LOG_GUARD
     top = 1 << (3 * P)
-    # trailing zero bits shared by every S: shifted out before from_man_exp,
-    # whose normalisation would strip them a byte at a time
-    z = min(P, (A & -A).bit_length() - 1)
     log_fact = 0
     for k in range(k_max + 1):
         S = (k << P) + A
-        log_s = raw_fixed(mpf_log(from_man_exp(S >> z, z - P), wp), P)
+        log_s = raw_fixed(mpf_log(fixed_raw(S, P), wp), P)
         if k > 1:
             log_fact += raw_fixed(mpf_log(from_int(k), wp), P)
         e = (k - 1) * log_s - (k << P) - log_fact
-        yield k, isqrt(top // S), raw_fixed(mpf_exp(from_man_exp(e, -P), wp), P)
-
-
-def _round_fixed(v, P, bits):
-    """The integer v scaled by 2**-P, rounded once to nearest at ``bits``."""
-    return mp.make_mpf(from_man_exp(v, -P, bits, round_nearest))
+        yield k, isqrt(top // S), raw_fixed(mpf_exp(fixed_raw(e, P), wp), P)
 
 
 def iter_nodes_masses(alpha, k_max: int, prec):
@@ -285,8 +262,8 @@ def iter_nodes_masses(alpha, k_max: int, prec):
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
     P = _node_bits(bits, a, k_max)
-    for k, X, M in _fixed_nodes_masses(_fixed(a, P), k_max, P):
-        yield NodeMass(k, _round_fixed(X, P, bits), _round_fixed(M, P, bits))
+    for k, X, M in _fixed_nodes_masses(raw_fixed(a._mpf_, P), k_max, P):
+        yield NodeMass(k, fixed_mpf(X, P, bits), fixed_mpf(M, P, bits))
 
 
 def nodes_masses(alpha, k_max: int, prec):
@@ -310,18 +287,11 @@ def _fixed_f_real(f, X, A, coeff, P):
     """Fill ``f[1:]`` with f_1..f_(len(f)-1) at the real point x = X * 2**-P,
     X >= 0, on integers scaled by 2**P; ``f[0]`` is 2**P and ``coeff[j]``
     is (j << P) + A.  The step is (j+1) f_(j+1) = C_j ((X f_j) >> P) >> P
-    - f_(j-1), every shift and division rounding toward zero."""
+    - f_(j-1), every shift and division rounding down."""
     if len(f) > 1:
         f[1] = (A * X) >> P
     for j in range(1, len(f) - 1):
-        # truncating shifts and divisions written out: a call per use
-        # costs about a tenth of the step
-        t = X * f[j]
-        t = t >> P if t >= 0 else -(-t >> P)
-        t = coeff[j] * t
-        t = (t >> P if t >= 0 else -(-t >> P)) - f[j - 1]
-        d = j + 1
-        f[j + 1] = t // d if t >= 0 else -(-t // d)
+        f[j + 1] = ((coeff[j] * (X * f[j] >> P) >> P) - f[j - 1]) // (j + 1)
 
 
 def _ortho_alpha(alpha, k_max, bits):
@@ -366,13 +336,13 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     ms = [m for m, _ in pairs]
     ns = [n for _, n in pairs]
     P = _node_bits(bits, a, k_max)
-    A = _fixed(a, P)
+    A = raw_fixed(a._mpf_, P)
     coeff = [(j << P) + A for j in range(max_deg)]
     f = [1 << P] * (max_deg + 1)
     acc = [0] * len(pairs)
     for _, X, M in _fixed_nodes_masses(A, k_max, P):
         _fixed_f_real(f, X, A, coeff, P)
-        g = [v * M >> P if v >= 0 else -(-v * M >> P) for v in f]
+        g = [v * M >> P for v in f]
         acc = [s + f[m] * g[n] for s, m, n in zip(acc, ms, ns)]
     sums = dict(zip(pairs, acc))
     # X is now x_(k_max), the inner end of the node set
@@ -389,9 +359,9 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
                 if (m + n) % 2 == 1:
                     out[(m, n)] = OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True)
                     continue
-                mbound = _round_fixed(2 * max(sampled[m], sampled[n]), P, bits)
+                mbound = fixed_mpf(2 * max(sampled[m], sampled[n]), P, bits)
                 tail = 4 * ea * mbound ** 2 / den
-                out[(m, n)] = OrthoSum(m, n, _round_fixed(2 * sums[(m, n)], 2 * P, bits),
+                out[(m, n)] = OrthoSum(m, n, fixed_mpf(2 * sums[(m, n)], 2 * P, bits),
                                        round_to(bits, tail), k_max, False)
     return out
 

@@ -12,6 +12,14 @@ division act exactly on the fields; addition factors out the larger modulus
 and reports a cancellation flag when the terms annihilate below
 ``2**(-bits/2)`` relative.  Every exponent becomes a LogComplex through
 :meth:`LogComplex.from_exponent` alone, so all are rounded the same way.
+
+Fixed point, shared by the three integer kernels (the complex recurrence
+and the orthogonality sums of ``tcasym.exact``, log-gamma in
+``tcasym.specfun``): v is the Python int v * 2**P.  P is raised until
+every input converts exactly (:func:`fixed_bits`, :func:`raw_fixed`; a
+logarithm taken a few bits beyond P is cut toward zero).  Every shift
+and division of a kernel's state rounds down.  A result leaves exactly
+(:func:`fixed_raw`) or rounded once to nearest (:func:`fixed_mpf`).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
@@ -96,6 +105,15 @@ def cut_tolerance(prec) -> mpmath.mpf:
     return mpmath.ldexp(mpmath.mpf(1), -(bits_of(prec) // 2))
 
 
+def fixed_bits(P, *raws):
+    """The fraction bits P, raised so that each raw finite libmp value in
+    ``raws`` converts to an integer exactly (P >= -exp)."""
+    for t in raws:
+        if t[1]:
+            P = max(P, -t[2])
+    return P
+
+
 def raw_fixed(t, P):
     """The raw finite libmp value ``t`` as the integer t * 2**P, rounded
     toward zero (exact when P >= -exp)."""
@@ -103,6 +121,19 @@ def raw_fixed(t, P):
     e = exp + P
     man = man << e if e >= 0 else man >> -e
     return -man if sign else man
+
+
+def fixed_raw(v, P):
+    """The integer v scaled by 2**-P as a raw mpf, exactly; trailing zero
+    bits are shifted out first (libmp would strip them a byte at a time)."""
+    tz = (v & -v).bit_length() - 1 if v else 0
+    return from_man_exp(v >> tz, tz - P)
+
+
+def fixed_mpf(v, P, bits):
+    """The integer v scaled by 2**-P as an mpf, rounded once to nearest at
+    ``bits``."""
+    return mp.make_mpf(from_man_exp(v, -P, bits, round_nearest))
 
 
 def raw_mpf(x):
@@ -273,6 +304,12 @@ def logc_add(a: LogComplex, b: LogComplex, prec):
 # Branch-cut-aware elementary functions
 # ----------------------------------------------------------------------
 
+def _w_root(z):
+    """sqrt(z-2) sqrt(z+2), principal factors: analytic off [-2, 2], ~z at
+    infinity; evaluated at the caller's working precision."""
+    return mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)
+
+
 def sqrt_zsq_minus4(z, prec) -> mpmath.mpc:
     """The branch of sqrt(z**2 - 4) analytic on C \\ [-2, 2] with value ~ z
     at infinity.
@@ -285,7 +322,7 @@ def sqrt_zsq_minus4(z, prec) -> mpmath.mpc:
     z = to_mpc(z, prec)
     require_off_cut(z, -2, 2, prec, "sqrt_zsq_minus4")
     with working(prec):
-        w = mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)
+        w = _w_root(z)
     return round_to(prec, w)
 
 
@@ -295,7 +332,7 @@ def sqrt_zsq_minus4_limit(x, prec, upper: bool = True) -> mpmath.mpc:
     x = to_mpf(x, prec)
     if not (-2 <= x <= 2):
         with working(prec):
-            s = mpmath.sqrt(x - 2) * mpmath.sqrt(x + 2) if x > 2 else -mpmath.sqrt(mpmath.mpf(x) ** 2 - 4)
+            s = _w_root(x) if x > 2 else -mpmath.sqrt(mpmath.mpf(x) ** 2 - 4)
         return to_mpc(s, prec)
     with working(prec):
         r = mpmath.sqrt((2 - x) * (2 + x))

@@ -16,8 +16,9 @@ no sector choice.
 log-gamma: one fixed-point kernel on Python ints, for real x > 0 (the
 pair with im = 0) and for complex z, at working width p = bits + 24
 (plus the bit length of |Re z| for complex z).  The state is (re, im)
-pairs scaled by 2^P, P = p + 32, raised so that z converts exactly.  It
-shifts z by s to u = z + s, Re u >= 10 + p/8, and forms
+pairs in the fixed-point format of ``tcasym.mpnum``, scaled by 2^P,
+P = p + 32, raised so that z converts exactly.  It shifts z by s to
+u = z + s, Re u >= 10 + p/8, and forms
 (u - 1/2) log u - u + (log 2 pi)/2 with one raw logarithm and 1/u with
 one integer division.  It sums the Stirling series by Horner in 1/u^2
 from a term count J fixed up front (the first j with
@@ -49,13 +50,15 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, from_man_exp, mpc_log, mpf_log, mpf_neg, mpf_pi, mpf_shift, to_float
+from mpmath.libmp import fzero, mpc_log, mpf_log, mpf_neg, mpf_pi, mpf_shift, to_float
 
 from .mpnum import (
     GUARD,
     DomainError,
     PoleError,
     bits_of,
+    fixed_bits,
+    fixed_raw,
     raw_fixed,
     round_to,
     to_mpc,
@@ -145,13 +148,6 @@ def _term_count(cuts, m):
     return min(bisect_right(cuts, -math.log2(m)) + 1, len(cuts))
 
 
-def _raw_from_fixed(v, P):
-    """The integer v scaled by 2**-P as a raw mpf, exactly; trailing zero
-    bits are shifted out first (libmp would strip them a byte at a time)."""
-    tz = (v & -v).bit_length() - 1 if v else 0
-    return from_man_exp(v >> tz, tz - P)
-
-
 def _horner(coeffs, WR, WI, P):
     """c_1 + w (c_2 + w (... + w c_J)) for w = (WR + i WI) 2**-P, with
     ``coeffs`` = (c_J, ..., c_1) scaled by 2**P; each step's product is
@@ -230,10 +226,7 @@ def _loggamma_shifted(z, p):
     if conj:
         zi = mpf_neg(zi)
     half_log_2pi, two_pi, coeffs, cuts = _stirling_table(p)
-    P = p + LOGGAMMA_GUARD
-    for t in (zr, zi):
-        if t[1]:
-            P = max(P, -t[2])
+    P = fixed_bits(p + LOGGAMMA_GUARD, zr, zi)
     d = P - p - LOGGAMMA_GUARD
     one = 1 << P
     wp = P + LOG_GUARD
@@ -241,7 +234,7 @@ def _loggamma_shifted(z, p):
     shift = max(0, _stirling_threshold(p) - (ZR >> P))
     UR = ZR + shift * one
     # leading part (u - 1/2) log u - u + (log 2 pi)/2
-    lr, li = mpc_log((_raw_from_fixed(UR, P), zi), wp)
+    lr, li = mpc_log((fixed_raw(UR, P), zi), wp)
     LR, LI = raw_fixed(lr, P), raw_fixed(li, P)
     AR = UR - (one >> 1)
     out_r = ((AR * LR - ZI * LI) >> P) - UR + (half_log_2pi << d)
@@ -257,17 +250,17 @@ def _loggamma_shifted(z, p):
     out_i += (SR * II + SI * IR) >> P
     if shift:
         QR, QI, e = _shift_product(ZR, ZI, shift, P)
-        lr, li = mpc_log((_raw_from_fixed(QR, e), _raw_from_fixed(QI, e)), wp)
+        lr, li = mpc_log((fixed_raw(QR, e), fixed_raw(QI, e)), wp)
         out_r -= raw_fixed(lr, P)
         out_i -= raw_fixed(li, P)
         if ZI:
             y, x = to_float(zi), to_float(zr)
             args = math.fsum(math.atan2(y, x + j) for j in range(shift))
             out_i -= round((args - to_float(li)) / (2 * math.pi)) * (two_pi << d)
-    re = _raw_from_fixed(out_r, P)
+    re = fixed_raw(out_r, P)
     if not is_complex:
         return mp.make_mpf(re)
-    return mp.make_mpc((re, _raw_from_fixed(-out_i if conj else out_i, P)))
+    return mp.make_mpc((re, fixed_raw(-out_i if conj else out_i, P)))
 
 
 def _log_sin_pi(z):

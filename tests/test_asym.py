@@ -410,6 +410,22 @@ class TestBandFormulaOriginDisk:
             assert _matches(v.value, ref.value, 256), (z, n, alpha)
 
 
+class TestRealAxisOuterRegions:
+    """Regions A and D at a real point: the value is asserted real and its
+    phase is exactly 0 or pi, at both widths, as in regions B and C."""
+
+    @given(n=st.integers(2, 1600), alpha=st.floats(0.3, 2.5), x=st.floats(2.16, 80),
+           bits=st.sampled_from([128, 256]))
+    @example(n=2, alpha=1.0, x=2.2, bits=256)  # A: phase 5.8e-83 before the snap
+    @example(n=200, alpha=1.0, x=4.0, bits=256)  # D: 12 pi plus a residue before
+    def test_phase_zero_or_pi(self, n, alpha, x, bits):
+        v = eval_asym(n, alpha, (x, 0), PARAMS, bits)
+        assert v.region.tag in ("A", "D")
+        assert "real-snapped" not in v.flags
+        with mp.workprec(bits):
+            assert v.value.phase == 0 or v.value.phase == +mpmath.pi, (n, alpha, x)
+
+
 class TestRegionCLargeDegree:
     """Region C where |Im tau|, tau = alpha pi - n pi/z^2, is in the
     hundreds: Ai cos tau and Bi sin tau are each about e^|Im tau| times

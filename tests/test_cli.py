@@ -62,6 +62,15 @@ ORTHO_ALPHA1_DEG4_K20000 = (
 ACCEPTANCE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1,-2;1,-2"
 ACCEPTANCE_CSV_SHA256 = "da971174a82b8d8a76b353b7c270715dd4e525ccae8850684667c79b9cbdba39"
 
+# SHA-256 of the stdout of two `ortho` runs: every sum and tail bound of
+# the whole matrix, recorded before the real kernel moved to floor shifts
+ORTHO_SHA256 = [
+    (["--alpha", "1", "--max-deg", "4", "--kmax", "20000"],
+     "38ee82593258b276eb433216723689a2469750cb9c6a634672cc999586438096"),
+    (["--alpha", "2.3", "--max-deg", "7", "--kmax", "3000", "--prec", "192"],
+     "3873c7a2aa3139d2ddbb1e7796caec575517520cb6690da567acd7267f175711"),
+]
+
 EVAL_KEYS = ["mode", "n", "alpha", "z_re", "z_im", "log_mod", "phase",
              "value_re", "value_im", "dropped_term_bound"]
 
@@ -249,6 +258,12 @@ class TestRegionsAndOrtho:
                                       "--kmax", "20000"])
         assert code == 0
         assert out == ORTHO_ALPHA1_DEG4_K20000
+
+    @pytest.mark.parametrize("args, digest", ORTHO_SHA256)
+    def test_ortho_matrix_sha256_pinned(self, capsys, args, digest):
+        code, out = run_main(capsys, ["ortho"] + args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestErrorsAndConfig:

@@ -6,7 +6,17 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from tcasym import exact
-from tcasym.mpnum import ConfigError, DomainError, round_to, to_mpc, to_mpf, working
+from tcasym.mpnum import (
+    ConfigError,
+    DomainError,
+    fixed_bits,
+    fixed_raw,
+    raw_fixed,
+    round_to,
+    to_mpc,
+    to_mpf,
+    working,
+)
 
 from conftest import logc_rel_err, rel_diff
 
@@ -205,10 +215,11 @@ class TestFixedPointKernel:
         bits = 128
         a = to_mpf("3.3e-31", bits)
         x = to_mpc(("1.7e-40", "-2.9e-41"), bits)
-        P = exact._fixed_bits(bits, a, x.real, x.imag)
+        raws = a._mpf_, x.real._mpf_, x.imag._mpf_
+        P = fixed_bits(bits + exact.FIXED_GUARD, *raws)
         assert P > bits + exact.FIXED_GUARD
-        for v in (a, x.real, x.imag):
-            assert mpmath.libmp.from_man_exp(exact._fixed(v, P), -P) == v._mpf_
+        for t in raws:
+            assert fixed_raw(raw_fixed(t, P), P) == t
         # f_0 = 1 and f_1 = alpha x to the state's 2^-P resolution
         fp, fc, scale = exact.eval_f_raw(1, a, x, bits)
         assert scale == 0 and fp == 1

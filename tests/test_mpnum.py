@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from tcasym.mpnum import (
     ConfigError,
@@ -10,11 +11,15 @@ from tcasym.mpnum import (
     LogComplex,
     Precision,
     bits_of,
+    fixed_bits,
+    fixed_mpf,
+    fixed_raw,
     logc_add,
     logc_div,
     logc_mul,
     logc_pow,
     pow_principal,
+    raw_fixed,
     round_to,
     sqrt_zsq_minus4,
     to_mpc,
@@ -32,6 +37,30 @@ class TestPrecision:
             bits_of(16)
         assert bits_of(Precision(128)) == 128
         assert bits_of(192) == 192
+
+
+class TestFixedPoint:
+    """The fixed-point format of the integer kernels: a raw mpf converts to
+    an int at P = fixed_bits(...) fraction bits and back without loss, and
+    an int leaves rounded once to nearest."""
+
+    @given(man=st.integers(-(1 << 300), 1 << 300), exp=st.integers(-3000, 3000),
+           P0=st.integers(0, 400))
+    @example(man=3, exp=-3000, P0=128)  # tiny: P rises to 3000
+    @example(man=-((1 << 300) - 1), exp=2500, P0=64)  # huge and negative
+    @example(man=0, exp=0, P0=64)
+    def test_round_trip_exact(self, man, exp, P0):
+        t = from_man_exp(man, exp)
+        P = fixed_bits(P0, t)
+        assert P >= P0 and (not man or P >= -t[2])
+        assert fixed_raw(raw_fixed(t, P), P) == t
+
+    @given(v=st.integers(-(1 << 700), 1 << 700), P=st.integers(0, 800),
+           bits=st.integers(64, 320))
+    @example(v=(1 << 200) + 1, P=100, bits=64)  # below half an ulp: rounds down
+    @example(v=3 << 64, P=3, bits=64)  # exactly representable
+    def test_fixed_mpf_correctly_rounded(self, v, P, bits):
+        assert fixed_mpf(v, P, bits) == mpmath.fdiv(v, 1 << P, prec=bits, rounding="n")
 
 
 class TestSqrtZsqMinus4:
