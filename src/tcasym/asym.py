@@ -120,10 +120,6 @@ def _log_prefactor(n, alpha, bits):
             - mpmath.log(2 * mpmath.pi) / 2)
 
 
-def _phi_first_quadrant(z, bits):
-    return phi(z, bits, half_plane="upper" if z.imag == 0 else "auto").value
-
-
 def _quarter_root_log(z):
     """log of (z^2-4)^(-1/4) with product-principal factors."""
     return -(mpmath.log(z - 2) + mpmath.log(z + 2)) / 4
@@ -135,11 +131,11 @@ def _leading_exponent(n, alpha, z, bits):
 
     Returns the exponent, phi(z) and the log-prefactor."""
     a = to_mpf(alpha, bits)
-    dd = d_func(n, alpha, z, bits + GUARD, half_plane="upper" if z.imag == 0 else "auto")
+    dd = d_func(n, alpha, z, bits + GUARD, half_plane="upper")
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = _phi_first_quadrant(z, bits + GUARD)
+        phv = phi(z, bits + GUARD, half_plane="upper").value
         log_pref = _log_prefactor(n, alpha, bits)
         w = (log_pref - mpmath.mpc(dd.log_mod, dd.phase)
              + _quarter_root_log(z) + p * u - n * phv
@@ -230,7 +226,7 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = _phi_first_quadrant(z, bits + GUARD)
+        phv = phi(z, bits + GUARD, half_plane="upper").value
         ipi = mpmath.mpc(0, mpmath.pi)
         wc = _log_prefactor(n, alpha, bits) + _quarter_root_log(z)
         w1 = p * u - n * phv - a * ipi + ipi / 2
@@ -347,8 +343,10 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
     Returns (z1, label): z1 is z after parity (negated when Re z < 0) and
     then Schwarz conjugation (when Im < 0), and ``label`` holds the region
     of z1 and the two reductions.  A band or origin-disk z1 with Re z1 > 0
-    and 0 < Im z1 < 2^-(bits/2), where the band formula would refuse it as
-    on its cut, is snapped onto the axis (flagged real-snapped there).
+    and 0 < Im z1 < 2^-(bits/2) min(1, |z1|), where the band formula would
+    refuse it as on its cut, is snapped onto the axis (flagged real-snapped
+    there); below |z1| = 1 the tolerance is relative, so a tiny z1 is not
+    moved by O(|z1|).
     Nothing is evaluated.
     """
     bits = bits_of(prec)
@@ -370,8 +368,9 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
         conjugated = z1.imag < 0
         if conjugated:
             z1 = mpmath.conj(z1)
+        near_axis = 0 < z1.imag < cut_tolerance(bits) * min(1, abs(z1))
     tag = classify_region(z1, n, alpha, params, bits)
-    if tag in ("B", "origin") and z1.real > 0 and 0 < z1.imag < cut_tolerance(bits):
+    if tag in ("B", "origin") and z1.real > 0 and near_axis:
         z1 = to_mpc(z1.real, bits)
         tag = classify_region(z1, n, alpha, params, bits)
     return z1, RegionLabel(tag, negated, conjugated)

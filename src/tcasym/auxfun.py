@@ -3,9 +3,10 @@
 Contents: the limiting zero density psi (band |x| <= 2, saturated
 2/|x|^3 outside), the explicit derivative of the logarithmic potential,
 the regularized phase functions phi-tilde / phi / phi-hat, the conformal
-turning-point map, the Gamma-ratio D-functions with their algebraic E
-prefactors, the node-counting trio (theta, gamma, Pi), and the Joukowski
-inverse varphi.
+turning-point map (its cofactor h is the closed form in phi-tilde, at a
+width widened by the bits that form cancels near 2, with no cache), the
+Gamma-ratio D-functions with their algebraic E prefactors, the
+node-counting trio (theta, gamma, Pi), and the Joukowski inverse varphi.
 
 Branch discipline: every power/log is a principal branch of an explicit
 factor, chosen so each function is analytic exactly off its stated cut.
@@ -17,16 +18,10 @@ and refuse real inputs otherwise.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_rational
 
 from .mpnum import (
     GUARD,
@@ -185,7 +180,9 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0):
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     work = bits + extra
-    near_cut = dist_to_real_interval(z, -_INF, 2, bits) < cut_tolerance(bits)
+    # relative to |z| below 1, so that a tiny z is not taken for a cut point
+    with working(bits):
+        near_cut = dist_to_real_interval(z, -_INF, 2, bits) < cut_tolerance(bits) * min(1, abs(z))
     if near_cut and not z.real > 2:
         if on_cut == "reject":
             raise DomainError(f"phi_tilde: z={z} on or too close to the cut (-inf, 2]")
@@ -202,9 +199,15 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0):
             v = mpmath.mpc(0, b if on_cut == "upper" else -b)
         return round_to(work, v)
     with working(work, GUARD + 8):
-        el, w = _u_of(z)
-        v = (2 / (z * z) - 1) * el + w / (2 * z)
+        v = _phi_tilde_off_cut(z)
     return round_to(work, v)
+
+
+def _phi_tilde_off_cut(z):
+    """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde off its cut, at
+    the caller's working precision (u, w as in :func:`_u_of`)."""
+    el, w = _u_of(z)
+    return (2 / (z * z) - 1) * el + w / (2 * z)
 
 
 @dataclass(frozen=True)
@@ -253,88 +256,36 @@ def phi_hat(z, prec):
 F_TILDE_RADIUS = 0.5
 
 
-def _h_taylor_terms():
-    """Yield the exact Taylor coefficients c_0 = 1, c_1 = -29/40, ... of h at 2.
-
-    With t = z - 2: arccosh(1 + t/2) = sqrt(t) F(t), F = 2F1(1/2, 1/2; 3/2; -t/4),
-    and sqrt(z^2 - 4) = 2 sqrt(t) S(t), S = sqrt(1 + t/4).  Hence
-    phi_tilde = sqrt(t) G(t) with G = (2F + (2+t) S)/(2+t)^2 - F, and
-    h = -(3/2) G(t)/t.  h is analytic on |z-2| < 2: G has a double pole at
-    t = -2 (z = 0), and F, S branch only at t = -4.  Dividing a series by
-    (2+t) is the recurrence 2 y_k + y_(k-1) = x_k, so each term costs O(1)
-    rational operations.
-    """
-    f, s, s_prev = Fraction(1), Fraction(1), Fraction(0)
-    y1 = y2 = Fraction(0)  # (2F + (2+t) S) / (2+t), then / (2+t)^2
-    k = 0
-    while True:
-        y1 = (2 * f + 2 * s + s_prev - y1) / 2
-        y2 = (y1 - y2) / 2
-        if k:  # G_0 = 0
-            yield Fraction(-3, 2) * (y2 - f)
-        s_prev = s
-        f *= Fraction(-(2 * k + 1) ** 2, 8 * (2 * k + 3) * (k + 1))
-        s *= Fraction(1 - 2 * k, 8 * (k + 1))
-        k += 1
-
-
-def _h_terms(q: float, work: int) -> int:
-    """Fewest Taylor terms m of h whose dropped tail is <= 2^-work at
-    |z-2| <= 2q, for 0 <= q <= 1/4.
-
-    |F_k|, |S_k| <= 4^-k and the coefficients of (2+t)^-2 are bounded by
-    (k+1) 2^-k / 4, so |c_k| <= (3k + 7) 2^-k, and the tail after m terms is
-    at most (4m + 11) q^m.  |h| > 0.7 on |z-2| <= 1/2, so the relative
-    truncation error stays below 2^(1-work).
-    """
-    if q == 0:
-        return 1
-    lq = math.log2(q)
-    m = math.ceil(work / -lq)
-    while math.log2(4 * m + 11) + m * lq > -work:
-        m += 1
-    return m
-
-
-_H_EXACT: list[Fraction] = []  # exact c_k, extended on demand and shared by every width
-_H_TERMS = _h_taylor_terms()     # the generator that extends _H_EXACT
-_H_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=8)
-def _h_coeffs(work: int):
-    """The c_k rounded to ``work`` bits, as many as |z-2| < 1/2 needs."""
-    m = _h_terms(F_TILDE_RADIUS / 2, work)
-    with _H_LOCK:
-        if len(_H_EXACT) < m:
-            _H_EXACT.extend(islice(_H_TERMS, m - len(_H_EXACT)))
-        exact = _H_EXACT[:m]
-    with mp.workprec(work):
-        return tuple(mpmath.mpf(from_rational(c.numerator, c.denominator, work, "n")) for c in exact)
-
-
 def h_factor(z, prec):
-    """h(z) with h(2) = 1, the analytic cofactor in the factorization of the
-    turning-point map; a Taylor series in z - 2 (|z-2| < 0.5) with exact
-    rational coefficients, truncated where the tail bound of
-    :func:`_h_terms` at |z-2| drops below the working precision."""
+    """h(z) = -(3/2) phi_tilde(z) (z-2)^(-3/2), with h(2) = 1: the analytic
+    cofactor in the factorization of the turning-point map, on |z-2| < 0.5.
+
+    The closed form, evaluated at the upper-half-plane image of z (the branch
+    jumps of phi_tilde and of (z-2)^(3/2) cancel across the band, so this is
+    the analytic continuation) and conjugated back; real on the real axis.
+    phi_tilde = O(|t|^(3/2)), t = z - 2, is formed from O(|t|^(1/2)) terms,
+    and u = log varphi(z/2) is the log of 1 + O(|t|^(1/2)): together they
+    lose up to 1.5 log2(1/|t|) bits, which the working width adds back.
+    """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
+    lower = z.imag < 0
     with mp.workprec(bits):
-        outside = abs(z - 2) >= F_TILDE_RADIUS
+        zu = mpmath.conj(z) if lower else z
+        t = zu - 2  # exact once Re z lies in (1.5, 2.5)
+        outside = abs(t) >= F_TILDE_RADIUS
     if outside:
         raise DomainError(f"h_factor: |z-2| must be < {F_TILDE_RADIUS}")
-    work = bits + GUARD + 8
-    coeffs = _h_coeffs(work)
-    with mp.workprec(work):
-        u = z - 2
-        # q rounded up past float error, and at most the disk edge checked above
-        q = min(float(abs(u)) / 2 * (1 + 2.0 ** -40), F_TILDE_RADIUS / 2)
-        m = _h_terms(q, work)
-        acc = mpmath.mpc(0)
-        for c in reversed(coeffs[:m]):
-            acc = acc * u + c
-    return round_to(bits, acc)
+    if t == 0:
+        return mpmath.mpc(1)
+    extra = (3 * max(0, -mpmath.mag(t)) + 1) // 2  # ceil(1.5 max(0, -mag t))
+    with working(bits + extra, GUARD + 8):
+        v = mpmath.mpf(-1.5) * _phi_tilde_off_cut(zu) / (t * mpmath.sqrt(t))
+    with mp.workprec(bits):
+        v = +v  # conj rounds only the imaginary part
+        if z.imag == 0:
+            return mpmath.mpc(v.real)
+        return mpmath.conj(v) if lower else v
 
 
 def f_tilde_n(n: int, z, prec):

@@ -32,7 +32,8 @@ def random_mpc(rng, re_range=(-4, 4), im_range=(-4, 4)):
 
 
 # Property tests stay deterministic and short: fixed examples per test, no
-# per-example deadline (a cold coefficient fill can be slow on a busy host),
-# and no example database written into the working tree.
+# per-example deadline (a first call at a new width, such as a cold
+# log-gamma coefficient cache, can be slow on a busy host), and no example
+# database written into the working tree.
 settings.register_profile("tcasym", derandomize=True, deadline=None, max_examples=25, database=None)
 settings.load_profile("tcasym")

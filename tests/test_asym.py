@@ -346,11 +346,14 @@ class TestDispatcher:
             z1, label = locate(50, 1, z, PARAMS, 256)
             assert z1.imag == 0 and label == v.region
         # at or above the tolerance nothing moves, nor on the imaginary
-        # axis, where snapping would land on the excluded z = 0
+        # axis, where snapping would land on the excluded z = 0; there the
+        # tolerance is relative to |z|, so 1e-45 i is off the cut and evaluated
         z1, _ = locate(50, 1, mpmath.mpc("0.1", "1e-30"), PARAMS, 256)
         assert z1.imag > 0
-        with pytest.raises(DomainError, match="cut"):
-            eval_asym(50, 1, mpmath.mpc(0, "1e-45"), PARAMS, 256)
+        z = mpmath.mpc(0, "1e-45")
+        v, ref = eval_asym(50, 1, z, PARAMS, 256), eval_asym(50, 1, z, PARAMS, 1024)
+        assert v.flags == () and v.region == ref.region
+        assert logc_rel_err(ref.value, v.value, 1024) < mpmath.ldexp(1, -240)
 
     @pytest.mark.parametrize("alpha, z", [
         (1, mpmath.mpc("nan", 0)),

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import mpmath
 import pytest
 from hypothesis import given
@@ -229,7 +227,7 @@ class TestTurningPointMap:
             assert a.real - b.real == 0 and a.imag + b.imag == 0
 
     def test_series_matches_closed_form(self, rng):
-        # the cached-series h against the raw ratio, off the band segment
+        # h_factor against the raw ratio at a wider ambient width, off the band segment
         for _ in range(15):
             z = mpmath.mpc(2 + rng.uniform(-0.4, 0.4), rng.choice([1, -1]) * rng.uniform(0.02, 0.3))
             hs = h_factor(z, 192)
@@ -274,28 +272,24 @@ def _disk_point(r, theta):
 class TestHSeries:
     @pytest.mark.parametrize("bits", [128, 192, 256, 288])
     def test_accurate_at_disk_edge(self, bits, rng):
-        # |z-2| in [0.4, 0.49]: the term count must follow the true radius 2
+        # |z-2| in [0.4, 0.49], the far side of the disk from the cancellation at 2
         for _ in range(6):
             theta = rng.choice([1, -1]) * rng.uniform(0.05, 3.09)
             z = _disk_point(rng.uniform(0.4, 0.49), theta)
             assert _h_rel_err(z, bits) <= mpmath.ldexp(1, -(bits - 4))
 
     def test_leading_coefficients(self):
-        # by hand, to O(t^2): 2F + (2+t)S = 4 + 7t/6 + 19t^2/160, (2+t)^-2 = (1 - t + 3t^2/4)/4
-        # and F = 1 - t/24 + 3t^2/640 give G = -2t/3 + 29t^2/60, so h = 1 - 29t/40
-        coeffs = auxfun._h_coeffs(512)
-        assert auxfun._H_EXACT[:2] == [1, Fraction(-29, 40)]
-        with working(512, 0):
-            assert coeffs[0] == 1 and coeffs[1] == mpmath.mpf(-29) / 40
-
-    def test_coefficient_majorant(self):
-        # |c_k| <= (3k + 7) 2^-k underlies the tail bound; the ratios
-        # c_k / c_(k+1) tend to -2, the double pole at z = 0
-        auxfun._h_coeffs(512)
-        c = auxfun._H_EXACT
-        assert len(c) >= 250
-        assert all(abs(ck) * 2**k <= 3 * k + 7 for k, ck in enumerate(c))
-        assert -2.02 < c[-2] / c[-1] < -1.98
+        # by hand, to O(t^2), with F = arccosh(1 + t/2)/sqrt(t) = 1 - t/24 + 3t^2/640
+        # and S = sqrt(1 + t/4): 2F + (2+t)S = 4 + 7t/6 + 19t^2/160 and
+        # (2+t)^-2 = (1 - t + 3t^2/4)/4 give phi_tilde = sqrt(t) (-2t/3 + 29t^2/60),
+        # so h = 1 - 29t/40 + O(t^2), and |c_k| <= (3k + 7) 2^-k bounds the rest
+        # by 4|t|^2.  This close to 2 the closed form cancels about
+        # 1.5 log2(1/|t|) bits, which h_factor's widened width must restore
+        with working(256, 0):
+            for t in (2**-100, -2**-100, 2**-200, -2**-200, 2**-100 * 1j):
+                t = mpmath.mpc(t)
+                err = abs(h_factor(2 + t, 256) - (1 - 29 * t / 40))
+                assert err <= 4 * abs(t) ** 2 + mpmath.ldexp(1, -252), t
 
     @given(r=_RADII, theta=st.floats(-3.1, 3.1), bits=_WIDTHS)
     def test_schwarz_bit_for_bit(self, r, theta, bits):
@@ -311,33 +305,6 @@ class TestHSeries:
     def test_matches_closed_form(self, r, theta, sign, bits):
         z = _disk_point(max(r, 1e-3), sign * theta)
         assert _h_rel_err(z, bits) <= mpmath.ldexp(1, -(bits - 4))
-
-    def test_rounding_cache_bounded(self):
-        assert auxfun._h_coeffs.cache_info().maxsize is not None
-
-    def test_exact_coefficients_shared_across_widths(self, monkeypatch):
-        drawn = []
-
-        def counting():
-            for c in auxfun._h_taylor_terms():
-                drawn.append(c)
-                yield c
-
-        monkeypatch.setattr(auxfun, "_H_EXACT", [])
-        monkeypatch.setattr(auxfun, "_H_TERMS", counting())
-        auxfun._h_coeffs.cache_clear()
-        try:
-            z = mpmath.mpc("2.1", "0.05")
-            h_factor(z, 272)
-            first = list(auxfun._H_EXACT)
-            h_factor(z, 288)
-        finally:
-            auxfun._h_coeffs.cache_clear()
-        need = auxfun._h_terms(0.25, 288 + 24)
-        assert len(first) == auxfun._h_terms(0.25, 272 + 24) < need
-        # the 288-bit call only extended the 272-bit list: no term computed twice
-        assert len(drawn) == len(auxfun._H_EXACT) == need
-        assert all(a is b for a, b in zip(first, auxfun._H_EXACT))
 
 
 class TestDFunctions:

@@ -9,10 +9,19 @@ import pytest
 from tcasym import cli
 
 RUN = [sys.executable, "-m", "tcasym.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, as
+    the pytest ``pythonpath`` setting gives the test process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
+    env = subprocess_env()
     env.pop("TCASYM_PREC", None)
     if env_extra:
         env.update(env_extra)
@@ -61,6 +70,11 @@ ORTHO_ALPHA1_DEG4_K20000 = (
 # recorded when the origin disk moved to the band formula
 ACCEPTANCE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1,-2;1,-2"
 ACCEPTANCE_CSV_SHA256 = "da971174a82b8d8a76b353b7c270715dd4e525ccae8850684667c79b9cbdba39"
+
+# SHA-256 of the stdout of a region-C `compare`: a 4 x 3 grid around the
+# turning point 2 at n = 400 and 6400, recorded while h was a Taylor series
+REGION_C_GRID = "1.87:2.13:4,0:0.13:3"
+REGION_C_CSV_SHA256 = "b874e169a9999826f0eccf657643ac66b3766c1c63d599d75c56b8eb578ab53c"
 
 # SHA-256 of the stdout of two `ortho` runs: every sum and tail bound of
 # the whole matrix, recorded before the real kernel moved to floor shifts
@@ -197,6 +211,14 @@ class TestCompare:
         assert len(out.encode()) == 8392
         assert hashlib.sha256(out.encode()).hexdigest() == ACCEPTANCE_CSV_SHA256
 
+    def test_region_c_csv_pinned(self, capsys):
+        # the acceptance list has one C point; this grid has 20 C rows, disk edge included
+        code, out = run_main(capsys, ["compare", "--n-list", "400,6400", "--alpha", "1",
+                                      "--prec", "256", "--grid", REGION_C_GRID])
+        assert code == 0
+        assert [r.split(",")[4] for r in out.split("\n")[1:-1]].count("C") == 20
+        assert hashlib.sha256(out.encode()).hexdigest() == REGION_C_CSV_SHA256
+
     def test_negative_point_values(self, capsys):
         # "-1,-2" as the value of --z, --z-list and --grid, not an option
         code, out = run_main(capsys, ["eval", "--mode", "asym", "--n", "100", "--alpha", "1",
@@ -314,7 +336,7 @@ def test_import_leaves_numpy_unloaded():
     # every CLI launch and pool worker pays for what the package imports;
     # checked on module state in a fresh interpreter, not on timing
     code = "import sys, tcasym, tcasym.cli; print('numpy' in sys.modules)"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
 

@@ -54,8 +54,18 @@ class TestComparePoint:
         rec = harness.compare_point(n, alpha, z)
         assert rec.error is None, (z, n, alpha)
         assert rec.region in ("origin", "B")
-        if abs(z[1]) < 2.0 ** -128:
+        if abs(z[1]) < 2.0 ** -128 * min(1.0, r):
             assert "real-snapped" in rec.flags
+
+    def test_tiny_z_off_axis_not_snapped(self):
+        # Im z = 1e-50 is below 2^-128 but not below 2^-128 |z|: the point is
+        # off the cut relative to its size and must not be moved onto the
+        # axis, which changed |z| by O(1) relative and gave rel_err 0.7071
+        rec = harness.compare_point(101, 1.5, (1e-50, 1e-50), prec=256)
+        ref = harness.compare_point(101, 1.5, (1e-50, 1e-50), prec=768)
+        assert rec.error is None and rec.region == "origin" and "real-snapped" not in rec.flags
+        assert rec.rel_err == pytest.approx(ref.rel_err, rel=1e-12)
+        assert rec.rel_err == pytest.approx(0.005278971619283551, rel=1e-12)
 
     @pytest.mark.parametrize("x", ["1e-50", "1e-100", "1e-300"])
     def test_origin_tiny_real_z_keeps_phase(self, x):
