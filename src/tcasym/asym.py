@@ -34,9 +34,9 @@ from .mpnum import (
     DomainError,
     LogComplex,
     bits_of,
-    cut_tolerance,
     logc_add,
     logc_mul,
+    near_cut,
     round_to,
     to_mpc,
     to_mpf,
@@ -368,7 +368,7 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
         conjugated = z1.imag < 0
         if conjugated:
             z1 = mpmath.conj(z1)
-        near_axis = 0 < z1.imag < cut_tolerance(bits) * min(1, abs(z1))
+        near_axis = z1.imag > 0 and near_cut(z1, -mpmath.inf, mpmath.inf, bits)
     tag = classify_region(z1, n, alpha, params, bits)
     if tag in ("B", "origin") and z1.real > 0 and near_axis:
         z1 = to_mpc(z1.real, bits)

@@ -31,7 +31,7 @@ from .mpnum import (
     _w_root,
     bits_of,
     cut_tolerance,
-    dist_to_real_interval,
+    near_cut,
     require_off_cut,
     round_to,
     to_mpc,
@@ -180,10 +180,7 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0):
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     work = bits + extra
-    # relative to |z| below 1, so that a tiny z is not taken for a cut point
-    with working(bits):
-        near_cut = dist_to_real_interval(z, -_INF, 2, bits) < cut_tolerance(bits) * min(1, abs(z))
-    if near_cut and not z.real > 2:
+    if near_cut(z, -_INF, 2, bits) and not z.real > 2:
         if on_cut == "reject":
             raise DomainError(f"phi_tilde: z={z} on or too close to the cut (-inf, 2]")
         if on_cut not in ("upper", "lower"):
@@ -242,8 +239,7 @@ def phi_hat(z, prec):
     C \\ [-2, inf), equal to phi_tilde(-z) there, real negative on (-inf, -2)."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    if dist_to_real_interval(z, -2, _INF, bits) < cut_tolerance(bits):
-        raise DomainError(f"phi_hat: z={z} on or too close to the cut [-2, inf)")
+    require_off_cut(z, -2, _INF, bits, "phi_hat")
     with mp.workprec(bits):
         zn = -z
     return phi_tilde(zn, bits)
@@ -316,6 +312,25 @@ def _half_log_twopi():
     return mpmath.log(2 * mpmath.pi) / 2
 
 
+def _d_width(n: int, z, bits: int) -> int:
+    """Working width of the D-functions: ``bits``, widened at tiny z.  Their
+    exponents' terms grow like |s log s| <= 2**(mag s + 10), s = n/z^2,
+    while the exponent stays O(1); past 2**GUARD the terms would cost the
+    exponent its absolute accuracy, and s the fraction that sets the Gamma
+    factor's phase, so the width grows by the excess."""
+    return bits + max(0, n.bit_length() + 10 - 2 * mpmath.mag(z) - GUARD) if z else bits
+
+
+def _d_log(w, wb, bits) -> LogComplex:
+    """exp(w) for a D-function exponent w computed at width ``wb``; when
+    widened, its phase, of size |s|, is first reduced mod 2 pi at that
+    width, as no rounding to ``bits`` would keep it."""
+    if wb > bits:
+        with working(wb, GUARD + 8):
+            w -= 2j * mpmath.pi * mpmath.nint(w.imag / (2 * mpmath.pi))
+    return LogComplex.from_exponent(w, bits)
+
+
 def d_func(n: int, alpha, z, prec, half_plane: str = "auto") -> LogComplex:
     """D(z): Gamma(alpha - n/z^2) e^(-n/z^2) (-n/z^2)^(n/z^2-alpha+1/2) / sqrt(2 pi),
     with -1/z^2 read as e^(+-i pi)/z^2 on the upper/lower half-plane."""
@@ -323,20 +338,20 @@ def d_func(n: int, alpha, z, prec, half_plane: str = "auto") -> LogComplex:
     z = to_mpc(z, bits)
     half = _resolve_half(z, half_plane)
     a = to_mpf(alpha, bits)
-    with working(bits, GUARD + 8):
+    wb = _d_width(n, z, bits)
+    with working(wb, GUARD + 8):
         s = n / (z * z)
         sgn = 1 if half == "upper" else -1
         log_m = mpmath.log(mpmath.mpf(n)) + sgn * mpmath.pi * 1j - 2 * mpmath.log(z)
-        w = log_gamma_complex(a - s, bits + GUARD) - s - _half_log_twopi() + (s - a + mpmath.mpf(1) / 2) * log_m
-    return LogComplex.from_exponent(w, bits)
+        w = log_gamma_complex(a - s, wb + GUARD) - s - _half_log_twopi() + (s - a + mpmath.mpf(1) / 2) * log_m
+    return _d_log(w, wb, bits)
 
 
 def d_tilde_func(n: int, alpha, z, prec) -> LogComplex:
     """D-tilde(z): analytic and nonzero on C \\ (-inf, 0]; -> 1 for large n."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    if dist_to_real_interval(z, -_INF, 0, bits) < cut_tolerance(bits):
-        raise DomainError(f"d_tilde_func: z={z} on or too close to the cut (-inf, 0]")
+    require_off_cut(z, -_INF, 0, bits, "d_tilde_func")
     return _d_reflected(n, alpha, z, 1, bits)
 
 
@@ -344,8 +359,7 @@ def d_hat_func(n: int, alpha, z, prec) -> LogComplex:
     """D-hat(z): analytic on C \\ [0, inf); branch via arg(-z) in (-pi, pi)."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    if dist_to_real_interval(z, 0, _INF, bits) < cut_tolerance(bits):
-        raise DomainError(f"d_hat_func: z={z} on or too close to the cut [0, inf)")
+    require_off_cut(z, 0, _INF, bits, "d_hat_func")
     return _d_reflected(n, alpha, z, -1, bits)
 
 
@@ -353,11 +367,12 @@ def _d_reflected(n: int, alpha, z, sign: int, bits: int) -> LogComplex:
     """D-tilde (sign 1) or D-hat (sign -1): the power (n/z^2)^(s-alpha+1/2),
     s = n/z^2, takes its log as log n - 2 Log(sign z); callers check the cut."""
     a = to_mpf(alpha, bits)
-    with working(bits, GUARD + 8):
+    wb = _d_width(n, z, bits)
+    with working(wb, GUARD + 8):
         s = n / (z * z)
         log_p = mpmath.log(mpmath.mpf(n)) - 2 * mpmath.log(sign * z)
-        w = _half_log_twopi() - log_gamma_complex(1 + s - a, bits + GUARD) - s + (s - a + mpmath.mpf(1) / 2) * log_p
-    return LogComplex.from_exponent(w, bits)
+        w = _half_log_twopi() - log_gamma_complex(1 + s - a, wb + GUARD) - s + (s - a + mpmath.mpf(1) / 2) * log_p
+    return _d_log(w, wb, bits)
 
 
 @dataclass(frozen=True)
@@ -376,10 +391,7 @@ def d_triple(n: int, alpha, z, prec) -> DTriple:
     on the upper/lower half-plane."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    with mp.workprec(bits):
-        on_axis = abs(z.imag) < cut_tolerance(bits)
-    if on_axis:
-        raise DomainError("d_triple: z must be off the real axis")
+    require_off_cut(z, -_INF, _INF, bits, "d_triple")
     return DTriple(
         d_func(n, alpha, z, bits),
         d_tilde_func(n, alpha, z, bits),
@@ -404,8 +416,7 @@ def e_func(alpha, z, prec) -> LogComplex:
     p = mpmath.mpf(1) / 2 - a
     if p != 0:
         for lo, hi in ((-_INF, -2), (2, _INF)):
-            if dist_to_real_interval(z, lo, hi, bits) < cut_tolerance(bits):
-                raise DomainError(f"e_func: z={z} on or too close to a cut")
+            require_off_cut(z, lo, hi, bits, "e_func")
     with working(bits, GUARD):
         w = _e_prefactor(a, bits) + p * (mpmath.log(2 - z) + mpmath.log(z + 2))
     return LogComplex.from_exponent(w, bits)
@@ -417,8 +428,8 @@ def e_tilde_func(alpha, z, prec) -> LogComplex:
     z = to_mpc(z, bits)
     a = to_mpf(alpha, bits)
     p = mpmath.mpf(1) / 2 - a
-    if p != 0 and dist_to_real_interval(z, -_INF, 2, bits) < cut_tolerance(bits):
-        raise DomainError(f"e_tilde_func: z={z} on or too close to the cut (-inf, 2)")
+    if p != 0:
+        require_off_cut(z, -_INF, 2, bits, "e_tilde_func")
     with working(bits, GUARD):
         w = _e_prefactor(a, bits) + p * (mpmath.log(z - 2) + mpmath.log(z + 2))
     return LogComplex.from_exponent(w, bits)
@@ -431,8 +442,8 @@ def e_hat_func(alpha, z, prec) -> LogComplex:
     z = to_mpc(z, bits)
     a = to_mpf(alpha, bits)
     p = mpmath.mpf(1) / 2 - a
-    if p != 0 and dist_to_real_interval(z, -2, _INF, bits) < cut_tolerance(bits):
-        raise DomainError(f"e_hat_func: z={z} on or too close to the cut (-2, inf)")
+    if p != 0:
+        require_off_cut(z, -2, _INF, bits, "e_hat_func")
     with working(bits, GUARD):
         w = _e_prefactor(a, bits) + p * (mpmath.log(-z - 2) + mpmath.log(2 - z))
     return LogComplex.from_exponent(w, bits)

@@ -49,6 +49,14 @@ def _default_prec() -> int:
     return 256
 
 
+def _bits(prec, default=None) -> int:
+    """The --prec value when given (0 included, which ``bits_of`` rejects),
+    else ``default``, else $TCASYM_PREC or 256."""
+    if prec is None:
+        prec = _default_prec() if default is None else default
+    return bits_of(prec)
+
+
 def _fmt_float(x) -> str:
     return repr(float(x))
 
@@ -183,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    bits = bits_of(args.prec if args.prec else _default_prec())
+    bits = _bits(args.prec)
     params = Params(delta=args.delta, eps=args.eps)
     zre, zim = _parse_z(args.z)
     z = to_mpc((zre, zim), bits)
@@ -251,7 +259,7 @@ def _compare_task(task):
 
 
 def _cmd_compare(args) -> int:
-    bits = bits_of(args.prec if args.prec else _default_prec())
+    bits = _bits(args.prec)
     if (args.grid is None) == (args.z_list is None):
         raise ConfigError("exactly one of --grid / --z-list is required")
     pts = _parse_grid(args.grid) if args.grid else _parse_z_list(args.z_list)
@@ -296,7 +304,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    bits = bits_of(args.prec if args.prec else _default_prec())
+    bits = _bits(args.prec)
     params = Params(delta=args.delta, eps=args.eps)
     zre, zim = _parse_z(args.z)
     z = to_mpc((zre, zim), bits)
@@ -318,7 +326,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_ortho(args) -> int:
-    bits = bits_of(args.prec if args.prec else 128)
+    bits = _bits(args.prec, 128)
     alpha = to_mpf(args.alpha, bits)
     if not alpha > 0:
         raise ConfigError("alpha must be > 0")
@@ -456,7 +464,7 @@ def _selftest_checks(bits):
 
 
 def _cmd_selftest(args) -> int:
-    bits = bits_of(args.prec if args.prec else 128)
+    bits = _bits(args.prec, 128)
     failures = 0
     for name, fn in _selftest_checks(bits):
         try:

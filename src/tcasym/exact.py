@@ -26,8 +26,11 @@ for bit across runs, platforms and mpmath backends:
   (one floor division by k+1 a step).  Its nodes and masses come from
   ``_fixed_nodes_masses``, the one node/mass generator that
   ``iter_nodes_masses`` also rounds from, so the masses a caller sees are
-  the ones the sums use.  The same per-point recurrence (``_fixed_f_real``)
-  also gives the nine samples behind the tail bounds.
+  the ones the sums use.  It takes no logarithm or exponential per node:
+  each mass is an integer power of k + alpha (binary powering) times a
+  running product for e^-k / k!, floored to P + 8 bits.  The same
+  per-point recurrence (``_fixed_f_real``) also gives the nine samples
+  behind the tail bounds.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from math import isqrt
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_exp, mpf_log
+from mpmath.libmp import from_int, mpf_exp, round_floor
 
 from .mpnum import (
     GUARD,
@@ -214,14 +217,15 @@ def weight_wd(alpha, z, prec) -> LogComplex:
     return LogComplex.from_exponent(w, bits)
 
 
-NODE_LOG_GUARD = 8  # bits of the node logarithms and exponentials beyond P
+MASS_GUARD = 8  # mantissa bits of the mass factors beyond P
 
 
 def _node_bits(bits, a, k_max):
     """Fraction bits P of the node/mass generator and the ortho kernel:
     bits + FIXED_GUARD + k_max.bit_length(), raised so that alpha converts
-    exactly.  The mass exponents gather an error that grows like
-    k * 2**-P, which the k_max.bit_length() bits absorb."""
+    exactly.  The masses carry a relative error that grows like
+    k * 2**-(P+8) (``_fixed_nodes_masses``), which the k_max.bit_length()
+    bits absorb."""
     return fixed_bits(bits + FIXED_GUARD + k_max.bit_length(), a._mpf_)
 
 
@@ -230,24 +234,56 @@ def _fixed_nodes_masses(A, k_max, P):
     by 2**P, where A is alpha scaled by 2**P.
 
     With S = (k << P) + A, which is exact, X = isqrt(2**(3P) // S) is
-    2**P x_k rounded down.  log s and log k come from raw ``mpf_log`` at
-    P + NODE_LOG_GUARD bits and are kept as integers scaled by 2**P with
-    an error below two units each, so the exponent
-    (k-1) log s - k - sum_{j<=k} log j is off by less than 4k units; raw
-    ``mpf_exp`` turns it into the mass, whose relative error is therefore
-    below 4k * 2**-P (plus one unit from the final truncation).  Nothing
+    2**P x_k rounded down.  At k = 0, M = 2**(2P) // S is the mass 1/alpha.
+    From k = 1 on, mass_k = s^(k-1) r_k with s = k + alpha and
+    r_k = e^-k / k!, and no node takes a logarithm or an exponential.
+    Both factors are floating ints, a mantissa times a power of two, and
+    every product is floored to Q = P + MASS_GUARD bits; with u = 2**-Q:
+
+    * r_k = r_(k-1) E / k, with E = floor(e^-1 2**Q) from one raw
+      ``mpf_exp`` per call, off by under e u relative.  A step floors the
+      exact r_(k-1) E / k once, losing under 2u, so r_k is off by under
+      (e + 2) k u.
+    * s^(k-1) = S^(k-1) 2**(-P(k-1)) comes from left-to-right binary
+      powering of S, every multiply by S itself, so the base carries no
+      rounding.  A square doubles the error carried so far and each floor
+      adds under 2u; by induction on the exponent j, S^j is off by under
+      4(j-1) u, that is 4(k-2) u.
+
+    Every floor rounds down and the error factors multiply, so M, the
+    floor of the mantissa product times 2**(exponent + P), is off from
+    2**P mass_k by under 9k u = 9k 2**-(P+8) relative (below
+    0.036 k 2**-P), plus under one unit from that last floor.  Nothing
     here touches the mpmath context.
     """
-    wp = P + NODE_LOG_GUARD
+    Q = P + MASS_GUARD
     top = 1 << (3 * P)
-    log_fact = 0
-    for k in range(k_max + 1):
-        S = (k << P) + A
-        log_s = raw_fixed(mpf_log(fixed_raw(S, P), wp), P)
-        if k > 1:
-            log_fact += raw_fixed(mpf_log(from_int(k), wp), P)
-        e = (k - 1) * log_s - (k << P) - log_fact
-        yield k, isqrt(top // S), raw_fixed(mpf_exp(fixed_raw(e, P), wp), P)
+    one = 1 << P
+    S = A
+    yield 0, isqrt(top // S), (one << P) // S
+    if k_max < 1:
+        return
+    E = raw_fixed(mpf_exp(from_int(-1), Q + 16, round_floor), Q)
+    S += one
+    yield 1, isqrt(top // S), E >> MASS_GUARD
+    rm, re = E, -Q  # r_k = rm 2**re
+    for k in range(2, k_max + 1):
+        S += one
+        t = rm * E // k
+        sh = t.bit_length() - Q
+        rm, re = t >> sh, re + sh - Q
+        pm, pe = S, 0  # S^j = pm 2**pe, j the prefix of k-1 read so far
+        for bit in bin(k - 1)[3:]:
+            pm *= pm
+            sh = pm.bit_length() - Q
+            pm, pe = pm >> sh, 2 * pe + sh
+            if bit == "1":
+                pm *= S
+                sh = pm.bit_length() - Q
+                pm, pe = pm >> sh, pe + sh
+        M = pm * rm
+        sh = pe + re - P * (k - 2)
+        yield k, isqrt(top // S), M << sh if sh >= 0 else M >> -sh
 
 
 def iter_nodes_masses(alpha, k_max: int, prec):
@@ -316,8 +352,9 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     ``_fixed_nodes_masses``.  Per node, ``_fixed_f_real`` gives
     f_0..f_max_deg at x_k; g_n = (f_n M) >> P; and each even pair
     accumulates f_m g_n exactly, at scale 2**(2P).  Each summand is off by
-    a relative 4k * 2**-P from its mass (the exponent error of the
-    generator) plus a few units of 2**-P per recurrence step, so over
+    under a relative 9k * 2**-(P+8) and one unit of 2**-P from its mass
+    (the generator's bound) plus a few units of 2**-P per recurrence
+    step, so over
     k <= k_max < 2**k_max.bit_length() the sum is off by
     O(2**-(bits + 60)) relative to the sum of |summands|; it leaves as
     2 * acc * 2**(-2P), rounded once to ``prec`` bits.

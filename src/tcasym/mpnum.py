@@ -170,9 +170,18 @@ def dist_to_real_interval(z, lo, hi, prec=128) -> mpmath.mpf:
         return mpmath.hypot(dx, y)
 
 
+def near_cut(z, lo, hi, prec) -> bool:
+    """Whether ``z`` lies on the real segment [lo, hi] or within
+    2**-(bits/2) * min(1, |z|) of it: relative to |z| below 1, so that a
+    tiny z off the cut is not taken for a cut point."""
+    d = dist_to_real_interval(z, lo, hi, prec)
+    with working(prec):
+        return d == 0 or d < cut_tolerance(prec) * min(1, abs(mpmath.mpc(z)))
+
+
 def require_off_cut(z, lo, hi, prec, what: str):
-    """Raise :class:`DomainError` if ``z`` is within cut tolerance of [lo,hi]."""
-    if dist_to_real_interval(z, lo, hi, prec) < cut_tolerance(prec):
+    """Raise :class:`DomainError` if ``z`` is near the cut [lo, hi] (:func:`near_cut`)."""
+    if near_cut(z, lo, hi, prec):
         raise DomainError(f"{what}: z={z} lies on or too close to the cut [{lo}, {hi}]")
 
 
@@ -316,7 +325,7 @@ def sqrt_zsq_minus4(z, prec) -> mpmath.mpc:
 
     Computed as sqrt(z-2)*sqrt(z+2) with principal square roots: the two
     cut contributions cancel on (-inf, -2), leaving exactly the segment
-    [-2, 2] as the cut.  Points within ``2**(-bits/2)`` of the cut raise
+    [-2, 2] as the cut.  Points near the cut (:func:`near_cut`) raise
     :class:`DomainError` rather than silently picking a side.
     """
     z = to_mpc(z, prec)

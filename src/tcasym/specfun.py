@@ -271,13 +271,17 @@ def _log_sin_pi(z):
     mirrored for Im z < 0.  Real z uses the upper-half limit.  The factor
     1 - e^{2 pi i z} only sees z minus its nearest integer k (an exact
     subtraction) and comes from expm1, so it keeps its relative accuracy
-    as z approaches the pole at k.
+    as z approaches the pole at k.  Once |e^{2 pi i z}| < e^-prec, the
+    factor's log is below the working precision and is taken as 0 (expm1
+    would build an integer of about 2 pi |Im z| bits).
     """
     ipi = mpmath.mpc(0, mpmath.pi)
     w = z - mpmath.nint(z.real)
+    t = 2 * ipi * w if z.imag >= 0 else -2 * ipi * w
+    tail = 0 if t.real < -mp.prec else mpmath.log(-mpmath.expm1(t))
     if z.imag >= 0:
-        return -mpmath.log(2) + ipi / 2 - ipi * z + mpmath.log(-mpmath.expm1(2 * ipi * w))
-    return -mpmath.log(2) - ipi / 2 + ipi * z + mpmath.log(-mpmath.expm1(-2 * ipi * w))
+        return -mpmath.log(2) + ipi / 2 - ipi * z + tail
+    return -mpmath.log(2) - ipi / 2 + ipi * z + tail
 
 
 def log_gamma_complex(z, prec):

@@ -26,7 +26,7 @@ from tcasym.auxfun import (
     varphi,
     varphi_limit,
 )
-from tcasym.mpnum import DomainError, PoleError, working
+from tcasym.mpnum import DomainError, PoleError, sqrt_zsq_minus4, to_mpc, working
 from tcasym.specfun import log_gamma_real
 
 from conftest import rel_diff
@@ -368,6 +368,66 @@ class TestDFunctions:
         # allowed: d_tilde on (0, inf), d_hat on (-inf, 0)
         d_tilde_func(50, 1, mpmath.mpf("2.5"), 128)
         d_hat_func(50, 1, mpmath.mpf("-2.5"), 128)
+
+
+def _close_logc(v, w, tol):
+    """Each part of LogComplex v within tol * max(1, |w|) of w's."""
+    scale = max(1, abs(w.log_mod), abs(w.phase))
+    return abs(v.log_mod - w.log_mod) <= tol * scale and abs(v.phase - w.phase) <= tol * scale
+
+
+class TestTinyZ:
+    """The cut tests scale with |z| below 1 (2^-(bits/2) min(1, |z|)), so a
+    tiny z far off a cut relative to its size evaluates; the D-functions
+    widen themselves there, their exponents' terms growing like |s log s|,
+    s = n/z^2."""
+
+    TINY = mpmath.mpf("1e-45")
+
+    def test_points_evaluate_as_at_1024_bits(self):
+        tol = mpmath.ldexp(1, -240)
+        y = to_mpc(mpmath.mpc(0, self.TINY), 256)
+        w = to_mpc(mpmath.mpc(self.TINY, self.TINY), 256)
+        with mp.workprec(1100):
+            assert _close_logc(d_tilde_func(50, 1, y, 256), d_tilde_func(50, 1, y, 1024), tol)
+            v, ref = phi_hat(y, 256), phi_hat(y, 1024)
+            assert abs(v - ref) <= tol * abs(ref)
+            for v, ref in zip(vars(d_triple(50, 1, w, 256)).values(), vars(d_triple(50, 1, w, 1024)).values()):
+                assert _close_logc(v, ref, tol)
+
+    @pytest.mark.parametrize("turn", ["0.5", "-0.5", "0.25", "-0.25"])
+    def test_d_identity(self, turn):
+        # the selftest identity D-tilde = D (1 - e^(-+2 i theta)) at |z| = 1e-45
+        # on the right half-plane, where D-tilde stays O(1); theta = n pi/z^2
+        # - pi alpha is of size 1e92, so the test forms it at 1500 bits
+        with mp.workprec(256):
+            z = self.TINY * mpmath.expjpi(mpmath.mpf(turn))
+        t = d_triple(50, 1, z, 256)
+        with working(1500):
+            th = 50 * mpmath.pi / (z * z) - mpmath.pi
+            sgn = 1 if z.imag > 0 else -1
+            d, dt = t.d.to_complex(1500), t.d_tilde.to_complex(1500)
+            assert abs(dt - d * (1 - mpmath.exp(-sgn * 2j * th))) <= mpmath.ldexp(abs(dt), -200)
+
+    def test_scaled_tolerance_still_raises(self):
+        # within 2^-128 |z| of the cut at 256 bits: raised; 2^-120 |z| off: evaluated
+        near, off = mpmath.ldexp(self.TINY, -140), mpmath.ldexp(self.TINY, -120)
+        cases = [
+            (lambda z: d_tilde_func(50, 1, z, 256), -self.TINY),
+            (lambda z: d_hat_func(50, 1, z, 256), self.TINY),
+            (lambda z: phi_hat(z, 256), self.TINY),
+            (lambda z: d_triple(50, 1, z, 256), self.TINY),
+            (lambda z: e_tilde_func(mpmath.mpf("0.8"), z, 256), self.TINY),
+            (lambda z: e_hat_func(mpmath.mpf("0.8"), z, 256), self.TINY),
+            (lambda z: sqrt_zsq_minus4(z, 256), self.TINY),
+        ]
+        for f, x in cases:
+            for eps in (0, near, -near):
+                with pytest.raises(DomainError):
+                    f(to_mpc(mpmath.mpc(x, eps), 256))
+            f(to_mpc(mpmath.mpc(x, off), 256))
+        with pytest.raises(DomainError):
+            d_tilde_func(50, 1, 0, 256)
 
 
 class TestEFunctions:

@@ -319,6 +319,20 @@ class TestErrorsAndConfig:
         assert err["type"] == "config"
         assert "expected one argument" not in err["message"]
 
+    @pytest.mark.parametrize("args", [
+        ["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0"],
+        ["compare", "--n-list", "50", "--alpha", "1", "--z-list", "1,2"],
+        ["regions", "--n", "50", "--alpha", "1", "--z", "1,2"],
+        ["ortho", "--alpha", "1", "--max-deg", "2", "--kmax", "50"],
+        ["selftest"],
+    ])
+    def test_prec_zero_is_config_error(self, capsys, args):
+        # 0 is a given precision, not "use the default"
+        code, out = run_main(capsys, args + ["--prec", "0"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err == {"type": "config", "message": "precision must be >= 64 bits, got 0"}
+
     def test_env_precision_override(self):
         r = run_cli(["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0",
                      "--rescaled", "false"], env_extra={"TCASYM_PREC": "128"})

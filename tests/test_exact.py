@@ -1,9 +1,11 @@
+from math import isqrt
+
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_int, from_man_exp, mpf_exp, mpf_log
 
 from tcasym import exact
 from tcasym.mpnum import (
@@ -441,6 +443,96 @@ class TestOrthoKernel:
             assert nm.k == k
             assert nm.x._mpf_ == round_to(128, mp.make_mpf(from_man_exp(X, -P)))._mpf_
             assert nm.mass._mpf_ == round_to(128, mp.make_mpf(from_man_exp(M, -P)))._mpf_
+
+
+def log_exp_generator(A, k_max, P):
+    """Independent oracle: the node/mass generator as a logarithm and an
+    exponential per node, raw ``mpf_log``/``mpf_exp`` at P + 8 bits, with
+    the exponent (k-1) log s - k - log k! summed on integers scaled by 2**P."""
+    wp = P + 8
+    top = 1 << (3 * P)
+    log_fact = 0
+    for k in range(k_max + 1):
+        S = (k << P) + A
+        log_s = raw_fixed(mpf_log(fixed_raw(S, P), wp), P)
+        if k > 1:
+            log_fact += raw_fixed(mpf_log(from_int(k), wp), P)
+        e = (k - 1) * log_s - (k << P) - log_fact
+        yield k, isqrt(top // S), raw_fixed(mpf_exp(fixed_raw(e, P), wp), P)
+
+
+def _dyadic(lo_exp, hi):
+    """alpha = m 2**e, m odd below 2**12, from 2**lo_exp up to ``hi``."""
+    return st.builds(lambda m, e: mpmath.ldexp(2 * m + 1, e),
+                     st.integers(0, 2 ** 11 - 1), st.integers(lo_exp - 12, 20)) \
+        .filter(lambda a: mpmath.ldexp(1, lo_exp) <= a <= hi)
+
+
+class TestNodeMassGenerator:
+    """``_fixed_nodes_masses`` against independent oracles."""
+
+    @settings(max_examples=4)
+    @given(alpha=_dyadic(-100, 10 ** 6), k_max=st.integers(1, 3000), bits=st.integers(64, 256))
+    @example(alpha=mpmath.ldexp(1, -100), k_max=3000, bits=64)
+    @example(alpha=mpmath.mpf(10 ** 6), k_max=3000, bits=256)
+    def test_within_stated_bound(self, alpha, k_max, bits):
+        # |M - 2**P mass_k| < 9k 2**-(P+8) 2**P mass_k + 1, mass_k from
+        # loggamma at P + 64 bits (its own error is far below 2**-(P+8))
+        a = to_mpf(alpha, bits)
+        assert a == alpha
+        P = exact._node_bits(bits, a, k_max)
+        with mp.workprec(P + 64):
+            scale = mpmath.ldexp(1, P)
+            for k, X, M in exact._fixed_nodes_masses(raw_fixed(a._mpf_, P), k_max, P):
+                s = k + a
+                true = mpmath.exp((k - 1) * mpmath.log(s) - k - mpmath.loggamma(k + 1)) * scale
+                slack = (9 * k * mpmath.ldexp(1, -(P + 8)) + mpmath.ldexp(1, -(P + 56))) * true + 1
+                assert abs(M - true) < slack, (k, M, true)
+                assert X == isqrt((1 << (3 * P)) // ((k << P) + raw_fixed(a._mpf_, P)))
+
+    # the grid that rounded values of the two generators must agree on:
+    # nodes, pair sums and tail bounds, over moderate, tiny and large alpha
+    GRID = [(a, 3000, 5000, 7, 128) for a in ("1", "0.5", "1.5", "2.3", "0.731", "2.4999")] \
+        + [(a, 3000, 3000, 4, 192) for a in ("1", "0.5", "1.5", "2.3", "0.731", "2.4999")] \
+        + [(a, 3000, 3000, 4, b) for a in ("1e-30", "1e6", "0.000123") for b in (128, 192)] \
+        + [("7.25", 3000, 3000, 4, 64), pytest.param("1", 100000, 0, 0, 128, marks=pytest.mark.slow)]
+
+    @pytest.mark.parametrize("alpha, k_nodes, k_sums, max_deg, bits", GRID)
+    def test_rounded_values_match_log_exp_oracle(self, monkeypatch, alpha, k_nodes, k_sums, max_deg, bits):
+        def rounded():
+            nodes = [(nm.x._mpf_, nm.mass._mpf_) for nm in exact.iter_nodes_masses(alpha, k_nodes, bits)]
+            sums = {} if not k_sums else {
+                p: (s.value._mpf_, s.tail_bound._mpf_)
+                for p, s in exact.ortho_matrix(alpha, max_deg, k_sums, bits).items()}
+            return nodes, sums
+
+        new = rounded()
+        monkeypatch.setattr(exact, "_fixed_nodes_masses", log_exp_generator)
+        assert rounded() == new
+
+    def test_no_per_node_transcendental(self, monkeypatch):
+        # every raw libmp function exact imports, counted: one mpf_exp per
+        # generator run is allowed, one per node is not
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        patched = [name for name, fn in vars(exact).items()
+                   if name.startswith(("mpf_", "mpc_")) and callable(fn)]
+        assert "mpf_exp" in patched and "mpf_log" not in patched
+        for name in patched:
+            monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
+        for a in ("1", "0.731", "1e-30"):
+            calls.clear()
+            exact.nodes_masses(a, 2000, 128)
+            assert len(calls) <= 1, calls
+            calls.clear()
+            exact.ortho_matrix(a, 4, 2000, 128)
+            assert len(calls) <= 1, calls
 
 
 class TestGoldenBits:
