@@ -464,15 +464,19 @@ def theta_gamma_pi(n: int, alpha, z, prec):
     """theta = n pi / z^2 - pi alpha, gamma = -2 n pi / z^3, Pi = sin(theta)/gamma.
 
     Pi vanishes at every rescaled node sqrt(n)(k+alpha)^(-1/2), where the
-    normalized slope [sin theta]'/gamma equals (-1)^k.
+    normalized slope [sin theta]'/gamma equals (-1)^k.  At tiny z, theta
+    is formed at the D-functions' width (``_d_width``) and, as in
+    ``_d_log``, reduced mod 2 pi there before its sine is taken.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     if z == 0:
         raise DomainError("theta_gamma_pi: pole at z = 0")
     a = to_mpf(alpha, bits)
-    with working(bits, GUARD):
+    wb = _d_width(n, z, bits)
+    with working(wb, GUARD):
         th = n * mpmath.pi / (z * z) - mpmath.pi * a
         gz = -2 * n * mpmath.pi / (z * z * z)
-        pi_z = mpmath.sin(th) / gz
+        t = th - 2 * mpmath.pi * mpmath.nint(th.real / (2 * mpmath.pi)) if wb > bits else th
+        pi_z = mpmath.sin(t) / gz
     return round_to(bits, th), round_to(bits, gz), round_to(bits, pi_z)

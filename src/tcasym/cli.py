@@ -57,6 +57,13 @@ def _bits(prec, default=None) -> int:
     return bits_of(prec)
 
 
+def _alpha(text, bits):
+    """--alpha rounded to ``bits``; a config error unless finite and > 0."""
+    alpha = to_mpf(text, bits)
+    exact._check_n_alpha(0, alpha)
+    return alpha
+
+
 def _fmt_float(x) -> str:
     return repr(float(x))
 
@@ -195,9 +202,7 @@ def _cmd_eval(args) -> int:
     params = Params(delta=args.delta, eps=args.eps)
     zre, zim = _parse_z(args.z)
     z = to_mpc((zre, zim), bits)
-    alpha = to_mpf(args.alpha, bits)
-    if not alpha > 0:
-        raise ConfigError("alpha must be > 0")
+    alpha = _alpha(args.alpha, bits)
     out = {
         "mode": args.mode,
         "n": args.n,
@@ -271,9 +276,7 @@ def _cmd_compare(args) -> int:
         raise ConfigError("--n-list must contain degrees >= 1")
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    alpha = to_mpf(args.alpha, bits)
-    if not alpha > 0:
-        raise ConfigError("alpha must be > 0")
+    alpha = _alpha(args.alpha, bits)
     Params(delta=args.delta, eps=args.eps)  # validate eps < delta up front
 
     zs = [to_mpc(p, bits) for p in pts]
@@ -308,7 +311,7 @@ def _cmd_regions(args) -> int:
     params = Params(delta=args.delta, eps=args.eps)
     zre, zim = _parse_z(args.z)
     z = to_mpc((zre, zim), bits)
-    alpha = to_mpf(args.alpha, bits)
+    alpha = _alpha(args.alpha, bits)
     if z == 0:
         raise DomainError("z = 0 is excluded")
     _, label = asym.locate(args.n, alpha, z, params, bits)
@@ -327,9 +330,7 @@ def _cmd_regions(args) -> int:
 
 def _cmd_ortho(args) -> int:
     bits = _bits(args.prec, 128)
-    alpha = to_mpf(args.alpha, bits)
-    if not alpha > 0:
-        raise ConfigError("alpha must be > 0")
+    alpha = _alpha(args.alpha, bits)
     rep = harness.ortho_report(alpha, args.max_deg, args.kmax, bits)
     out = {
         "alpha": rep.alpha,

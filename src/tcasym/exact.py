@@ -16,11 +16,11 @@ and each with a fixed operation order, so results are reproducible bit
 for bit across runs, platforms and mpmath backends:
 
 * ``eval_f_raw``, the complex recurrence behind every exact value, run
-  division-free for g_k = k! f_k on a state with P = bits + 64 fraction
-  bits (more if an input needs them to convert exactly), at the
-  first-quadrant image of x, whose result maps back exactly, so parity
-  and Schwarz symmetry hold bit for bit; power-of-two renormalisation
-  every 8 steps keeps the integers near 2**P.
+  division-free for g_k = k! f_k, one complex product a step, on a state
+  with P = bits + 64 fraction bits (more if an input needs them to
+  convert exactly), at the first-quadrant image of x, whose result maps
+  back exactly, so parity and Schwarz symmetry hold bit for bit;
+  power-of-two renormalisation every 8 steps keeps the integers near 2**P.
 * ``ortho_matrix``, the real recurrence at low degree behind the
   orthogonality sums, on the same kind of state but stepping f_k itself
   (one floor division by k+1 a step).  Its nodes and masses come from
@@ -103,13 +103,14 @@ def eval_f_raw(n: int, alpha, x, prec):
     k g_(k-1), g_(-1) = 0, g_0 = 1, needs no division.  The state is four
     ints (Re and Im of g_(k-1), g_k) scaled by 2**P, P = bits + FIXED_GUARD,
     raised so that Re x, Im x and alpha (rounded to ``prec`` bits) convert
-    exactly to X, A.  With C_k = (k << P) + A, one add per step, a step is
-    t = (X g_k) >> P (complex product), g_(k+1) = ((C_k t) >> P) - k g_(k-1),
-    every ``>>`` a floor shift: below one unit of error in t, below
-    k+alpha+1 units in g_(k+1).  The loop runs at |Re x| + i |Im x|, and
-    its state is mapped exactly: conjugated when one of Re x, Im x is
-    negative, g_k negated for odd k when Re x < 0.  Parity and Schwarz
-    symmetry therefore hold bit for bit, whatever the rounding.
+    exactly to X, A.  A step g_(k+1) = ((Y_k g_k) >> P) - k g_(k-1) is one
+    complex product (four big-int products), every ``>>`` a floor shift, by
+    Y_k = k X + ((A X) >> P), two adds a step, which is (k+alpha) x 2**P to
+    within one unit: each part of g_(k+1) is off by under
+    1 + (|Re g_k| + |Im g_k|) 2**-P units.  The loop runs at
+    |Re x| + i |Im x|, and its state is mapped exactly: conjugated when one
+    of Re x, Im x is negative, g_k negated for odd k when Re x < 0.  Parity
+    and Schwarz symmetry therefore hold bit for bit, whatever the rounding.
 
     Every BLOCK_STEPS = 8 steps, a state whose largest bit length has left
     [P-48, P+48] (WINDOW_BITS) is shifted back to P, the exponent accreted
@@ -132,14 +133,13 @@ def eval_f_raw(n: int, alpha, x, prec):
     xr, xi = x.real, x.imag
     P = fixed_bits(bits + FIXED_GUARD, a._mpf_, xr._mpf_, xi._mpf_)
     A, XR, XI = (abs(raw_fixed(v._mpf_, P)) for v in (a, xr, xi))
-    one = 1 << P
-    pr, pi, cr, ci, C, scale, k = 0, 0, one, 0, A, 0, 0
+    YR, YI = A * XR >> P, A * XI >> P
+    pr, pi, cr, ci, scale, k = 0, 0, 1 << P, 0, 0, 0
     while k < n:
         for j in range(k, min(k + BLOCK_STEPS, n)):
-            tr = (XR * cr - XI * ci) >> P
-            ti = (XR * ci + XI * cr) >> P
-            pr, pi, cr, ci = cr, ci, (C * tr >> P) - j * pr, (C * ti >> P) - j * pi
-            C += one
+            pr, pi, cr, ci = (cr, ci, ((YR * cr - YI * ci) >> P) - j * pr,
+                              ((YR * ci + YI * cr) >> P) - j * pi)
+            YR, YI = YR + XR, YI + XI
         k = j + 1
         (pr, pi, cr, ci), e = _renorm((pr, pi, cr, ci), P, WINDOW_BITS)
         scale += e

@@ -26,7 +26,7 @@ from tcasym.auxfun import (
     varphi,
     varphi_limit,
 )
-from tcasym.mpnum import DomainError, PoleError, sqrt_zsq_minus4, to_mpc, working
+from tcasym.mpnum import DomainError, PoleError, round_to, sqrt_zsq_minus4, to_mpc, working
 from tcasym.specfun import log_gamma_real
 
 from conftest import rel_diff
@@ -497,6 +497,27 @@ class TestThetaGammaPi:
     def test_pole_at_zero(self):
         with pytest.raises(DomainError):
             theta_gamma_pi(10, 1, 0, 128)
+
+    @pytest.mark.parametrize("z", [mpmath.mpc(0, "1e-45"), mpmath.mpc("1e-45", 0)])
+    def test_tiny_z_as_at_1500_bits(self, z):
+        # theta is of size 1.6e92 there: at bits + GUARD its sine would be noise
+        z = to_mpc(z, 256)
+        _, _, piz = theta_gamma_pi(50, 1, z, 256)
+        _, _, ref = theta_gamma_pi(50, 1, z, 1500)
+        with mp.workprec(1600):
+            assert abs(piz - ref) <= mpmath.ldexp(abs(ref), -240)
+
+    @pytest.mark.parametrize("z", ["1.7", "0.9+0.4j", "-2.5+0.01j", "0.6-1.2j"])
+    def test_plain_formula_where_not_widened(self, z):
+        # where _d_width adds nothing, the values are the formula's at bits + GUARD
+        n, a, bits = 60, mpmath.mpf("1.25"), 256
+        z = to_mpc(mpmath.mpmathify(z), bits)
+        assert auxfun._d_width(n, z, bits) == bits
+        with working(bits):
+            th = n * mpmath.pi / (z * z) - mpmath.pi * a
+            gz = -2 * n * mpmath.pi / (z * z * z)
+            want = th, gz, mpmath.sin(th) / gz
+        assert theta_gamma_pi(n, a, z, bits) == tuple(round_to(bits, v) for v in want)
 
 
 class TestVarphi:

@@ -76,6 +76,12 @@ ACCEPTANCE_CSV_SHA256 = "da971174a82b8d8a76b353b7c270715dd4e525ccae8850684667c79
 REGION_C_GRID = "1.87:2.13:4,0:0.13:3"
 REGION_C_CSV_SHA256 = "b874e169a9999826f0eccf657643ac66b3766c1c63d599d75c56b8eb578ab53c"
 
+# SHA-256 of the stdout of a high-degree `compare`: eight points over all
+# five regions at n = 1000..2500, where the exact path runs longest;
+# recorded before the recurrence step moved to one complex product
+HIGH_DEGREE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1.3,-0.1;1.9,0.12;0.9,0"
+HIGH_DEGREE_CSV_SHA256 = "e22dc9899678737e9a3794ad891fbf8bde90386d8bc3173d27447655b148f8bf"
+
 # SHA-256 of the stdout of two `ortho` runs: every sum and tail bound of
 # the whole matrix, recorded before the real kernel moved to floor shifts
 ORTHO_SHA256 = [
@@ -219,6 +225,13 @@ class TestCompare:
         assert [r.split(",")[4] for r in out.split("\n")[1:-1]].count("C") == 20
         assert hashlib.sha256(out.encode()).hexdigest() == REGION_C_CSV_SHA256
 
+    def test_high_degree_csv_pinned(self, capsys):
+        code, out = run_main(capsys, ["compare", "--n-list", "1000,1500,2000,2500",
+                                      "--alpha", "1.234", "--z-list", HIGH_DEGREE_Z_LIST])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 32
+        assert hashlib.sha256(out.encode()).hexdigest() == HIGH_DEGREE_CSV_SHA256
+
     def test_negative_point_values(self, capsys):
         # "-1,-2" as the value of --z, --z-list and --grid, not an option
         code, out = run_main(capsys, ["eval", "--mode", "asym", "--n", "100", "--alpha", "1",
@@ -318,6 +331,32 @@ class TestErrorsAndConfig:
         err = json.loads(out)["error"]
         assert err["type"] == "config"
         assert "expected one argument" not in err["message"]
+
+    @pytest.mark.parametrize("alpha, message", [
+        (["--alpha", "inf"], "alpha must be finite, got +inf"),
+        (["--alpha=-inf"], "alpha must be > 0"),
+        (["--alpha", "nan"], "alpha must be > 0"),
+    ])
+    def test_compare_nonfinite_alpha_is_config_error(self, capsys, tmp_path, alpha, message):
+        # +inf passes a bare alpha > 0 test, and compare would then exit 0
+        # with every row an error row
+        csv = tmp_path / "out.csv"
+        code, out = run_main(capsys, ["compare", "--n-list", "50", "--z-list", "1,2",
+                                      "--prec", "128", "--out", str(csv)] + alpha)
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "config", "message": message}
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--mode", "exact", "--n", "3", "--z", "0.5,0"],
+        ["regions", "--n", "50", "--z", "1,2"],
+        ["ortho", "--max-deg", "2", "--kmax", "50"],
+    ])
+    def test_infinite_alpha_same_error_everywhere(self, capsys, command):
+        code, out = run_main(capsys, command + ["--alpha", "inf"])
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "config",
+                                            "message": "alpha must be finite, got +inf"}
 
     @pytest.mark.parametrize("args", [
         ["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0"],

@@ -180,6 +180,26 @@ class TestFixedPointKernel:
             err = max(abs(fp * two_s - rp), abs(fc * two_s - rc)) / max(abs(rp), abs(rc))
         assert err <= mpmath.ldexp(1, -bits)
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("n, alpha, z", [
+        (n, alpha, z)
+        for n, alpha in ((300, "0.5"), (1500, "1.234"), (2500, "2.5"), (6400, "0.75"))
+        # origin, band strip B, turning point C, saturated strip D, outer A
+        for z in ((0.05, 0.05), (1.0, 0.05), (2.05, 0.02), (2.6, 0.1), (1.0, 2.0))
+    ] + [(2499, "3.3e-31", ("1.7e-38", "-2.9e-39"))])
+    def test_state_within_margin_of_wider_run(self, n, alpha, z, bits):
+        # the kernel's own rounding stays 48 bits below 2^-bits: the state
+        # against the same kernel on the same x and alpha at bits + 128
+        a = to_mpf(alpha, bits)
+        with mp.workprec(bits):
+            x = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / mpmath.sqrt(n)
+        fp, fc, scale = exact.eval_f_raw(n, a, x, bits)
+        rp, rc, rscale = exact.eval_f_raw(n, a, x, bits + 128)
+        with mp.workprec(2 * bits + 256):
+            two_s = mpmath.ldexp(1, scale - rscale)
+            err = max(abs(fp * two_s - rp), abs(fc * two_s - rc)) / max(abs(rp), abs(rc))
+        assert err <= mpmath.ldexp(1, -(bits + 48))
+
     @given(n=st.integers(1, 2500), alpha=_unit(0.5, 2.5), z=_REGION_Z, bits=st.sampled_from([128, 256]))
     @example(n=6400, alpha=0.75, z=(1.2, 0.05), bits=256)
     @example(n=6400, alpha=2.5, z=(3.0, 3.0), bits=128)
@@ -540,7 +560,9 @@ class TestGoldenBits:
 
     The eval_f_raw states are the complex kernel's full-width integer
     state of g_k = k! f_k (P = bits + 64 fraction bits), each within
-    2^-bits of the same kernel run at P + 128; the ortho sum is the real
+    2^-(bits+48) of the same kernel run at P + 128 (2^-189.2 and
+    2^-313.9), recorded when a step became one complex product by the
+    running multiplier (k+alpha) x; the ortho sum is the real
     kernel's accumulator rounded to 128 bits, and its tail bound comes from
     the same kernel's samples.
     Any change to the operation order, the rounding or the working
@@ -550,18 +572,18 @@ class TestGoldenBits:
     RAW = [
         ((60, "1", ("0.3", "0.2"), 128),
          ((1, 109328478986638937329709300123013245968240262209191455853, -191, 187),
-          (0, 62242461632920767049241216395922479860252671048958617483, -192, 186)),
-         ((1, 2166118962025209218545823986799939837744560196866451348195, -191, 191),
-          (1, 511886455027273056747073026232017540296549178235123809317, -190, 189)),
+          (0, 15560615408230191762310304098980619965063167762239654371, -190, 184)),
+         ((1, 2166118962025209218545823986799939837744560196866451348197, -191, 191),
+          (1, 127971613756818264186768256558004385074137294558780952329, -188, 187)),
          191),
         ((600, "0.75", ("0.05", "-0.0125"), 256),
-         ((1, 70060175293991371774939940458818893963851151165547906344257573779213524146583806177524091558329,
-           -320, 316),
-          (0, 7144629683173572992943046523689904447666858485595075886622454667311234443418771820355286350349,
-           -319, 312)),
-         ((1, 455252123233936657370351222953446917015132147252800998902468653342324775243645945736877821127831,
-           -319, 318),
-          (0, 1913054521606811502176702434033960566382130948998470083230734234421599190125106869474761949529769,
+         ((1, 8757521911748921471867492557352361745481393895693488293032196722401690518322975772190511444791,
+           -317, 313),
+          (0, 3572314841586786496471523261844952223833429242797537943311227333655617221709385910177643175175,
+           -318, 311)),
+         ((1, 56906515404242082171293902869180864626891518406600124862808581667790596905455743217109727640975,
+           -316, 315),
+          (0, 1913054521606811502176702434033960566382130948998470083230734234421599190125106869474761949529777,
            -320, 320)),
          2436),
     ]
