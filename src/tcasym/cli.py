@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -57,11 +58,26 @@ def _bits(prec, default=None) -> int:
     return bits_of(prec)
 
 
+def _number(text, bits, option, check=None):
+    """``text`` as an mpf rounded to ``bits``: a config error naming
+    ``option`` unless it is a number that is finite and stays finite as a
+    double (the CSV and JSON fields are doubles).  ``check``, when given,
+    sees the value first and raises its own error."""
+    try:
+        v = to_mpf(text, bits)
+    except ValueError:
+        raise ConfigError(f"{option} expects a number, got {text!r}")
+    if check is not None:
+        check(v)
+    if not mpmath.isfinite(v) or math.isinf(float(v)):
+        raise ConfigError(f"{option} must be finite in double range, got {text!r}")
+    return v
+
+
 def _alpha(text, bits):
-    """--alpha rounded to ``bits``; a config error unless finite and > 0."""
-    alpha = to_mpf(text, bits)
-    exact._check_n_alpha(0, alpha)
-    return alpha
+    """--alpha rounded to ``bits``; a config error unless a finite number
+    > 0 whose double is finite."""
+    return _number(text, bits, "--alpha", lambda a: exact._check_n_alpha(0, a))
 
 
 def _fmt_float(x) -> str:
@@ -90,12 +106,13 @@ def _logc_json(v: LogComplex, bits):
     return out
 
 
-def _parse_z(s: str):
+def _parse_z(s: str, bits, option="--z"):
+    """'re,im' -> mpc with each part rounded to ``bits`` (see _number)."""
     try:
         re_s, im_s = s.split(",")
-        return (re_s.strip(), im_s.strip())
     except ValueError:
-        raise ConfigError(f"--z expects 're,im', got {s!r}")
+        raise ConfigError(f"{option} expects 're,im', got {s!r}")
+    return to_mpc([_number(t.strip(), bits, option) for t in (re_s, im_s)], bits)
 
 
 def _parse_grid(s: str):
@@ -112,9 +129,9 @@ def _parse_grid(s: str):
         raise ConfigError(f"--grid expects 're0:re1:nre,im0:im1:nim', got {s!r}")
 
     def axis(a, b, k):
+        a, b = _number(a, 64, "--grid"), _number(b, 64, "--grid")
         if k == 1:
-            return [mpmath.mpf(a)]
-        a, b = mpmath.mpf(a), mpmath.mpf(b)
+            return [a]
         return [a + (b - a) * j / (k - 1) for j in range(k)]
 
     with mp.workprec(64):
@@ -123,11 +140,11 @@ def _parse_grid(s: str):
         return [(re, im) for re in res for im in ims]
 
 
-def _parse_z_list(s: str):
+def _parse_z_list(s: str, bits):
     out = []
     for item in s.split(";"):
         if item.strip():
-            out.append(_parse_z(item))
+            out.append(_parse_z(item, bits, "--z-list"))
     if not out:
         raise ConfigError("--z-list is empty")
     return out
@@ -200,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args) -> int:
     bits = _bits(args.prec)
     params = Params(delta=args.delta, eps=args.eps)
-    zre, zim = _parse_z(args.z)
-    z = to_mpc((zre, zim), bits)
+    z = _parse_z(args.z, bits)
     alpha = _alpha(args.alpha, bits)
     out = {
         "mode": args.mode,
@@ -267,7 +283,7 @@ def _cmd_compare(args) -> int:
     bits = _bits(args.prec)
     if (args.grid is None) == (args.z_list is None):
         raise ConfigError("exactly one of --grid / --z-list is required")
-    pts = _parse_grid(args.grid) if args.grid else _parse_z_list(args.z_list)
+    pts = _parse_grid(args.grid) if args.grid else _parse_z_list(args.z_list, bits)
     try:
         n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
     except ValueError:
@@ -309,8 +325,7 @@ def _cmd_compare(args) -> int:
 def _cmd_regions(args) -> int:
     bits = _bits(args.prec)
     params = Params(delta=args.delta, eps=args.eps)
-    zre, zim = _parse_z(args.z)
-    z = to_mpc((zre, zim), bits)
+    z = _parse_z(args.z, bits)
     alpha = _alpha(args.alpha, bits)
     if z == 0:
         raise DomainError("z = 0 is excluded")

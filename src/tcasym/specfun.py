@@ -38,6 +38,14 @@ kernel's docstring has the constants).  The guard bits keep
 that below one unit in the last place of the result rounded to bits,
 except near the zeros z = 1, 2 of log Gamma, where only this absolute
 bound holds.
+
+Real arguments (``log_gamma_real``, and ``log_gamma_complex`` at real
+z > 0) pass through one memo, an ``lru_cache`` of 256 entries keyed on
+the exact mpf and the width, holding the value already rounded to that
+width: a hit returns the cold run's bits.  It serves the traffic at
+fixed (n, alpha) over many z, where log Gamma(alpha) and
+log Gamma(n + alpha) repeat on every point.  Complex arguments are not
+memoised; alpha - n/z^2 changes with every point.
 """
 
 from __future__ import annotations
@@ -309,8 +317,20 @@ def log_gamma_complex(z, prec):
     return round_to(prec, w)
 
 
+@lru_cache(maxsize=256)
 def _log_gamma_positive(x, bits):
-    """log Gamma of an mpf x > 0 in real arithmetic, rounded to ``bits``."""
+    """log Gamma of an mpf x > 0 in real arithmetic, rounded to ``bits``.
+
+    Memoised on (x, bits) in an ``lru_cache`` of 256 entries.  Two mpfs
+    are equal exactly when their raw ``_mpf_`` tuples are, so the key is
+    the exact argument and the width.  A compared point at fixed
+    (n, alpha) asks for log Gamma(alpha) twice and log Gamma(n + alpha)
+    once, and a sweep over z repeats both.  The real arguments
+    alpha - n/z^2 > 0 that :func:`log_gamma_complex` sends here (real z
+    past sqrt(n/alpha)) add one key each, which the LRU order drops first.
+    An entry is the immutable mpf the kernel's value rounds to, so a hit
+    is the cold run's value bit for bit.
+    """
     return round_to(bits, _loggamma_shifted(x, bits + GUARD + 8))
 
 

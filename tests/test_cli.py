@@ -358,6 +358,42 @@ class TestErrorsAndConfig:
         assert json.loads(out)["error"] == {"type": "config",
                                             "message": "alpha must be finite, got +inf"}
 
+    @pytest.mark.parametrize("args, named", [
+        case
+        for bad in ("abc", "nan", "inf", "-inf", "1e400")
+        for case in (
+            (["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", f"1,{bad}"], "--z "),
+            (["eval", "--mode", "asym", "--n", "3", "--alpha", "1", "--z", f"{bad},1"], "--z "),
+            (["regions", "--n", "50", "--alpha", "1", "--z", f"{bad},1"], "--z "),
+            (["compare", "--n-list", "50", "--alpha", "1", "--z-list", f"1,2;{bad},0"], "--z-list "),
+            (["compare", "--n-list", "50", "--alpha", "1", "--grid", f"0:1:2,0:{bad}:2"], "--grid "),
+            (["compare", "--n-list", "50", "--alpha", "1", "--grid", f"{bad}:1:1,0:1:2"], "--grid "),
+            (["eval", "--mode", "asym", "--n", "3", "--alpha", bad, "--z", "1,1"], "alpha "),
+            (["regions", "--n", "50", "--alpha", bad, "--z", "1,2"], "alpha "),
+            (["compare", "--n-list", "50", "--alpha", bad, "--z-list", "1,2"], "alpha "),
+            (["ortho", "--alpha", bad, "--max-deg", "2", "--kmax", "50"], "alpha "),
+        )
+    ])
+    def test_bad_number_is_config_error(self, capsys, tmp_path, args, named):
+        # text mpmath cannot parse used to escape as a ValueError traceback;
+        # nan and inf coordinates made compare exit 0 with error rows; and
+        # 1e400 evaluated but was written as an infinite double
+        csv = tmp_path / "out.csv"
+        if args[0] == "compare":
+            args = args + ["--prec", "128", "--out", str(csv)]
+        code, out = run_main(capsys, args)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "config"
+        assert named in err["message"]
+        assert not csv.exists()
+
+    def test_double_range_coordinates_accepted(self, capsys):
+        code, out = run_main(capsys, ["regions", "--n", "50", "--alpha", "1e300", "--z", "1e300,-1e-300"])
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["alpha"], obj["z_re"], obj["z_im"]) == (1e300, 1e300, -1e-300)
+
     @pytest.mark.parametrize("args", [
         ["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0"],
         ["compare", "--n-list", "50", "--alpha", "1", "--z-list", "1,2"],

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, to_mpc, working
+from tcasym import specfun
+from tcasym.asym import Params
+from tcasym.harness import compare_point
+from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, to_mpc, to_mpf, working
 from tcasym.specfun import (
     LOGGAMMA_GUARD,
     AiryQuartet,
     _airy_at_zero,
+    _log_gamma_positive,
     _stirling_table,
     _stirling_threshold,
     _term_count,
@@ -319,6 +323,89 @@ class TestLogGammaKernel:
             log_gamma_complex(mpmath.mpc(1, arg), 128)
         with pytest.raises(DomainError, match="finite"):
             log_gamma_complex(mpmath.mpc(arg, 0), 128)
+
+
+# compare_point inputs at two (n, alpha) pairs over points in every region,
+# none on the real axis: a real z past sqrt(n/alpha) would add a real
+# log-gamma argument of its own
+_MEMO_Z = [(1, 2), (1, 0.05), (2.05, 0.02), (4, 0.05), (0.05, 0.05),
+           (-1, -2), (1.5, 1), (0.5, 1.5), (3, 2), (-1.9, 0.1)]
+_MEMO_INPUTS = [(n, a, z) for n, a in ((40, "0.5"), (90, "1.37")) for z in _MEMO_Z[:6]]
+
+
+def _compare(n, a, z, bits=256):
+    return compare_point(n, to_mpf(a, bits), to_mpc(z, bits), Params(), bits)
+
+
+@pytest.fixture
+def real_kernel_runs(monkeypatch):
+    """Counts the kernel runs on real arguments, the ones the memo serves
+    (complex arguments run the kernel on every call)."""
+    runs = []
+    kernel = specfun._loggamma_shifted
+
+    def counting(z, p):
+        if isinstance(z, mpmath.mpf):
+            runs.append((z, p))
+        return kernel(z, p)
+
+    monkeypatch.setattr(specfun, "_loggamma_shifted", counting)
+    _log_gamma_positive.cache_clear()
+    return runs
+
+
+class TestLogGammaMemo:
+    def test_memo_bounded(self):
+        assert _log_gamma_positive.cache_info().maxsize == 256
+        for k in range(300):
+            log_gamma_real(mpmath.mpf(1000 + k), 64)
+        assert _log_gamma_positive.cache_info().currsize <= 256
+
+    @pytest.mark.parametrize("bits", [128, 256, 272, 1056])
+    @pytest.mark.parametrize("x", ["0.731", "1.37", "47.5", "1601.25"])
+    def test_hit_equals_cold_run(self, x, bits):
+        arg = to_mpf(x, bits)  # log_gamma_complex rounds its argument to bits
+        cold = _log_gamma_positive.__wrapped__(arg, bits)
+        _log_gamma_positive.cache_clear()
+        first = log_gamma_real(arg, bits)
+        assert _log_gamma_positive.cache_info().hits == 0
+        again = log_gamma_real(arg, bits)
+        via_complex = log_gamma_complex(arg, bits)
+        assert _log_gamma_positive.cache_info().hits == 2
+        assert first._mpf_ == again._mpf_ == via_complex.real._mpf_ == cold._mpf_
+
+    def test_width_is_part_of_the_key(self):
+        _log_gamma_positive.cache_clear()
+        x = mpmath.mpf("0.75")
+        a, b = log_gamma_real(x, 128), log_gamma_real(x, 256)
+        info = _log_gamma_positive.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert a._mpf_ != b._mpf_ and abs(a - b) < mpmath.mpf(2) ** -120
+
+    def test_two_kernel_runs_per_n_alpha(self, real_kernel_runs):
+        # log Gamma(alpha) (exact denominator and asymptotic prefactor) and
+        # log Gamma(n + alpha) (exact denominator); every other call hits
+        for z in _MEMO_Z:
+            _compare(400, "0.75", z)
+        assert len(real_kernel_runs) == 2
+        _compare(401, "0.75", _MEMO_Z[0])
+        assert len(real_kernel_runs) == 3  # log Gamma(alpha) is still held
+        _compare(401, "1.25", _MEMO_Z[1])
+        assert len(real_kernel_runs) == 5
+
+    @settings(max_examples=8)
+    @given(order=st.permutations(range(len(_MEMO_INPUTS))),
+           other=st.lists(st.booleans(), min_size=len(_MEMO_INPUTS), max_size=len(_MEMO_INPUTS)))
+    def test_records_independent_of_memo_state(self, order, other):
+        # each record is the one a cleared memo gives in input order,
+        # whatever ran before it at this or another width
+        _log_gamma_positive.cache_clear()
+        expected = [_compare(*t) for t in _MEMO_INPUTS]
+        _log_gamma_positive.cache_clear()
+        for i, first in zip(order, other):
+            if first:
+                _compare(*_MEMO_INPUTS[i], bits=192)
+            assert _compare(*_MEMO_INPUTS[i]) == expected[i]
 
 
 class TestAiryQuartet:
