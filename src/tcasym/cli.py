@@ -60,16 +60,17 @@ def _bits(prec, default=None) -> int:
 
 def _number(text, bits, option, check=None):
     """``text`` as an mpf rounded to ``bits``: a config error naming
-    ``option`` unless it is a number that is finite and stays finite as a
-    double (the CSV and JSON fields are doubles).  ``check``, when given,
-    sees the value first and raises its own error."""
+    ``option`` unless it is a number that is finite and stays finite, and
+    nonzero when nonzero, as a double (the CSV and JSON fields are
+    doubles; subnormals pass).  ``check``, when given, sees the value
+    first and raises its own error."""
     try:
         v = to_mpf(text, bits)
     except ValueError:
         raise ConfigError(f"{option} expects a number, got {text!r}")
     if check is not None:
         check(v)
-    if not mpmath.isfinite(v) or math.isinf(float(v)):
+    if not mpmath.isfinite(v) or math.isinf(float(v)) or (v and not float(v)):
         raise ConfigError(f"{option} must be finite in double range, got {text!r}")
     return v
 

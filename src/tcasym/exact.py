@@ -10,10 +10,10 @@ and is orthogonal with respect to the purely discrete measure with masses
 is computed at an explicit precision; values that scale like exp(n log n)
 leave in LogComplex form.
 
-Two recurrence kernels, both in the fixed-point format of
-``tcasym.mpnum`` (Python ints, every shift and division rounding down)
-and each with a fixed operation order, so results are reproducible bit
-for bit across runs, platforms and mpmath backends:
+Two fixed-point kernels, both in the format of ``tcasym.mpnum``
+(Python ints, every shift and division rounding down) and each with a
+fixed operation order, so results are reproducible bit for bit across
+runs, platforms and mpmath backends:
 
 * ``eval_f_raw``, the complex recurrence behind every exact value, run
   division-free for g_k = k! f_k, one complex product a step, on a state
@@ -21,22 +21,21 @@ for bit across runs, platforms and mpmath backends:
   convert exactly), at the first-quadrant image of x, whose result maps
   back exactly, so parity and Schwarz symmetry hold bit for bit;
   power-of-two renormalisation every 8 steps keeps the integers near 2**P.
-* ``ortho_matrix``, the real recurrence at low degree behind the
-  orthogonality sums, on the same kind of state but stepping f_k itself
-  (one floor division by k+1 a step).  Its nodes and masses come from
-  ``_fixed_nodes_masses``, the one node/mass generator that
-  ``iter_nodes_masses`` also rounds from, so the masses a caller sees are
-  the ones the sums use.  It takes no logarithm or exponential per node:
-  each mass is an integer power of k + alpha (binary powering) times a
-  running product for e^-k / k!, floored to P + 8 bits.  The same
-  per-point recurrence (``_fixed_f_real``) also gives the nine samples
-  behind the tail bounds.
+* ``ortho_matrix``, the orthogonality sums, over ``_fixed_nodes_masses``,
+  the one node/mass generator (``iter_nodes_masses`` rounds from it too),
+  which takes no logarithm or exponential per node: each mass is an
+  integer power of k + alpha times a running product for e^-k / k!.
+  f_m f_n is a polynomial in x**2 = 1/(k+alpha) for even m+n, so a node
+  only adds into the max_deg + 1 power moments, and each pair sum is one
+  exact rational in them, rounded once, with a bound on its error before
+  that rounding.  The real recurrence ``_fixed_f_real`` gives the nine
+  samples behind the tail bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import factorial, isqrt
 
 import mpmath
 from mpmath import mp
@@ -317,6 +316,7 @@ class OrthoSum:
     tail_bound: mpmath.mpf
     k_max: int
     exact_zero: bool  # odd m+n vanishes term by term under x -> -x
+    err_bound: mpmath.mpf  # |unrounded sum - exact truncated sum|, rounded up
 
 
 def _fixed_f_real(f, X, A, coeff, P):
@@ -340,6 +340,19 @@ def _ortho_alpha(alpha, k_max, bits):
     return a
 
 
+def _g_coeffs(A, max_deg, P):
+    """G_0..G_max_deg: with alpha = A 2**-P, g_j = j! f_j is
+    2**(-Pj) sum_s G_j[s] x**(2s + j % 2), on integers G_j[s], by
+    G_(j+1) = ((j << P) + A) x G_j - j 2**(2P) G_(j-1), G_0 = [1], G_1 = [A]."""
+    G = [[1], [A]]
+    for j in range(1, max_deg):
+        nxt = [0] * (j % 2) + [((j << P) + A) * v for v in G[j]]
+        for s, v in enumerate(G[j - 1]):
+            nxt[s] -= (j << 2 * P) * v
+        G.append(nxt)
+    return G[:max_deg + 1]
+
+
 def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     """All pair sums (m, n) with m <= n <= max_deg in one pass over the nodes.
 
@@ -347,42 +360,52 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     the parity of f doubles the one-sided sum for even m+n and cancels
     exactly for odd m+n.
 
-    The pass is a fixed-point kernel on Python ints scaled by 2**P, with
+    For even m+n, f_m f_n is a polynomial in x**2 = 1/(k+alpha), so the
+    pass only accumulates the power moments mu_i = sum_k mass_k
+    (k+alpha)**-i, i = 0..max_deg, on Python ints scaled by 2**P, with
     P = bits + FIXED_GUARD + k_max.bit_length() (``_node_bits``), fed by
-    ``_fixed_nodes_masses``.  Per node, ``_fixed_f_real`` gives
-    f_0..f_max_deg at x_k; g_n = (f_n M) >> P; and each even pair
-    accumulates f_m g_n exactly, at scale 2**(2P).  Each summand is off by
-    under a relative 9k * 2**-(P+8) and one unit of 2**-P from its mass
-    (the generator's bound) plus a few units of 2**-P per recurrence
-    step, so over
-    k <= k_max < 2**k_max.bit_length() the sum is off by
-    O(2**-(bits + 60)) relative to the sum of |summands|; it leaves as
-    2 * acc * 2**(-2P), rounded once to ``prec`` bits.
+    ``_fixed_nodes_masses``: per node t = M, then max_deg times
+    t = (t << P) // S with S = (k << P) + A exact.  Since alpha = A 2**-P,
+    g_j = j! f_j has integer coefficients G_j (``_g_coeffs``), and each
+    pair sum 2 sum G_m[s] G_n[t] mu_(s+t+m%2) / (m! n! 2**(P(m+n+1))) is
+    one rational, rounded once to ``prec`` bits.
+
+    ``err_bound`` bounds the distance of that rational from the exact
+    truncated sum (``value`` adds at most half an ulp).  A mass is off by
+    under 9k 2**-(P+8) relative plus one unit (the generator's bound) and
+    each division adds under one unit to the carried error times
+    2**P / S, which exceeds 1 only at k = 0 when alpha < 1; so moment i
+    is off by under E_i = 2 (9 k_max mu_i 2**-(P+8) + (i+1)(k_max + r**i))
+    units, r = max(1, ceil(1/alpha)), and the sum by under
+    2 sum |G_m[s] G_n[t]| E_(s+t+m%2) over the same denominator, rounded
+    up: far below an ulp for alpha >= 1/2, loose for alpha << 1, where
+    node 0's errors cancel in the sum as f_m f_n does.
 
     The tail bound of pair (m, n) is 4 e^alpha B^2 / sqrt(2 pi k_max),
     with B twice the largest |f_m|, |f_n| over the nine points
     (X i) >> 3, i = 0..8, of [0, x_(k_max)] (X the last node, scaled),
-    run through the same kernel and rounded once to ``prec`` bits: a
+    run through ``_fixed_f_real`` and rounded once to ``prec`` bits: a
     heuristic bound on f near zero, not a proven one.
     """
     bits = bits_of(prec)
     a = _ortho_alpha(alpha, k_max, bits)
     if max_deg < 0:
         raise ConfigError("max_deg must be >= 0")
-    pairs = [(m, n) for m in range(max_deg + 1) for n in range(m, max_deg + 1) if (m + n) % 2 == 0]
-    ms = [m for m, _ in pairs]
-    ns = [n for _, n in pairs]
     P = _node_bits(bits, a, k_max)
     A = raw_fixed(a._mpf_, P)
+    mu = [0] * (max_deg + 1)
+    for k, X, M in _fixed_nodes_masses(A, k_max, P):
+        S, t = (k << P) + A, M
+        mu[0] += t
+        for i in range(1, max_deg + 1):
+            t = (t << P) // S
+            mu[i] += t
+    r = max(1, -(-(1 << P) // A))
+    err = [(9 * k_max * v >> (P + 7)) + 1 + 2 * (i + 1) * (k_max + r ** i) for i, v in enumerate(mu)]
+    G = _g_coeffs(A, max_deg, P)
+    # X is now x_(k_max), the inner end of the node set
     coeff = [(j << P) + A for j in range(max_deg)]
     f = [1 << P] * (max_deg + 1)
-    acc = [0] * len(pairs)
-    for _, X, M in _fixed_nodes_masses(A, k_max, P):
-        _fixed_f_real(f, X, A, coeff, P)
-        g = [v * M >> P for v in f]
-        acc = [s + f[m] * g[n] for s, m, n in zip(acc, ms, ns)]
-    sums = dict(zip(pairs, acc))
-    # X is now x_(k_max), the inner end of the node set
     sampled = [0] * (max_deg + 1)
     for i in range(9):
         _fixed_f_real(f, X * i >> 3, A, coeff, P)
@@ -394,12 +417,19 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
         for m in range(max_deg + 1):
             for n in range(m, max_deg + 1):
                 if (m + n) % 2 == 1:
-                    out[(m, n)] = OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True)
+                    out[(m, n)] = OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True, mpmath.mpf(0))
                     continue
+                num = bnd = 0
+                for i, u in enumerate(G[m], m % 2):
+                    for j, v in enumerate(G[n], i):
+                        c = u * v
+                        num, bnd = num + c * mu[j], bnd + abs(c) * err[j]
+                d, e = factorial(m) * factorial(n), P * (m + n + 1)
+                value = mpmath.fdiv(mp.make_mpf(fixed_raw(2 * num, e)), d, prec=bits, rounding="n")
+                bound = mpmath.fdiv(mp.make_mpf(fixed_raw(2 * bnd, e)), d, prec=bits, rounding="c")
                 mbound = fixed_mpf(2 * max(sampled[m], sampled[n]), P, bits)
                 tail = 4 * ea * mbound ** 2 / den
-                out[(m, n)] = OrthoSum(m, n, fixed_mpf(2 * sums[(m, n)], 2 * P, bits),
-                                       round_to(bits, tail), k_max, False)
+                out[(m, n)] = OrthoSum(m, n, value, round_to(bits, tail), k_max, False, bound)
     return out
 
 
@@ -415,10 +445,10 @@ def ortho_sum(m: int, n: int, alpha, k_max: int = 10 ** 6, prec=128) -> OrthoSum
     _ortho_alpha(alpha, k_max, bits_of(prec))
     lo, hi = min(m, n), max(m, n)
     if (m + n) % 2 == 1:
-        return OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True)
+        return OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True, mpmath.mpf(0))
     mat = ortho_matrix(alpha, hi, k_max, prec)
     s = mat[(lo, hi)]
-    return OrthoSum(m, n, s.value, s.tail_bound, k_max, False)
+    return OrthoSum(m, n, s.value, s.tail_bound, k_max, False, s.err_bound)
 
 
 def h_norm(n: int, alpha, prec):

@@ -300,6 +300,12 @@ class TestRegionsAndOrtho:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_ortho_tiny_alpha_within_bounds(self, capsys):
+        # node 0 sits at alpha^(-1/2) = 1e15 with mass 1e30; a per-node
+        # recurrence there read pair (0, 4) as -2.1e6 instead of -0.0089
+        code, out = run_main(capsys, ["ortho", "--alpha", "1e-30", "--max-deg", "4", "--kmax", "500"])
+        assert code == 0 and json.loads(out)["all_pass"] is True
+
 
 class TestErrorsAndConfig:
     def test_domain_error_exit_2(self, capsys):
@@ -360,7 +366,7 @@ class TestErrorsAndConfig:
 
     @pytest.mark.parametrize("args, named", [
         case
-        for bad in ("abc", "nan", "inf", "-inf", "1e400")
+        for bad in ("abc", "nan", "inf", "-inf", "1e400", "1e-400")
         for case in (
             (["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", f"1,{bad}"], "--z "),
             (["eval", "--mode", "asym", "--n", "3", "--alpha", "1", "--z", f"{bad},1"], "--z "),
@@ -377,7 +383,8 @@ class TestErrorsAndConfig:
     def test_bad_number_is_config_error(self, capsys, tmp_path, args, named):
         # text mpmath cannot parse used to escape as a ValueError traceback;
         # nan and inf coordinates made compare exit 0 with error rows; and
-        # 1e400 evaluated but was written as an infinite double
+        # 1e400 evaluated but was written as an infinite double, 1e-400
+        # as 0.0
         csv = tmp_path / "out.csv"
         if args[0] == "compare":
             args = args + ["--prec", "128", "--out", str(csv)]
@@ -387,6 +394,12 @@ class TestErrorsAndConfig:
         assert err["type"] == "config"
         assert named in err["message"]
         assert not csv.exists()
+
+    def test_subnormal_doubles_accepted(self, capsys):
+        code, out = run_main(capsys, ["regions", "--n", "50", "--alpha", "1e-310", "--z", "1e-310,-1"])
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["alpha"], obj["z_re"], obj["z_im"]) == (1e-310, 1e-310, -1.0)
 
     def test_double_range_coordinates_accepted(self, capsys):
         code, out = run_main(capsys, ["regions", "--n", "50", "--alpha", "1e300", "--z", "1e300,-1e-300"])

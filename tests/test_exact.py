@@ -444,6 +444,56 @@ class TestOrthoKernel:
                 err = abs(mat[p].value - r) / abs(r)
             assert err <= mpmath.ldexp(1, -(bits - 4)), (p, err)
 
+    @settings(max_examples=6)
+    @given(alpha=st.floats(-30, 6).map(lambda e: 10 ** e), k_max=st.integers(1, 3000),
+           max_deg=st.integers(0, 10), bits=st.sampled_from([64, 128, 192]))
+    # node 0, x_0 = alpha^(-1/2) with mass 1/alpha, dominates at tiny alpha
+    @example(alpha=1e-30, k_max=500, max_deg=4, bits=128)
+    @example(alpha=1e-20, k_max=500, max_deg=4, bits=128)
+    @example(alpha=1e-15, k_max=500, max_deg=4, bits=128)
+    @example(alpha=1e-30, k_max=300, max_deg=10, bits=192)
+    @example(alpha=1e6, k_max=3000, max_deg=10, bits=64)
+    def test_sums_and_bounds_over_alpha_range(self, alpha, k_max, max_deg, bits):
+        # the reference recurrence cancels about log2(1/alpha) bits a step
+        # at node 0, so its width grows with max_deg log2(1/alpha); a run
+        # 128 bits wider must agree with it far below the tested error
+        a = to_mpf(alpha, bits)
+        wp = 2 * bits + 64 + max_deg * max(0, -int(mpmath.floor(mpmath.log(a, 2))))
+        ref, wider = (mpmath_pair_sums(a, max_deg, k_max, w) for w in (wp, wp + 128))
+        mat = exact.ortho_matrix(a, max_deg, k_max, bits)
+        with mp.workprec(wp + 128):
+            for p, r in wider.items():
+                assert abs(ref[p] - r) <= mpmath.ldexp(abs(r), -(bits + 32)), p
+                s = mat[p]
+                err = abs(s.value - r)
+                assert err <= mpmath.ldexp(abs(r), -(bits - 4)), (p, err / abs(r))
+                # err_bound covers the sum before its rounding to nearest,
+                # which adds at most half an ulp, below |value| 2**-bits
+                assert err <= s.err_bound + mpmath.ldexp(abs(s.value), -bits), (p, err, s.err_bound)
+
+    @given(alpha=_unit(0.5, 2.5))
+    def test_err_bound_tight_on_workload_range(self, alpha):
+        for s in exact.ortho_matrix(alpha, 4, 500, 128).values():
+            if s.exact_zero:
+                assert s.err_bound == 0
+            else:
+                assert 0 < s.err_bound < mpmath.ldexp(abs(s.value), -(128 + 8)), (s.m, s.n)
+
+    @pytest.mark.parametrize("k_max", [1, 50, 700])
+    def test_recurrence_only_for_tail_samples(self, monkeypatch, k_max):
+        # the sums come from power moments; the real recurrence runs only
+        # at the nine tail-bound sample points, whatever the node count
+        calls = []
+        recurrence = exact._fixed_f_real
+
+        def counted(*args):
+            calls.append(args[1])
+            return recurrence(*args)
+
+        monkeypatch.setattr(exact, "_fixed_f_real", counted)
+        exact.ortho_matrix("1.5", 4, k_max, 128)
+        assert len(calls) == 9
+
     def test_nodes_masses_are_the_summed_ones(self, monkeypatch):
         # the generator's output as ortho_matrix sees it, with its P
         seen = []
