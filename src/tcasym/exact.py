@@ -16,14 +16,16 @@ fixed operation order, so results are reproducible bit for bit across
 runs, platforms and mpmath backends:
 
 * ``eval_f_raw``, the complex recurrence behind every exact value, run
-  division-free for g_k = k! f_k, one complex product a step, on a state
-  with P = bits + 64 fraction bits (more if an input needs them to
+  division-free for g_k = k! f_k, one complex product a step in three
+  big-int products (Gauss's form, one product on the real axis), on a
+  state with P = bits + 64 fraction bits (more if an input needs them to
   convert exactly), at the first-quadrant image of x, whose result maps
   back exactly, so parity and Schwarz symmetry hold bit for bit;
   power-of-two renormalisation every 8 steps keeps the integers near 2**P.
 * ``ortho_matrix``, the orthogonality sums, over ``_fixed_nodes_masses``,
-  the one node/mass generator (``iter_nodes_masses`` rounds from it too),
-  which takes no logarithm or exponential per node: each mass is an
+  the one mass generator (``iter_nodes_masses`` rounds from it too, with
+  the nodes of ``_fixed_node``), which takes no logarithm or exponential
+  per node and no square root: each mass is an
   integer power of k + alpha times a running product for e^-k / k!.
   f_m f_n is a polynomial in x**2 = 1/(k+alpha) for even m+n, so a node
   only adds into the max_deg + 1 power moments, and each pair sum is one
@@ -103,10 +105,15 @@ def eval_f_raw(n: int, alpha, x, prec):
     ints (Re and Im of g_(k-1), g_k) scaled by 2**P, P = bits + FIXED_GUARD,
     raised so that Re x, Im x and alpha (rounded to ``prec`` bits) convert
     exactly to X, A.  A step g_(k+1) = ((Y_k g_k) >> P) - k g_(k-1) is one
-    complex product (four big-int products), every ``>>`` a floor shift, by
-    Y_k = k X + ((A X) >> P), two adds a step, which is (k+alpha) x 2**P to
-    within one unit: each part of g_(k+1) is off by under
-    1 + (|Re g_k| + |Im g_k|) 2**-P units.  The loop runs at
+    complex product, every ``>>`` a floor shift, by Y_k = k X + ((A X) >> P),
+    carried by adds, which is (k+alpha) x 2**P to within one unit: each part
+    of g_(k+1) is off by under 1 + (|Re g_k| + |Im g_k|) 2**-P units.  The
+    product takes Gauss's three big-int products: with t = Re Y (Re g +
+    Im g), its parts are t - Im g (Re Y + Im Y) and t + Re g (Im Y - Re Y),
+    the two sums of Y carried by adds as Y is.  These are identities on the
+    integers before the same floor shift, so the state is the one of the
+    four-product form bit for bit.  When Im x = 0 the imaginary parts stay
+    0, and a step is the one product (Re Y Re g) >> P.  The loop runs at
     |Re x| + i |Im x|, and its state is mapped exactly: conjugated when one
     of Re x, Im x is negative, g_k negated for odd k when Re x < 0.  Parity
     and Schwarz symmetry therefore hold bit for bit, whatever the rounding.
@@ -132,16 +139,26 @@ def eval_f_raw(n: int, alpha, x, prec):
     xr, xi = x.real, x.imag
     P = fixed_bits(bits + FIXED_GUARD, a._mpf_, xr._mpf_, xi._mpf_)
     A, XR, XI = (abs(raw_fixed(v._mpf_, P)) for v in (a, xr, xi))
-    YR, YI = A * XR >> P, A * XI >> P
-    pr, pi, cr, ci, scale, k = 0, 0, 1 << P, 0, 0, 0
-    while k < n:
-        for j in range(k, min(k + BLOCK_STEPS, n)):
-            pr, pi, cr, ci = (cr, ci, ((YR * cr - YI * ci) >> P) - j * pr,
-                              ((YR * ci + YI * cr) >> P) - j * pi)
-            YR, YI = YR + XR, YI + XI
-        k = j + 1
-        (pr, pi, cr, ci), e = _renorm((pr, pi, cr, ci), P, WINDOW_BITS)
-        scale += e
+    Y, YI = A * XR >> P, A * XI >> P
+    S, D, XS, XD = Y + YI, YI - Y, XR + XI, XI - XR
+    lo, hi = P - WINDOW_BITS, P + WINDOW_BITS
+    pr, pi, cr, ci, scale = 0, 0, 1 << P, 0, 0
+    for k in range(0, n, BLOCK_STEPS):
+        if XI:
+            for j in range(k, min(k + BLOCK_STEPS, n)):
+                t = Y * (cr + ci)
+                pr, pi, cr, ci = cr, ci, ((t - ci * S) >> P) - j * pr, ((t + cr * D) >> P) - j * pi
+                Y, S, D = Y + XR, S + XS, D + XD
+        else:
+            for j in range(k, min(k + BLOCK_STEPS, n)):
+                pr, cr = cr, ((Y * cr) >> P) - j * pr
+                Y += XR
+        m = max(pr.bit_length(), pi.bit_length(), cr.bit_length(), ci.bit_length())
+        if not lo <= m <= hi:
+            e = m - P
+            pr, pi, cr, ci = (pr >> e, pi >> e, cr >> e, ci >> e) if e > 0 else \
+                (pr << -e, pi << -e, cr << -e, ci << -e)
+            scale += e
     (pr, pi, cr, ci), e = _renorm((pr, pi, cr, ci), P, RENORM_BITS)
     if xr < 0:  # g_k(-x) = (-1)^k g_k(x), and one of n-1, n is odd
         pr, pi, cr, ci = (pr, pi, -cr, -ci) if n % 2 else (-pr, -pi, cr, ci)
@@ -228,14 +245,20 @@ def _node_bits(bits, a, k_max):
     return fixed_bits(bits + FIXED_GUARD + k_max.bit_length(), a._mpf_)
 
 
-def _fixed_nodes_masses(A, k_max, P):
-    """Yield (k, X, M) for k = 0..k_max: x_k and mass_k as integers scaled
-    by 2**P, where A is alpha scaled by 2**P.
+def _fixed_node(A, k, P):
+    """2**P x_k rounded down, isqrt(2**(3P) // S) with S = (k << P) + A
+    exact, where A is alpha scaled by 2**P."""
+    return isqrt((1 << (3 * P)) // ((k << P) + A))
 
-    With S = (k << P) + A, which is exact, X = isqrt(2**(3P) // S) is
-    2**P x_k rounded down.  At k = 0, M = 2**(2P) // S is the mass 1/alpha.
-    From k = 1 on, mass_k = s^(k-1) r_k with s = k + alpha and
-    r_k = e^-k / k!, and no node takes a logarithm or an exponential.
+
+def _fixed_nodes_masses(A, k_max, P):
+    """Yield (k, M) for k = 0..k_max: mass_k as an integer scaled by 2**P,
+    where A is alpha scaled by 2**P; ``_fixed_node`` gives the node x_k.
+
+    With S = (k << P) + A, which is exact, M = 2**(2P) // S at k = 0 is
+    the mass 1/alpha.  From k = 1 on, mass_k = s^(k-1) r_k with
+    s = k + alpha and r_k = e^-k / k!, and no node takes a logarithm or
+    an exponential.
     Both factors are floating ints, a mantissa times a power of two, and
     every product is floored to Q = P + MASS_GUARD bits; with u = 2**-Q:
 
@@ -256,15 +279,14 @@ def _fixed_nodes_masses(A, k_max, P):
     here touches the mpmath context.
     """
     Q = P + MASS_GUARD
-    top = 1 << (3 * P)
     one = 1 << P
     S = A
-    yield 0, isqrt(top // S), (one << P) // S
+    yield 0, (one << P) // S
     if k_max < 1:
         return
     E = raw_fixed(mpf_exp(from_int(-1), Q + 16, round_floor), Q)
     S += one
-    yield 1, isqrt(top // S), E >> MASS_GUARD
+    yield 1, E >> MASS_GUARD
     rm, re = E, -Q  # r_k = rm 2**re
     for k in range(2, k_max + 1):
         S += one
@@ -282,7 +304,7 @@ def _fixed_nodes_masses(A, k_max, P):
                 pm, pe = pm >> sh, pe + sh
         M = pm * rm
         sh = pe + re - P * (k - 2)
-        yield k, isqrt(top // S), M << sh if sh >= 0 else M >> -sh
+        yield k, M << sh if sh >= 0 else M >> -sh
 
 
 def iter_nodes_masses(alpha, k_max: int, prec):
@@ -297,8 +319,9 @@ def iter_nodes_masses(alpha, k_max: int, prec):
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
     P = _node_bits(bits, a, k_max)
-    for k, X, M in _fixed_nodes_masses(raw_fixed(a._mpf_, P), k_max, P):
-        yield NodeMass(k, fixed_mpf(X, P, bits), fixed_mpf(M, P, bits))
+    A = raw_fixed(a._mpf_, P)
+    for k, M in _fixed_nodes_masses(A, k_max, P):
+        yield NodeMass(k, fixed_mpf(_fixed_node(A, k, P), P, bits), fixed_mpf(M, P, bits))
 
 
 def nodes_masses(alpha, k_max: int, prec):
@@ -394,7 +417,7 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     P = _node_bits(bits, a, k_max)
     A = raw_fixed(a._mpf_, P)
     mu = [0] * (max_deg + 1)
-    for k, X, M in _fixed_nodes_masses(A, k_max, P):
+    for k, M in _fixed_nodes_masses(A, k_max, P):
         S, t = (k << P) + A, M
         mu[0] += t
         for i in range(1, max_deg + 1):
@@ -403,7 +426,7 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     r = max(1, -(-(1 << P) // A))
     err = [(9 * k_max * v >> (P + 7)) + 1 + 2 * (i + 1) * (k_max + r ** i) for i, v in enumerate(mu)]
     G = _g_coeffs(A, max_deg, P)
-    # X is now x_(k_max), the inner end of the node set
+    X = _fixed_node(A, k_max, P)  # x_(k_max), the inner end of the node set
     coeff = [(j << P) + A for j in range(max_deg)]
     f = [1 << P] * (max_deg + 1)
     sampled = [0] * (max_deg + 1)

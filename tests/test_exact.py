@@ -69,16 +69,18 @@ class TestEvalF:
 
     def test_parity_exact_in_arithmetic(self, rng):
         # f_n(-x) = (-1)^n f_n(x): every rounding in the kernel is odd, so
-        # the state at -x is the parity image of the state at x bit for bit
+        # the state at -x is the parity image of the state at x bit for bit,
+        # for complex x and, through the real-axis loop, for real x
         neg = mpmath.libmp.mpf_neg
         for n, alpha, prec, r in self.DEGREES:
             z = r * mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            p1, c1, s1 = self._bits(exact.eval_f_raw(n, alpha, z, prec))
-            p2, c2, s2 = self._bits(exact.eval_f_raw(n, alpha, -z, prec))
-            assert s1 == s2 and (s1 != 0 or n < 800)
-            odd_prev, odd_curr = (n - 1) % 2, n % 2
-            assert p2 == tuple(neg(t) if odd_prev else t for t in p1)
-            assert c2 == tuple(neg(t) if odd_curr else t for t in c1)
+            for x in (z, mpmath.mpc(z.real)):
+                p1, c1, s1 = self._bits(exact.eval_f_raw(n, alpha, x, prec))
+                p2, c2, s2 = self._bits(exact.eval_f_raw(n, alpha, -x, prec))
+                assert s1 == s2 and (s1 != 0 or n < 800)
+                odd_prev, odd_curr = (n - 1) % 2, n % 2
+                assert p2 == tuple(neg(t) if odd_prev else t for t in p1)
+                assert c2 == tuple(neg(t) if odd_curr else t for t in c1)
 
     def test_schwarz_exact_in_arithmetic(self, rng):
         neg = mpmath.libmp.mpf_neg
@@ -145,6 +147,45 @@ _REGION_Z = st.one_of(
 )
 
 
+def four_product_kernel(n, alpha, x, bits):
+    """Oracle for ``eval_f_raw``: the same fixed-point recurrence with its
+    complex product written out as four big-int products, Re = Re Y Re g -
+    Im Y Im g and Im = Re Y Im g + Im Y Re g, and the window check done by
+    ``exact._renorm`` every block.  The kernel's three-product form and
+    real-axis loop must give this state bit for bit."""
+    a, x = to_mpf(alpha, bits), to_mpc(x, bits)
+    xr, xi = x.real, x.imag
+    P = fixed_bits(bits + exact.FIXED_GUARD, a._mpf_, xr._mpf_, xi._mpf_)
+    A, XR, XI = (abs(raw_fixed(v._mpf_, P)) for v in (a, xr, xi))
+    YR, YI = A * XR >> P, A * XI >> P
+    pr, pi, cr, ci, scale, k = 0, 0, 1 << P, 0, 0, 0
+    while k < n:
+        for j in range(k, min(k + exact.BLOCK_STEPS, n)):
+            pr, pi, cr, ci = (cr, ci, ((YR * cr - YI * ci) >> P) - j * pr,
+                              ((YR * ci + YI * cr) >> P) - j * pi)
+            YR, YI = YR + XR, YI + XI
+        k = j + 1
+        (pr, pi, cr, ci), e = exact._renorm((pr, pi, cr, ci), P, exact.WINDOW_BITS)
+        scale += e
+    (pr, pi, cr, ci), e = exact._renorm((pr, pi, cr, ci), P, exact.RENORM_BITS)
+    if xr < 0:
+        pr, pi, cr, ci = (pr, pi, -cr, -ci) if n % 2 else (-pr, -pi, cr, ci)
+    if (xr < 0) != (xi < 0):
+        pi, ci = -pi, -ci
+    return (mp.make_mpc((fixed_raw(pr, P), fixed_raw(pi, P))),
+            mp.make_mpc((fixed_raw(cr, P), fixed_raw(ci, P))), scale + e)
+
+
+# x / sqrt(n) anywhere: the four open quadrants, the real axis (both
+# signs, the kernel's one-product loop), the imaginary axis and 0
+_AXIS_Z = st.one_of(
+    st.tuples(_unit(-3.0, 3.0), _unit(-3.0, 3.0)),
+    st.tuples(_unit(-3.0, 3.0), st.just(0.0)),
+    st.tuples(st.just(0.0), _unit(-3.0, 3.0)),
+    st.just((0.0, 0.0)),
+)
+
+
 class TestFixedPointKernel:
     """The integer kernel against a plain mpmath run of its recurrence for
     g_k = k! f_k at 2*bits+64."""
@@ -179,6 +220,28 @@ class TestFixedPointKernel:
             # relative to the larger of the pair: well defined near zeros of f_n
             err = max(abs(fp * two_s - rp), abs(fc * two_s - rc)) / max(abs(rp), abs(rc))
         assert err <= mpmath.ldexp(1, -bits)
+
+    @settings(max_examples=120)
+    @given(n=st.integers(0, 2500), alpha=_unit(0.5, 2.5), z=_AXIS_Z, bits=st.sampled_from([128, 256]))
+    # tiny alpha and |x| with full mantissas raise P, off and on the real axis
+    @example(n=2499, alpha="3.3e-31", z=("1.7e-38", "-2.9e-39"), bits=128)
+    @example(n=2499, alpha="3.3e-31", z=("-1.7e-38", "0"), bits=128)
+    @example(n=1, alpha="0.5", z=("3.1e-60", "0"), bits=256)
+    # the largest degree compared, and the same degree on the axes
+    @example(n=6400, alpha=0.75, z=(1.2, 0.05), bits=256)
+    @example(n=6400, alpha=1.0, z=(2.0, 0.05), bits=256)
+    @example(n=6400, alpha=0.75, z=(-1.2, 0.0), bits=256)
+    @example(n=6400, alpha=1.0, z=(0.0, 2.0), bits=256)
+    def test_state_is_four_product_state(self, n, alpha, z, bits):
+        a = to_mpf(alpha, bits)
+        with mp.workprec(bits):
+            x = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / mpmath.sqrt(max(n, 1))
+
+        def tuples(state):
+            p, c, s = state
+            return p.real._mpf_, p.imag._mpf_, c.real._mpf_, c.imag._mpf_, s
+
+        assert tuples(exact.eval_f_raw(n, a, x, bits)) == tuples(four_product_kernel(n, a, x, bits))
 
     @pytest.mark.parametrize("bits", [128, 256])
     @pytest.mark.parametrize("n, alpha, z", [
@@ -501,7 +564,7 @@ class TestOrthoKernel:
 
         def recording(A, k_max, P):
             for item in generator(A, k_max, P):
-                seen.append((P, item))
+                seen.append((P, A, item))
                 yield item
 
         monkeypatch.setattr(exact, "_fixed_nodes_masses", recording)
@@ -509,18 +572,18 @@ class TestOrthoKernel:
         monkeypatch.undo()
         nodes = exact.nodes_masses("1.5", 300, 128)
         assert len(seen) == len(nodes) == 301
-        for nm, (P, (k, X, M)) in zip(nodes, seen):
+        for nm, (P, A, (k, M)) in zip(nodes, seen):
+            X = isqrt_node(A, k, P)
             assert nm.k == k
             assert nm.x._mpf_ == round_to(128, mp.make_mpf(from_man_exp(X, -P)))._mpf_
             assert nm.mass._mpf_ == round_to(128, mp.make_mpf(from_man_exp(M, -P)))._mpf_
 
 
 def log_exp_generator(A, k_max, P):
-    """Independent oracle: the node/mass generator as a logarithm and an
+    """Independent oracle: the mass generator as a logarithm and an
     exponential per node, raw ``mpf_log``/``mpf_exp`` at P + 8 bits, with
     the exponent (k-1) log s - k - log k! summed on integers scaled by 2**P."""
     wp = P + 8
-    top = 1 << (3 * P)
     log_fact = 0
     for k in range(k_max + 1):
         S = (k << P) + A
@@ -528,7 +591,12 @@ def log_exp_generator(A, k_max, P):
         if k > 1:
             log_fact += raw_fixed(mpf_log(from_int(k), wp), P)
         e = (k - 1) * log_s - (k << P) - log_fact
-        yield k, isqrt(top // S), raw_fixed(mpf_exp(fixed_raw(e, P), wp), P)
+        yield k, raw_fixed(mpf_exp(fixed_raw(e, P), wp), P)
+
+
+def isqrt_node(A, k, P):
+    """The oracle's node: 2**P / sqrt(k + alpha) rounded down, on integers."""
+    return isqrt((1 << (3 * P)) // ((k << P) + A))
 
 
 def _dyadic(lo_exp, hi):
@@ -551,14 +619,15 @@ class TestNodeMassGenerator:
         a = to_mpf(alpha, bits)
         assert a == alpha
         P = exact._node_bits(bits, a, k_max)
+        A = raw_fixed(a._mpf_, P)
         with mp.workprec(P + 64):
             scale = mpmath.ldexp(1, P)
-            for k, X, M in exact._fixed_nodes_masses(raw_fixed(a._mpf_, P), k_max, P):
+            for k, M in exact._fixed_nodes_masses(A, k_max, P):
                 s = k + a
                 true = mpmath.exp((k - 1) * mpmath.log(s) - k - mpmath.loggamma(k + 1)) * scale
                 slack = (9 * k * mpmath.ldexp(1, -(P + 8)) + mpmath.ldexp(1, -(P + 56))) * true + 1
                 assert abs(M - true) < slack, (k, M, true)
-                assert X == isqrt((1 << (3 * P)) // ((k << P) + raw_fixed(a._mpf_, P)))
+                assert exact._fixed_node(A, k, P) == isqrt_node(A, k, P)
 
     # the grid that rounded values of the two generators must agree on:
     # nodes, pair sums and tail bounds, over moderate, tiny and large alpha
@@ -578,6 +647,7 @@ class TestNodeMassGenerator:
 
         new = rounded()
         monkeypatch.setattr(exact, "_fixed_nodes_masses", log_exp_generator)
+        monkeypatch.setattr(exact, "_fixed_node", isqrt_node)
         assert rounded() == new
 
     def test_no_per_node_transcendental(self, monkeypatch):
@@ -610,9 +680,11 @@ class TestGoldenBits:
 
     The eval_f_raw states are the complex kernel's full-width integer
     state of g_k = k! f_k (P = bits + 64 fraction bits), each within
-    2^-(bits+48) of the same kernel run at P + 128 (2^-189.2 and
-    2^-313.9), recorded when a step became one complex product by the
-    running multiplier (k+alpha) x; the ortho sum is the real
+    2^-(bits+48) of the same kernel run at P + 128 (2^-189.2, 2^-313.9
+    and, on the real axis, 2^-314.0), recorded with the step as four
+    big-int products by the running multiplier (k+alpha) x; the
+    three-product form and the real-axis loop reproduce them exactly.
+    The ortho sum is the real
     kernel's accumulator rounded to 128 bits, and its tail bound comes from
     the same kernel's samples.
     Any change to the operation order, the rounding or the working
@@ -636,9 +708,16 @@ class TestGoldenBits:
           (0, 1913054521606811502176702434033960566382130948998470083230734234421599190125106869474761949529777,
            -320, 320)),
          2436),
+        # real x < 0: the real-axis loop and the parity mapping
+        ((900, "0.7", ("-0.045", "0"), 256),
+         ((1, 11354171009833737784808449387459741776570200251169244734951642312266233848959972265773865355563,
+           -319, 313), (0, 0, 0, 0)),
+         ((0, 1644951938374967561082761152591055293995243989304837711217031054234484889450472740228660471199603,
+           -320, 320), (0, 0, 0, 0)),
+         3768),
     ]
 
-    @pytest.mark.parametrize("args,prev,curr,scale", RAW, ids=["n60-128bit", "n600-256bit"])
+    @pytest.mark.parametrize("args,prev,curr,scale", RAW, ids=["n60-128bit", "n600-256bit", "n900-256bit-real"])
     def test_eval_f_raw(self, args, prev, curr, scale):
         n, alpha, x, prec = args
         p, c, s = exact.eval_f_raw(n, alpha, to_mpc(x, prec), prec)
