@@ -16,12 +16,15 @@ fixed operation order, so results are reproducible bit for bit across
 runs, platforms and mpmath backends:
 
 * ``eval_f_raw``, the complex recurrence behind every exact value, run
-  division-free for g_k = k! f_k, one complex product a step in three
-  big-int products (Gauss's form, one product on the real axis), on a
-  state with P = bits + 64 fraction bits (more if an input needs them to
-  convert exactly), at the first-quadrant image of x, whose result maps
-  back exactly, so parity and Schwarz symmetry hold bit for bit;
-  power-of-two renormalisation every 8 steps keeps the integers near 2**P.
+  division-free for g_k = k! f_k, two steps at a time on the even and
+  odd parts g_2m = E_m(x**2), g_(2m+1) = x O_m(x**2): the odd step takes
+  no product by x, the even step one complex product by a multiplier in
+  y = x**2, in three big-int products (Gauss's form, one product when y
+  is real), on a state with P = bits + 64 fraction bits (more if an
+  input needs them to convert exactly), at the first-quadrant image of
+  x, whose result maps back exactly, so parity and Schwarz symmetry hold
+  bit for bit; power-of-two renormalisation every 8 steps keeps the
+  integers near 2**P.
 * ``ortho_matrix``, the orthogonality sums, over ``_fixed_nodes_masses``,
   the one mass generator (``iter_nodes_masses`` rounds from it too, with
   the nodes of ``_fixed_node``), which takes no logarithm or exponential
@@ -101,34 +104,61 @@ def eval_f_raw(n: int, alpha, x, prec):
     """Renormalized state of g_k = k! f_k: (g_(n-1), g_n, scale_exp2).
 
     g_n is ``g_curr * 2**scale_exp2``, and g_(k+1) = (k+alpha) x g_k -
-    k g_(k-1), g_(-1) = 0, g_0 = 1, needs no division.  The state is four
-    ints (Re and Im of g_(k-1), g_k) scaled by 2**P, P = bits + FIXED_GUARD,
-    raised so that Re x, Im x and alpha (rounded to ``prec`` bits) convert
-    exactly to X, A.  A step g_(k+1) = ((Y_k g_k) >> P) - k g_(k-1) is one
-    complex product, every ``>>`` a floor shift, by Y_k = k X + ((A X) >> P),
-    carried by adds, which is (k+alpha) x 2**P to within one unit: each part
-    of g_(k+1) is off by under 1 + (|Re g_k| + |Im g_k|) 2**-P units.  The
-    product takes Gauss's three big-int products: with t = Re Y (Re g +
-    Im g), its parts are t - Im g (Re Y + Im Y) and t + Re g (Im Y - Re Y),
-    the two sums of Y carried by adds as Y is.  These are identities on the
-    integers before the same floor shift, so the state is the one of the
-    four-product form bit for bit.  When Im x = 0 the imaginary parts stay
-    0, and a step is the one product (Re Y Re g) >> P.  The loop runs at
-    |Re x| + i |Im x|, and its state is mapped exactly: conjugated when one
-    of Re x, Im x is negative, g_k negated for odd k when Re x < 0.  Parity
-    and Schwarz symmetry therefore hold bit for bit, whatever the rounding.
+    k g_(k-1), g_(-1) = 0, g_0 = 1, needs no division.  g_k has the parity
+    of k, so with y = x**2 the loop runs on g_2m = E_m(y) and
+    g_(2m+1) = x O_m(y), two steps at a time:
 
-    Every BLOCK_STEPS = 8 steps, a state whose largest bit length has left
-    [P-48, P+48] (WINDOW_BITS) is shifted back to P, the exponent accreted
-    into ``scale_exp2``.  Between checks it mostly grows, as n! f_n does,
-    and it cannot fall far: M_k = [[0, 1], [-k, (k+alpha) x]] has
-    determinant k >= 1, so a step shrinks the state (max norm) by at most
-    |M_k^-1| = max(1, ((k+alpha)|x| + 1)/k).  For |x|, alpha <= 2.5 that is
-    below 3.5 from k = 8 on: a block loses under 15 bits (the sqrt 2
-    between a complex modulus and its parts included) and stays above
-    P-64; the first starts at P and loses under 19.  A last shift puts
-    the largest bit length into [P-16, P+16] (RENORM_BITS).  The mpc values
-    are the integer state times 2**-P, exactly, not rounded to ``prec``.
+        O_m     = (2m+alpha) E_m - 2m O_(m-1),
+        E_(m+1) = (2m+1+alpha) y O_m - (2m+1) E_m,
+
+    O_(-1) = 0, E_0 = 1, and x O is formed once, after the loop.  The
+    state is four ints (Re and Im of O and E) scaled by 2**P,
+    P = bits + FIXED_GUARD, raised so that Re x, Im x and alpha (rounded
+    to ``prec`` bits) convert exactly to X, A.  y is the exact X**2
+    floored to Q = P + s fraction bits, s in [0, P] chosen so that the
+    larger part of y has about P significant bits (a tiny |x| would
+    otherwise leave y with 2 log2(1/|x|) bits fewer).  Every ``>>`` is a
+    floor shift.
+
+    * The odd step takes no product by x: 2m is a small int, and alpha E
+      is (ma E) >> (P - tz) with A = ma 2**tz, tz <= P, equal to
+      (A E) >> P, a small multiply when alpha has few significant bits.
+      Each part of O_m is off by under 1 unit.
+    * The even step is the pair's one complex product, by
+      W_m = (2m+1) Y + ((A Y) >> P), Y the floored y, carried by adds
+      (+2Y a pair), which is (2m+1+alpha) y 2**Q to within 2m+2+alpha
+      units per part.  It takes Gauss's three big-int products: with
+      t = Re W (Re O + Im O), its parts are t - Im O (Re W + Im W) and
+      t + Re O (Im W - Re W), the two sums of W carried by adds as W is;
+      these are identities on the integers before the same floor shift
+      by Q.  Each part of E_(m+1) is off by under
+      1 + (2m+2+alpha)(|Re O_m| + |Im O_m|) 2**-Q units.  When Im Y = 0
+      (x on an axis) the imaginary parts stay 0, and the step is the one
+      product (Re W Re O) >> Q.
+    * x O is (X O) >> P, off by under 1 unit per part.
+
+    The loop runs at |Re x| + i |Im x|, and its state is mapped exactly:
+    conjugated when one of Re x, Im x is negative, g_k negated for odd k
+    when Re x < 0.  Parity and Schwarz symmetry therefore hold bit for bit,
+    whatever the rounding.
+
+    Every BLOCK_STEPS = 8 steps (four pairs), a state whose largest bit
+    length has left [P-48, P+48] (WINDOW_BITS) is shifted back to P, the
+    exponent accreted into ``scale_exp2``.  Between checks it mostly
+    grows, and it cannot fall far: a pair maps (O_(m-1), E_m) to
+    (O_m, E_(m+1)) by T_m = [[-2m, a_m], [-2m b_m, a_m b_m - 2m - 1]],
+    a_m = 2m+alpha, b_m = (2m+1+alpha) y, of determinant 2m (2m+1), so it
+    shrinks the state (max norm) by at most |T_m^-1| =
+    max(|a_m b_m - 2m - 1| + a_m, 2m (|b_m| + 1)) / (2m (2m+1)).  For
+    |x|, alpha <= 2.5 that is below 10.8 from m = 4 (step 8) on: a block
+    loses under 15 bits (the sqrt 2 between a complex modulus and its
+    parts included) and stays above P-64.  The first block starts at P;
+    its first pair leaves max(alpha, |(1+alpha) alpha y - 1|) > 0.12 (3.1
+    bits lost) and the next three lose under 4.8, 4 and 3.7 bits, under
+    16 in all with the sqrt 2.  A last shift, after x O is formed, puts
+    the largest bit length of (g_(n-1), g_n) into [P-16, P+16]
+    (RENORM_BITS).  The mpc values are the integer state times 2**-P,
+    exactly, not rounded to ``prec``.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
@@ -139,27 +169,41 @@ def eval_f_raw(n: int, alpha, x, prec):
     xr, xi = x.real, x.imag
     P = fixed_bits(bits + FIXED_GUARD, a._mpf_, xr._mpf_, xi._mpf_)
     A, XR, XI = (abs(raw_fixed(v._mpf_, P)) for v in (a, xr, xi))
-    Y, YI = A * XR >> P, A * XI >> P
-    S, D, XS, XD = Y + YI, YI - Y, XR + XI, XI - XR
+    YR, YI = XR * XR - XI * XI, 2 * XR * XI  # y scaled by 2**(2P), exact
+    s = min(P, max(0, 2 * P - max(abs(YR).bit_length(), YI.bit_length())))
+    Q = P + s
+    YR, YI = YR >> (P - s), YI >> (P - s)
+    tz = min(P, (A & -A).bit_length() - 1)
+    ma, sh = A >> tz, P - tz
+    W, WI = YR + (A * YR >> P), YI + (A * YI >> P)  # (1+alpha) y 2**Q
+    S, D = W + WI, WI - W
+    W2, S2, D2 = 2 * YR, 2 * (YR + YI), 2 * (YI - YR)
     lo, hi = P - WINDOW_BITS, P + WINDOW_BITS
-    pr, pi, cr, ci, scale = 0, 0, 1 << P, 0, 0
-    for k in range(0, n, BLOCK_STEPS):
-        if XI:
-            for j in range(k, min(k + BLOCK_STEPS, n)):
-                t = Y * (cr + ci)
-                pr, pi, cr, ci = cr, ci, ((t - ci * S) >> P) - j * pr, ((t + cr * D) >> P) - j * pi
-                Y, S, D = Y + XR, S + XS, D + XD
+    qr, qi, er, ei, scale = 0, 0, 1 << P, 0, 0
+    for k in range(0, n - 1, BLOCK_STEPS):
+        if YI:
+            for j in range(k, min(k + BLOCK_STEPS, n - 1), 2):
+                qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
+                t = W * (qr + qi)
+                er, ei = ((t - qi * S) >> Q) - (j + 1) * er, ((t + qr * D) >> Q) - (j + 1) * ei
+                W, S, D = W + W2, S + S2, D + D2
         else:
-            for j in range(k, min(k + BLOCK_STEPS, n)):
-                pr, cr = cr, ((Y * cr) >> P) - j * pr
-                Y += XR
-        m = max(pr.bit_length(), pi.bit_length(), cr.bit_length(), ci.bit_length())
+            for j in range(k, min(k + BLOCK_STEPS, n - 1), 2):
+                qr = j * (er - qr) + (ma * er >> sh)
+                er = ((W * qr) >> Q) - (j + 1) * er
+                W += W2
+        m = max(qr.bit_length(), qi.bit_length(), er.bit_length(), ei.bit_length())
         if not lo <= m <= hi:
             e = m - P
-            pr, pi, cr, ci = (pr >> e, pi >> e, cr >> e, ci >> e) if e > 0 else \
-                (pr << -e, pi << -e, cr << -e, ci << -e)
+            qr, qi, er, ei = (qr >> e, qi >> e, er >> e, ei >> e) if e > 0 else \
+                (qr << -e, qi << -e, er << -e, ei << -e)
             scale += e
-    (pr, pi, cr, ci), e = _renorm((pr, pi, cr, ci), P, RENORM_BITS)
+    if n % 2:  # the last step, g_n = x O_(n-1)/2
+        j = n - 1
+        qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
+    gr, gi = (XR * qr - XI * qi) >> P, (XR * qi + XI * qr) >> P
+    state = (er, ei, gr, gi) if n % 2 else (gr, gi, er, ei)
+    (pr, pi, cr, ci), e = _renorm(state, P, RENORM_BITS)
     if xr < 0:  # g_k(-x) = (-1)^k g_k(x), and one of n-1, n is odd
         pr, pi, cr, ci = (pr, pi, -cr, -ci) if n % 2 else (-pr, -pi, cr, ci)
     if (xr < 0) != (xi < 0):
@@ -395,14 +439,17 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
 
     ``err_bound`` bounds the distance of that rational from the exact
     truncated sum (``value`` adds at most half an ulp).  A mass is off by
-    under 9k 2**-(P+8) relative plus one unit (the generator's bound) and
-    each division adds under one unit to the carried error times
-    2**P / S, which exceeds 1 only at k = 0 when alpha < 1; so moment i
-    is off by under E_i = 2 (9 k_max mu_i 2**-(P+8) + (i+1)(k_max + r**i))
-    units, r = max(1, ceil(1/alpha)), and the sum by under
-    2 sum |G_m[s] G_n[t]| E_(s+t+m%2) over the same denominator, rounded
-    up: far below an ulp for alpha >= 1/2, loose for alpha << 1, where
-    node 0's errors cancel in the sum as f_m f_n does.
+    under 9k 2**-(P+8) relative plus one unit (the generator's bound; node
+    0's mass 2**(2P) // A is one floor, with no relative error) and each
+    division adds under one unit to the carried error times 2**P / S,
+    which exceeds 1 only at k = 0 when alpha < 1; so moment i is off by
+    under E_i = 2 (9 k_max (mu_i - nu_i) 2**-(P+8) + (i+1)(k_max + r**i))
+    units, nu_i node 0's share of mu_i and r = max(1, ceil(1/alpha)), and
+    the sum by under 2 sum |G_m[s] G_n[t]| E_(s+t+m%2) over the same
+    denominator, rounded up: far below an ulp for alpha >= 1/2, and under
+    1e-6 relative at alpha = 1e-30, where node 0 holds nearly all of mu_i
+    and its floor errors, carried through max_deg divisions by alpha,
+    cancel in the sum much as f_m f_n does.
 
     The tail bound of pair (m, n) is 4 e^alpha B^2 / sqrt(2 pi k_max),
     with B twice the largest |f_m|, |f_n| over the nine points
@@ -423,8 +470,11 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
         for i in range(1, max_deg + 1):
             t = (t << P) // S
             mu[i] += t
+        if not k:
+            mu0 = mu[:]  # node 0's share, whose mass carries no relative error
     r = max(1, -(-(1 << P) // A))
-    err = [(9 * k_max * v >> (P + 7)) + 1 + 2 * (i + 1) * (k_max + r ** i) for i, v in enumerate(mu)]
+    err = [(9 * k_max * (v - v0) >> (P + 7)) + 1 + 2 * (i + 1) * (k_max + r ** i)
+           for i, (v, v0) in enumerate(zip(mu, mu0))]
     G = _g_coeffs(A, max_deg, P)
     X = _fixed_node(A, k_max, P)  # x_(k_max), the inner end of the node set
     coeff = [(j << P) + A for j in range(max_deg)]

@@ -7,7 +7,8 @@ reflection/recurrence/connection identities, the Wronskian).
 Airy: one kernel for every argument.  Ai and Ai' at z, w z and conj(w) z
 (w = e^(2 pi i/3)) and Bi, Bi' at z are fixed combinations of four
 Maclaurin sums 0F1(;b; z^3/9), b in {2/3, 4/3, 1/3, 5/3}, with Ai(0) and
-Ai'(0) (cached for each band of 64 widths).  The sums run at
+Ai'(0) (from Gamma(1/3) by the log-gamma kernel, cached for each band of
+64 widths).  The sums run at
 bits + GUARD + 24 + ceil(1.93 |z|^1.5) bits, which absorbs their worst
 cancellation exp(4/3 |z|^1.5), so every value is accurate to the full
 requested precision at every argument; there is no dispatch radius and
@@ -363,11 +364,18 @@ class AiryQuartet:
 @lru_cache(maxsize=8)
 def _airy_at_zero(prec: int):
     """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3),
-    each rounded once to ``prec`` bits."""
-    with mp.workprec(prec + GUARD):
-        third = mpmath.mpf(1) / 3
-        ai0 = mpmath.cbrt(3) ** -2 / mpmath.gamma(2 * third)
-        aid0 = -1 / (mpmath.cbrt(3) * mpmath.gamma(third))
+    each rounded once to ``prec`` bits.  Gamma(1/3) is the exponential of
+    the log-gamma kernel's value at width p = prec + GUARD + 32, and
+    Gamma(2/3) = 2 pi / (sqrt 3 Gamma(1/3)) by reflection, so
+    Ai(0) = 3^(-1/6) Gamma(1/3) / (2 pi); the kernel's
+    (J + 4) 2^-p (|log Gamma(1/3 + s)| + 1) stays below 2^-(prec+28) up to
+    prec = 2112."""
+    p = prec + GUARD + 32
+    with mp.workprec(p):
+        g = mpmath.exp(_loggamma_shifted(mpmath.mpf(1) / 3, p))
+        c = mpmath.cbrt(3)
+        ai0 = g / (2 * mpmath.pi * mpmath.sqrt(c))
+        aid0 = -1 / (c * g)
     return round_to(prec, ai0), round_to(prec, aid0)
 
 

@@ -148,11 +148,12 @@ _REGION_Z = st.one_of(
 
 
 def four_product_kernel(n, alpha, x, bits):
-    """Oracle for ``eval_f_raw``: the same fixed-point recurrence with its
-    complex product written out as four big-int products, Re = Re Y Re g -
-    Im Y Im g and Im = Re Y Im g + Im Y Re g, and the window check done by
-    ``exact._renorm`` every block.  The kernel's three-product form and
-    real-axis loop must give this state bit for bit."""
+    """Oracle for ``eval_f_raw``: the one-step form of its fixed-point
+    recurrence, g_(k+1) = ((Y_k g_k) >> P) - k g_(k-1) with the running
+    multiplier Y_k = k X + ((A X) >> P), its complex product written out as
+    four big-int products, and the window check done by ``exact._renorm``
+    every block.  The kernel's even/odd loop rounds differently, so the
+    two agree to the kernel's margin, not bit for bit."""
     a, x = to_mpf(alpha, bits), to_mpc(x, bits)
     xr, xi = x.real, x.imag
     P = fixed_bits(bits + exact.FIXED_GUARD, a._mpf_, xr._mpf_, xi._mpf_)
@@ -176,8 +177,53 @@ def four_product_kernel(n, alpha, x, bits):
             mp.make_mpc((fixed_raw(cr, P), fixed_raw(ci, P))), scale + e)
 
 
+def even_odd_kernel(n, alpha, x, bits):
+    """Oracle for ``eval_f_raw``: its even/odd loop written plainly.  With
+    y = x**2 floored to Q = P + s fraction bits (s in [0, P] lifting the
+    larger part of y to about P significant bits),
+    O_m = 2m E_m + ((A E_m) >> P) - 2m O_(m-1) and
+    E_(m+1) = ((W_m O_m) >> Q) - (2m+1) E_m, W_m = (2m+1) Y + ((A Y) >> P),
+    the complex product as four big-int products, the window check done by
+    ``exact._renorm`` every four pairs, and g = (X O) >> P at the end.  The
+    kernel's Gauss form, its small multiply for alpha E and its loop for
+    real y must give this state bit for bit."""
+    a, x = to_mpf(alpha, bits), to_mpc(x, bits)
+    xr, xi = x.real, x.imag
+    P = fixed_bits(bits + exact.FIXED_GUARD, a._mpf_, xr._mpf_, xi._mpf_)
+    A, XR, XI = (abs(raw_fixed(v._mpf_, P)) for v in (a, xr, xi))
+    YR, YI = XR * XR - XI * XI, 2 * XR * XI
+    s = min(P, max(0, 2 * P - max(abs(YR).bit_length(), YI.bit_length())))
+    Q = P + s
+    YR, YI = YR >> (P - s), YI >> (P - s)
+
+    def odd(j, qr, qi, er, ei):
+        return (j * er + (A * er >> P) - j * qr, j * ei + (A * ei >> P) - j * qi)
+
+    qr, qi, er, ei, scale, j = 0, 0, 1 << P, 0, 0, 0
+    while j + 1 < n:
+        for j in range(j, min(j + exact.BLOCK_STEPS, n - 1), 2):
+            qr, qi = odd(j, qr, qi, er, ei)
+            WR, WI = (j + 1) * YR + (A * YR >> P), (j + 1) * YI + (A * YI >> P)
+            er, ei = (((WR * qr - WI * qi) >> Q) - (j + 1) * er,
+                      ((WR * qi + WI * qr) >> Q) - (j + 1) * ei)
+        j += 2
+        (qr, qi, er, ei), e = exact._renorm((qr, qi, er, ei), P, exact.WINDOW_BITS)
+        scale += e
+    if n % 2:
+        qr, qi = odd(n - 1, qr, qi, er, ei)
+    gr, gi = (XR * qr - XI * qi) >> P, (XR * qi + XI * qr) >> P
+    state = (er, ei, gr, gi) if n % 2 else (gr, gi, er, ei)
+    (pr, pi, cr, ci), e = exact._renorm(state, P, exact.RENORM_BITS)
+    if xr < 0:
+        pr, pi, cr, ci = (pr, pi, -cr, -ci) if n % 2 else (-pr, -pi, cr, ci)
+    if (xr < 0) != (xi < 0):
+        pi, ci = -pi, -ci
+    return (mp.make_mpc((fixed_raw(pr, P), fixed_raw(pi, P))),
+            mp.make_mpc((fixed_raw(cr, P), fixed_raw(ci, P))), scale + e)
+
+
 # x / sqrt(n) anywhere: the four open quadrants, the real axis (both
-# signs, the kernel's one-product loop), the imaginary axis and 0
+# signs) and the imaginary axis (the kernel's loop for real y), and 0
 _AXIS_Z = st.one_of(
     st.tuples(_unit(-3.0, 3.0), _unit(-3.0, 3.0)),
     st.tuples(_unit(-3.0, 3.0), st.just(0.0)),
@@ -232,7 +278,12 @@ class TestFixedPointKernel:
     @example(n=6400, alpha=1.0, z=(2.0, 0.05), bits=256)
     @example(n=6400, alpha=0.75, z=(-1.2, 0.0), bits=256)
     @example(n=6400, alpha=1.0, z=(0.0, 2.0), bits=256)
-    def test_state_is_four_product_state(self, n, alpha, z, bits):
+    # alpha = 2 has more trailing zeros than P (its small multiply is by 1,
+    # shifted up); a full 256-bit mantissa makes it a wide one
+    @example(n=2401, alpha=2.0, z=(0.5, 0.3), bits=128)
+    @example(n=1999, alpha="1.2345678901234567890123456789012345678901234567890123456789",
+             z=(1.3, 0.02), bits=256)
+    def test_state_is_even_odd_state(self, n, alpha, z, bits):
         a = to_mpf(alpha, bits)
         with mp.workprec(bits):
             x = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / mpmath.sqrt(max(n, 1))
@@ -241,7 +292,31 @@ class TestFixedPointKernel:
             p, c, s = state
             return p.real._mpf_, p.imag._mpf_, c.real._mpf_, c.imag._mpf_, s
 
-        assert tuples(exact.eval_f_raw(n, a, x, bits)) == tuples(four_product_kernel(n, a, x, bits))
+        assert tuples(exact.eval_f_raw(n, a, x, bits)) == tuples(even_odd_kernel(n, a, x, bits))
+
+    @settings(max_examples=120)
+    @given(n=st.integers(0, 2500), alpha=_unit(0.5, 2.5), z=_AXIS_Z, bits=st.sampled_from([128, 256]))
+    # tiny alpha and |x| with full mantissas raise P, off and on the real axis
+    @example(n=2499, alpha="3.3e-31", z=("1.7e-38", "-2.9e-39"), bits=128)
+    @example(n=2499, alpha="3.3e-31", z=("-1.7e-38", "0"), bits=128)
+    @example(n=1, alpha="0.5", z=("3.1e-60", "0"), bits=256)
+    # the largest degree compared, and the same degree on the axes
+    @example(n=6400, alpha=0.75, z=(1.2, 0.05), bits=256)
+    @example(n=6400, alpha=1.0, z=(2.0, 0.05), bits=256)
+    @example(n=6400, alpha=0.75, z=(-1.2, 0.0), bits=256)
+    @example(n=6400, alpha=1.0, z=(0.0, 2.0), bits=256)
+    def test_state_within_margin_of_four_product_state(self, n, alpha, z, bits):
+        # the one-step form rounds (k+alpha) x g_k where the kernel rounds
+        # alpha E, y and (2m+1+alpha) y O; both stay 48 bits below 2^-bits
+        a = to_mpf(alpha, bits)
+        with mp.workprec(bits):
+            x = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / mpmath.sqrt(max(n, 1))
+        fp, fc, scale = exact.eval_f_raw(n, a, x, bits)
+        rp, rc, rscale = four_product_kernel(n, a, x, bits)
+        with mp.workprec(2 * bits + 256):
+            two_s = mpmath.ldexp(1, scale - rscale)
+            err = max(abs(fp * two_s - rp), abs(fc * two_s - rc)) / max(abs(rp), abs(rc))
+        assert err <= mpmath.ldexp(1, -(bits + 48))
 
     @pytest.mark.parametrize("bits", [128, 256])
     @pytest.mark.parametrize("n, alpha, z", [
@@ -249,7 +324,9 @@ class TestFixedPointKernel:
         for n, alpha in ((300, "0.5"), (1500, "1.234"), (2500, "2.5"), (6400, "0.75"))
         # origin, band strip B, turning point C, saturated strip D, outer A
         for z in ((0.05, 0.05), (1.0, 0.05), (2.05, 0.02), (2.6, 0.1), (1.0, 2.0))
-    ] + [(2499, "3.3e-31", ("1.7e-38", "-2.9e-39"))])
+    ] + [(2499, "3.3e-31", ("1.7e-38", "-2.9e-39")),
+          # x about 3e-4 on the real axis at odd n: g_n = x O is formed last
+          (1601, "1.0", (0.012, 0.0))])
     def test_state_within_margin_of_wider_run(self, n, alpha, z, bits):
         # the kernel's own rounding stays 48 bits below 2^-bits: the state
         # against the same kernel on the same x and alpha at bits + 128
@@ -542,6 +619,13 @@ class TestOrthoKernel:
             else:
                 assert 0 < s.err_bound < mpmath.ldexp(abs(s.value), -(128 + 8)), (s.m, s.n)
 
+    def test_err_bound_useful_at_tiny_alpha(self):
+        # node 0 holds nearly all of each moment at alpha << 1, and its mass
+        # is one floor: the relative mass error is charged to the rest only
+        for s in exact.ortho_matrix("1e-30", 4, 500, 128).values():
+            if not s.exact_zero:
+                assert s.err_bound < abs(s.value) * mpmath.mpf("1e-5"), (s.m, s.n)
+
     @pytest.mark.parametrize("k_max", [1, 50, 700])
     def test_recurrence_only_for_tail_samples(self, monkeypatch, k_max):
         # the sums come from power moments; the real recurrence runs only
@@ -680,10 +764,10 @@ class TestGoldenBits:
 
     The eval_f_raw states are the complex kernel's full-width integer
     state of g_k = k! f_k (P = bits + 64 fraction bits), each within
-    2^-(bits+48) of the same kernel run at P + 128 (2^-189.2, 2^-313.9
-    and, on the real axis, 2^-314.0), recorded with the step as four
-    big-int products by the running multiplier (k+alpha) x; the
-    three-product form and the real-axis loop reproduce them exactly.
+    2^-(bits+48) of the same kernel run at P + 128 with alpha rounded to
+    bits (2^-189.2, 2^-312.3 and, on the real axis, 2^-315.5), recorded
+    with the even/odd loop on y = x^2; the one-step loop they replaced
+    read 2^-189.2, 2^-313.9 and 2^-314.0.
     The ortho sum is the real
     kernel's accumulator rounded to 128 bits, and its tail bound comes from
     the same kernel's samples.
@@ -694,25 +778,25 @@ class TestGoldenBits:
     RAW = [
         ((60, "1", ("0.3", "0.2"), 128),
          ((1, 109328478986638937329709300123013245968240262209191455853, -191, 187),
-          (0, 15560615408230191762310304098980619965063167762239654371, -190, 184)),
-         ((1, 2166118962025209218545823986799939837744560196866451348197, -191, 191),
-          (1, 127971613756818264186768256558004385074137294558780952329, -188, 187)),
+          (0, 62242461632920767049241216395922479860252671048958617483, -192, 186)),
+         ((1, 4332237924050418437091647973599879675489120393732902696385, -192, 192),
+          (1, 1023772910054546113494146052464035080593098356470247618635, -191, 190)),
          191),
         ((600, "0.75", ("0.05", "-0.0125"), 256),
-         ((1, 8757521911748921471867492557352361745481393895693488293032196722401690518322975772190511444791,
-           -317, 313),
-          (0, 3572314841586786496471523261844952223833429242797537943311227333655617221709385910177643175175,
-           -318, 311)),
-         ((1, 56906515404242082171293902869180864626891518406600124862808581667790596905455743217109727640975,
-           -316, 315),
-          (0, 1913054521606811502176702434033960566382130948998470083230734234421599190125106869474761949529777,
-           -320, 320)),
+         ((1, 17515043823497842943734985114704723490962787791386976586064393444803381036645951544381022889581,
+           -318, 314),
+          (0, 7144629683173572992943046523689904447666858485595075886622454667311234443418771820355286350351,
+           -319, 312)),
+         ((1, 113813030808484164342587805738361729253783036813200249725617163335581193810911486434219455281935,
+           -317, 316),
+          (0, 119565907600425718886043902127122535398883184312404380201920889651349949382819179342172621845607,
+           -316, 316)),
          2436),
-        # real x < 0: the real-axis loop and the parity mapping
+        # real x < 0: the loop for real y and the parity mapping
         ((900, "0.7", ("-0.045", "0"), 256),
-         ((1, 11354171009833737784808449387459741776570200251169244734951642312266233848959972265773865355563,
-           -319, 313), (0, 0, 0, 0)),
-         ((0, 1644951938374967561082761152591055293995243989304837711217031054234484889450472740228660471199603,
+         ((1, 2838542752458434446202112346864935444142550062792311183737910578066558462239993066443466338891,
+           -317, 311), (0, 0, 0, 0)),
+         ((0, 1644951938374967561082761152591055293995243989304837711217031054234484889450472740228660471199671,
            -320, 320), (0, 0, 0, 0)),
          3768),
     ]

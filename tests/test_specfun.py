@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tcasym import specfun
 from tcasym.asym import Params
 from tcasym.harness import compare_point
-from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, to_mpc, to_mpf, working
+from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, round_to, to_mpc, to_mpf, working
 from tcasym.specfun import (
     LOGGAMMA_GUARD,
     AiryQuartet,
@@ -425,6 +425,15 @@ class TestAiryQuartet:
 
     def test_zero_values_cache_bounded(self):
         assert _airy_at_zero.cache_info().maxsize == 8
+
+    @pytest.mark.parametrize("prec", [64, 320, 384, 1024, 2112])
+    def test_zero_values_match_gamma_route(self, prec):
+        # the log-gamma route gives the bits of mpmath.gamma at 2/3 and 1/3
+        with mpmath.workprec(prec + GUARD):
+            third = mpmath.mpf(1) / 3
+            ai0 = mpmath.cbrt(3) ** -2 / mpmath.gamma(2 * third)
+            aid0 = -1 / (mpmath.cbrt(3) * mpmath.gamma(third))
+        assert _airy_at_zero(prec) == (round_to(prec, ai0), round_to(prec, aid0))
 
     def test_series_oracle_inside_radius(self, rng):
         for _ in range(10):
