@@ -4,17 +4,20 @@ Two independent evaluation paths for the rescaled monic polynomials:
 
 * an exact path (``tcasym.exact``): the three-term recurrence in
   configurable-precision arithmetic with log-scale renormalization, plus
-  the discrete orthogonality machinery (nodes, masses, truncated sums
-  with tail bounds);
+  the discrete orthogonality machinery (``iter_nodes_masses`` for the
+  nodes and masses, ``ortho_matrix`` for every pair sum up to a degree,
+  with its tail and error bounds);
 * an asymptotic path (``tcasym.asym``): region-wise uniform leading-order
   formulas covering the whole plane, including an Airy-type form through
   the turning point at the band edge; the band formula also serves the
   disk at the origin where the orthogonality nodes accumulate.
 
 ``tcasym.harness`` quantifies agreement between the two paths
-(convergence-order fits, cross-region consistency, fixed-argument limit
-checks, orthogonality reports); ``tcasym.cli`` exposes everything on the
-command line.
+(single-point records, convergence-order fits, cross-region consistency,
+fixed-argument limit checks, orthogonality reports, per-region sampling
+grids); ``tcasym.cli`` exposes everything on the command line.  The names
+re-exported below are the ones these layers, the acceptance suite and the
+benchmark use.
 
 The package is pure Python on top of mpmath, with no compiled code: the
 complex recurrence, the orthogonality sums with their node/mass
@@ -32,9 +35,7 @@ from .exact import (
     eval_monic_rescaled,
     h_norm,
     log_leading_coeff,
-    nodes_masses,
     ortho_matrix,
-    ortho_sum,
     weight_wd,
 )
 from .harness import (
@@ -46,7 +47,6 @@ from .harness import (
     darboux_check,
     ortho_report,
     region_grid,
-    region_table,
 )
 from .mpnum import (
     DEFAULT_PREC,
@@ -54,12 +54,8 @@ from .mpnum import (
     DomainError,
     LogComplex,
     PoleError,
-    Precision,
     logc_add,
-    logc_div,
     logc_mul,
-    logc_pow,
-    pow_principal,
     sqrt_zsq_minus4,
 )
 from .specfun import AiryQuartet, airy_quartet, log_gamma_complex

@@ -127,7 +127,8 @@ def _quarter_root_log(z):
 
 def _leading_exponent(n, alpha, z, bits):
     """Master exponent shared by the outer and saturated-strip formulas:
-    prefactor / D * (z^2-4)^(-1/4) varphi(z/2)^(2a-1/2) e^{-n phi - a pi i + pi i/2}.
+    prefactor / D * (z^2-4)^(-1/4) e^{(2a-1/2) u - n phi - a pi i + pi i/2},
+    u = Log((z + sqrt(z^2-4))/2).
 
     Returns the exponent, phi(z) and the log-prefactor."""
     a = to_mpf(alpha, bits)
@@ -135,7 +136,7 @@ def _leading_exponent(n, alpha, z, bits):
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = phi(z, bits + GUARD, half_plane="upper").value
+        phv = phi(z, bits + GUARD, half_plane="upper")
         log_pref = _log_prefactor(n, alpha, bits)
         w = (log_pref - mpmath.mpc(dd.log_mod, dd.phase)
              + _quarter_root_log(z) + p * u - n * phv
@@ -226,7 +227,7 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     with working(bits, GUARD + 8):
         u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = phi(z, bits + GUARD, half_plane="upper").value
+        phv = phi(z, bits + GUARD, half_plane="upper")
         ipi = mpmath.mpc(0, mpmath.pi)
         wc = _log_prefactor(n, alpha, bits) + _quarter_root_log(z)
         w1 = p * u - n * phv - a * ipi + ipi / 2
@@ -246,12 +247,12 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
 def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
     """Turning-point (Airy) form, stable through z = 2.
 
-    The bracket pairs (varphi^p -+ varphi^-p)(z^2-4)^(-1/4) ftilde^(-+1/4)
+    The bracket pairs (e^(pu) -+ e^(-pu))(z^2-4)^(-1/4) ftilde^(-+1/4)
     are evaluated in the analytically reduced form
         2 sinh(p u)/w * (z+2)^(1/4) n^(-1/6) h^(-1/6)   and
         2 cosh(p u)   * (z+2)^(-1/4) n^(1/6) h^(1/6),
-    with u = log varphi(z/2) and h the analytic cofactor of the
-    turning-point map, so nothing blows up at the band edge.
+    with u = Log((z + w)/2), w = sqrt(z^2-4), and h the analytic cofactor
+    of the turning-point map, so nothing blows up at the band edge.
 
     They multiply the Airy brackets Ai'(zeta) cos tau + Bi'(zeta) sin tau
     and Ai(zeta) cos tau + Bi(zeta) sin tau, zeta = ftilde_n(z) and

@@ -5,8 +5,10 @@ Contents: the limiting zero density psi (band |x| <= 2, saturated
 the regularized phase functions phi-tilde / phi / phi-hat, the conformal
 turning-point map (its cofactor h is the closed form in phi-tilde, at a
 width widened by the bits that form cancels near 2, with no cache), the
-Gamma-ratio D-functions with their algebraic E prefactors, the
-node-counting trio (theta, gamma, Pi), and the Joukowski inverse varphi.
+Gamma-ratio D-functions with their algebraic E prefactors, and the
+node-counting trio (theta, gamma, Pi).  The phases and the region
+formulas read u = Log((z + sqrt(z^2-4))/2), the log of the inverse
+Joukowski map at z/2, from the one helper ``_u_of``.
 
 Branch discipline: every power/log is a principal branch of an explicit
 factor, chosen so each function is analytic exactly off its stated cut.
@@ -61,13 +63,12 @@ def _resolve_half(z, half_plane: str) -> str:
 # Density
 # ----------------------------------------------------------------------
 
-def density_psi(x, prec, zero_limit: bool = True):
+def density_psi(x, prec):
     """Limiting zero-counting density.
 
     Band |x| <= 2:  (1/pi) (4 atan(|x|/sqrt(4-x^2)) / |x|^3 - sqrt(4-x^2)/x^2);
     saturated |x| > 2:  2/|x|^3.  Even in x; continuous (value 1/4) at the
-    band edge.  At x = 0 the band branch has the finite limit 1/(3 pi),
-    returned when ``zero_limit`` is set, else a DomainError.
+    band edge.  At x = 0 the band branch takes its finite limit 1/(3 pi).
     """
     bits = bits_of(prec)
     x = to_mpf(x, bits)
@@ -76,8 +77,6 @@ def density_psi(x, prec, zero_limit: bool = True):
         sat = t > 2
         if sat:
             return 2 / (t * t * t)
-    if t == 0 and not zero_limit:
-        raise DomainError("density_psi: x = 0 excluded (zero_limit disabled)")
     # the two 2/t^2 singular parts cancel; near 0 switch to the expansion
     if t < mpmath.ldexp(mpmath.mpf(1), -(bits // 5)):
         with working(bits):
@@ -91,39 +90,16 @@ def density_psi(x, prec, zero_limit: bool = True):
 
 
 # ----------------------------------------------------------------------
-# Square-root and Joukowski helpers (product-principal branches)
+# Inverse Joukowski log (product-principal branches)
 # ----------------------------------------------------------------------
 
 def _u_of(z):
-    """(u, w): w = sqrt(z-2) sqrt(z+2) and u = Log((z + w)/2) = log varphi(z/2),
-    at the caller's working precision.  On the closed first quadrant the
-    log's argument never meets (-inf, 0], and a band z gets the upper limit."""
+    """(u, w): w = sqrt(z-2) sqrt(z+2) and u = Log((z + w)/2), so that
+    cosh u = z/2 and sinh u = w/2, at the caller's working precision.  On
+    the closed first quadrant the log's argument never meets (-inf, 0], and
+    a band z gets the upper limit."""
     w = _w_root(z)
     return mpmath.log((z + w) / 2), w
-
-
-def varphi(z, prec):
-    """z + sqrt(z^2-1) with cut [-1, 1]; behaves like 2z at infinity."""
-    bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    require_off_cut(z, -1, 1, bits, "varphi")
-    with working(bits):
-        v = z + mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1)
-    return round_to(bits, v)
-
-
-def varphi_limit(x, prec, upper: bool = True):
-    """One-sided limit of varphi on the cut: x +- i sqrt(1-x^2)."""
-    bits = bits_of(prec)
-    x = to_mpf(x, bits)
-    with mp.workprec(bits):
-        outside = abs(x) > 1
-    if outside:
-        return varphi(x, bits)
-    with working(bits):
-        r = mpmath.sqrt((1 - x) * (1 + x))
-        v = mpmath.mpc(x, r if upper else -r)
-    return round_to(bits, v)
 
 
 # ----------------------------------------------------------------------
@@ -207,15 +183,7 @@ def _phi_tilde_off_cut(z):
     return (2 / (z * z) - 1) * el + w / (2 * z)
 
 
-@dataclass(frozen=True)
-class PhiValue:
-    """A phi evaluation tagged with the half-plane whose branch was used."""
-
-    value: mpmath.mpc
-    half_plane: str
-
-
-def phi(z, prec, half_plane: str = "auto") -> PhiValue:
+def phi(z, prec, half_plane: str = "auto"):
     """phi = phi_tilde -+ i pi / z^2 on the upper/lower half-plane.
 
     Bounded near the origin (the i pi/z^2 singularities cancel); purely
@@ -231,7 +199,7 @@ def phi(z, prec, half_plane: str = "auto") -> PhiValue:
         pt = phi_tilde(z, bits + GUARD, on_cut=on_cut, extra=extra)
         sgn = 1 if half == "upper" else -1
         v = pt - sgn * mpmath.pi * 1j / (z * z)
-    return PhiValue(to_mpc(v, bits), half)
+    return to_mpc(v, bits)
 
 
 def phi_hat(z, prec):
@@ -260,7 +228,7 @@ def h_factor(z, prec):
     jumps of phi_tilde and of (z-2)^(3/2) cancel across the band, so this is
     the analytic continuation) and conjugated back; real on the real axis.
     phi_tilde = O(|t|^(3/2)), t = z - 2, is formed from O(|t|^(1/2)) terms,
-    and u = log varphi(z/2) is the log of 1 + O(|t|^(1/2)): together they
+    and u = Log((z + w)/2) is the log of 1 + O(|t|^(1/2)): together they
     lose up to 1.5 log2(1/|t|) bits, which the working width adds back.
     """
     bits = bits_of(prec)
@@ -447,13 +415,6 @@ def e_hat_func(alpha, z, prec) -> LogComplex:
     with working(bits, GUARD):
         w = _e_prefactor(a, bits) + p * (mpmath.log(-z - 2) + mpmath.log(2 - z))
     return LogComplex.from_exponent(w, bits)
-
-
-def e_family(alpha, z, prec):
-    """(E, E-tilde, E-hat) at a common point off the real axis."""
-    bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    return e_func(alpha, z, bits), e_tilde_func(alpha, z, bits), e_hat_func(alpha, z, bits)
 
 
 # ----------------------------------------------------------------------

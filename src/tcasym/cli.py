@@ -32,7 +32,7 @@ from mpmath import mp
 
 from . import __version__, asym, exact, harness
 from .asym import Params
-from .mpnum import ConfigError, DomainError, LogComplex, bits_of, to_mpc, to_mpf, working
+from .mpnum import DEFAULT_PREC, ConfigError, DomainError, LogComplex, bits_of, to_mpc, to_mpf, working
 
 PREC_ENV = "TCASYM_PREC"
 CSV_HEADER = ("n,alpha,z_re,z_im,region,log_exact_mod,log_exact_phase,"
@@ -47,12 +47,12 @@ def _default_prec() -> int:
             return int(env)
         except ValueError:
             raise ConfigError(f"{PREC_ENV} must be an integer, got {env!r}")
-    return 256
+    return DEFAULT_PREC
 
 
 def _bits(prec, default=None) -> int:
     """The --prec value when given (0 included, which ``bits_of`` rejects),
-    else ``default``, else $TCASYM_PREC or 256."""
+    else ``default``, else $TCASYM_PREC or ``DEFAULT_PREC``."""
     if prec is None:
         prec = _default_prec() if default is None else default
     return bits_of(prec)
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_n:
             sp.add_argument("--n", type=int, required=True, help="degree")
         sp.add_argument("--alpha", type=str, required=True, help="weight parameter (> 0)")
-        sp.add_argument("--prec", type=int, default=None, help="mantissa bits (default 256 or $TCASYM_PREC)")
+        sp.add_argument("--prec", type=int, default=None, help=f"mantissa bits (default {DEFAULT_PREC} or ${PREC_ENV})")
         sp.add_argument("--delta", type=float, default=0.25, help="strip height")
         sp.add_argument("--eps", type=float, default=0.15, help="disk radius")
 
@@ -299,16 +299,20 @@ def _cmd_compare(args) -> int:
     zs = [to_mpc(p, bits) for p in pts]
     tasks = [(n, str(args.alpha), z, args.delta, args.eps, bits)
              for n in n_list for z in zs]
-    # a forked pool starts all its workers at the first submit
-    workers = min(args.threads, len(tasks))
-    if workers == 1:
-        rows = [_compare_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_compare_task, tasks, chunksize=4))
-
-    sink = open(args.out, "w") if args.out else sys.stdout
+    sink = sys.stdout
+    if args.out:
+        try:
+            sink = open(args.out, "w")
+        except OSError as e:
+            raise ConfigError(f"--out {args.out!r} cannot be written: {e.strerror or e}")
     try:
+        # a forked pool starts all its workers at the first submit
+        workers = min(args.threads, len(tasks))
+        if workers == 1:
+            rows = [_compare_task(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_compare_task, tasks, chunksize=4))
         if args.format == "csv":
             sink.write(CSV_HEADER + "\n")
             for row in rows:

@@ -368,11 +368,6 @@ def iter_nodes_masses(alpha, k_max: int, prec):
         yield NodeMass(k, fixed_mpf(_fixed_node(A, k, P), P, bits), fixed_mpf(M, P, bits))
 
 
-def nodes_masses(alpha, k_max: int, prec):
-    """Materialized list of nodes and masses (use the iterator for large k_max)."""
-    return list(iter_nodes_masses(alpha, k_max, prec))
-
-
 @dataclass(frozen=True)
 class OrthoSum:
     """A truncated orthogonality sum and its a-posteriori tail bound."""
@@ -395,16 +390,6 @@ def _fixed_f_real(f, X, A, coeff, P):
         f[1] = (A * X) >> P
     for j in range(1, len(f) - 1):
         f[j + 1] = ((coeff[j] * (X * f[j] >> P) >> P) - f[j - 1]) // (j + 1)
-
-
-def _ortho_alpha(alpha, k_max, bits):
-    """alpha rounded to ``bits``, after the checks every orthogonality sum
-    shares: alpha finite and > 0, k_max >= 1."""
-    a = to_mpf(alpha, bits)
-    _check_n_alpha(0, a)
-    if k_max < 1:
-        raise ConfigError("k_max must be >= 1")
-    return a
 
 
 def _g_coeffs(A, max_deg, P):
@@ -458,7 +443,10 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     heuristic bound on f near zero, not a proven one.
     """
     bits = bits_of(prec)
-    a = _ortho_alpha(alpha, k_max, bits)
+    a = to_mpf(alpha, bits)
+    _check_n_alpha(0, a)
+    if k_max < 1:
+        raise ConfigError("k_max must be >= 1")
     if max_deg < 0:
         raise ConfigError("max_deg must be >= 0")
     P = _node_bits(bits, a, k_max)
@@ -504,24 +492,6 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
                 tail = 4 * ea * mbound ** 2 / den
                 out[(m, n)] = OrthoSum(m, n, value, round_to(bits, tail), k_max, False, bound)
     return out
-
-
-def ortho_sum(m: int, n: int, alpha, k_max: int = 10 ** 6, prec=128) -> OrthoSum:
-    """Discrete orthogonality sum over nodes |k| <= k_max with tail bound.
-
-    Converges to h_n delta_mn with h_n = 2 e^alpha / ((n+alpha) n!); the
-    masses decay like k^(-3/2), so the truncation tail is O(k_max^(-1/2)):
-    slow but honest, hence the generous default node count.
-    """
-    if m < 0 or n < 0:
-        raise ConfigError("m, n must be >= 0")
-    _ortho_alpha(alpha, k_max, bits_of(prec))
-    lo, hi = min(m, n), max(m, n)
-    if (m + n) % 2 == 1:
-        return OrthoSum(m, n, mpmath.mpf(0), mpmath.mpf(0), k_max, True, mpmath.mpf(0))
-    mat = ortho_matrix(alpha, hi, k_max, prec)
-    s = mat[(lo, hi)]
-    return OrthoSum(m, n, s.value, s.tail_bound, k_max, False, s.err_bound)
 
 
 def h_norm(n: int, alpha, prec):

@@ -101,12 +101,6 @@ def compare_point(n: int, alpha, z, params: Params = None, prec=256) -> EvalReco
     )
 
 
-def lee_wong_nu(n: int, alpha) -> float:
-    """The shifted large parameter n + 2 alpha - 1/2 used in turning-point
-    comparison tables."""
-    return float(n + 2 * float(alpha) - 0.5)
-
-
 @dataclass(frozen=True)
 class ConvergenceFit:
     """Least-squares fit rel_err ~ C n^-p over a geometric n ladder."""
@@ -118,7 +112,6 @@ class ConvergenceFit:
     p: float
     c: float
     residual: float
-    nu_list: tuple
     flags: tuple = ()
 
 
@@ -163,7 +156,6 @@ def convergence_fit(alpha, z, n_list, params: Params = None, prec=256) -> Conver
         p=-slope,
         c=math.exp(intercept),
         residual=resid,
-        nu_list=tuple(lee_wong_nu(n, alpha) for n in n_list),
         flags=tuple(dict.fromkeys(flags)),
     )
 
@@ -285,21 +277,6 @@ def region_grid(tag: str, n: int, alpha, params: Params = None, prec=256,
                 im = i0 + (i1 - i0) * j / max(nim - 1, 1)
                 pts.append(round_to(bits, mpmath.mpc(re, im)))
     return pts
-
-
-def region_table(tag: str, n: int, alpha, params: Params = None, prec=256,
-                 nre: int = 20, nim: int = 10):
-    """Comparison records over the region's default grid (every point must
-    classify into the requested region)."""
-    if params is None:
-        params = Params()
-    recs = []
-    for z in region_grid(tag, n, alpha, params, prec, nre, nim):
-        rec = compare_point(n, alpha, z, params, prec)
-        if rec.region != tag:
-            raise ConfigError(f"default grid point {z} classified {rec.region!r}, wanted {tag!r}")
-        recs.append(rec)
-    return tuple(recs)
 
 
 # ----------------------------------------------------------------------

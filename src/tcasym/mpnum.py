@@ -50,21 +50,8 @@ class ConfigError(ValueError):
     """Invalid parameter combination."""
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Mantissa width in bits for all arithmetic downstream of a call."""
-
-    bits: int
-
-    def __post_init__(self):
-        if int(self.bits) < MIN_PREC:
-            raise ConfigError(f"precision must be >= {MIN_PREC} bits, got {self.bits}")
-
-
 def bits_of(prec) -> int:
-    """Normalize an ``int`` or :class:`Precision` to a bit count."""
-    if isinstance(prec, Precision):
-        return int(prec.bits)
+    """Normalize a precision argument to a bit count (at least MIN_PREC)."""
     b = int(prec)
     if b < MIN_PREC:
         raise ConfigError(f"precision must be >= {MIN_PREC} bits, got {prec}")
@@ -205,26 +192,12 @@ class LogComplex:
         return cls(mpmath.mpf("-inf"), mpmath.mpf(0))
 
     @classmethod
-    def one(cls) -> "LogComplex":
-        return cls(mpmath.mpf(0), mpmath.mpf(0))
-
-    @classmethod
     def from_exponent(cls, w, prec) -> "LogComplex":
         """Represent exp(w) for a complex or real exponent w: the one way to
         build a LogComplex from an exponent.  Each component is rounded once
         to ``prec`` bits, whatever the ambient precision."""
         w = to_mpc(w, prec)
         return cls(w.real, w.imag)
-
-    @classmethod
-    def from_complex(cls, z, prec) -> "LogComplex":
-        z = to_mpc(z, prec)
-        if z == 0:
-            return cls.zero()
-        with working(prec):
-            lm = mpmath.log(abs(z))
-            ph = mpmath.atan2(z.imag, z.real)
-        return cls(round_to(prec, lm), round_to(prec, ph))
 
     def is_zero(self) -> bool:
         return mpmath.isinf(self.log_mod) and self.log_mod < 0
@@ -258,28 +231,6 @@ def logc_mul(a: LogComplex, b: LogComplex, prec) -> LogComplex:
         return LogComplex.zero()
     with mp.workprec(bits_of(prec)):
         return LogComplex(a.log_mod + b.log_mod, a.phase + b.phase)
-
-
-def logc_div(a: LogComplex, b: LogComplex, prec) -> LogComplex:
-    if b.is_zero():
-        raise ZeroDivisionError("LogComplex division by exact zero")
-    if a.is_zero():
-        return LogComplex.zero()
-    with mp.workprec(bits_of(prec)):
-        return LogComplex(a.log_mod - b.log_mod, a.phase - b.phase)
-
-
-def logc_pow(a: LogComplex, p, prec) -> LogComplex:
-    """a**p for scalar p (complex allowed); uses the unnormalized phase."""
-    if a.is_zero():
-        p = to_mpc(p, prec)
-        if p.real > 0:
-            return LogComplex.zero()
-        raise DomainError("0**p with Re p <= 0")
-    with working(prec):
-        p = mpmath.mpc(p)
-        w = p * mpmath.mpc(a.log_mod, a.phase)
-    return LogComplex.from_exponent(w, prec)
 
 
 def logc_add(a: LogComplex, b: LogComplex, prec):
@@ -333,32 +284,3 @@ def sqrt_zsq_minus4(z, prec) -> mpmath.mpc:
     with working(prec):
         w = _w_root(z)
     return round_to(prec, w)
-
-
-def sqrt_zsq_minus4_limit(x, prec, upper: bool = True) -> mpmath.mpc:
-    """One-sided limit of sqrt(z**2-4) on the cut: +-i*sqrt(4-x**2) for
-    x in (-2, 2), approached from the upper (lower) half-plane."""
-    x = to_mpf(x, prec)
-    if not (-2 <= x <= 2):
-        with working(prec):
-            s = _w_root(x) if x > 2 else -mpmath.sqrt(mpmath.mpf(x) ** 2 - 4)
-        return to_mpc(s, prec)
-    with working(prec):
-        r = mpmath.sqrt((2 - x) * (2 + x))
-        v = mpmath.mpc(0, r if upper else -r)
-    return round_to(prec, v)
-
-
-def pow_principal(z, p, prec) -> LogComplex:
-    """exp(p*Log z) with Arg z in (-pi, pi], returned in LogComplex form."""
-    z = to_mpc(z, prec)
-    if z == 0:
-        p = to_mpc(p, prec)
-        if p.real > 0:
-            return LogComplex.zero()
-        raise DomainError("pow_principal: 0**p with Re p <= 0")
-    with working(prec):
-        p = mpmath.mpc(p)
-        logz = mpmath.mpc(mpmath.log(abs(z)), mpmath.atan2(z.imag, z.real))
-        w = p * logz
-    return LogComplex.from_exponent(w, prec)

@@ -93,7 +93,7 @@ def test_criterion_3_identity_suite():
             worst_d = max(worst_d, abs(dt - d * (1 - mpmath.exp(-sgn * 2j * th))) / abs(dt))
             worst_d = max(worst_d, abs(dh - d * (1 - mpmath.exp(sgn * 2j * th))) / abs(dh))
             # connection formulas tying the three phase functions together
-            p = phi(z, 128).value
+            p = phi(z, 128)
             pt = phi_tilde(z, 128) if z.real > 0 or abs(z.imag) > 0 else None
             worst_conn = max(worst_conn, abs(phi_tilde(z, 128) - p - sgn * mpmath.pi * 1j / (z * z))
                              / max(1, abs(p)))

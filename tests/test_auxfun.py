@@ -1,6 +1,6 @@
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -11,7 +11,6 @@ from tcasym.auxfun import (
     d_tilde_func,
     d_triple,
     density_psi,
-    e_family,
     e_func,
     e_hat_func,
     e_tilde_func,
@@ -23,8 +22,6 @@ from tcasym.auxfun import (
     phi_hat,
     phi_tilde,
     theta_gamma_pi,
-    varphi,
-    varphi_limit,
 )
 from tcasym.mpnum import DomainError, PoleError, round_to, sqrt_zsq_minus4, to_mpc, working
 from tcasym.specfun import log_gamma_real
@@ -59,8 +56,6 @@ class TestDensity:
         with working(256):
             lim = density_psi(0, 256)
             assert rel_diff(lim, 1 / (3 * mpmath.pi), 256) < 1e-60
-        with pytest.raises(DomainError):
-            density_psi(0, 128, zero_limit=False)
 
     def test_series_branch_continuity(self):
         # values straddling the small-|x| switchover agree
@@ -163,7 +158,7 @@ class TestPhiTilde:
 
 class TestPhiConnection:
     def test_phi_negative_real_part_in_band(self):
-        v = phi(mpmath.mpc(1, mpmath.mpf("0.001")), 192).value
+        v = phi(mpmath.mpc(1, mpmath.mpf("0.001")), 192)
         assert v.real < 0
 
     def test_phi_hat_real_on_left_saturated(self):
@@ -175,7 +170,7 @@ class TestPhiConnection:
         for _ in range(20):
             z = mpmath.mpc(rng.uniform(-4, -0.2), rng.choice([1, -1]) * rng.uniform(0.05, 3))
             ph = phi_hat(z, 192)
-            p = phi(z, 192).value
+            p = phi(z, 192)
             with working(192):
                 sgn = 1 if z.imag > 0 else -1
                 resid = abs(ph - p + sgn * (1 / (z * z) - 1) * mpmath.pi * 1j)
@@ -184,13 +179,13 @@ class TestPhiConnection:
     def test_phi_schwarz(self, rng):
         for _ in range(10):
             z = mpmath.mpc(rng.uniform(-3, 3), rng.uniform(0.05, 3))
-            a = phi(z, 128).value
-            b = phi(mpmath.conj(z), 128).value
+            a = phi(z, 128)
+            b = phi(mpmath.conj(z), 128)
             assert a.real - b.real == 0 and a.imag + b.imag == 0
 
     def test_half_plane_override(self):
-        up = phi(mpmath.mpf(1), 128, half_plane="upper").value
-        lo = phi(mpmath.mpf(1), 128, half_plane="lower").value
+        up = phi(mpmath.mpf(1), 128, half_plane="upper")
+        lo = phi(mpmath.mpf(1), 128, half_plane="lower")
         assert up.real == 0 and lo.imag + up.imag == 0
 
     def test_quadrature_oracle(self):
@@ -202,7 +197,7 @@ class TestPhiConnection:
                 return mpmath.log(abs(z - s)) * density_psi(s, 80)
             g_re = mpmath.quad(integrand, [-mpmath.inf, -2, -1, 0, 1, 2, mpmath.inf])
             phi_re = mpmath.mpf(1) / 2 - g_re
-            closed = phi(z, 128).value.real
+            closed = phi(z, 128).real
             assert abs(phi_re - closed) < 1e-8
 
 
@@ -457,9 +452,8 @@ class TestEFunctions:
             assert resid / abs(ev) < mpmath.mpf(2) ** -180
 
     def test_family_and_cuts(self):
-        e1, e2, e3 = e_family(1, mpmath.mpc(1, 1), 160)
-        for v in (e1, e2, e3):
-            assert mpmath.isfinite(v.log_mod)
+        for fn in (e_func, e_tilde_func, e_hat_func):
+            assert mpmath.isfinite(fn(1, mpmath.mpc(1, 1), 160).log_mod)
         with pytest.raises(DomainError):
             e_func(1, mpmath.mpf(3), 128)
         with pytest.raises(DomainError):
@@ -520,31 +514,33 @@ class TestThetaGammaPi:
         assert theta_gamma_pi(n, a, z, bits) == tuple(round_to(bits, v) for v in want)
 
 
-class TestVarphi:
-    def test_rational_point(self):
-        v = varphi(mpmath.mpf("1.25"), 128)
-        assert v.imag == 0
-        with working(160):
-            assert rel_diff(v, mpmath.mpf(2), 128) < mpmath.mpf(2) ** -120
+class TestUOf:
+    """``_u_of``, the u = Log((z + w)/2), w = sqrt(z^2-4), that every
+    asymptotic formula reads, on the closed first quadrant the dispatcher
+    reduces to, band points (their upper limit) included."""
 
-    def test_asymptotic(self):
-        z = mpmath.mpf(10) ** 6
-        v = varphi(z, 128)
-        with working(160):
-            assert abs(v / (2 * z) - 1) < 1e-6
+    @given(x=st.floats(0, 8), y=st.one_of(st.just(0.0), st.floats(0, 8)),
+           bits=st.sampled_from([64, 128, 200, 256]))
+    @example(x=0.0, y=0.0, bits=200)  # u = i pi/2
+    @example(x=2.0, y=0.0, bits=200)  # band edge: u = w = 0
+    @example(x=1.0, y=0.0, bits=200)  # band: u = i pi/3
+    @example(x=1e6, y=3e5, bits=128)
+    def test_cosh_sinh_and_range(self, x, y, bits):
+        z = mpmath.mpc(x, y)
+        with mp.workprec(bits):
+            u, w = auxfun._u_of(z)
+            assert 0 <= u.imag <= mpmath.pi / 2
+            assert u.real >= -mpmath.ldexp(1, -(bits - 8))
+        with mp.workprec(bits + 64):
+            tol = mpmath.ldexp(max(1, abs(z)), -(bits - 8))
+            assert abs(mpmath.cosh(u) - z / 2) <= tol
+            assert abs(mpmath.sinh(u) - w / 2) <= tol
 
-    def test_root_product(self, rng):
-        for _ in range(10):
-            z = mpmath.mpc(rng.uniform(-3, 3), rng.choice([1, -1]) * rng.uniform(0.05, 2))
-            v = varphi(z, 192)
-            with working(192):
-                w = v - z  # sqrt(z^2-1)
-                assert abs(v * (z - w) - 1) < mpmath.mpf(2) ** -170
-
-    def test_cut_and_limit(self):
-        with pytest.raises(DomainError):
-            varphi(mpmath.mpf("0.5"), 128)
-        v = varphi_limit(mpmath.mpf("0.5"), 128, upper=True)
+    def test_log2_pin(self):
+        # (z + w)/2 = 2 at z = 5/2, where w = 3/2
+        with mp.workprec(128):
+            u, w = auxfun._u_of(mpmath.mpc("2.5"))
+        assert u.imag == 0 and w.imag == 0
         with working(160):
-            assert abs(abs(v) - 1) < mpmath.mpf(2) ** -120
-            assert v.imag > 0
+            assert rel_diff(u.real, mpmath.log(2), 128) < mpmath.mpf(2) ** -120
+            assert rel_diff(w.real, mpmath.mpf("1.5"), 128) < mpmath.mpf(2) ** -120

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tcasym import cli
+from tcasym import cli, harness
 
 RUN = [sys.executable, "-m", "tcasym.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -394,6 +394,21 @@ class TestErrorsAndConfig:
         assert err["type"] == "config"
         assert named in err["message"]
         assert not csv.exists()
+
+    def test_compare_unwritable_out_is_config_error(self, capsys, tmp_path, monkeypatch):
+        # the sink opens after the argument checks and before any point is
+        # evaluated: no sweep runs and no traceback escapes
+        def never(*args, **kwargs):
+            raise AssertionError("compare_point was called")
+
+        monkeypatch.setattr(harness, "compare_point", never)
+        csv = tmp_path / "missing" / "out.csv"
+        code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1", "--z-list", "1,2",
+                                      "--prec", "128", "--out", str(csv)])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "config"
+        assert err["message"].startswith("--out ")
 
     def test_subnormal_doubles_accepted(self, capsys):
         code, out = run_main(capsys, ["regions", "--n", "50", "--alpha", "1e-310", "--z", "1e-310,-1"])

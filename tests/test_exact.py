@@ -434,7 +434,7 @@ class TestWeight:
         # at x_k = (k+alpha)^(-1/2) the continuous weight reproduces the
         # discrete jump (k+alpha)^(k-1) e^-k / k! exactly
         a = mpmath.mpf(alpha)
-        for nm in exact.nodes_masses(a, 12, 160):
+        for nm in exact.iter_nodes_masses(a, 12, 160):
             wv = exact.weight_wd(a, nm.x, 160)
             with working(200):
                 diff = abs(wv.to_complex(200) - nm.mass) / nm.mass
@@ -443,19 +443,19 @@ class TestWeight:
 
 class TestNodesMasses:
     def test_first_node(self):
-        nm = exact.nodes_masses(mpmath.mpf("2.0"), 0, 128)[0]
+        nm = list(exact.iter_nodes_masses(mpmath.mpf("2.0"), 0, 128))[0]
         with working(160):
             assert rel_diff(nm.x, 1 / mpmath.sqrt(mpmath.mpf(2)), 128) < mpmath.mpf(2) ** -110
             assert rel_diff(nm.mass, mpmath.mpf(1) / 2, 128) < mpmath.mpf(2) ** -110
 
     def test_alpha_one_k_one(self):
-        nm = exact.nodes_masses(1, 1, 128)[1]
+        nm = list(exact.iter_nodes_masses(1, 1, 128))[1]
         with working(160):
             assert rel_diff(nm.x, 1 / mpmath.sqrt(mpmath.mpf(2)), 128) < mpmath.mpf(2) ** -110
             assert rel_diff(nm.mass, mpmath.exp(mpmath.mpf(-1)), 128) < mpmath.mpf(2) ** -110
 
     def test_monotone_nodes(self):
-        nodes = exact.nodes_masses(1, 50, 128)
+        nodes = list(exact.iter_nodes_masses(1, 50, 128))
         xs = [nm.x for nm in nodes]
         assert all(xs[i] > xs[i + 1] for i in range(len(xs) - 1))
         assert all(nm.mass > 0 for nm in nodes)
@@ -467,7 +467,7 @@ class TestNodesMasses:
             lim = mpmath.exp(a) / mpmath.sqrt(2 * mpmath.pi)
             prev_gap = None
             for k in (100, 1000, 10000):
-                nm = exact.nodes_masses(a, k, 128)[-1]
+                nm = list(exact.iter_nodes_masses(a, k, 128))[-1]
                 val = nm.mass * mpmath.mpf(k) ** mpmath.mpf("1.5")
                 gap = lim - val
                 assert gap > 0
@@ -476,43 +476,46 @@ class TestNodesMasses:
                 prev_gap = gap
 
 
+def pair_sum(m, n, alpha, k_max, prec):
+    """The (m, n) orthogonality sum, read off ``ortho_matrix``."""
+    return exact.ortho_matrix(alpha, max(m, n), k_max, prec)[(min(m, n), max(m, n))]
+
+
 class TestOrtho:
     def test_k_max_zero_rejected(self):
         with pytest.raises(ConfigError, match="k_max must be >= 1"):
             exact.ortho_matrix(1, 2, 0, 128)
-        with pytest.raises(ConfigError):
-            exact.ortho_sum(0, 2, 1, 0, 128)
 
     @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ConfigError):
             exact.ortho_matrix(alpha, 2, 50, 128)
         with pytest.raises(ConfigError):
-            exact.nodes_masses(alpha, 2, 128)
+            list(exact.iter_nodes_masses(alpha, 2, 128))
         with pytest.raises(ConfigError):
             exact.h_norm(2, alpha, 128)
 
     @pytest.mark.parametrize("args", [(1, 2, "inf", 0, 128), (1, 2, -3, -5, 128)])
     def test_odd_pair_validated(self, args):
-        # the odd-pair shortcut returns only after alpha and k_max pass
+        # an odd pair's exact zero is returned only after alpha and k_max pass
         with pytest.raises(ConfigError):
-            exact.ortho_sum(*args)
+            pair_sum(*args)
 
     def test_odd_pairs_exact_zero(self):
-        s = exact.ortho_sum(1, 2, 1, 500, 128)
+        s = pair_sum(1, 2, 1, 500, 128)
         assert s.exact_zero and s.value == 0 and s.tail_bound == 0
 
     def test_diagonal_converges_to_h(self):
-        s = exact.ortho_sum(0, 0, 1, 20000, 128)
+        s = pair_sum(0, 0, 1, 20000, 128)
         with working(160):
             target = 2 * mpmath.e
             assert abs(s.value - target) <= s.tail_bound
-        s2 = exact.ortho_sum(2, 2, 1, 20000, 128)
+        s2 = pair_sum(2, 2, 1, 20000, 128)
         h2 = exact.h_norm(2, 1, 128)
         assert abs(s2.value - h2) <= s2.tail_bound
 
     def test_offdiag_within_tail(self):
-        s = exact.ortho_sum(0, 2, 1, 20000, 128)
+        s = pair_sum(0, 2, 1, 20000, 128)
         assert abs(s.value) <= s.tail_bound
 
     def test_tail_decays_like_sqrt(self):
@@ -520,7 +523,7 @@ class TestOrtho:
         with working(160):
             target = 2 * mpmath.e
             for k in (2000, 8000, 32000):
-                s = exact.ortho_sum(0, 0, 1, k, 128)
+                s = pair_sum(0, 0, 1, k, 128)
                 errs.append((abs(s.value - target), s.tail_bound))
         for err, tail in errs:
             assert err <= tail
@@ -534,7 +537,7 @@ class TestOrtho:
         # reported bound promises
         errs = []
         for k in (2000, 8000, 32000):
-            s = exact.ortho_sum(0, 2, 1, k, 128)
+            s = pair_sum(0, 2, 1, k, 128)
             assert abs(s.value) <= s.tail_bound
             errs.append((abs(s.value), s.tail_bound))
         assert errs[1][0] / errs[0][0] < 0.7 and errs[2][0] / errs[1][0] < 0.7
@@ -654,7 +657,7 @@ class TestOrthoKernel:
         monkeypatch.setattr(exact, "_fixed_nodes_masses", recording)
         exact.ortho_matrix("1.5", 4, 300, 128)
         monkeypatch.undo()
-        nodes = exact.nodes_masses("1.5", 300, 128)
+        nodes = list(exact.iter_nodes_masses("1.5", 300, 128))
         assert len(seen) == len(nodes) == 301
         for nm, (P, A, (k, M)) in zip(nodes, seen):
             X = isqrt_node(A, k, P)
@@ -752,7 +755,7 @@ class TestNodeMassGenerator:
             monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
         for a in ("1", "0.731", "1e-30"):
             calls.clear()
-            exact.nodes_masses(a, 2000, 128)
+            list(exact.iter_nodes_masses(a, 2000, 128))
             assert len(calls) <= 1, calls
             calls.clear()
             exact.ortho_matrix(a, 4, 2000, 128)
