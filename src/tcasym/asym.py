@@ -5,9 +5,13 @@ terms over the five regions of the closed first quadrant: the band strip
 B and the origin disk share one two-term formula, and the turning-point
 disk C around 2, the saturated strip D and the outer region A have their
 own.  The full-plane dispatcher reduces any nonzero z to the first
-quadrant through the parity and reflection symmetries, classifies it,
-dispatches, and undoes the reduction on the LogComplex result, so the
-symmetries hold bit for bit by construction.
+quadrant through the parity and reflection symmetries, classifies it
+(in doubles, in mpmath within 2^-40 of a region edge), builds the
+point's one geometry record (``_point``: the quantities of z that the
+formulas share, each taken once), dispatches, and undoes the reduction
+on the LogComplex result, so the symmetries hold bit for bit by
+construction.  An evaluator receives the record as its private ``_geo``
+argument and builds its own when called directly.
 
 Real arguments are evaluated as upper-half-plane boundary values.  Every
 region's value there is asserted real (imaginary residual <= 1e-8
@@ -22,12 +26,23 @@ separate formula error from truncation error.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
 
-from .auxfun import _f_tilde_from_h, _u_of, d_func, h_factor, phi
+from .auxfun import (
+    _d_width,
+    _f_tilde_from_log_h,
+    _geometry,
+    _h_width,
+    _phi_width,
+    d_func,
+    h_factor,
+    phi,
+)
 from .mpnum import (
     GUARD,
     ConfigError,
@@ -45,6 +60,10 @@ from .mpnum import (
 from .specfun import airy_rotated, log_gamma_real
 
 REAL_SNAP_TOL = 1e-8  # relative imaginary residual allowed at real arguments
+# ``locate`` decides a region in doubles unless the point lies within this
+# share of the compared magnitudes of an edge or a cut tolerance
+EDGE_MARGIN = 2.0 ** -40
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -84,9 +103,12 @@ class AsymResult:
 
 
 def classify_region(z, n: int, alpha, params: Params, prec=128) -> str:
-    """Region tag for a point in the closed first quadrant.
+    """Region tag for a point in the closed first quadrant, decided in
+    mpmath at ``prec`` bits.
 
-    Ties resolve in the fixed order origin > C > B > D > A.
+    Ties resolve in the fixed order origin > C > B > D > A.  ``locate``
+    decides the same tests in doubles first and calls this only for a
+    point within ``EDGE_MARGIN`` of an edge.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
@@ -111,35 +133,60 @@ def classify_region(z, n: int, alpha, params: Params, prec=128) -> str:
 # shared assembly pieces
 # ----------------------------------------------------------------------
 
-def _log_prefactor(n, alpha, bits):
+def _point(n, a, z, bits, tag, cut_checked=False):
+    """The geometry record (``auxfun._Geometry``) of a point z of region
+    ``tag`` at ``bits``, alpha ``a`` already rounded to ``bits``.  Each
+    field is taken at the width of its widest reader: u, w, z^2 and
+    log(z-2) + log(z+2) at that of h_factor's closed form on the
+    turning-point disk and of phi's elsewhere, so that h and phi see the
+    bits they would compute themselves; n/z^2 and log n also at the
+    D-function's width in A and D when that is wider."""
+    turning = tag == "C"
+    width = _h_width(z, bits + 2 * GUARD) if turning else _phi_width(z, bits + GUARD)
+    s_width = width
+    if tag in ("A", "D"):
+        s_width = max(width, _d_width(n, z, bits + GUARD) + GUARD + 8)
+    return _geometry(n, a, z, width, s_width, turning, cut_checked)
+
+
+def _direct_record(n, alpha, z, bits, tag, name):
+    """The record of an evaluator called directly (not through
+    ``eval_asym``), built after that evaluator's own checks."""
+    z = to_mpc(z, bits)
+    if tag == "B" and z == 0:
+        raise DomainError(f"{name}: z = 0 excluded")
+    if tag != "C":
+        _require_upper_half(z, name)
+    return _point(n, to_mpf(alpha, bits), z, bits, tag)
+
+
+def _log_prefactor(n, g, bits):
     """log of Gamma(alpha) e^{n/2} / (sqrt(2 pi) n^{n/2+alpha-1/2}),
-    evaluated at the caller's working precision."""
-    a = to_mpf(alpha, bits)
-    return (log_gamma_real(a, bits + GUARD) + mpmath.mpf(n) / 2
-            - (mpmath.mpf(n) / 2 + a - mpmath.mpf(1) / 2) * mpmath.log(n)
+    evaluated at the caller's working precision from the record g."""
+    return (log_gamma_real(g.a, bits + GUARD) + mpmath.mpf(n) / 2
+            - (mpmath.mpf(n) / 2 + g.a - mpmath.mpf(1) / 2) * g.logn
             - mpmath.log(2 * mpmath.pi) / 2)
 
 
-def _quarter_root_log(z):
+def _quarter_root_log(g):
     """log of (z^2-4)^(-1/4) with product-principal factors."""
-    return -(mpmath.log(z - 2) + mpmath.log(z + 2)) / 4
+    return -g.lw / 4
 
 
-def _leading_exponent(n, alpha, z, bits):
+def _leading_exponent(n, alpha, g, bits):
     """Master exponent shared by the outer and saturated-strip formulas:
     prefactor / D * (z^2-4)^(-1/4) e^{(2a-1/2) u - n phi - a pi i + pi i/2},
-    u = Log((z + sqrt(z^2-4))/2).
+    u = Log((z + sqrt(z^2-4))/2), for the point of the record g.
 
     Returns the exponent, phi(z) and the log-prefactor."""
-    a = to_mpf(alpha, bits)
-    dd = d_func(n, alpha, z, bits + GUARD, half_plane="upper")
+    a = g.a
+    dd = d_func(n, alpha, g.z, bits + GUARD, half_plane="upper", _geo=g)
     with working(bits, GUARD + 8):
-        u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = phi(z, bits + GUARD, half_plane="upper")
-        log_pref = _log_prefactor(n, alpha, bits)
+        phv = phi(g.z, bits + GUARD, half_plane="upper", _geo=g)
+        log_pref = _log_prefactor(n, g, bits)
         w = (log_pref - mpmath.mpc(dd.log_mod, dd.phase)
-             + _quarter_root_log(z) + p * u - n * phv
+             + _quarter_root_log(g) + p * g.u - n * phv
              + mpmath.mpc(0, mpmath.pi) * (mpmath.mpf(1) / 2 - a))
     return w, phv, log_pref
 
@@ -169,21 +216,20 @@ def _require_upper_half(z, name):
 # region evaluators
 # ----------------------------------------------------------------------
 
-def eval_region_a(n: int, alpha, z, prec) -> AsymResult:
+def eval_region_a(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     """Outer-region leading term; relative accuracy O(1/n)."""
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    _require_upper_half(z, "eval_region_a")
-    w, _, _ = _leading_exponent(n, alpha, z, bits)
+    g = _geo or _direct_record(n, alpha, z, bits, "A", "eval_region_a")
+    w, _, _ = _leading_exponent(n, alpha, g, bits)
     value = LogComplex.from_exponent(w, bits)
-    if z.imag == 0:
+    if g.z.imag == 0:
         value = _snap_real(value, bits)
     with working(bits):
-        dropped = value.log_mod - mpmath.log(n)
+        dropped = value.log_mod - g.logn
     return AsymResult(value, RegionLabel("A"), round_to(bits, dropped))
 
 
-def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
+def eval_region_d(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     """Saturated-strip leading term.
 
     Identical in form to the outer region; the discarded correction is an
@@ -191,15 +237,14 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     if it is not negligible against the relative O(1/n).
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    _require_upper_half(z, "eval_region_d")
-    w, phv, log_pref = _leading_exponent(n, alpha, z, bits)
+    g = _geo or _direct_record(n, alpha, z, bits, "D", "eval_region_d")
+    w, phv, log_pref = _leading_exponent(n, alpha, g, bits)
     value = LogComplex.from_exponent(w, bits)
-    if z.imag == 0:
+    if g.z.imag == 0:
         value = _snap_real(value, bits)
     flags = ()
     with working(bits):
-        logn = mpmath.log(n)
+        logn = g.logn
         drop_rel = value.log_mod - logn
         drop_abs = log_pref + n * phv.real
         dropped = max(drop_rel, drop_abs)
@@ -208,7 +253,7 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     return AsymResult(value, RegionLabel("D"), round_to(bits, dropped), flags)
 
 
-def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
+def eval_region_b(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     """Band-strip two-term oscillatory form, cancellation-guarded; the same
     formula serves the origin disk, where the nodes accumulate.
 
@@ -219,32 +264,28 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     by the dispatcher through conjugation.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    if z == 0:
-        raise DomainError("eval_region_b: z = 0 excluded")
-    _require_upper_half(z, "eval_region_b")
-    a = to_mpf(alpha, bits)
+    g = _geo or _direct_record(n, alpha, z, bits, "B", "eval_region_b")
+    a, u = g.a, g.u
     with working(bits, GUARD + 8):
-        u, _ = _u_of(z)
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = phi(z, bits + GUARD, half_plane="upper")
+        phv = phi(g.z, bits + GUARD, half_plane="upper", _geo=g)
         ipi = mpmath.mpc(0, mpmath.pi)
-        wc = _log_prefactor(n, alpha, bits) + _quarter_root_log(z)
+        wc = _log_prefactor(n, g, bits) + _quarter_root_log(g)
         w1 = p * u - n * phv - a * ipi + ipi / 2
         w2 = -p * u + n * phv + a * ipi
     s, cancelled = logc_add(LogComplex.from_exponent(w1, bits),
                             LogComplex.from_exponent(w2, bits), bits)
     value = logc_mul(LogComplex.from_exponent(wc, bits), s, bits)
     flags = ("cancel",) if cancelled else ()
-    if z.imag == 0 and not value.is_zero():
+    if g.z.imag == 0 and not value.is_zero():
         value = _snap_real(value, bits)
         flags += ("real-snapped",)
     with working(bits):
-        dropped = wc.real + max(w1.real, w2.real) - mpmath.log(n)
+        dropped = wc.real + max(w1.real, w2.real) - g.logn
     return AsymResult(value, RegionLabel("B"), round_to(bits, dropped), flags)
 
 
-def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
+def eval_region_c(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     """Turning-point (Airy) form, stable through z = 2.
 
     The bracket pairs (e^(pu) -+ e^(-pu))(z^2-4)^(-1/4) ftilde^(-+1/4)
@@ -271,30 +312,31 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
     ``real-snapped`` flag of the band formula's boundary values.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    a = to_mpf(alpha, bits)
     if n < 1:
         raise ConfigError("eval_region_c requires n >= 1")
+    g = _geo or _direct_record(n, alpha, z, bits, "C", "eval_region_c")
+    z, a, u, w = g.z, g.a, g.u, g.w
     work = bits + GUARD + 8
-    # one h at the width f_tilde_n would use, shared by ftilde and h^(1/6)
-    h = h_factor(z, bits + 2 * GUARD)
-    ft = _f_tilde_from_h(n, z, h, bits + GUARD)
+    # one h and one log h at the widths f_tilde_n would use, shared by
+    # ftilde and h^(1/6)
+    h = h_factor(z, bits + 2 * GUARD, _geo=g)
+    with mp.workprec(bits + 2 * GUARD):
+        log_h = mpmath.log(h)
+    ft = _f_tilde_from_log_h(n, z, log_h, bits + GUARD)
     ai_w, aid_w, ai_wb, aid_wb = airy_rotated(ft, bits + GUARD)
     with mp.workprec(work):
         p = 2 * a - mpmath.mpf(1) / 2
-        u, w = _u_of(z)
         if w == 0:
             s_fac = mpmath.mpc(p)
             c_fac = mpmath.mpc(2)
         else:
             s_fac = 2 * mpmath.sinh(p * u) / w
             c_fac = 2 * mpmath.cosh(p * u)
-        n6 = mpmath.mpf(n) ** (mpmath.mpf(1) / 6)
-        h6 = mpmath.exp(mpmath.log(h) / 6)
-        zp = mpmath.exp(mpmath.log(z + 2) / 4)
-        fac_a = s_fac * zp / (n6 * h6)
-        fac_b = c_fac * n6 * h6 / zp
-        tau = a * mpmath.pi - n * mpmath.pi / (z * z)
+        # q = n^(1/6) h^(1/6) (z+2)^(-1/4), one exponential
+        q = mpmath.exp((g.logn + log_h) / 6 - mpmath.log(z + 2) / 4)
+        fac_a = s_fac / q
+        fac_b = c_fac * q
+        tau = a * mpmath.pi - mpmath.pi * g.s
         # Re tau reaches n pi/4; reduced mod 2 pi, every term's phase
         # stays O(1) and keeps the absolute accuracy of the work width
         re_tau = tau.real - 2 * mpmath.pi * mpmath.nint(tau.real / (2 * mpmath.pi))
@@ -315,14 +357,14 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
                                   term(fac_b * ai_wb, -1, -third), work)
         m, cancel_m = logc_add(br_a, br_b, work)
         # sqrt(pi) times the prefactor shared with the other regions
-        log_pc = _log_prefactor(n, alpha, bits) + mpmath.log(mpmath.pi) / 2
+        log_pc = _log_prefactor(n, g, bits) + mpmath.log(mpmath.pi) / 2
         if m.is_zero():
             value = LogComplex.zero()
         else:
             value = LogComplex(round_to(bits, log_pc + m.log_mod),
                                round_to(bits, m.wrapped_phase(work)))
         m_scale = mpmath.exp(br_a.log_mod) + mpmath.exp(br_b.log_mod)
-        dropped = log_pc + mpmath.log(m_scale) - mpmath.log(n)
+        dropped = log_pc + mpmath.log(m_scale) - g.logn
     if z.imag == 0 and not value.is_zero():
         value = _snap_real(value, bits)
     flags = ("cancel",) if (cancel_a or cancel_b or cancel_m) else ()
@@ -338,19 +380,82 @@ _EVALUATORS = {
 }
 
 
-def locate(n: int, alpha, z, params: Params = None, prec=256):
-    """Validate a point and reduce it to the closed first quadrant.
+class _NearEdge(Exception):
+    """A double-precision test of ``locate`` fell within EDGE_MARGIN."""
 
-    Returns (z1, label): z1 is z after parity (negated when Re z < 0) and
-    then Schwarz conjugation (when Im < 0), and ``label`` holds the region
-    of z1 and the two reductions.  A band or origin-disk z1 with Re z1 > 0
-    and 0 < Im z1 < 2^-(bits/2) min(1, |z1|), where the band formula would
-    refuse it as on its cut, is snapped onto the axis (flagged real-snapped
-    there); below |z1| = 1 the tolerance is relative, so a tiny z1 is not
-    moved by O(|z1|).
-    Nothing is evaluated.
-    """
-    bits = bits_of(prec)
+
+def _less(a, b, scale):
+    """a < b for doubles whose rounding error is far below EDGE_MARGIN *
+    ``scale``; raises _NearEdge when they lie closer than that."""
+    if abs(a - b) <= EDGE_MARGIN * scale:
+        raise _NearEdge
+    return a < b
+
+
+def _double(v):
+    """The mpf v as a double; _NearEdge unless it is zero or normal."""
+    f = float(v)
+    if not (_MIN_NORMAL <= abs(f) < math.inf or (f == 0 and not v)):
+        raise _NearEdge
+    return f
+
+
+def _cut_tolerance(r, bits):
+    """``mpnum.near_cut``'s tolerance 2^-(bits/2) min(1, |z|) in doubles."""
+    t = math.ldexp(min(1.0, r), -(bits // 2))
+    if t < _MIN_NORMAL:
+        raise _NearEdge
+    return t
+
+
+def _tag_in_doubles(x, y, n, alpha, params):
+    """``classify_region`` of x + iy in doubles, each test in its order.
+    Every operand carries a relative error of a few 2^-53 at most, and the
+    scale of each test bounds the magnitudes it combines."""
+    eps, delta = float(params.eps), float(params.delta)
+    r = math.hypot(x, y)
+    if _less(r, eps, max(r, eps)):
+        return "origin"
+    if not _less(eps, math.hypot(x - 2, y), x + y + 2 + eps):
+        return "C"
+    if not _less(delta, y, max(y, delta)):
+        if not _less(x, eps, max(x, eps)) and not _less(2 - eps, x, x + 2 + eps):
+            return "B"
+        if not _less(x, 2 + eps, x + 2 + eps):
+            k = math.sqrt(n / alpha) + delta
+            if not _less(k, x, max(x, k)):
+                return "D"
+    return "A"
+
+
+def _place_in_doubles(n, a, z1, params, bits):
+    """(tag, snapped) of the reduced point z1 as ``locate``'s mpmath path
+    decides them, in doubles; raises _NearEdge for a point within
+    EDGE_MARGIN of a region edge or a cut tolerance, or outside the
+    normal double range.  It also checks what phi_tilde would test at
+    its width 2^-((bits + 2 GUARD)/2): a point of A, B, D or the origin
+    disk off the axis left of 2 must lie clear above that tolerance."""
+    if n > 2 ** 53:
+        raise _NearEdge
+    x, y, af = _double(z1.real), _double(z1.imag), _double(a)
+    r = math.hypot(x, y)
+    t = _cut_tolerance(r, bits) if y > 0 else 0.0
+    near_axis = y > 0 and _less(y, t, max(y, t))
+    tag = _tag_in_doubles(x, y, n, af, params)
+    snapped = tag in ("B", "origin") and x > 0 and near_axis
+    if snapped:
+        y = 0.0
+        tag = _tag_in_doubles(x, y, n, af, params)
+    if tag != "C" and y > 0:
+        t = _cut_tolerance(r, bits + 2 * GUARD)
+        if y <= t * (1 + 2 * EDGE_MARGIN) and not _less(2.0, x, x + 2):
+            raise _NearEdge
+    return tag, snapped
+
+
+def _locate(n, alpha, z, params, bits):
+    """``locate``'s work: (z1, label, alpha at ``bits``, cut_checked), the
+    last True when the region and the cut were decided in doubles."""
     if params is None:
         params = Params()
     z = to_mpc(z, bits)
@@ -369,12 +474,41 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
         conjugated = z1.imag < 0
         if conjugated:
             z1 = mpmath.conj(z1)
-        near_axis = z1.imag > 0 and near_cut(z1, -mpmath.inf, mpmath.inf, bits)
-    tag = classify_region(z1, n, alpha, params, bits)
-    if tag in ("B", "origin") and z1.real > 0 and near_axis:
-        z1 = to_mpc(z1.real, bits)
+    try:
+        tag, snapped = _place_in_doubles(n, a, z1, params, bits)
+        checked = True
+        if snapped:
+            z1 = to_mpc(z1.real, bits)
+    except _NearEdge:
+        with mp.workprec(bits):
+            near_axis = z1.imag > 0 and near_cut(z1, -mpmath.inf, mpmath.inf, bits)
         tag = classify_region(z1, n, alpha, params, bits)
-    return z1, RegionLabel(tag, negated, conjugated)
+        if tag in ("B", "origin") and z1.real > 0 and near_axis:
+            z1 = to_mpc(z1.real, bits)
+            tag = classify_region(z1, n, alpha, params, bits)
+        checked = False
+    return z1, RegionLabel(tag, negated, conjugated), a, checked
+
+
+def locate(n: int, alpha, z, params: Params = None, prec=256):
+    """Validate a point and reduce it to the closed first quadrant.
+
+    Returns (z1, label): z1 is z after parity (negated when Re z < 0) and
+    then Schwarz conjugation (when Im < 0), and ``label`` holds the region
+    of z1 and the two reductions.  A band or origin-disk z1 with Re z1 > 0
+    and 0 < Im z1 < 2^-(bits/2) min(1, |z1|), where the band formula would
+    refuse it as on its cut, is snapped onto the axis (flagged real-snapped
+    there); below |z1| = 1 the tolerance is relative, so a tiny z1 is not
+    moved by O(|z1|).
+
+    The region and the snap are decided in doubles.  A point within
+    EDGE_MARGIN (relative) of a region edge or of a cut tolerance, or whose
+    coordinates or alpha are not normal doubles, is decided by
+    ``classify_region`` and ``mpnum.near_cut`` in mpmath instead, with the
+    same result.  Nothing is evaluated.
+    """
+    z1, label, _, _ = _locate(n, alpha, z, params, bits_of(prec))
+    return z1, label
 
 
 def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
@@ -382,11 +516,13 @@ def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
 
     Reduces z to the closed first quadrant via parity (phase shift by
     n pi) and Schwarz conjugation (phase negation), classifies (``locate``),
-    and dispatches; both reductions act exactly on the LogComplex fields.
+    builds the point's one geometry record (``_point``) and dispatches;
+    both reductions act exactly on the LogComplex fields.
     """
     bits = bits_of(prec)
-    z1, label = locate(n, alpha, z, params, bits)
-    res = _EVALUATORS[label.tag](n, alpha, z1, bits)
+    z1, label, a, checked = _locate(n, alpha, z, params, bits)
+    g = _point(n, a, z1, bits, label.tag, checked)
+    res = _EVALUATORS[label.tag](n, alpha, z1, bits, _geo=g)
     value = res.value
     # parity shift first (one rounded add on the reduced phase), exact
     # conjugation last: each symmetry pair then differs by a single

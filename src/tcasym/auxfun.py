@@ -6,9 +6,13 @@ the regularized phase functions phi-tilde / phi / phi-hat, the conformal
 turning-point map (its cofactor h is the closed form in phi-tilde, at a
 width widened by the bits that form cancels near 2, with no cache), the
 Gamma-ratio D-functions with their algebraic E prefactors, and the
-node-counting trio (theta, gamma, Pi).  The phases and the region
-formulas read u = Log((z + sqrt(z^2-4))/2), the log of the inverse
-Joukowski map at z/2, from the one helper ``_u_of``.
+node-counting trio (theta, gamma, Pi).  The phases read
+u = Log((z + sqrt(z^2-4))/2), the log of the inverse Joukowski map at
+z/2, from the helper ``_u_of``.  On the asymptotic path the dispatcher
+takes u, w = sqrt(z^2-4), z^2, n/z^2 and log n once per point into a
+``_Geometry`` record; ``phi``, ``phi_tilde``, ``h_factor`` and
+``d_func`` read it through a private ``_geo`` argument, and without it
+compute the same quantities themselves.
 
 Branch discipline: every power/log is a principal branch of an explicit
 factor, chosen so each function is analytic exactly off its stated cut.
@@ -102,6 +106,61 @@ def _u_of(z):
     return mpmath.log((z + w) / 2), w
 
 
+def _band_u_w(x):
+    """(u, w) at a band point 0 < x < 2 as their upper limits
+    i acos(x/2) and i sqrt(4 - x^2), at the caller's working precision."""
+    return (mpmath.mpc(0, mpmath.acos(x / 2)),
+            mpmath.mpc(0, mpmath.sqrt((2 - x) * (2 + x))))
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """The quantities of one point that its region formula reads more than
+    once.  ``z`` and ``a`` (alpha) are rounded to the evaluation width; the
+    rest are taken once, at the widest width at which a reader in the
+    point's region takes them (``asym._point``):
+
+    zz = z^2, s = n/z^2, logn = log n, (u, w) as in :func:`_u_of` (on the
+    band, their upper limits :func:`_band_u_w`), and lw = log(z-2) +
+    log(z+2) = 2 Log w (on the closed upper half-plane the arguments of
+    the two square roots add up to an angle in [0, pi]), None on the
+    turning-point disk, whose formula does not read it.
+
+    ``cut_checked`` is True when the dispatcher has already decided that z
+    lies on the real axis or clear of phi_tilde's cut tolerance, so that
+    ``phi_tilde`` need not test it again.
+    """
+
+    z: mpmath.mpc
+    a: mpmath.mpf
+    zz: mpmath.mpc
+    s: mpmath.mpc
+    logn: mpmath.mpf
+    u: mpmath.mpc
+    w: mpmath.mpc
+    lw: mpmath.mpc | None
+    cut_checked: bool
+
+
+def _geometry(n: int, a, z, width: int, s_width: int, turning: bool, cut_checked: bool) -> _Geometry:
+    """The record of z (at the evaluation width) and alpha ``a`` for degree
+    n: u, w, zz and lw rounded once at ``width``, s and logn at
+    ``s_width``.  ``turning`` marks the turning-point disk: there h needs
+    the off-cut u and w even on the axis, and no lw is taken."""
+    with mp.workprec(width):
+        if not turning and z.imag == 0 and 0 < z.real < 2:
+            u, w = _band_u_w(z.real)
+        else:
+            u, w = _u_of(z)
+        zz = z * z
+        lw = None if turning else 2 * mpmath.log(w)
+    with mp.workprec(s_width):
+        # from the rounded z^2 unless s needs more bits than it holds
+        s = n / (zz if s_width == width else z * z)
+        logn = mpmath.log(n)
+    return _Geometry(z, a, zz, s, logn, u, w, lw, cut_checked)
+
+
 # ----------------------------------------------------------------------
 # Phase functions
 # ----------------------------------------------------------------------
@@ -144,19 +203,24 @@ def g_prime_boundary(x, prec, upper: bool = True):
     return round_to(bits, v)
 
 
-def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0):
+def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0, _geo=None):
     """Regularized phase, analytic on C \\ (-inf, 2]; real negative on (2, inf).
 
     Closed form (2/z^2 - 1) log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/(2z).
     ``on_cut='upper'``/``'lower'`` permits band points x in (0, 2) and
     returns the one-sided limit; 'reject' (default) raises near the cut.
     ``extra`` widens the evaluation and the returned value by that many
-    bits; the cut test stays at ``prec``.
+    bits; the cut test stays at ``prec``.  ``_geo`` is the dispatcher's
+    record of z (:class:`_Geometry`), taken at the width used here.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
+    z = to_mpc(z, bits) if _geo is None else _geo.z
     work = bits + extra
-    if near_cut(z, -_INF, 2, bits) and not z.real > 2:
+    if _geo is not None and _geo.cut_checked:
+        near = z.imag == 0
+    else:
+        near = near_cut(z, -_INF, 2, bits)
+    if near and not z.real > 2:
         if on_cut == "reject":
             raise DomainError(f"phi_tilde: z={z} on or too close to the cut (-inf, 2]")
         if on_cut not in ("upper", "lower"):
@@ -167,36 +231,53 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0):
         # imaginary, +-i [ (2/x^2 - 1) acos(x/2) + sqrt(4-x^2)/(2x) ]
         with working(work, GUARD + 8):
             x = z.real
-            b = (2 / (x * x) - 1) * mpmath.acos(x / 2) \
-                + mpmath.sqrt((2 - x) * (2 + x)) / (2 * x)
+            el, w = (_geo.u, _geo.w) if _geo is not None and z.imag == 0 else _band_u_w(x)
+            b = (2 / (x * x) - 1) * el.imag + w.imag / (2 * x)
             v = mpmath.mpc(0, b if on_cut == "upper" else -b)
         return round_to(work, v)
     with working(work, GUARD + 8):
-        v = _phi_tilde_off_cut(z)
+        v = _phi_tilde_off_cut(z, _geo)
     return round_to(work, v)
 
 
-def _phi_tilde_off_cut(z):
+def _phi_tilde_off_cut(z, geo=None):
     """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde off its cut, at
-    the caller's working precision (u, w as in :func:`_u_of`)."""
-    el, w = _u_of(z)
-    return (2 / (z * z) - 1) * el + w / (2 * z)
+    the caller's working precision (u, w as in :func:`_u_of`, or read from
+    the record ``geo`` of z)."""
+    if geo is None:
+        el, w = _u_of(z)
+        zz = z * z
+    else:
+        el, w, zz = geo.u, geo.w, geo.zz
+    return (2 / zz - 1) * el + w / (2 * z)
 
 
-def phi(z, prec, half_plane: str = "auto"):
+def _phi_extra(z) -> int:
+    """Bits by which ``phi`` widens phi_tilde: phi_tilde ~ i pi / z^2
+    cancels to O(1) near the origin."""
+    return max(0, 2 - 2 * mpmath.mag(z) - GUARD) if z else 0
+
+
+def _phi_width(z, prec) -> int:
+    """The width at which ``phi(z, prec)`` evaluates phi_tilde's closed form."""
+    return prec + GUARD + _phi_extra(z) + GUARD + 8
+
+
+def phi(z, prec, half_plane: str = "auto", _geo=None):
     """phi = phi_tilde -+ i pi / z^2 on the upper/lower half-plane.
 
     Bounded near the origin (the i pi/z^2 singularities cancel); purely
-    imaginary boundary values on the band.
+    imaginary boundary values on the band.  ``_geo``: the dispatcher's
+    record of z (:class:`_Geometry`), passed on to ``phi_tilde``.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
+    z = to_mpc(z, bits) if _geo is None else _geo.z
     half = _resolve_half(z, half_plane)
     # phi_tilde ~ i pi / z^2 cancels to O(1): widen both by the bits lost
-    extra = max(0, 2 - 2 * mpmath.mag(z) - GUARD) if z else 0
+    extra = _phi_extra(z)
     with working(bits, GUARD + 8 + extra):
         on_cut = half if z.imag == 0 and z.real <= 2 else "reject"
-        pt = phi_tilde(z, bits + GUARD, on_cut=on_cut, extra=extra)
+        pt = phi_tilde(z, bits + GUARD, on_cut=on_cut, extra=extra, _geo=_geo)
         sgn = 1 if half == "upper" else -1
         v = pt - sgn * mpmath.pi * 1j / (z * z)
     return to_mpc(v, bits)
@@ -220,7 +301,17 @@ def phi_hat(z, prec):
 F_TILDE_RADIUS = 0.5
 
 
-def h_factor(z, prec):
+def _h_width(z, prec) -> int:
+    """The width at which ``h_factor(z, prec)`` evaluates phi_tilde's closed
+    form: ceil(1.5 max(0, -mag t)) bits over ``prec``, t = z - 2, see
+    :func:`h_factor`."""
+    with mp.workprec(prec):
+        t = z - 2
+    extra = (3 * max(0, -mpmath.mag(t)) + 1) // 2 if t else 0
+    return prec + extra + GUARD + 8
+
+
+def h_factor(z, prec, _geo=None):
     """h(z) = -(3/2) phi_tilde(z) (z-2)^(-3/2), with h(2) = 1: the analytic
     cofactor in the factorization of the turning-point map, on |z-2| < 0.5.
 
@@ -230,9 +321,11 @@ def h_factor(z, prec):
     phi_tilde = O(|t|^(3/2)), t = z - 2, is formed from O(|t|^(1/2)) terms,
     and u = Log((z + w)/2) is the log of 1 + O(|t|^(1/2)): together they
     lose up to 1.5 log2(1/|t|) bits, which the working width adds back.
+    ``_geo``: the dispatcher's record of z (:class:`_Geometry`), read on
+    the upper half-plane.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
+    z = to_mpc(z, bits) if _geo is None else _geo.z
     lower = z.imag < 0
     with mp.workprec(bits):
         zu = mpmath.conj(z) if lower else z
@@ -242,9 +335,8 @@ def h_factor(z, prec):
         raise DomainError(f"h_factor: |z-2| must be < {F_TILDE_RADIUS}")
     if t == 0:
         return mpmath.mpc(1)
-    extra = (3 * max(0, -mpmath.mag(t)) + 1) // 2  # ceil(1.5 max(0, -mag t))
-    with working(bits + extra, GUARD + 8):
-        v = mpmath.mpf(-1.5) * _phi_tilde_off_cut(zu) / (t * mpmath.sqrt(t))
+    with mp.workprec(_h_width(zu, bits)):
+        v = mpmath.mpf(-1.5) * _phi_tilde_off_cut(zu, None if lower else _geo) / (t * mpmath.sqrt(t))
     with mp.workprec(bits):
         v = +v  # conj rounds only the imaginary part
         if z.imag == 0:
@@ -261,13 +353,17 @@ def f_tilde_n(n: int, z, prec):
     if n < 1:
         raise ConfigError("f_tilde_n requires n >= 1")
     z = to_mpc(z, bits)
-    return _f_tilde_from_h(n, z, h_factor(z, bits + GUARD), bits)
-
-
-def _f_tilde_from_h(n: int, z, h, bits: int):
-    """n^(2/3) (z-2) h^(2/3) from a given h = h_factor(z), rounded to ``bits``."""
+    h = h_factor(z, bits + GUARD)
     with working(bits, GUARD):
-        v = mpmath.mpf(n) ** (mpmath.mpf(2) / 3) * (z - 2) * mpmath.exp(mpmath.mpf(2) / 3 * mpmath.log(h))
+        log_h = mpmath.log(h)
+    return _f_tilde_from_log_h(n, z, log_h, bits)
+
+
+def _f_tilde_from_log_h(n: int, z, log_h, bits: int):
+    """n^(2/3) (z-2) h^(2/3) from log h, h = h_factor(z), taken at
+    ``bits + GUARD``; rounded to ``bits``."""
+    with working(bits, GUARD):
+        v = mpmath.mpf(n) ** (mpmath.mpf(2) / 3) * (z - 2) * mpmath.exp(mpmath.mpf(2) / 3 * log_h)
     return to_mpc(v, bits)
 
 
@@ -299,18 +395,25 @@ def _d_log(w, wb, bits) -> LogComplex:
     return LogComplex.from_exponent(w, bits)
 
 
-def d_func(n: int, alpha, z, prec, half_plane: str = "auto") -> LogComplex:
+def d_func(n: int, alpha, z, prec, half_plane: str = "auto", _geo=None) -> LogComplex:
     """D(z): Gamma(alpha - n/z^2) e^(-n/z^2) (-n/z^2)^(n/z^2-alpha+1/2) / sqrt(2 pi),
-    with -1/z^2 read as e^(+-i pi)/z^2 on the upper/lower half-plane."""
+    with -1/z^2 read as e^(+-i pi)/z^2 on the upper/lower half-plane.
+    ``_geo``: the dispatcher's record of z (:class:`_Geometry`); alpha, s
+    and log n are then read from it."""
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
+    if _geo is None:
+        z, a = to_mpc(z, bits), to_mpf(alpha, bits)
+    else:
+        z, a = _geo.z, _geo.a
     half = _resolve_half(z, half_plane)
-    a = to_mpf(alpha, bits)
     wb = _d_width(n, z, bits)
     with working(wb, GUARD + 8):
-        s = n / (z * z)
+        if _geo is None:
+            s, logn = n / (z * z), mpmath.log(mpmath.mpf(n))
+        else:
+            s, logn = _geo.s, _geo.logn
         sgn = 1 if half == "upper" else -1
-        log_m = mpmath.log(mpmath.mpf(n)) + sgn * mpmath.pi * 1j - 2 * mpmath.log(z)
+        log_m = logn + sgn * mpmath.pi * 1j - 2 * mpmath.log(z)
         w = log_gamma_complex(a - s, wb + GUARD) - s - _half_log_twopi() + (s - a + mpmath.mpf(1) / 2) * log_m
     return _d_log(w, wb, bits)
 

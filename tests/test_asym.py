@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -18,7 +19,7 @@ from tcasym.asym import (
     locate,
 )
 from tcasym.harness import region_grid
-from tcasym.mpnum import ConfigError, DomainError, to_mpc, working
+from tcasym.mpnum import ConfigError, DomainError, near_cut, to_mpc, working
 
 from conftest import logc_rel_err
 
@@ -202,9 +203,9 @@ class TestRegionEvaluators:
         calls = []
         orig = auxfun.h_factor
 
-        def counting(z, prec):
+        def counting(z, prec, **kw):
             calls.append(prec)
-            return orig(z, prec)
+            return orig(z, prec, **kw)
 
         monkeypatch.setattr(asym, "h_factor", counting)
         monkeypatch.setattr(auxfun, "h_factor", counting)
@@ -214,6 +215,36 @@ class TestRegionEvaluators:
         calls.clear()
         eval_asym(400, 1, mpmath.mpc("2.03", "-0.04"), PARAMS, 256)
         assert calls == [256 + 32]
+
+    @pytest.mark.parametrize("tag", list(POINTS))
+    def test_one_u_per_point(self, monkeypatch, tag):
+        # u = Log((z + w)/2) is taken at most once per point, into the
+        # geometry record, and a point clear of every region edge and cut
+        # tolerance is placed in doubles: neither the mpmath classifier
+        # nor a cut test runs
+        from tcasym import asym, auxfun, mpnum
+        calls = []
+        orig_u = auxfun._u_of
+
+        def counting_u(z):
+            calls.append("u")
+            return orig_u(z)
+
+        def refused(name):
+            def stub(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return stub
+
+        monkeypatch.setattr(auxfun, "_u_of", counting_u)
+        for mod in (asym, auxfun, mpnum):
+            monkeypatch.setattr(mod, "near_cut", refused("near_cut"))
+        monkeypatch.setattr(asym, "classify_region", refused("classify_region"))
+        for z in (POINTS[tag], -POINTS[tag], mpmath.conj(POINTS[tag])):
+            calls.clear()
+            ay = eval_asym(400, 1, z, PARAMS, 256)
+            assert ay.region.tag == tag
+            assert calls in ([], ["u"]), (tag, calls)
 
     @pytest.mark.parametrize("tag, z", [("C", ("2.03", "0.04")), ("D", ("4", "0.05")), ("A", ("1", "2"))])
     def test_one_prefactor_per_point(self, monkeypatch, tag, z):
@@ -283,6 +314,179 @@ class TestRegionEvaluators:
         assert ay.value.phase + direct.value.phase == 0
 
 
+# ----------------------------------------------------------------------
+# points on and near the region edges and the cut tolerances
+# ----------------------------------------------------------------------
+
+EDGE_KINDS = ("origin", "C", "im", "re_eps", "re_2m", "re_2p", "k", "cut", "cut_phi")
+
+
+def _edge_point(kind, rel, t, n, alpha, params, bits):
+    """(x, y) in doubles, first quadrant, at relative distance ``rel`` from
+    one edge of the region decomposition (``kind``), ``t`` in [0, 1]
+    placing it along that edge.  "cut" is locate's snap tolerance
+    2^-(bits/2) min(1, |z|), "cut_phi" phi_tilde's at bits + 32."""
+    eps, delta = float(params.eps), float(params.delta)
+    k = math.sqrt(n / alpha) + delta
+    if kind == "origin":
+        r, th = eps * (1 + rel), t * math.pi / 2
+        return r * math.cos(th), r * math.sin(th)
+    if kind == "C":
+        r, th = eps * (1 + rel), t * math.pi
+        return 2 + r * math.cos(th), r * math.sin(th)
+    if kind == "im":
+        return t * (k + 1), delta * (1 + rel)
+    if kind in ("re_eps", "re_2m", "re_2p", "k"):
+        x = {"re_eps": eps, "re_2m": 2 - eps, "re_2p": 2 + eps, "k": k}[kind]
+        return x * (1 + rel), t * delta
+    x = 0.05 + 2 * t
+    half = bits // 2 if kind == "cut" else (bits + 32) // 2
+    return x, math.ldexp(min(1.0, x), -half) * (1 + rel)
+
+
+PARAMS_VARIANTS = (PARAMS, Params(0.5, 0.3), Params(1e-3, 1e-4), Params(3, 2.5), Params(1e-30, 1e-31))
+
+
+@st.composite
+def _placements(draw):
+    """(n, alpha, z, params, bits) over all four quadrants: a point of a box,
+    or one within 2^-30 ... 2^-60 relative of an edge or cut tolerance."""
+    params = draw(st.sampled_from(PARAMS_VARIANTS))
+    n = draw(st.integers(1, 6400))
+    alpha = 10.0 ** draw(st.floats(-6, 6))
+    bits = draw(st.sampled_from([128, 256]))
+    kind = draw(st.sampled_from(("box",) + EDGE_KINDS))
+    if kind == "box":
+        x, y = draw(st.floats(0, 6)), draw(st.floats(0, 6))
+    else:
+        rel = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** -draw(st.integers(30, 60))
+        x, y = _edge_point(kind, rel, draw(st.floats(0, 1)), n, alpha, params, bits)
+    x = -x if draw(st.booleans()) else x
+    y = -y if draw(st.booleans()) else y
+    return n, alpha, (x, y), params, bits
+
+
+def _mpmath_locate(n, alpha, z, params, bits):
+    """``locate`` with its double-precision placement switched off: the
+    mpmath path, kept as the oracle."""
+    def no_doubles(*args):
+        raise asym._NearEdge
+
+    with mock.patch.object(asym, "_place_in_doubles", no_doubles):
+        return locate(n, alpha, z, params, bits)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ConfigError, DomainError) as e:
+        return type(e)
+
+
+# exactly on each edge of Params(): |z| = eps, |z-2| = eps, Im z = delta,
+# Re z in {eps, 2-eps, 2+eps}; the k edge depends on the width
+with mp.workprec(512):
+    _EPS, _DELTA = mpmath.mpf(PARAMS.eps), mpmath.mpf(PARAMS.delta)
+    EDGES = (mpmath.mpc(0, _EPS), mpmath.mpc(2, _EPS), mpmath.mpc(1, _DELTA),
+             mpmath.mpc(_EPS, "0.1"), mpmath.mpc(2 - _EPS, "0.1"), mpmath.mpc(2 + _EPS, "0.1"))
+
+
+def _k_edge_point(bits):
+    return mpmath.mpc(PARAMS.k_edge(300, "1.3", bits), "0.1")
+
+
+def _at_tolerance(bits, half, ulps):
+    """1 + i 2^-half moved by ``ulps`` units in the last place at ``bits``."""
+    with mp.workprec(2 * bits):
+        y = mpmath.ldexp(1, -half)
+        y += ulps * mpmath.ldexp(1, -half - bits + (1 if ulps > 0 else 0))
+    return mpmath.mpc(1, y)
+
+
+def _placement_examples(f):
+    for bits in (128, 256):
+        for z in EDGES + (_k_edge_point(bits),):
+            f = example(case=(300, "1.3", z, PARAMS, bits))(f)
+        for ulps in (-1, 0, 1):
+            f = example(case=(300, "1.3", _at_tolerance(bits, bits // 2, ulps), PARAMS, bits))(f)
+            # phi_tilde's tolerance, reached only in region A
+            f = example(case=(300, "1.3", _at_tolerance(bits, (bits + 32) // 2, ulps),
+                              Params(1e-30, 1e-31), bits))(f)
+    for z in (("1e-400", "1e-400"), ("1e400", "1"), ("-1e-400", "0")):
+        f = example(case=(300, "1.3", z, PARAMS, 256))(f)
+    f = example(case=(300, "1e-400", (1, 1), PARAMS, 256))(f)
+    f = example(case=(300, "1.3", (1, "1e-80"), PARAMS, 4096))(f)
+    for params in PARAMS_VARIANTS[1:]:
+        f = example(case=(300, "1.3", mpmath.mpc(params.eps, 0), params, 128))(f)
+        f = example(case=(300, "1.3", mpmath.mpc(2, params.eps), params, 128))(f)
+    return f
+
+
+class TestDoublePlacement:
+    """``locate`` decides the region and the snap in doubles, and falls
+    back to ``classify_region`` and ``near_cut`` within 2^-40 of an edge;
+    both paths give the same reduced point and label."""
+
+    @settings(max_examples=300)
+    @given(case=_placements())
+    @_placement_examples
+    def test_matches_mpmath(self, case):
+        n, alpha, z, params, bits = case
+        fast = _outcome(asym._locate, n, alpha, z, params, bits)
+        ref = _outcome(_mpmath_locate, n, alpha, z, params, bits)
+        if isinstance(ref, type):
+            assert fast is ref, case
+            return
+        z1, label, _, checked = fast
+        assert label == ref[1], case
+        assert (z1.real._mpf_, z1.imag._mpf_) == (ref[0].real._mpf_, ref[0].imag._mpf_), case
+        assert locate(n, alpha, z, params, bits) == (z1, label)
+        if checked and label.tag != "C":
+            # phi_tilde skips its cut test for such a point: it would pass
+            assert not (near_cut(z1, -mpmath.inf, 2, bits + 32) and z1.imag > 0
+                        and not z1.real > 2), case
+
+    def test_fallback_points(self):
+        # a point on an edge, at a tolerance, or outside the double range
+        # is decided in mpmath
+        for bits in (128, 256):
+            for z in EDGES + (_k_edge_point(bits), _at_tolerance(bits, bits // 2, 0)):
+                assert not asym._locate(300, "1.3", z, PARAMS, bits)[3], z
+        assert not asym._locate(300, "1.3", ("1e-400", "1e-400"), PARAMS, 256)[3]
+        assert not asym._locate(300, "1e-400", (1, 1), PARAMS, 256)[3]
+        assert not asym._locate(300, "1.3", (1, 1), PARAMS, 4096)[3]
+        assert asym._locate(300, "1.3", (1, 1), PARAMS, 256)[3]
+
+
+class TestGeometryRecord:
+    """Each field of the per-point record is taken at the width of its
+    widest reader, so phi and h read from it the bits they compute
+    without it."""
+
+    @given(case=_placements())
+    @example(case=(400, 1.0, ("2.0000000001", "1e-12"), PARAMS, 256))  # h widened by 1.5 mag t
+    @example(case=(400, 1.0, ("1e-10", "3e-11"), PARAMS, 256))  # phi widened near 0
+    @example(case=(400, 1.0, ("0.5", "0"), PARAMS, 128))  # band boundary value
+    @example(case=(6400, 1.0, ("0.003", "0.0015"), Params(1e-3, 1e-4), 256))  # D-function wider than phi
+    def test_phi_and_h_bits_unchanged(self, case):
+        from tcasym.auxfun import h_factor, phi
+        n, alpha, z, params, bits = case
+        try:
+            z1, label, a, checked = asym._locate(n, alpha, z, params, bits)
+        except (ConfigError, DomainError):
+            return
+        g = asym._point(n, a, z1, bits, label.tag, checked)
+        if label.tag == "C":
+            assert h_factor(z1, bits + 32, _geo=g) == h_factor(z1, bits + 32)
+            return
+        ref = _outcome(phi, z1, bits + 16, "upper")
+        v = _outcome(lambda: phi(z1, bits + 16, "upper", _geo=g))
+        if isinstance(ref, type):
+            assert v is ref
+        else:
+            assert (v.real._mpf_, v.imag._mpf_) == (ref.real._mpf_, ref.imag._mpf_), case
+
+
 class TestDispatcher:
     def test_symmetries_bitwise(self, rng):
         for _ in range(100):
@@ -310,6 +514,37 @@ class TestDispatcher:
                 cc = a1.value.conjugate().phase
                 assert (a4.value.phase == cc + pin or a4.value.phase == cc - pin
                         or cc == a4.value.phase + pin or cc == a4.value.phase - pin)
+
+    @given(n=st.integers(1, 1600), alpha=st.floats(0.3, 2.5),
+           kind=st.sampled_from(EDGE_KINDS[:7]), k=st.integers(2, 60),
+           sign=st.sampled_from([-1.0, 1.0]), t=st.floats(0, 1))
+    @example(n=200, alpha=1.0, kind="C", k=60, sign=1.0, t=0.5)  # mpmath placement
+    @example(n=57, alpha=2.5, kind="k", k=3, sign=-1.0, t=0.3)  # D
+    def test_symmetries_bitwise_near_edges(self, n, alpha, kind, k, sign, t):
+        # the record is built after the reductions, so the four reflections
+        # of a point agree bit for bit in every region, including points
+        # within 2^-40 of an edge, which are placed in mpmath
+        x, y = _edge_point(kind, sign * 2.0 ** -k, t, n, alpha, PARAMS, 192)
+        z = mpmath.mpc(x, y)
+        if z == 0:
+            return
+        outs = [_outcome(eval_asym, n, alpha, v, PARAMS, 192)
+                for v in (z, -z, mpmath.conj(z), -mpmath.conj(z))]
+        if isinstance(outs[0], type):
+            assert all(o is outs[0] for o in outs), (z, outs)
+            return
+        a1, a2, a3, a4 = outs
+        assert a1.region.tag == a2.region.tag == a3.region.tag == a4.region.tag
+        with mp.workprec(192):
+            pin = n * mpmath.pi
+            assert a2.value.log_mod == a3.value.log_mod == a4.value.log_mod == a1.value.log_mod
+            assert a2.value.phase in (a1.value.phase + pin, a1.value.phase - pin) \
+                or a1.value.phase in (a2.value.phase + pin, a2.value.phase - pin)
+            # on the axis conj(z) is z itself: no reflection to check
+            cc = a1.value.conjugate().phase if y else a1.value.phase
+            assert a3.value.phase == cc
+            assert a4.value.phase in (cc + pin, cc - pin) or cc in (a4.value.phase + pin, a4.value.phase - pin)
+            assert a1.dropped_term_bound == a2.dropped_term_bound == a3.dropped_term_bound == a4.dropped_term_bound
 
     def test_routes(self):
         assert eval_asym(100, 1, mpmath.mpc(0, 3), PARAMS, 128).region.tag == "A"

@@ -8,7 +8,10 @@ import importlib
 import importlib.util
 import os
 
+import pytest
+
 import tcasym
+from tcasym.asym import Params, eval_asym
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -32,3 +35,31 @@ def test_span_targets_resolve():
 
 def test_backend_constant():
     assert tcasym.BACKEND == "pure-python"
+
+
+# the traced layers each region's formula enters; a region that stopped
+# calling one through its module name would leave that per-layer metric
+# reading 0
+LAYERS = ("auxfun.phi", "auxfun.d_func", "auxfun.h_factor")
+REGION_LAYERS = {
+    "A": ((1, 2), {"auxfun.phi", "auxfun.d_func"}),
+    "B": ((1, "0.05"), {"auxfun.phi"}),
+    "C": (("2.05", "0.02"), {"auxfun.h_factor"}),
+    "D": ((4, "0.05"), {"auxfun.phi", "auxfun.d_func"}),
+    "origin": (("0.05", "0.05"), {"auxfun.phi"}),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(REGION_LAYERS))
+def test_traced_layers_stay_live(tag):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install([t for t in spans.TARGETS if t[0] + "." + t[1] in ("tcasym." + n for n in LAYERS)])
+    try:
+        z, expected = REGION_LAYERS[tag]
+        res = eval_asym(400, 1, z, Params(), 256)
+        names = {s[spans.NAME] for s in tracer.take()}
+    finally:
+        tracer.uninstall()
+    assert res.region.tag == tag
+    assert names == expected, (tag, names)
