@@ -170,35 +170,24 @@ def g_prime(z, prec, half_plane: str = "auto"):
 
     4/z^3 log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/z^2 -+ 2 pi i / z^3 on the
     upper/lower half-plane.  Real z raises unless ``half_plane`` selects a
-    one-sided limit (see :func:`g_prime_boundary`).
+    one-sided limit, and at the pole 0 and the branch points +-2 whatever
+    the side; the lower limit on the axis is the conjugate of the upper.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    if z.imag == 0:
-        return g_prime_boundary(z.real, bits, upper=(_resolve_half(z, half_plane) == "upper"))
     half = _resolve_half(z, half_plane)
+    on_axis = z.imag == 0
+    if on_axis:
+        with mp.workprec(bits):
+            excluded = z.real == 0 or abs(abs(z.real) - 2) < cut_tolerance(bits)
+        if excluded:
+            raise DomainError("g_prime: x in {0, +-2} excluded on the real axis")
     with working(bits):
-        el, w = _u_of(z)
-        sgn = 1 if half == "upper" else -1
+        el, w = _u_of(z)  # the upper limit on (-2, 2) by the Arg convention
+        sgn = 1 if half == "upper" or on_axis else -1
         z3 = z * z * z
         v = 4 * el / z3 + w / (z * z) - sgn * 2 * mpmath.pi * 1j / z3
-    return round_to(bits, v)
-
-
-def g_prime_boundary(x, prec, upper: bool = True):
-    """One-sided limits of g' on the real axis (poles at 0, +-2 excluded)."""
-    bits = bits_of(prec)
-    x = to_mpf(x, bits)
-    with mp.workprec(bits):
-        at_pole = x == 0 or abs(abs(x) - 2) < cut_tolerance(bits)
-    if at_pole:
-        raise DomainError("g_prime_boundary: x in {0, +-2}")
-    with working(bits):
-        z = mpmath.mpc(x, 0)
-        el, w = _u_of(z)  # upper limit on (-2,2) by Arg convention
-        z3 = z * z * z
-        v = 4 * el / z3 + w / (z * z) - 2 * mpmath.pi * 1j / z3
-        if not upper:
+        if on_axis and half == "lower":
             v = mpmath.conj(v)
     return round_to(bits, v)
 
@@ -474,50 +463,40 @@ def d_triple(n: int, alpha, z, prec) -> DTriple:
 # E-functions (algebraic prefactors)
 # ----------------------------------------------------------------------
 
-def _e_prefactor(alpha, bits):
-    return _half_log_twopi() - log_gamma_real(alpha, bits + GUARD)
+def _e_log(what, cuts, factors, alpha, z, prec) -> LogComplex:
+    """sqrt(2 pi)/Gamma(alpha) f1^(1/2-alpha) f2^(1/2-alpha) as LogComplex,
+    principal powers of f1, f2 = ``factors(z)``; z must lie off each cut
+    in ``cuts`` unless alpha = 1/2, where both powers are 1.  1/2 - alpha
+    is formed in the working context, so that the bits do not depend on
+    the ambient precision."""
+    bits = bits_of(prec)
+    z = to_mpc(z, bits)
+    a = to_mpf(alpha, bits)
+    if a != 0.5:
+        for lo, hi in cuts:
+            require_off_cut(z, lo, hi, bits, what)
+    with working(bits, GUARD):
+        f1, f2 = factors(z)
+        w = _half_log_twopi() - log_gamma_real(a, bits + GUARD) \
+            + (mpmath.mpf(1) / 2 - a) * (mpmath.log(f1) + mpmath.log(f2))
+    return LogComplex.from_exponent(w, bits)
 
 
 def e_func(alpha, z, prec) -> LogComplex:
     """E = sqrt(2 pi)/Gamma(alpha) (2-z)^(1/2-alpha) (z+2)^(1/2-alpha),
     principal factors; analytic off (-inf, -2) u (2, inf)."""
-    bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    a = to_mpf(alpha, bits)
-    p = mpmath.mpf(1) / 2 - a
-    if p != 0:
-        for lo, hi in ((-_INF, -2), (2, _INF)):
-            require_off_cut(z, lo, hi, bits, "e_func")
-    with working(bits, GUARD):
-        w = _e_prefactor(a, bits) + p * (mpmath.log(2 - z) + mpmath.log(z + 2))
-    return LogComplex.from_exponent(w, bits)
+    return _e_log("e_func", ((-_INF, -2), (2, _INF)), lambda z: (2 - z, z + 2), alpha, z, prec)
 
 
 def e_tilde_func(alpha, z, prec) -> LogComplex:
     """E-tilde = sqrt(2 pi)/Gamma(alpha) (z^2-4)^(1/2-alpha), cut (-inf, 2)."""
-    bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    a = to_mpf(alpha, bits)
-    p = mpmath.mpf(1) / 2 - a
-    if p != 0:
-        require_off_cut(z, -_INF, 2, bits, "e_tilde_func")
-    with working(bits, GUARD):
-        w = _e_prefactor(a, bits) + p * (mpmath.log(z - 2) + mpmath.log(z + 2))
-    return LogComplex.from_exponent(w, bits)
+    return _e_log("e_tilde_func", ((-_INF, 2),), lambda z: (z - 2, z + 2), alpha, z, prec)
 
 
 def e_hat_func(alpha, z, prec) -> LogComplex:
     """E-hat = sqrt(2 pi)/Gamma(alpha) (-z-2)^(1/2-alpha) (2-z)^(1/2-alpha),
     cut (-2, inf)."""
-    bits = bits_of(prec)
-    z = to_mpc(z, bits)
-    a = to_mpf(alpha, bits)
-    p = mpmath.mpf(1) / 2 - a
-    if p != 0:
-        require_off_cut(z, -2, _INF, bits, "e_hat_func")
-    with working(bits, GUARD):
-        w = _e_prefactor(a, bits) + p * (mpmath.log(-z - 2) + mpmath.log(2 - z))
-    return LogComplex.from_exponent(w, bits)
+    return _e_log("e_hat_func", ((-2, _INF),), lambda z: (-z - 2, 2 - z), alpha, z, prec)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,28 +33,9 @@ from . import __version__, asym, exact, harness
 from .asym import Params
 from .mpnum import DEFAULT_PREC, ConfigError, DomainError, LogComplex, bits_of, to_mpc, to_mpf, working
 
-PREC_ENV = "TCASYM_PREC"
 CSV_HEADER = ("n,alpha,z_re,z_im,region,log_exact_mod,log_exact_phase,"
               "log_asym_mod,log_asym_phase,rel_err,dropped_term_bound,flags")
 VALUE_EXPORT_CAP = 700  # |log_mod| below this exports float value_re/value_im
-
-
-def _default_prec() -> int:
-    env = os.environ.get(PREC_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{PREC_ENV} must be an integer, got {env!r}")
-    return DEFAULT_PREC
-
-
-def _bits(prec, default=None) -> int:
-    """The --prec value when given (0 included, which ``bits_of`` rejects),
-    else ``default``, else $TCASYM_PREC or ``DEFAULT_PREC``."""
-    if prec is None:
-        prec = _default_prec() if default is None else default
-    return bits_of(prec)
 
 
 def _number(text, bits, option, check=None):
@@ -175,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_n:
             sp.add_argument("--n", type=int, required=True, help="degree")
         sp.add_argument("--alpha", type=str, required=True, help="weight parameter (> 0)")
-        sp.add_argument("--prec", type=int, default=None, help=f"mantissa bits (default {DEFAULT_PREC} or ${PREC_ENV})")
+        sp.add_argument("--prec", type=int, default=DEFAULT_PREC, help=f"mantissa bits (default {DEFAULT_PREC})")
         sp.add_argument("--delta", type=float, default=0.25, help="strip height")
         sp.add_argument("--eps", type=float, default=0.15, help="disk radius")
 
@@ -203,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--alpha", type=str, required=True)
     o.add_argument("--max-deg", type=int, required=True)
     o.add_argument("--kmax", type=int, required=True)
-    o.add_argument("--prec", type=int, default=None)
+    o.add_argument("--prec", type=int, default=128)
 
     s = sub.add_parser("selftest", help="run the invariant suites")
-    s.add_argument("--prec", type=int, default=None)
+    s.add_argument("--prec", type=int, default=128)
 
     return p
 
@@ -216,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    bits = _bits(args.prec)
+    bits = bits_of(args.prec)
     params = Params(delta=args.delta, eps=args.eps)
     z = _parse_z(args.z, bits)
     alpha = _alpha(args.alpha, bits)
@@ -281,7 +261,7 @@ def _compare_task(task):
 
 
 def _cmd_compare(args) -> int:
-    bits = _bits(args.prec)
+    bits = bits_of(args.prec)
     if (args.grid is None) == (args.z_list is None):
         raise ConfigError("exactly one of --grid / --z-list is required")
     pts = _parse_grid(args.grid) if args.grid else _parse_z_list(args.z_list, bits)
@@ -328,7 +308,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    bits = _bits(args.prec)
+    bits = bits_of(args.prec)
     params = Params(delta=args.delta, eps=args.eps)
     z = _parse_z(args.z, bits)
     alpha = _alpha(args.alpha, bits)
@@ -349,7 +329,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_ortho(args) -> int:
-    bits = _bits(args.prec, 128)
+    bits = bits_of(args.prec)
     alpha = _alpha(args.alpha, bits)
     rep = harness.ortho_report(alpha, args.max_deg, args.kmax, bits)
     out = {
@@ -485,7 +465,7 @@ def _selftest_checks(bits):
 
 
 def _cmd_selftest(args) -> int:
-    bits = _bits(args.prec, 128)
+    bits = bits_of(args.prec)
     failures = 0
     for name, fn in _selftest_checks(bits):
         try:

@@ -33,8 +33,9 @@ runs, platforms and mpmath backends:
   f_m f_n is a polynomial in x**2 = 1/(k+alpha) for even m+n, so a node
   only adds into the max_deg + 1 power moments, and each pair sum is one
   exact rational in them, rounded once, with a bound on its error before
-  that rounding.  The real recurrence ``_fixed_f_real`` gives the nine
-  samples behind the tail bounds.
+  that rounding.  The nine samples behind the tail bounds come from the
+  same integer coefficients, each f_j(x) taken exactly and floored once
+  (``_tail_samples``).
 """
 
 from __future__ import annotations
@@ -381,17 +382,6 @@ class OrthoSum:
     err_bound: mpmath.mpf  # |unrounded sum - exact truncated sum|, rounded up
 
 
-def _fixed_f_real(f, X, A, coeff, P):
-    """Fill ``f[1:]`` with f_1..f_(len(f)-1) at the real point x = X * 2**-P,
-    X >= 0, on integers scaled by 2**P; ``f[0]`` is 2**P and ``coeff[j]``
-    is (j << P) + A.  The step is (j+1) f_(j+1) = C_j ((X f_j) >> P) >> P
-    - f_(j-1), every shift and division rounding down."""
-    if len(f) > 1:
-        f[1] = (A * X) >> P
-    for j in range(1, len(f) - 1):
-        f[j + 1] = ((coeff[j] * (X * f[j] >> P) >> P) - f[j - 1]) // (j + 1)
-
-
 def _g_coeffs(A, max_deg, P):
     """G_0..G_max_deg: with alpha = A 2**-P, g_j = j! f_j is
     2**(-Pj) sum_s G_j[s] x**(2s + j % 2), on integers G_j[s], by
@@ -403,6 +393,30 @@ def _g_coeffs(A, max_deg, P):
             nxt[s] -= (j << 2 * P) * v
         G.append(nxt)
     return G[:max_deg + 1]
+
+
+def _tail_samples(G, X, P):
+    """Rows [F_0, ..., F_max_deg] at the nine points x_i = X_i 2**-P,
+    X_i = (X i) >> 3, i = 0..8, with F_j = floor(2**P f_j(x_i)) and G =
+    ``_g_coeffs(A, max_deg, P)``.  With Y = X_i**2 and K = len(G_j) - 1,
+    g_j(x_i) 2**(2Pj) = X_i**(j % 2) sum_s G_j[s] Y**s 2**(2P(K-s)) is an
+    integer, taken exactly by Horner in Y, and F_j is its one floor by
+    j! 2**(P(2j-1)): a floor shift and then a floor division by j!, which
+    together floor once."""
+    polys = [([v << 2 * P * t for t, v in enumerate(reversed(c))], j % 2, P * (2 * j - 1), factorial(j))
+             for j, c in enumerate(G)]
+    rows = []
+    for i in range(9):
+        x = X * i >> 3
+        y = x * x
+        row = []
+        for c, odd, sh, fj in polys:
+            h = 0
+            for v in c:
+                h = h * y + v
+            row.append(((h * x if odd else h) >> sh) // fj if sh >= 0 else h << P)  # j = 0: sh = -P
+        rows.append(row)
+    return rows
 
 
 def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
@@ -439,8 +453,9 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
     The tail bound of pair (m, n) is 4 e^alpha B^2 / sqrt(2 pi k_max),
     with B twice the largest |f_m|, |f_n| over the nine points
     (X i) >> 3, i = 0..8, of [0, x_(k_max)] (X the last node, scaled),
-    run through ``_fixed_f_real`` and rounded once to ``prec`` bits: a
-    heuristic bound on f near zero, not a proven one.
+    each f_j taken from G_j with one floor (``_tail_samples``), and B rounded
+    once to ``prec`` bits: a heuristic bound on f near zero, not a proven
+    one.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
@@ -465,12 +480,7 @@ def ortho_matrix(alpha, max_deg: int, k_max: int, prec):
            for i, (v, v0) in enumerate(zip(mu, mu0))]
     G = _g_coeffs(A, max_deg, P)
     X = _fixed_node(A, k_max, P)  # x_(k_max), the inner end of the node set
-    coeff = [(j << P) + A for j in range(max_deg)]
-    f = [1 << P] * (max_deg + 1)
-    sampled = [0] * (max_deg + 1)
-    for i in range(9):
-        _fixed_f_real(f, X * i >> 3, A, coeff, P)
-        sampled = [max(b, abs(v)) for b, v in zip(sampled, f)]
+    sampled = [max(map(abs, col)) for col in zip(*_tail_samples(G, X, P))]
     with working(bits):
         ea = mpmath.exp(a)
         den = mpmath.sqrt(2 * mpmath.pi) * mpmath.sqrt(k_max)

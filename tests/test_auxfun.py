@@ -16,7 +16,6 @@ from tcasym.auxfun import (
     e_tilde_func,
     f_tilde_n,
     g_prime,
-    g_prime_boundary,
     h_factor,
     phi,
     phi_hat,
@@ -94,14 +93,14 @@ class TestGPrime:
                 gaps.append(abs(g_prime(mpmath.mpc(x, eps), 192) - target))
             assert gaps[2] < gaps[1] < gaps[0]
             assert gaps[2] / gaps[1] < 0.6  # ~linear in eps
-            alpha_free = g_prime_boundary(x, 192, upper=True)
+            alpha_free = g_prime(x, 192, half_plane="upper")
             assert abs(alpha_free - target) < mpmath.mpf(2) ** -180
 
     def test_saturated_boundary(self):
         # on (2, inf) the one-sided values differ only by the -+ 2 pi i/z^3 term
         x = mpmath.mpf(3)
-        up = g_prime_boundary(x, 160, upper=True)
-        lo = g_prime_boundary(x, 160, upper=False)
+        up = g_prime(x, 160, half_plane="upper")
+        lo = g_prime(x, 160, half_plane="lower")
         with working(160):
             assert abs(up - mpmath.conj(lo)) == 0
             assert rel_diff(up.imag, -2 * mpmath.pi / 27, 160) < mpmath.mpf(2) ** -140
@@ -116,6 +115,14 @@ class TestGPrime:
     def test_real_axis_needs_side(self):
         with pytest.raises(DomainError):
             g_prime(mpmath.mpc(1, 0), 128)
+
+    @pytest.mark.parametrize("x", [0, 2, -2, "2.00000000000000000000001"])
+    @pytest.mark.parametrize("half", ["upper", "lower"])
+    def test_excluded_points_raise_on_either_side(self, x, half):
+        # the pole 0, the branch points +-2, and 1e-23 from 2, inside the
+        # cut tolerance 2^-64 at 128 bits
+        with pytest.raises(DomainError):
+            g_prime(x, 128, half_plane=half)
 
 
 class TestPhiTilde:
@@ -450,6 +457,23 @@ class TestEFunctions:
         with working(256):
             resid = abs(ev - et * mpmath.exp(-mpmath.pi * 1j * (mpmath.mpf(1) / 2 - a)))
             assert resid / abs(ev) < mpmath.mpf(2) ** -180
+
+    @pytest.mark.parametrize("z", ["1.3+0.4j", "1.3-0.4j", "1.3+0.7j"])
+    def test_decimal_alpha_against_800_bits(self, z):
+        # 1/2 - alpha is not exact for alpha = 0.731; each value must keep
+        # its working width, whatever the ambient precision
+        z = mpmath.mpmathify(z)
+        with mp.workprec(800):
+            a = mpmath.mpf("0.731")
+            c = mpmath.log(mpmath.sqrt(2 * mpmath.pi)) - mpmath.loggamma(a)
+            p = mpmath.mpf(1) / 2 - a
+            refs = (c + p * (mpmath.log(2 - z) + mpmath.log(z + 2)),
+                    c + p * (mpmath.log(z - 2) + mpmath.log(z + 2)),
+                    c + p * (mpmath.log(-z - 2) + mpmath.log(2 - z)))
+        for fn, ref in zip((e_func, e_tilde_func, e_hat_func), refs):
+            v = fn("0.731", to_mpc(z, 256), 256)
+            with mp.workprec(800):
+                assert abs(mpmath.mpc(v.log_mod, v.phase) - ref) < mpmath.ldexp(1, -250), fn.__name__
 
     def test_family_and_cuts(self):
         for fn in (e_func, e_tilde_func, e_hat_func):

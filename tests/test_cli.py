@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from tcasym import cli, harness
+from tcasym import cli, exact, harness
+from tcasym.mpnum import to_mpc, to_mpf
 
 RUN = [sys.executable, "-m", "tcasym.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -20,12 +22,8 @@ def subprocess_env():
     return env
 
 
-def run_cli(args, env_extra=None):
-    env = subprocess_env()
-    env.pop("TCASYM_PREC", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+def run_cli(args):
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=subprocess_env())
 
 
 def run_main(capsys, args):
@@ -111,6 +109,21 @@ class TestEval:
                                       "--z", "7,3", "--rescaled", "false"])
         obj = json.loads(out)
         assert code == 0 and obj["value_re"] == 1.0 and obj["value_im"] == 0.0
+
+    def test_exact_rescaled_by_default(self, capsys):
+        code, out = run_main(capsys, ["eval", "--mode", "exact", "--n", "50", "--alpha", "0.731",
+                                      "--z", "1.2,0.3"])
+        assert code == 0
+        obj = json.loads(out)
+        v = exact.eval_monic_rescaled(50, to_mpf("0.731", 256), to_mpc(("1.2", "0.3"), 256), 256)
+        assert (obj["log_mod"], obj["phase"]) == (cli._fmt_full(v.log_mod, 256), cli._fmt_full(v.phase, 256))
+
+    def test_asym_band_point_carries_flags(self, capsys):
+        code, out = run_main(capsys, ["eval", "--mode", "asym", "--n", "200", "--alpha", "1",
+                                      "--z", "0.9,0"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["region"] == "B" and obj["flags"] == "real-snapped"
 
     def test_asym_reports_region(self, capsys):
         code, out = run_main(capsys, ["eval", "--mode", "asym", "--n", "200", "--alpha", "1",
@@ -436,17 +449,39 @@ class TestErrorsAndConfig:
         err = json.loads(out)["error"]
         assert err == {"type": "config", "message": "precision must be >= 64 bits, got 0"}
 
-    def test_env_precision_override(self):
-        r = run_cli(["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0",
-                     "--rescaled", "false"], env_extra={"TCASYM_PREC": "128"})
-        obj = json.loads(r.stdout)
-        # 128-bit default -> ~38 significant digits in the log field
-        digits = len(obj["log_mod"].split(".")[1])
-        assert 30 <= digits <= 45
-        r2 = run_cli(["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0",
-                      "--rescaled", "false"])
-        digits2 = len(json.loads(r2.stdout)["log_mod"].split(".")[1])
-        assert digits2 > digits  # default 256 bits
+    def test_prec_sets_digits(self, capsys):
+        args = ["eval", "--mode", "exact", "--n", "3", "--alpha", "1", "--z", "0.5,0", "--rescaled", "false"]
+        digits = [len(json.loads(run_main(capsys, args + extra)[1])["log_mod"].split(".")[1])
+                  for extra in (["--prec", "128"], [])]
+        # 128 bits -> about 38 significant digits in the log field
+        assert 30 <= digits[0] <= 45
+        assert digits[1] > digits[0]  # default 256 bits
+
+    def test_missing_option_is_config_error(self, capsys):
+        code, out = run_main(capsys, ["eval", "--mode", "exact", "--alpha", "1", "--z", "0.5,0"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "config" and "--n" in err["message"]
+
+    def test_regions_at_zero_is_domain_error(self, capsys):
+        code, out = run_main(capsys, ["regions", "--n", "50", "--alpha", "1", "--z", "0,0"])
+        assert code == 2
+        assert json.loads(out) == {"error": {"type": "domain", "message": "z = 0 is excluded"}}
+
+
+def _readme_commands():
+    """The lines of the first code block under README's "## Command line"."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("tcasym ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)  # --out writes into the working directory
+    code, out = run_main(capsys, shlex.split(line)[1:])
+    assert code == 0, out
 
 
 def test_import_leaves_numpy_unloaded():

@@ -629,20 +629,32 @@ class TestOrthoKernel:
             if not s.exact_zero:
                 assert s.err_bound < abs(s.value) * mpmath.mpf("1e-5"), (s.m, s.n)
 
-    @pytest.mark.parametrize("k_max", [1, 50, 700])
-    def test_recurrence_only_for_tail_samples(self, monkeypatch, k_max):
-        # the sums come from power moments; the real recurrence runs only
-        # at the nine tail-bound sample points, whatever the node count
-        calls = []
-        recurrence = exact._fixed_f_real
-
-        def counted(*args):
-            calls.append(args[1])
-            return recurrence(*args)
-
-        monkeypatch.setattr(exact, "_fixed_f_real", counted)
-        exact.ortho_matrix("1.5", 4, k_max, 128)
-        assert len(calls) == 9
+    @given(alpha=st.floats(-30, 1.7).map(lambda e: 10 ** e), k_max=st.integers(1, 5000),
+           max_deg=st.integers(0, 10), bits=st.sampled_from([64, 128, 256]))
+    @example(alpha=1e-30, k_max=500, max_deg=4, bits=128)
+    @example(alpha=50, k_max=1, max_deg=10, bits=64)
+    @example(alpha=1.5, k_max=5000, max_deg=10, bits=256)
+    def test_tail_samples_within_one_unit(self, alpha, k_max, max_deg, bits):
+        # the nine tail-bound samples from the exact coefficients G_j,
+        # against the recurrence in mpmath with 64 bits below the unit
+        # 2**-P and above the largest |f_j|
+        a = to_mpf(alpha, bits)
+        P = exact._node_bits(bits, a, k_max)
+        A = raw_fixed(a._mpf_, P)
+        G = exact._g_coeffs(A, max_deg, P)
+        X = exact._fixed_node(A, k_max, P)
+        rows = exact._tail_samples(G, X, P)
+        assert len(rows) == 9
+        for i, F in enumerate(rows):
+            Xi = X * i >> 3
+            assert len(F) == max_deg + 1
+            with mp.workprec(64 + max(abs(v) for v in F).bit_length()):
+                x = mpmath.ldexp(Xi, -P)
+                f = [mpmath.mpf(1), a * x]
+                for j in range(1, max_deg):
+                    f.append(((j + a) * x * f[j] - f[j - 1]) / (j + 1))
+                for j, v in enumerate(F):
+                    assert abs(v - mpmath.ldexp(f[j], P)) < 1, (i, j)
 
     def test_nodes_masses_are_the_summed_ones(self, monkeypatch):
         # the generator's output as ortho_matrix sees it, with its P
@@ -771,9 +783,8 @@ class TestGoldenBits:
     bits (2^-189.2, 2^-312.3 and, on the real axis, 2^-315.5), recorded
     with the even/odd loop on y = x^2; the one-step loop they replaced
     read 2^-189.2, 2^-313.9 and 2^-314.0.
-    The ortho sum is the real
-    kernel's accumulator rounded to 128 bits, and its tail bound comes from
-    the same kernel's samples.
+    The ortho sum is the moment kernel's rational rounded to 128 bits, and
+    its tail bound comes from the samples of f_4 taken from G_4.
     Any change to the operation order, the rounding or the working
     precision moves bits.
     """
@@ -813,7 +824,6 @@ class TestGoldenBits:
         assert s == scale
 
     def test_ortho_pair_sum(self):
-        # (4, 4) runs the real recurrence to its last step at every node
         s = exact.ortho_matrix("1.5", 4, 300, 128)[(4, 4)]
         # the value is the 512-bit sum correctly rounded to 128 bits
         assert s.value._mpf_ == (0, 335740166672954924149686840923567923485, -132, 128)
