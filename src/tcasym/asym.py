@@ -6,7 +6,8 @@ B and the origin disk share one two-term formula, and the turning-point
 disk C around 2, the saturated strip D and the outer region A have their
 own.  The full-plane dispatcher reduces any nonzero z to the first
 quadrant through the parity and reflection symmetries, classifies it
-(in doubles, in mpmath within 2^-40 of a region edge), builds the
+(exactly: each region test is an inequality between polynomials in the
+dyadic inputs, decided in integers by ``mpnum._sign``), builds the
 point's one geometry record (``_point``: the quantities of z that the
 formulas share, each taken once), dispatches, and undoes the reduction
 on the LogComplex result, so the symmetries hold bit for bit by
@@ -26,8 +27,6 @@ separate formula error from truncation error.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -48,6 +47,10 @@ from .mpnum import (
     ConfigError,
     DomainError,
     LogComplex,
+    _dyadic,
+    _prod,
+    _sign,
+    _sq_diff,
     bits_of,
     logc_add,
     logc_mul,
@@ -60,10 +63,6 @@ from .mpnum import (
 from .specfun import airy_rotated, log_gamma_real
 
 REAL_SNAP_TOL = 1e-8  # relative imaginary residual allowed at real arguments
-# ``locate`` decides a region in doubles unless the point lies within this
-# share of the compared magnitudes of an edge or a cut tolerance
-EDGE_MARGIN = 2.0 ** -40
-_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -103,37 +102,58 @@ class AsymResult:
 
 
 def classify_region(z, n: int, alpha, params: Params, prec=128) -> str:
-    """Region tag for a point in the closed first quadrant, decided in
-    mpmath at ``prec`` bits.
+    """Region tag for a point in the closed first quadrant, z and alpha
+    rounded to ``prec`` bits.
 
-    Ties resolve in the fixed order origin > C > B > D > A.  ``locate``
-    decides the same tests in doubles first and calls this only for a
-    point within ``EDGE_MARGIN`` of an edge.
+    Ties resolve in the fixed order origin > C > B > D > A.  Each test is
+    decided exactly on z, alpha, n and the doubles of ``params``:
+    |z| < eps, |z - 2| <= eps, Im z <= delta, eps <= Re z <= 2 - eps, and
+    2 + eps <= Re z <= sqrt(n/alpha) + delta.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits)
+    z, a = _checked(z, alpha, bits)
     if z.real < 0 or z.imag < 0:
         raise ConfigError("classify_region expects the closed first quadrant; use eval_asym for general z")
-    with working(bits):
-        eps = to_mpf(params.eps, bits)
-        delta = to_mpf(params.delta, bits)
-        if abs(z) < eps:
-            return "origin"
-        if abs(z - 2) <= eps:
-            return "C"
-        if z.imag <= delta:
-            if eps <= z.real <= 2 - eps:
-                return "B"
-            if 2 + eps <= z.real <= params.k_edge(n, alpha, bits):
-                return "D"
-        return "A"
+    return _region(z, n, a, params)
+
+
+def _checked(z, alpha, bits):
+    """(z, alpha) rounded to ``bits``; ConfigError unless both are finite
+    and alpha > 0."""
+    z, a = to_mpc(z, bits), to_mpf(alpha, bits)
+    if not (mpmath.isfinite(a) and mpmath.isfinite(z)):
+        raise ConfigError(f"alpha and z must be finite, got alpha={a}, z={z}")
+    if a <= 0:
+        raise ConfigError(f"alpha must be > 0, got alpha={a}")
+    return z, a
+
+
+def _region(z, n, a, params):
+    """``classify_region``'s tag of a finite first-quadrant z and alpha
+    ``a``, each test the sign of a sum of exact dyadic terms."""
+    x, y, a = _dyadic(z.real), _dyadic(z.imag), _dyadic(a)
+    eps, delta = _dyadic(params.eps), _dyadic(params.delta)
+    yy, ee = _prod(1, y, y), _prod(-1, eps, eps)
+    if _sign(_prod(1, x, x), yy, ee) < 0:  # x^2 + y^2 < eps^2
+        return "origin"
+    if _sign(*_sq_diff(x, (2, 0)), yy, ee) <= 0:  # (x - 2)^2 + y^2 <= eps^2
+        return "C"
+    if _sign(y, _prod(-1, delta)) <= 0:
+        if _sign(eps, _prod(-1, x)) <= 0 and _sign(x, eps, (-2, 0)) <= 0:
+            return "B"
+        # x <= sqrt(n/alpha) + delta: x - delta <= 0 or (x - delta)^2 alpha <= n
+        if _sign((2, 0), eps, _prod(-1, x)) <= 0 and (
+                _sign(x, _prod(-1, delta)) <= 0
+                or _sign(*(_prod(1, t, a) for t in _sq_diff(x, delta)), (-n, 0)) <= 0):
+            return "D"
+    return "A"
 
 
 # ----------------------------------------------------------------------
 # shared assembly pieces
 # ----------------------------------------------------------------------
 
-def _point(n, a, z, bits, tag, cut_checked=False):
+def _point(n, a, z, bits, tag):
     """The geometry record (``auxfun._Geometry``) of a point z of region
     ``tag`` at ``bits``, alpha ``a`` already rounded to ``bits``.  Each
     field is taken at the width of its widest reader: u, w, z^2 and
@@ -146,7 +166,7 @@ def _point(n, a, z, bits, tag, cut_checked=False):
     s_width = width
     if tag in ("A", "D"):
         s_width = max(width, _d_width(n, z, bits + GUARD) + GUARD + 8)
-    return _geometry(n, a, z, width, s_width, turning, cut_checked)
+    return _geometry(n, a, z, width, s_width, turning)
 
 
 def _direct_record(n, alpha, z, bits, tag, name):
@@ -380,90 +400,11 @@ _EVALUATORS = {
 }
 
 
-class _NearEdge(Exception):
-    """A double-precision test of ``locate`` fell within EDGE_MARGIN."""
-
-
-def _less(a, b, scale):
-    """a < b for doubles whose rounding error is far below EDGE_MARGIN *
-    ``scale``; raises _NearEdge when they lie closer than that."""
-    if abs(a - b) <= EDGE_MARGIN * scale:
-        raise _NearEdge
-    return a < b
-
-
-def _double(v):
-    """The mpf v as a double; _NearEdge unless it is zero or normal."""
-    f = float(v)
-    if not (_MIN_NORMAL <= abs(f) < math.inf or (f == 0 and not v)):
-        raise _NearEdge
-    return f
-
-
-def _cut_tolerance(r, bits):
-    """``mpnum.near_cut``'s tolerance 2^-(bits/2) min(1, |z|) in doubles."""
-    t = math.ldexp(min(1.0, r), -(bits // 2))
-    if t < _MIN_NORMAL:
-        raise _NearEdge
-    return t
-
-
-def _tag_in_doubles(x, y, n, alpha, params):
-    """``classify_region`` of x + iy in doubles, each test in its order.
-    Every operand carries a relative error of a few 2^-53 at most, and the
-    scale of each test bounds the magnitudes it combines."""
-    eps, delta = float(params.eps), float(params.delta)
-    r = math.hypot(x, y)
-    if _less(r, eps, max(r, eps)):
-        return "origin"
-    if not _less(eps, math.hypot(x - 2, y), x + y + 2 + eps):
-        return "C"
-    if not _less(delta, y, max(y, delta)):
-        if not _less(x, eps, max(x, eps)) and not _less(2 - eps, x, x + 2 + eps):
-            return "B"
-        if not _less(x, 2 + eps, x + 2 + eps):
-            k = math.sqrt(n / alpha) + delta
-            if not _less(k, x, max(x, k)):
-                return "D"
-    return "A"
-
-
-def _place_in_doubles(n, a, z1, params, bits):
-    """(tag, snapped) of the reduced point z1 as ``locate``'s mpmath path
-    decides them, in doubles; raises _NearEdge for a point within
-    EDGE_MARGIN of a region edge or a cut tolerance, or outside the
-    normal double range.  It also checks what phi_tilde would test at
-    its width 2^-((bits + 2 GUARD)/2): a point of A, B, D or the origin
-    disk off the axis left of 2 must lie clear above that tolerance."""
-    if n > 2 ** 53:
-        raise _NearEdge
-    x, y, af = _double(z1.real), _double(z1.imag), _double(a)
-    r = math.hypot(x, y)
-    t = _cut_tolerance(r, bits) if y > 0 else 0.0
-    near_axis = y > 0 and _less(y, t, max(y, t))
-    tag = _tag_in_doubles(x, y, n, af, params)
-    snapped = tag in ("B", "origin") and x > 0 and near_axis
-    if snapped:
-        y = 0.0
-        tag = _tag_in_doubles(x, y, n, af, params)
-    if tag != "C" and y > 0:
-        t = _cut_tolerance(r, bits + 2 * GUARD)
-        if y <= t * (1 + 2 * EDGE_MARGIN) and not _less(2.0, x, x + 2):
-            raise _NearEdge
-    return tag, snapped
-
-
 def _locate(n, alpha, z, params, bits):
-    """``locate``'s work: (z1, label, alpha at ``bits``, cut_checked), the
-    last True when the region and the cut were decided in doubles."""
+    """``locate``'s work: (z1, label, alpha at ``bits``)."""
     if params is None:
         params = Params()
-    z = to_mpc(z, bits)
-    a = to_mpf(alpha, bits)
-    if not (mpmath.isfinite(a) and mpmath.isfinite(z)):
-        raise ConfigError(f"alpha and z must be finite, got alpha={a}, z={z}")
-    if a <= 0:
-        raise ConfigError(f"alpha must be > 0, got alpha={a}")
+    z, a = _checked(z, alpha, bits)
     if z == 0:
         raise DomainError("eval_asym: z = 0 excluded")
     if n < 1:
@@ -474,20 +415,11 @@ def _locate(n, alpha, z, params, bits):
         conjugated = z1.imag < 0
         if conjugated:
             z1 = mpmath.conj(z1)
-    try:
-        tag, snapped = _place_in_doubles(n, a, z1, params, bits)
-        checked = True
-        if snapped:
-            z1 = to_mpc(z1.real, bits)
-    except _NearEdge:
-        with mp.workprec(bits):
-            near_axis = z1.imag > 0 and near_cut(z1, -mpmath.inf, mpmath.inf, bits)
-        tag = classify_region(z1, n, alpha, params, bits)
-        if tag in ("B", "origin") and z1.real > 0 and near_axis:
-            z1 = to_mpc(z1.real, bits)
-            tag = classify_region(z1, n, alpha, params, bits)
-        checked = False
-    return z1, RegionLabel(tag, negated, conjugated), a, checked
+    tag = _region(z1, n, a, params)
+    if tag in ("B", "origin") and z1.real > 0 and z1.imag > 0 and near_cut(z1, -mpmath.inf, mpmath.inf, bits):
+        z1 = to_mpc(z1.real, bits)
+        tag = _region(z1, n, a, params)
+    return z1, RegionLabel(tag, negated, conjugated), a
 
 
 def locate(n: int, alpha, z, params: Params = None, prec=256):
@@ -501,13 +433,10 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
     there); below |z1| = 1 the tolerance is relative, so a tiny z1 is not
     moved by O(|z1|).
 
-    The region and the snap are decided in doubles.  A point within
-    EDGE_MARGIN (relative) of a region edge or of a cut tolerance, or whose
-    coordinates or alpha are not normal doubles, is decided by
-    ``classify_region`` and ``mpnum.near_cut`` in mpmath instead, with the
-    same result.  Nothing is evaluated.
+    The region (``classify_region``) and the snap (``mpnum.near_cut``) are
+    decided exactly.  Nothing is evaluated.
     """
-    z1, label, _, _ = _locate(n, alpha, z, params, bits_of(prec))
+    z1, label, _ = _locate(n, alpha, z, params, bits_of(prec))
     return z1, label
 
 
@@ -520,8 +449,8 @@ def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
     both reductions act exactly on the LogComplex fields.
     """
     bits = bits_of(prec)
-    z1, label, a, checked = _locate(n, alpha, z, params, bits)
-    g = _point(n, a, z1, bits, label.tag, checked)
+    z1, label, a = _locate(n, alpha, z, params, bits)
+    g = _point(n, a, z1, bits, label.tag)
     res = _EVALUATORS[label.tag](n, alpha, z1, bits, _geo=g)
     value = res.value
     # parity shift first (one rounded add on the reduced phase), exact

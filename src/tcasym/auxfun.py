@@ -36,7 +36,6 @@ from .mpnum import (
     LogComplex,
     _w_root,
     bits_of,
-    cut_tolerance,
     near_cut,
     require_off_cut,
     round_to,
@@ -125,10 +124,6 @@ class _Geometry:
     log(z+2) = 2 Log w (on the closed upper half-plane the arguments of
     the two square roots add up to an angle in [0, pi]), None on the
     turning-point disk, whose formula does not read it.
-
-    ``cut_checked`` is True when the dispatcher has already decided that z
-    lies on the real axis or clear of phi_tilde's cut tolerance, so that
-    ``phi_tilde`` need not test it again.
     """
 
     z: mpmath.mpc
@@ -139,10 +134,9 @@ class _Geometry:
     u: mpmath.mpc
     w: mpmath.mpc
     lw: mpmath.mpc | None
-    cut_checked: bool
 
 
-def _geometry(n: int, a, z, width: int, s_width: int, turning: bool, cut_checked: bool) -> _Geometry:
+def _geometry(n: int, a, z, width: int, s_width: int, turning: bool) -> _Geometry:
     """The record of z (at the evaluation width) and alpha ``a`` for degree
     n: u, w, zz and lw rounded once at ``width``, s and logn at
     ``s_width``.  ``turning`` marks the turning-point disk: there h needs
@@ -158,7 +152,7 @@ def _geometry(n: int, a, z, width: int, s_width: int, turning: bool, cut_checked
         # from the rounded z^2 unless s needs more bits than it holds
         s = n / (zz if s_width == width else z * z)
         logn = mpmath.log(n)
-    return _Geometry(z, a, zz, s, logn, u, w, lw, cut_checked)
+    return _Geometry(z, a, zz, s, logn, u, w, lw)
 
 
 # ----------------------------------------------------------------------
@@ -170,18 +164,16 @@ def g_prime(z, prec, half_plane: str = "auto"):
 
     4/z^3 log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/z^2 -+ 2 pi i / z^3 on the
     upper/lower half-plane.  Real z raises unless ``half_plane`` selects a
-    one-sided limit, and at the pole 0 and the branch points +-2 whatever
-    the side; the lower limit on the axis is the conjugate of the upper.
+    one-sided limit, and at the pole 0 whatever the side; the lower limit
+    on the axis is the conjugate of the upper.  At the branch points +-2
+    the form is finite: -pi i/4 from above, +pi i/4 from below.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     half = _resolve_half(z, half_plane)
     on_axis = z.imag == 0
-    if on_axis:
-        with mp.workprec(bits):
-            excluded = z.real == 0 or abs(abs(z.real) - 2) < cut_tolerance(bits)
-        if excluded:
-            raise DomainError("g_prime: x in {0, +-2} excluded on the real axis")
+    if z == 0:
+        raise DomainError("g_prime: pole at z = 0")
     with working(bits):
         el, w = _u_of(z)  # the upper limit on (-2, 2) by the Arg convention
         sgn = 1 if half == "upper" or on_axis else -1
@@ -205,11 +197,7 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0, _geo=None):
     bits = bits_of(prec)
     z = to_mpc(z, bits) if _geo is None else _geo.z
     work = bits + extra
-    if _geo is not None and _geo.cut_checked:
-        near = z.imag == 0
-    else:
-        near = near_cut(z, -_INF, 2, bits)
-    if near and not z.real > 2:
+    if not z.real > 2 and near_cut(z, -_INF, 2, bits):
         if on_cut == "reject":
             raise DomainError(f"phi_tilde: z={z} on or too close to the cut (-inf, 2]")
         if on_cut not in ("upper", "lower"):

@@ -136,34 +136,96 @@ def neg_exact(x):
     return mp.make_mpf(mpmath.libmp.mpf_neg(raw_mpf(x)))
 
 
-def dist_to_real_interval(z, lo, hi, prec=128) -> mpmath.mpf:
-    """Euclidean distance from ``z`` to the real segment ``[lo, hi]``.
+# ----------------------------------------------------------------------
+# Exact comparisons
+# ----------------------------------------------------------------------
+#
+# The region and cut tests compare polynomials in dyadic rationals (mpf
+# coordinates, the double parameters, integer degrees and cut ends), so
+# each is decided exactly: a value is the integer pair (m, e), m 2**e, and
+# a test is the sign of a sum of such pairs.
 
-    ``lo`` may be ``-inf`` and ``hi`` ``+inf`` for rays.  Computed at
-    ``prec`` bits so domain checks do not depend on the caller's ambient
-    mpmath context.
-    """
-    with mp.workprec(bits_of(prec) + GUARD):
-        z = mpmath.mpc(z)
-        x, y = z.real, z.imag
-        if x < lo:
-            dx = lo - x
-        elif x > hi:
-            dx = x - hi
+def _dyadic(v):
+    """(m, e) with v = m 2**e exactly, for an int, a finite float or a
+    finite mpf (libmp stores inf and nan with mantissa 0: check first)."""
+    if isinstance(v, int):
+        return v, 0
+    if isinstance(v, float):
+        m, d = v.as_integer_ratio()
+        return m, 1 - d.bit_length()
+    sign, man, exp, _ = v._mpf_
+    return (-int(man) if sign else int(man)), exp
+
+
+def _prod(c, *factors):
+    """The dyadic c f1 f2 ... of an integer c and dyadics ``factors``."""
+    e = 0
+    for m, f in factors:
+        c *= m
+        e += f
+    return c, e
+
+
+def _sq_diff(a, b):
+    """(a - b)^2 of dyadics a, b as the three terms a^2, -2ab, b^2."""
+    return [_prod(1, a, a), _prod(-2, a, b), _prod(1, b, b)]
+
+
+def _sign(*terms) -> int:
+    """The sign (-1, 0 or 1) of the exact sum of the dyadic ``terms``.
+
+    Terms are added from the largest down.  Once the next term lies more
+    than log2(count) + 1 bits below the lowest bit of a nonzero partial
+    sum, the rest together cannot reach that bit and the partial sum
+    decides, so no integer spans a wide exponent gap."""
+    terms = sorted((t for t in terms if t[0]), key=lambda t: t[1] + t[0].bit_length(), reverse=True)
+    gap = len(terms).bit_length() + 1
+    acc = low = 0
+    for m, e in terms:
+        if acc and e + m.bit_length() + gap <= low:
+            break
+        if not acc:
+            acc, low = m, e
+        elif e < low:
+            acc, low = (acc << (low - e)) + m, e
         else:
-            dx = mpmath.mpf(0)
-        if dx == 0:
-            return abs(y)
-        return mpmath.hypot(dx, y)
+            acc += m << (e - low)
+    return (acc > 0) - (acc < 0)
 
 
 def near_cut(z, lo, hi, prec) -> bool:
-    """Whether ``z`` lies on the real segment [lo, hi] or within
-    2**-(bits/2) * min(1, |z|) of it: relative to |z| below 1, so that a
-    tiny z off the cut is not taken for a cut point."""
-    d = dist_to_real_interval(z, lo, hi, prec)
-    with working(prec):
-        return d == 0 or d < cut_tolerance(prec) * min(1, abs(mpmath.mpc(z)))
+    """Whether ``z`` lies on the real segment [lo, hi] (``lo`` may be -inf
+    and ``hi`` +inf) or within 2**-(bits/2) * min(1, |z|) of it: relative
+    to |z| below 1, so that a tiny z off the cut is not taken for a cut
+    point.
+
+    Decided exactly: with d the distance to the segment and h = bits // 2,
+    d = 0 or d^2 4^h < min(1, |z|^2).  An mpc z is read as it is, any other
+    input is first rounded to bits + GUARD.  A non-finite z gets the answer
+    of the same test in rounded arithmetic: a nan coordinate lies beyond
+    no end, an infinite or nan distance is never near, and min(1, |z|)
+    reads 1.
+    """
+    bits = bits_of(prec)
+    if not isinstance(z, mpmath.mpc):
+        z = to_mpc(z, bits + GUARD)
+    x, y = z.real, z.imag
+    end = lo if x < lo else hi if x > hi else None  # the end of [lo, hi] x lies beyond
+    finite = mpmath.isfinite(z)
+    if not finite and (end is not None or not mpmath.isfinite(y)):
+        return False
+    if end is None and not y:
+        return True
+    yd = _dyadic(y)
+    d2 = [_prod(1, yd, yd)] + ([] if end is None else _sq_diff(_dyadic(x), _dyadic(end)))
+    h2 = 2 * (bits // 2)
+    d2 = [(m, e + h2) for m, e in d2]  # d^2 4^h
+    if _sign(*d2, (-1, 0)) >= 0:
+        return False
+    if not finite:
+        return True
+    xd = _dyadic(x)
+    return _sign(*d2, _prod(-1, xd, xd), _prod(-1, yd, yd)) < 0
 
 
 def require_off_cut(z, lo, hi, prec, what: str):

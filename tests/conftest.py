@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -20,6 +21,12 @@ def logc_rel_err(v_exact: LogComplex, v_other: LogComplex, prec=256):
     with working(prec):
         d = mpmath.mpc(v_other.log_mod - v_exact.log_mod, v_other.phase - v_exact.phase)
         return abs(mpmath.exp(d) - 1)
+
+
+def to_fraction(x):
+    """A finite mpf as the exact Fraction it holds."""
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 import math
-from unittest import mock
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -19,9 +19,9 @@ from tcasym.asym import (
     locate,
 )
 from tcasym.harness import region_grid
-from tcasym.mpnum import ConfigError, DomainError, near_cut, to_mpc, working
+from tcasym.mpnum import ConfigError, DomainError, to_mpc, to_mpf, working
 
-from conftest import logc_rel_err
+from conftest import logc_rel_err, to_fraction
 
 PARAMS = Params()
 
@@ -219,10 +219,8 @@ class TestRegionEvaluators:
     @pytest.mark.parametrize("tag", list(POINTS))
     def test_one_u_per_point(self, monkeypatch, tag):
         # u = Log((z + w)/2) is taken at most once per point, into the
-        # geometry record, and a point clear of every region edge and cut
-        # tolerance is placed in doubles: neither the mpmath classifier
-        # nor a cut test runs
-        from tcasym import asym, auxfun, mpnum
+        # geometry record
+        from tcasym import auxfun
         calls = []
         orig_u = auxfun._u_of
 
@@ -230,16 +228,7 @@ class TestRegionEvaluators:
             calls.append("u")
             return orig_u(z)
 
-        def refused(name):
-            def stub(*args, **kwargs):
-                calls.append(name)
-                raise AssertionError(f"{name} called")
-            return stub
-
         monkeypatch.setattr(auxfun, "_u_of", counting_u)
-        for mod in (asym, auxfun, mpnum):
-            monkeypatch.setattr(mod, "near_cut", refused("near_cut"))
-        monkeypatch.setattr(asym, "classify_region", refused("classify_region"))
         for z in (POINTS[tag], -POINTS[tag], mpmath.conj(POINTS[tag])):
             calls.clear()
             ay = eval_asym(400, 1, z, PARAMS, 256)
@@ -366,14 +355,38 @@ def _placements(draw):
     return n, alpha, (x, y), params, bits
 
 
-def _mpmath_locate(n, alpha, z, params, bits):
-    """``locate`` with its double-precision placement switched off: the
-    mpmath path, kept as the oracle."""
-    def no_doubles(*args):
-        raise asym._NearEdge
+def _fraction_locate(n, alpha, z, params, bits):
+    """``locate`` in Fractions: the same validation, reductions, region
+    inequalities and snap, each evaluated exactly on the rounded inputs."""
+    z, a = to_mpc(z, bits), to_mpf(alpha, bits)
+    if not (mpmath.isfinite(z) and mpmath.isfinite(a)) or a <= 0:
+        raise ConfigError
+    if z == 0:
+        raise DomainError
+    if n < 1:
+        raise ConfigError
+    negated = z.real < 0
+    conjugated = z.imag > 0 if negated else z.imag < 0
+    x, y, a = abs(to_fraction(z.real)), abs(to_fraction(z.imag)), to_fraction(a)
+    eps, delta = Fraction(params.eps), Fraction(params.delta)
 
-    with mock.patch.object(asym, "_place_in_doubles", no_doubles):
-        return locate(n, alpha, z, params, bits)
+    def tag(y):
+        if x * x + y * y < eps * eps:
+            return "origin"
+        if (x - 2) ** 2 + y * y <= eps * eps:
+            return "C"
+        if y <= delta:
+            if eps <= x <= 2 - eps:
+                return "B"
+            if 2 + eps <= x and (x <= delta or (x - delta) ** 2 * a <= n):
+                return "D"
+        return "A"
+
+    t = tag(y)
+    if t in ("B", "origin") and x > 0 and y > 0 and y * y * 4 ** (bits // 2) < min(1, x * x + y * y):
+        y = Fraction(0)
+        t = tag(y)
+    return (x, y), asym.RegionLabel(t, negated, conjugated)
 
 
 def _outcome(f, *args):
@@ -422,40 +435,28 @@ def _placement_examples(f):
     return f
 
 
-class TestDoublePlacement:
-    """``locate`` decides the region and the snap in doubles, and falls
-    back to ``classify_region`` and ``near_cut`` within 2^-40 of an edge;
-    both paths give the same reduced point and label."""
+class TestExactPlacement:
+    """``locate`` decides the region and the snap exactly: its label and
+    its reduced point equal those of a Fraction evaluation of the same
+    inequalities, on every edge and cut tolerance and off them."""
 
     @settings(max_examples=300)
     @given(case=_placements())
     @_placement_examples
-    def test_matches_mpmath(self, case):
-        n, alpha, z, params, bits = case
-        fast = _outcome(asym._locate, n, alpha, z, params, bits)
-        ref = _outcome(_mpmath_locate, n, alpha, z, params, bits)
+    # |z - 2| exceeds eps by about y^2/(2 eps) = 7e-441: D, where rounding
+    # |z - 2| to the working width gave eps and C
+    @example(case=(59, 1.0, (4.5, 1.86e-220), Params(3, 2.5), 256))
+    # exactly on the right edge of D: (x - delta)^2 alpha = n
+    @example(case=(16, 1.0, (4.25, 0.1), PARAMS, 128))
+    def test_matches_fraction(self, case):
+        got = _outcome(locate, *case)
+        ref = _outcome(_fraction_locate, *case)
         if isinstance(ref, type):
-            assert fast is ref, case
+            assert got is ref, case
             return
-        z1, label, _, checked = fast
+        z1, label = got
         assert label == ref[1], case
-        assert (z1.real._mpf_, z1.imag._mpf_) == (ref[0].real._mpf_, ref[0].imag._mpf_), case
-        assert locate(n, alpha, z, params, bits) == (z1, label)
-        if checked and label.tag != "C":
-            # phi_tilde skips its cut test for such a point: it would pass
-            assert not (near_cut(z1, -mpmath.inf, 2, bits + 32) and z1.imag > 0
-                        and not z1.real > 2), case
-
-    def test_fallback_points(self):
-        # a point on an edge, at a tolerance, or outside the double range
-        # is decided in mpmath
-        for bits in (128, 256):
-            for z in EDGES + (_k_edge_point(bits), _at_tolerance(bits, bits // 2, 0)):
-                assert not asym._locate(300, "1.3", z, PARAMS, bits)[3], z
-        assert not asym._locate(300, "1.3", ("1e-400", "1e-400"), PARAMS, 256)[3]
-        assert not asym._locate(300, "1e-400", (1, 1), PARAMS, 256)[3]
-        assert not asym._locate(300, "1.3", (1, 1), PARAMS, 4096)[3]
-        assert asym._locate(300, "1.3", (1, 1), PARAMS, 256)[3]
+        assert (to_fraction(z1.real), to_fraction(z1.imag)) == ref[0], case
 
 
 class TestGeometryRecord:
@@ -472,10 +473,10 @@ class TestGeometryRecord:
         from tcasym.auxfun import h_factor, phi
         n, alpha, z, params, bits = case
         try:
-            z1, label, a, checked = asym._locate(n, alpha, z, params, bits)
+            z1, label, a = asym._locate(n, alpha, z, params, bits)
         except (ConfigError, DomainError):
             return
-        g = asym._point(n, a, z1, bits, label.tag, checked)
+        g = asym._point(n, a, z1, bits, label.tag)
         if label.tag == "C":
             assert h_factor(z1, bits + 32, _geo=g) == h_factor(z1, bits + 32)
             return
@@ -518,12 +519,12 @@ class TestDispatcher:
     @given(n=st.integers(1, 1600), alpha=st.floats(0.3, 2.5),
            kind=st.sampled_from(EDGE_KINDS[:7]), k=st.integers(2, 60),
            sign=st.sampled_from([-1.0, 1.0]), t=st.floats(0, 1))
-    @example(n=200, alpha=1.0, kind="C", k=60, sign=1.0, t=0.5)  # mpmath placement
+    @example(n=200, alpha=1.0, kind="C", k=60, sign=1.0, t=0.5)  # 2^-60 inside C
     @example(n=57, alpha=2.5, kind="k", k=3, sign=-1.0, t=0.3)  # D
     def test_symmetries_bitwise_near_edges(self, n, alpha, kind, k, sign, t):
         # the record is built after the reductions, so the four reflections
         # of a point agree bit for bit in every region, including points
-        # within 2^-40 of an edge, which are placed in mpmath
+        # within 2^-60 of an edge
         x, y = _edge_point(kind, sign * 2.0 ** -k, t, n, alpha, PARAMS, 192)
         z = mpmath.mpc(x, y)
         if z == 0:

@@ -116,13 +116,29 @@ class TestGPrime:
         with pytest.raises(DomainError):
             g_prime(mpmath.mpc(1, 0), 128)
 
-    @pytest.mark.parametrize("x", [0, 2, -2, "2.00000000000000000000001"])
+    @pytest.mark.parametrize("x", [0])
     @pytest.mark.parametrize("half", ["upper", "lower"])
     def test_excluded_points_raise_on_either_side(self, x, half):
-        # the pole 0, the branch points +-2, and 1e-23 from 2, inside the
-        # cut tolerance 2^-64 at 128 bits
+        # the pole 0 is the one excluded point of the axis
         with pytest.raises(DomainError):
             g_prime(x, 128, half_plane=half)
+
+    @pytest.mark.parametrize("x", [2, -2, pytest.param("2.00000000000000000000001", id="2+1e-23")])
+    @pytest.mark.parametrize("half", ["upper", "lower"])
+    def test_branch_points_finite_on_either_side(self, x, half):
+        # g' is finite at the branch points +-2 (-pi i/4 from above) and
+        # 1e-23 from 2, inside the cut tolerance 2^-64 at 128 bits: the
+        # real-axis closed form 4 acosh(x/2)/x^3 + sqrt(x^2-4)/x^2 - 2 pi i/x^3
+        # at twice the width, conjugated below
+        v = g_prime(x, 128, half_plane=half)
+        x = to_mpc(x, 128).real
+        with working(256):
+            ref = 4 * mpmath.acosh(x / 2) / x ** 3 + mpmath.sqrt(x * x - 4) / x ** 2 - 2j * mpmath.pi / x ** 3
+            if half == "lower":
+                ref = mpmath.conj(ref)
+            assert abs(v - ref) < mpmath.mpf(2) ** -124, (x, half, v)
+            if abs(x) == 2:
+                assert abs(v - (-1 if half == "upper" else 1) * mpmath.pi * 1j / 4) < mpmath.mpf(2) ** -124
 
 
 class TestPhiTilde:

@@ -1,6 +1,9 @@
+import itertools
+from fractions import Fraction
+
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
@@ -9,6 +12,7 @@ from tcasym.mpnum import (
     ConfigError,
     DomainError,
     LogComplex,
+    _sign,
     _w_root,
     bits_of,
     fixed_bits,
@@ -16,6 +20,7 @@ from tcasym.mpnum import (
     fixed_raw,
     logc_add,
     logc_mul,
+    near_cut,
     raw_fixed,
     round_to,
     sqrt_zsq_minus4,
@@ -23,7 +28,7 @@ from tcasym.mpnum import (
     working,
 )
 
-from conftest import rel_diff
+from conftest import rel_diff, to_fraction
 
 
 class TestPrecision:
@@ -124,6 +129,106 @@ class TestSqrtZsqMinus4:
             with working(160):
                 ref = mpmath.sign(x) * mpmath.sqrt(mpmath.mpf(5))
             assert v.imag == 0 and rel_diff(v, ref, 128) < mpmath.mpf(2) ** -120
+
+_TERMS = st.lists(st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(-3000, 3000)), max_size=5)
+
+
+class TestExactSign:
+    @settings(max_examples=200)
+    @given(terms=_TERMS, cancelled=st.integers(0, 5), rest=_TERMS)
+    @example(terms=[(1, 2000)], cancelled=1, rest=[(-1, -3000), (1, -2999)])
+    @example(terms=[(3, 0), (1, -1)], cancelled=0, rest=[(-7, -1), (1, -3000)])
+    @example(terms=[(1, 0)], cancelled=0, rest=[(-1, -2)] * 4)  # four terms below reach 2^0
+    def test_matches_fraction(self, terms, cancelled, rest):
+        # the sign of a sum of terms m 2^e, some of which cancel exactly,
+        # with exponents thousands of bits apart
+        terms = terms + [(-m, e) for m, e in terms[:cancelled]] + rest
+        total = sum(Fraction(m) * Fraction(2) ** e for m, e in terms)
+        assert _sign(*terms) == (total > 0) - (total < 0)
+        assert _sign(*reversed(terms)) == _sign(*terms)
+
+
+INF = mpmath.inf
+# every cut set the package tests
+CUTS = ((-INF, INF), (-INF, 2), (-INF, 0), (0, INF), (-2, INF), (-INF, -2), (2, INF), (-2, 2))
+
+
+def _near_cut_fraction(z, lo, hi, bits):
+    """``near_cut`` in Fractions: d = 0 or d^2 4^(bits//2) < min(1, |z|^2),
+    d the distance from z to [lo, hi]."""
+    x, y = to_fraction(z.real), to_fraction(z.imag)
+    lo, hi = (float(e) if mpmath.isinf(e) else Fraction(e) for e in (lo, hi))
+    dx = lo - x if x < lo else x - hi if x > hi else 0
+    d2 = dx * dx + y * y
+    return d2 == 0 or d2 * 4 ** (bits // 2) < min(1, x * x + y * y)
+
+
+@st.composite
+def _cut_points(draw):
+    """(z, lo, hi, bits): z at distance 2^-(bits/2) min(1, |p|) from a
+    point p of the cut, above it or beyond one of its ends, with the
+    coordinate that carries that distance moved by -1, 0 or +1 unit in the
+    last place at ``bits``; or a point of a box."""
+    lo, hi = draw(st.sampled_from(CUTS))
+    bits = draw(st.sampled_from([128, 129, 256]))
+    kind = draw(st.sampled_from(["above", "beyond", "box"]))
+    if kind == "box":
+        return to_mpc((draw(st.floats(-6, 6)), draw(st.floats(-6, 6))), bits), lo, hi, bits
+    ulps = draw(st.sampled_from([-1, 0, 1]))
+    ends = [e for e in (lo, hi) if mpmath.isfinite(e)]
+    with mp.workprec(4 * bits):
+        if kind == "beyond" and ends:
+            p = mpmath.mpf(draw(st.sampled_from(ends)))
+            side = 1 if p == hi else -1
+        else:
+            # a point of the cut, |p| from 1e-30 to 1e3
+            r = mpmath.mpf(10) ** draw(st.floats(-30, 3))
+            if len(ends) == 2:
+                p = lo + (hi - lo) * mpmath.mpf(draw(st.floats(0, 1)))
+            elif ends:
+                p = ends[0] + (r if ends[0] == lo else -r)
+            else:
+                p = r * draw(st.sampled_from([-1, 1]))
+            p = to_mpc(p, bits).real
+            side = 1j
+        z = p + side * mpmath.ldexp(min(1, abs(p)), -(bits // 2))
+        c = abs(z.imag if side == 1j else z.real)
+        if c:
+            z += ulps * side * mpmath.ldexp(1, mpmath.mag(c) - bits)
+    return to_mpc(z, bits), lo, hi, bits
+
+
+class TestNearCut:
+    """``near_cut`` decides d = 0 or d < 2^-(bits/2) min(1, |z|) exactly."""
+
+    @settings(max_examples=400)
+    @given(case=_cut_points())
+    @example(case=(mpmath.mpc(1, mpmath.ldexp(1, -64)), -INF, INF, 128))
+    @example(case=(mpmath.mpc("0.5", mpmath.ldexp(1, -65)), -2, 2, 128))
+    @example(case=(mpmath.mpc("0.5", mpmath.ldexp(1, -65)), -2, 2, 129))
+    @example(case=(mpmath.mpc(mp.make_mpf(from_man_exp(2 ** 129 + 1, -128))), -INF, 2, 256))
+    def test_matches_fraction(self, case):
+        z, lo, hi, bits = case
+        assert near_cut(z, lo, hi, bits) == _near_cut_fraction(z, lo, hi, bits), case
+
+    def test_non_finite(self):
+        # the answers of the rounded test this one replaced, on each pair of
+        # coordinates with a nan or an infinity: near exactly when x lies
+        # beyond no finite end (a nan x lies beyond none) and y is finite
+        # and within the tolerance, min(1, |z|) reading 1
+        vals = ("nan", "inf", "-inf", 0, 1, 3, -3, "1e-80")
+        near = 0
+        for (x, y), (lo, hi), bits in itertools.product(
+                itertools.product(vals, vals), CUTS, (128, 256)):
+            z = to_mpc((x, y), bits)
+            if mpmath.isfinite(z):
+                continue
+            beyond = mpmath.isinf(z.real) and (z.real < lo or z.real > hi)
+            expected = not beyond and y in (0, "1e-80")
+            assert near_cut(z, lo, hi, bits) == expected, (x, y, lo, hi, bits)
+            near += expected
+        assert near == 64
+
 
 class TestLogComplexOps:
     def test_mul_cancels_huge_scales(self):

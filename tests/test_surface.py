@@ -1,6 +1,7 @@
 """The package names that the benchmark in ``perfbench/`` reads: the
 span targets of ``perfbench/spans.py`` (wrapped under ``run.py --trace
-1``) and ``tcasym.BACKEND`` (read into every run's environment block).
+1``), ``tcasym.BACKEND`` (read into every run's environment block) and
+``asym.classify_region`` (which checks the generated points).
 No other test imports them all, so a deletion that breaks the benchmark
 would otherwise pass the suite."""
 
@@ -11,7 +12,7 @@ import os
 import pytest
 
 import tcasym
-from tcasym.asym import Params, eval_asym
+from tcasym.asym import Params, classify_region, eval_asym
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -35,6 +36,13 @@ def test_span_targets_resolve():
 
 def test_backend_constant():
     assert tcasym.BACKEND == "pure-python"
+
+
+def test_classify_region_reads_strings_and_float_alpha():
+    # the call of perfbench/test_perfbench.py: (re, im) strings, a float alpha
+    assert classify_region(("1", "0.05"), 400, 1.0, Params(), 256) == "B"
+    assert classify_region(("4", "0.05"), 400, 1.0, Params(), 256) == "D"
+    assert classify_region(("2.05", "0.02"), 400, 1.0, Params(), 256) == "C"
 
 
 # the traced layers each region's formula enters; a region that stopped
