@@ -188,8 +188,11 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0, _geo=None):
     """Regularized phase, analytic on C \\ (-inf, 2]; real negative on (2, inf).
 
     Closed form (2/z^2 - 1) log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/(2z).
-    ``on_cut='upper'``/``'lower'`` permits band points x in (0, 2) and
-    returns the one-sided limit; 'reject' (default) raises near the cut.
+    ``on_cut='upper'``/``'lower'`` permits points near the band, Re z in
+    (0, 2), and returns the one-sided limit at x = Re z: the same form
+    with u and w at their upper limits i acos(x/2) and i sqrt(4 - x^2),
+    purely imaginary, conjugated for 'lower'.  'reject' (default) raises
+    near the cut (``mpnum.near_cut``).
     ``extra`` widens the evaluation and the returned value by that many
     bits; the cut test stays at ``prec``.  ``_geo`` is the dispatcher's
     record of z (:class:`_Geometry`), taken at the width used here.
@@ -204,25 +207,26 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0, _geo=None):
             raise ConfigError("on_cut must be 'reject', 'upper' or 'lower'")
         if not z.real > 0:
             raise DomainError("phi_tilde boundary values available only for Re z > 0")
-        # dedicated boundary form on the band: the limit is purely
-        # imaginary, +-i [ (2/x^2 - 1) acos(x/2) + sqrt(4-x^2)/(2x) ]
+        # the closed form at x = Re z with the band limits of u and w
         with working(work, GUARD + 8):
             x = z.real
-            el, w = (_geo.u, _geo.w) if _geo is not None and z.imag == 0 else _band_u_w(x)
-            b = (2 / (x * x) - 1) * el.imag + w.imag / (2 * x)
-            v = mpmath.mpc(0, b if on_cut == "upper" else -b)
+            uw = (_geo.u, _geo.w) if _geo is not None and z.imag == 0 else _band_u_w(x)
+            v = _phi_tilde_form(x, uw=uw)
+            if on_cut == "lower":
+                v = mpmath.conj(v)
         return round_to(work, v)
     with working(work, GUARD + 8):
-        v = _phi_tilde_off_cut(z, _geo)
+        v = _phi_tilde_form(z, _geo)
     return round_to(work, v)
 
 
-def _phi_tilde_off_cut(z, geo=None):
-    """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde off its cut, at
-    the caller's working precision (u, w as in :func:`_u_of`, or read from
-    the record ``geo`` of z)."""
+def _phi_tilde_form(z, geo=None, uw=None):
+    """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde, at the
+    caller's working precision: u, w as in :func:`_u_of`, read from the
+    record ``geo`` of z, or given as the pair ``uw`` (a band point x with
+    the limits :func:`_band_u_w` gives the upper value on the cut)."""
     if geo is None:
-        el, w = _u_of(z)
+        el, w = uw or _u_of(z)
         zz = z * z
     else:
         el, w, zz = geo.u, geo.w, geo.zz
@@ -313,7 +317,7 @@ def h_factor(z, prec, _geo=None):
     if t == 0:
         return mpmath.mpc(1)
     with mp.workprec(_h_width(zu, bits)):
-        v = mpmath.mpf(-1.5) * _phi_tilde_off_cut(zu, None if lower else _geo) / (t * mpmath.sqrt(t))
+        v = mpmath.mpf(-1.5) * _phi_tilde_form(zu, None if lower else _geo) / (t * mpmath.sqrt(t))
     with mp.workprec(bits):
         v = +v  # conj rounds only the imaginary part
         if z.imag == 0:

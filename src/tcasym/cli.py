@@ -20,6 +20,7 @@ bytes do not depend on N; never more workers than points, and one inline).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -165,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--z", type=str, required=True, help="point as 're,im'")
     e.add_argument("--rescaled", type=str, default="true", choices=("true", "false"),
                    help="exact mode: monic at n^(-1/2) z (true) or plain f_n at z (false)")
+    e.set_defaults(run=_cmd_eval)
 
     c = sub.add_parser("compare", help="exact-vs-asymptotic sweep, CSV/JSON rows")
     c.add_argument("--n-list", type=str, required=True, help="comma-separated degrees")
@@ -174,19 +176,23 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     c.add_argument("--threads", type=int, default=1)
+    c.set_defaults(run=_cmd_compare)
 
     r = sub.add_parser("regions", help="classify a point")
     common(r)
     r.add_argument("--z", type=str, required=True)
+    r.set_defaults(run=_cmd_regions)
 
     o = sub.add_parser("ortho", help="orthogonality report")
     o.add_argument("--alpha", type=str, required=True)
     o.add_argument("--max-deg", type=int, required=True)
     o.add_argument("--kmax", type=int, required=True)
     o.add_argument("--prec", type=int, default=128)
+    o.set_defaults(run=_cmd_ortho)
 
     s = sub.add_parser("selftest", help="run the invariant suites")
     s.add_argument("--prec", type=int, default=128)
+    s.set_defaults(run=_cmd_selftest)
 
     return p
 
@@ -337,17 +343,7 @@ def _cmd_ortho(args) -> int:
         "max_deg": rep.max_deg,
         "k_max": rep.k_max,
         "all_pass": rep.all_pass,
-        "entries": [
-            {
-                "m": e.m, "n": e.n,
-                "value": e.value,
-                "tail_bound": e.tail_bound,
-                "target": e.target,
-                "within_bound": e.within_bound,
-                "exact_zero": e.exact_zero,
-            }
-            for e in rep.entries
-        ],
+        "entries": [dataclasses.asdict(e) for e in rep.entries],
     }
     print(json.dumps(out))
     return 0 if rep.all_pass else 2
@@ -483,17 +479,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "regions":
-            return _cmd_regions(args)
-        if args.command == "ortho":
-            return _cmd_ortho(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigError as e:
         print(json.dumps({"error": {"type": "config", "message": str(e)}}))
         return 1

@@ -53,10 +53,10 @@ from .mpnum import (
     DomainError,
     LogComplex,
     bits_of,
-    cut_tolerance,
     fixed_bits,
     fixed_mpf,
     fixed_raw,
+    near_cut,
     raw_fixed,
     round_to,
     to_mpc,
@@ -261,14 +261,16 @@ def weight_wd(alpha, z, prec) -> LogComplex:
     """The continuous-weight extension w_d, analytic off the imaginary axis.
 
     w_d(z) = (1/z^2)^(1/z^2 - 1 - alpha) e^(alpha - 1/z^2) / Gamma(1/z^2 + 1 - alpha),
-    positive on the real axis away from zero.
+    positive on the real axis away from zero.  z on or near the imaginary
+    axis raises by the rule of every cut (``mpnum.near_cut``): the axis is
+    the real axis of the reflected point Im z + i Re z, of the same modulus.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
     z = to_mpc(z, bits)
-    with working(bits):
-        on_axis = abs(z.real) < cut_tolerance(bits) * max(1, abs(z))
-    if on_axis:
+    if not mpmath.isfinite(z):  # named here: near_cut would print the reflected point
+        raise DomainError(f"weight_wd: z={z} is not finite")
+    if near_cut(mp.make_mpc((z.imag._mpf_, z.real._mpf_)), -mpmath.inf, mpmath.inf, bits):
         raise DomainError(f"weight_wd: z={z} on or too close to the imaginary axis")
     with working(bits, GUARD + 8):
         s = 1 / (z * z)

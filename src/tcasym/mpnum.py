@@ -87,11 +87,6 @@ def round_to(prec, x):
         return +x
 
 
-def cut_tolerance(prec) -> mpmath.mpf:
-    """Distance below which a point counts as lying on a branch cut."""
-    return mpmath.ldexp(mpmath.mpf(1), -(bits_of(prec) // 2))
-
-
 def fixed_bits(P, *raws):
     """The fraction bits P, raised so that each raw finite libmp value in
     ``raws`` converts to an integer exactly (P >= -exp)."""
@@ -123,17 +118,10 @@ def fixed_mpf(v, P, bits):
     return mp.make_mpf(from_man_exp(v, -P, bits, round_nearest))
 
 
-def raw_mpf(x):
-    """The exact libmp tuple of a real value, never re-rounded."""
-    if hasattr(x, "_mpf_"):
-        return x._mpf_
-    with mp.workprec(max(mp.prec, 512)):
-        return mpmath.mpf(x)._mpf_
-
-
 def neg_exact(x):
-    """Sign flip without context rounding (mpmath's unary minus re-rounds)."""
-    return mp.make_mpf(mpmath.libmp.mpf_neg(raw_mpf(x)))
+    """Sign flip of an mpf without context rounding (mpmath's unary minus
+    re-rounds)."""
+    return mp.make_mpf(mpmath.libmp.mpf_neg(x._mpf_))
 
 
 # ----------------------------------------------------------------------
@@ -194,26 +182,20 @@ def _sign(*terms) -> int:
 
 
 def near_cut(z, lo, hi, prec) -> bool:
-    """Whether ``z`` lies on the real segment [lo, hi] (``lo`` may be -inf
-    and ``hi`` +inf) or within 2**-(bits/2) * min(1, |z|) of it: relative
-    to |z| below 1, so that a tiny z off the cut is not taken for a cut
-    point.
+    """Whether the mpc ``z`` lies on the real segment [lo, hi] (``lo`` may
+    be -inf and ``hi`` +inf) or within 2**-(bits/2) * min(1, |z|) of it:
+    relative to |z| below 1, so that a tiny z off the cut is not taken for
+    a cut point.
 
-    Decided exactly: with d the distance to the segment and h = bits // 2,
-    d = 0 or d^2 4^h < min(1, |z|^2).  An mpc z is read as it is, any other
-    input is first rounded to bits + GUARD.  A non-finite z gets the answer
-    of the same test in rounded arithmetic: a nan coordinate lies beyond
-    no end, an infinite or nan distance is never near, and min(1, |z|)
-    reads 1.
+    Decided exactly on z as it is: with d the distance to the segment and
+    h = bits // 2, d = 0 or d^2 4^h < min(1, |z|^2).  A non-finite z
+    raises :class:`DomainError`.
     """
     bits = bits_of(prec)
-    if not isinstance(z, mpmath.mpc):
-        z = to_mpc(z, bits + GUARD)
+    if not mpmath.isfinite(z):
+        raise DomainError(f"z={z} is not finite")
     x, y = z.real, z.imag
     end = lo if x < lo else hi if x > hi else None  # the end of [lo, hi] x lies beyond
-    finite = mpmath.isfinite(z)
-    if not finite and (end is not None or not mpmath.isfinite(y)):
-        return False
     if end is None and not y:
         return True
     yd = _dyadic(y)
@@ -222,8 +204,6 @@ def near_cut(z, lo, hi, prec) -> bool:
     d2 = [(m, e + h2) for m, e in d2]  # d^2 4^h
     if _sign(*d2, (-1, 0)) >= 0:
         return False
-    if not finite:
-        return True
     xd = _dyadic(x)
     return _sign(*d2, _prod(-1, xd, xd), _prod(-1, yd, yd)) < 0
 

@@ -603,6 +603,19 @@ class TestDispatcher:
         with pytest.raises(ConfigError, match="must be finite"):
             eval_asym(100, alpha, z, PARAMS, 128)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: classify_region(mpmath.mpc(-1, 1), 100, 1, PARAMS),
+         "classify_region expects the closed first quadrant; use eval_asym for general z"),
+        (lambda: classify_region(mpmath.mpc(1, -1), 100, 1, PARAMS),
+         "classify_region expects the closed first quadrant; use eval_asym for general z"),
+        (lambda: eval_region_c(0, 1, mpmath.mpc("2.05", "0.02"), 128), "eval_region_c requires n >= 1"),
+        (lambda: eval_asym(0, 1, mpmath.mpc(1, 2), PARAMS, 128), "eval_asym requires n >= 1"),
+    ], ids=["classify-left", "classify-below", "region-c-n0", "eval-asym-n0"])
+    def test_bad_arguments_rejected(self, call, message):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("alpha", [0, -1.5])
     def test_non_positive_alpha_rejected(self, alpha):
         # rejected before dispatch, as on the exact path

@@ -22,7 +22,7 @@ from tcasym.auxfun import (
     phi_tilde,
     theta_gamma_pi,
 )
-from tcasym.mpnum import DomainError, PoleError, round_to, sqrt_zsq_minus4, to_mpc, working
+from tcasym.mpnum import GUARD, ConfigError, DomainError, PoleError, round_to, sqrt_zsq_minus4, to_mpc, working
 from tcasym.specfun import log_gamma_real
 
 from conftest import rel_diff
@@ -116,6 +116,11 @@ class TestGPrime:
         with pytest.raises(DomainError):
             g_prime(mpmath.mpc(1, 0), 128)
 
+    def test_bad_half_plane_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            g_prime(mpmath.mpc(1, 1), 128, half_plane="up")
+        assert str(err.value) == "half_plane must be 'auto', 'upper' or 'lower', not 'up'"
+
     @pytest.mark.parametrize("x", [0])
     @pytest.mark.parametrize("half", ["upper", "lower"])
     def test_excluded_points_raise_on_either_side(self, x, half):
@@ -165,11 +170,40 @@ class TestPhiTilde:
         with pytest.raises(DomainError):
             phi_tilde(mpmath.mpf(-5), 128)
 
+    @pytest.mark.parametrize("z, on_cut, error, message", [
+        (1, "above", ConfigError, "on_cut must be 'reject', 'upper' or 'lower'"),
+        (-1, "upper", DomainError, "phi_tilde boundary values available only for Re z > 0"),
+        (0, "lower", DomainError, "phi_tilde boundary values available only for Re z > 0"),
+    ])
+    def test_bad_boundary_request_rejected(self, z, on_cut, error, message):
+        with pytest.raises(error) as err:
+            phi_tilde(mpmath.mpf(z), 128, on_cut=on_cut)
+        assert str(err.value) == message
+
     def test_band_boundary_value_pure_imaginary(self):
         v = phi_tilde(mpmath.mpf(1), 160, on_cut="upper")
         assert v.real == 0 and v.imag > 0
         w = phi_tilde(mpmath.mpf(1), 160, on_cut="lower")
         assert w.imag + v.imag == 0
+
+    @given(bits=st.integers(64, 1024), side=st.sampled_from(["upper", "lower"]),
+           extra=st.integers(0, 200), edge=st.sampled_from([0, 2]), t=st.floats(-30, 0))
+    @example(bits=64, side="upper", extra=0, edge=0, t=-30)
+    @example(bits=1024, side="lower", extra=200, edge=2, t=-30)
+    def test_band_value_matches_band_formula(self, bits, side, extra, edge, t):
+        # the closed form with the band limits of u and w, against the
+        # purely imaginary band formula +-i [(2/x^2 - 1) acos(x/2) +
+        # sqrt(4 - x^2)/(2x)], bit for bit at the same widths; x from 1e-30
+        # to 2 - 1e-30
+        with mp.workprec(4 * bits):
+            d = mpmath.mpf(10) ** t
+            x = to_mpc(d if edge == 0 else 2 - d, bits).real
+        with mp.workprec(bits + extra + GUARD + 8):
+            b = (2 / (x * x) - 1) * mpmath.acos(x / 2) + mpmath.sqrt((2 - x) * (2 + x)) / (2 * x)
+        b = round_to(bits + extra, b)
+        v = phi_tilde(x, bits, on_cut=side, extra=extra)
+        # a difference of 0 is exact where a unary minus would round
+        assert v.real == 0 and (v.imag - b == 0 if side == "upper" else v.imag + b == 0)
 
     def test_schwarz(self, rng):
         for _ in range(10):
@@ -228,6 +262,11 @@ class TestTurningPointMap:
     def test_positive_right_of_edge(self):
         v = f_tilde_n(100, mpmath.mpf("2.05"), 160)
         assert v.imag == 0 and v.real > 0
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            f_tilde_n(0, mpmath.mpf("2.05"), 128)
+        assert str(err.value) == "f_tilde_n requires n >= 1"
 
     def test_linearization(self):
         with working(192):

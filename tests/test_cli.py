@@ -268,6 +268,14 @@ class TestCompare:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "config"
 
+    def test_grid_axis_of_one_point(self, capsys):
+        # a count of 1 gives the axis its first end alone
+        code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128",
+                                      "--grid", "1:3:1,0.5:1:2"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(r[2], r[3]) for r in rows] == [("1.0", "0.5"), ("1.0", "1.0")]
+
     def test_grid_and_zlist_exclusive(self, capsys):
         code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1",
                                       "--grid", "0:1:2,0:1:2", "--z-list", "1,1"])
@@ -406,6 +414,29 @@ class TestErrorsAndConfig:
         err = json.loads(out)["error"]
         assert err["type"] == "config"
         assert named in err["message"]
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["eval", "--mode", "asym", "--n", "3", "--alpha", "1", "--z", "1"], "--z expects 're,im', got '1'"),
+        (["regions", "--n", "3", "--alpha", "1", "--z", "1,2,3"], "--z expects 're,im', got '1,2,3'"),
+        (["compare", "--n-list", "50", "--alpha", "1", "--grid", "0:1:0,0:1:2"],
+         "--grid expects 're0:re1:nre,im0:im1:nim', got '0:1:0,0:1:2'"),
+        (["compare", "--n-list", "50", "--alpha", "1", "--z-list", " ; "], "--z-list is empty"),
+        (["compare", "--n-list", "50,x", "--alpha", "1", "--z-list", "1,2"],
+         "--n-list expects integers, got '50,x'"),
+        (["compare", "--n-list", "50,0", "--alpha", "1", "--z-list", "1,2"], "--n-list must contain degrees >= 1"),
+        (["compare", "--n-list", ",", "--alpha", "1", "--z-list", "1,2"], "--n-list must contain degrees >= 1"),
+        (["compare", "--n-list", "50", "--alpha", "1", "--z-list", "1,2", "--threads", "0"],
+         "--threads must be >= 1"),
+    ], ids=["z-one-part", "z-three-parts", "grid-count-0", "z-list-empty", "n-list-text",
+            "n-list-degree-0", "n-list-empty", "threads-0"])
+    def test_bad_option_is_config_error(self, capsys, tmp_path, args, message):
+        csv = tmp_path / "out.csv"
+        if args[0] == "compare":
+            args = args + ["--out", str(csv)]
+        code, out = run_main(capsys, args)
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "config", "message": message}}
         assert not csv.exists()
 
     def test_compare_unwritable_out_is_config_error(self, capsys, tmp_path, monkeypatch):

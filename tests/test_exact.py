@@ -20,7 +20,7 @@ from tcasym.mpnum import (
     working,
 )
 
-from conftest import logc_rel_err, rel_diff
+from conftest import logc_rel_err, near_cut_fraction, rel_diff
 
 
 def hand_recurrence(n, alpha, x, prec=300):
@@ -407,6 +407,21 @@ class TestLeadingCoeff:
         assert rel_diff(v.to_complex(160), ref, 128) < mpmath.mpf(2) ** -110
 
 
+@st.composite
+def _axis_points(draw):
+    """(z, bits): z at distance 2^-(bits/2) min(1, |p|) from a point p of
+    the imaginary axis, |p| from 1e-30 to 1e3, with Re z moved by -1, 0 or
+    +1 unit in the last place at ``bits``, on either side of the axis."""
+    bits = draw(st.sampled_from([128, 256]))
+    ulps = draw(st.sampled_from([-1, 0, 1]))
+    with mp.workprec(4 * bits):
+        p = to_mpf(mpmath.mpf(10) ** draw(st.floats(-30, 3)), bits) * draw(st.sampled_from([-1, 1]))
+        d = mpmath.ldexp(min(1, abs(p)), -(bits // 2))
+        d += ulps * mpmath.ldexp(1, mpmath.mag(d) - bits)
+        x = to_mpf(d, bits) * draw(st.sampled_from([-1, 1]))
+    return mpmath.mpc(x, p), bits
+
+
 class TestWeight:
     def test_positive_on_reals(self):
         for x in ("0.5", "1", "2"):
@@ -428,6 +443,31 @@ class TestWeight:
     def test_imaginary_axis_rejected(self):
         with pytest.raises(DomainError):
             exact.weight_wd(1, mpmath.mpc(0, 2), 128)
+
+    @pytest.mark.parametrize("z", [("nan", 1), (1, "inf"), ("-inf", "nan")])
+    def test_non_finite_rejected(self, z):
+        z = to_mpc(z, 128)
+        with pytest.raises(DomainError) as err:
+            exact.weight_wd(1, z, 128)
+        assert str(err.value) == f"weight_wd: z={z} is not finite"
+
+    @settings(max_examples=60)
+    @given(case=_axis_points())
+    @example(case=(mpmath.mpc("1e-30", "1e-30"), 128))  # 45 degrees off the axis
+    @example(case=(mpmath.mpc("1e-18", "1e3"), 128))  # 2^-64 * 1e3 > 1e-18: absolute above |z| = 1
+    @example(case=(mpmath.mpc("1e-20", "0.5"), 128))
+    @example(case=(mpmath.mpc(0, 2), 128))
+    def test_axis_rule_is_near_cut(self, case):
+        # the imaginary axis is a cut like any other: refused exactly when
+        # the reflected point Im z + i Re z is near the real axis
+        z, bits = case
+        z = to_mpc(z, bits)
+        if near_cut_fraction(mp.make_mpc((z.imag._mpf_, z.real._mpf_)), -mpmath.inf, mpmath.inf, bits):
+            with pytest.raises(DomainError, match="imaginary axis"):
+                exact.weight_wd(1, z, bits)
+        else:
+            v = exact.weight_wd(1, z, bits)
+            assert mpmath.isfinite(v.log_mod) and mpmath.isfinite(v.phase)
 
     @pytest.mark.parametrize("alpha", ["1", "0.6", "2.5"])
     def test_interpolates_masses_at_nodes(self, alpha):
@@ -485,6 +525,14 @@ class TestOrtho:
     def test_k_max_zero_rejected(self):
         with pytest.raises(ConfigError, match="k_max must be >= 1"):
             exact.ortho_matrix(1, 2, 0, 128)
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            exact.ortho_matrix(1, -1, 50, 128)
+        assert str(err.value) == "max_deg must be >= 0"
+        with pytest.raises(ConfigError) as err:
+            list(exact.iter_nodes_masses(1, -1, 128))
+        assert str(err.value) == "k_max must be >= 0"
 
     @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
     def test_non_finite_alpha_rejected(self, alpha):

@@ -129,6 +129,26 @@ class TestConvergenceFit:
         with pytest.raises(ConfigError):
             harness.convergence_fit(1, mpmath.mpc(0, 0), [100, 200, 400, 800])
 
+    @pytest.mark.parametrize("rel_errs, flagged, message", [
+        ([0.1, 0.05, 0.0, 0.01], (), "degenerate fit: rel_err=0.0 at n=400"),
+        ([0.1, None, 0.02, 0.01], (), "degenerate fit: rel_err=None at n=200"),
+        ([0.1, 0.05, 0.02, 0.01], (200, 800),
+         "degenerate fit: fewer than 3 usable records after near-zero exclusion"),
+    ])
+    def test_unusable_records_rejected(self, monkeypatch, rel_errs, flagged, message):
+        # records a real point rarely yields: a vanishing or missing
+        # rel_err, and too many near-zero records to fit
+        errs = dict(zip((100, 200, 400, 800), rel_errs))
+
+        def record(n, alpha, z, params, prec):
+            flags = ("near-zero",) if n in flagged else ()
+            return harness.EvalRecord(n, 1.0, complex(1, 2), "A", None, None, errs[n], None, flags)
+
+        monkeypatch.setattr(harness, "compare_point", record)
+        with pytest.raises(ConfigError) as err:
+            harness.convergence_fit(1, mpmath.mpc(1, 2), [100, 200, 400, 800])
+        assert str(err.value) == message
+
 
 class TestDarboux:
     def test_monotone_decrease(self):
@@ -162,6 +182,11 @@ class TestDarboux:
 
 
 class TestBoundaryConsistency:
+    def test_unknown_interface_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            harness.boundary_consistency(100, 1, prec=128, interfaces=("A/X",))
+        assert str(err.value) == "unknown interface A/X"
+
     def test_structure_and_decay(self):
         r400 = harness.boundary_consistency(400, 1, prec=192)
         r800 = harness.boundary_consistency(800, 1, prec=192)

@@ -28,7 +28,7 @@ from tcasym.mpnum import (
     working,
 )
 
-from conftest import rel_diff, to_fraction
+from conftest import near_cut_fraction, rel_diff
 
 
 class TestPrecision:
@@ -110,6 +110,13 @@ class TestSqrtZsqMinus4:
         with pytest.raises(DomainError):
             sqrt_zsq_minus4(z, 128)
 
+    @pytest.mark.parametrize("z", [("nan", 0), ("nan", "nan"), ("inf", 0)])
+    def test_non_finite_rejected(self, z):
+        # refused as not finite, not reported as a cut point (nan, 0) or
+        # evaluated to nan or inf + nan i
+        with pytest.raises(DomainError, match="is not finite"):
+            sqrt_zsq_minus4(to_mpc(z, 128), 128)
+
     def test_one_sided_limits(self):
         # the product of principal roots behind sqrt_zsq_minus4 (and behind
         # u in auxfun) gives a band point its upper-half-plane limit
@@ -151,16 +158,6 @@ class TestExactSign:
 INF = mpmath.inf
 # every cut set the package tests
 CUTS = ((-INF, INF), (-INF, 2), (-INF, 0), (0, INF), (-2, INF), (-INF, -2), (2, INF), (-2, 2))
-
-
-def _near_cut_fraction(z, lo, hi, bits):
-    """``near_cut`` in Fractions: d = 0 or d^2 4^(bits//2) < min(1, |z|^2),
-    d the distance from z to [lo, hi]."""
-    x, y = to_fraction(z.real), to_fraction(z.imag)
-    lo, hi = (float(e) if mpmath.isinf(e) else Fraction(e) for e in (lo, hi))
-    dx = lo - x if x < lo else x - hi if x > hi else 0
-    d2 = dx * dx + y * y
-    return d2 == 0 or d2 * 4 ** (bits // 2) < min(1, x * x + y * y)
 
 
 @st.composite
@@ -209,25 +206,22 @@ class TestNearCut:
     @example(case=(mpmath.mpc(mp.make_mpf(from_man_exp(2 ** 129 + 1, -128))), -INF, 2, 256))
     def test_matches_fraction(self, case):
         z, lo, hi, bits = case
-        assert near_cut(z, lo, hi, bits) == _near_cut_fraction(z, lo, hi, bits), case
+        assert near_cut(z, lo, hi, bits) == near_cut_fraction(z, lo, hi, bits), case
 
     def test_non_finite(self):
-        # the answers of the rounded test this one replaced, on each pair of
-        # coordinates with a nan or an infinity: near exactly when x lies
-        # beyond no finite end (a nan x lies beyond none) and y is finite
-        # and within the tolerance, min(1, |z|) reading 1
+        # a nan or an infinite coordinate is refused, whatever the cut and
+        # whatever the other coordinate
         vals = ("nan", "inf", "-inf", 0, 1, 3, -3, "1e-80")
-        near = 0
+        refused = 0
         for (x, y), (lo, hi), bits in itertools.product(
                 itertools.product(vals, vals), CUTS, (128, 256)):
             z = to_mpc((x, y), bits)
             if mpmath.isfinite(z):
                 continue
-            beyond = mpmath.isinf(z.real) and (z.real < lo or z.real > hi)
-            expected = not beyond and y in (0, "1e-80")
-            assert near_cut(z, lo, hi, bits) == expected, (x, y, lo, hi, bits)
-            near += expected
-        assert near == 64
+            with pytest.raises(DomainError, match="is not finite"):
+                near_cut(z, lo, hi, bits)
+            refused += 1
+        assert refused == 39 * len(CUTS) * 2
 
 
 class TestLogComplexOps:
