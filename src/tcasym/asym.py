@@ -7,12 +7,12 @@ disk C around 2, the saturated strip D and the outer region A have their
 own.  The full-plane dispatcher reduces any nonzero z to the first
 quadrant through the parity and reflection symmetries, classifies it
 (exactly: each region test is an inequality between polynomials in the
-dyadic inputs, decided in integers by ``mpnum._sign``), builds the
-point's one geometry record (``_point``: the quantities of z that the
-formulas share, each taken once), dispatches, and undoes the reduction
-on the LogComplex result, so the symmetries hold bit for bit by
-construction.  An evaluator receives the record as its private ``_geo``
-argument and builds its own when called directly.
+dyadic inputs, decided in integers by ``mpnum._sign``), dispatches,
+and undoes the reduction on the LogComplex result, so the symmetries
+hold bit for bit by construction.  Each evaluator checks its point and
+builds its one geometry record (``_point``: the quantities of z that the
+formulas share, each taken once) from (n, alpha, z, prec), whoever calls
+it; z and alpha rounded by the dispatcher are not rounded again.
 
 Real arguments are evaluated as upper-half-plane boundary values.  Every
 region's value there is asserted real (imaginary residual <= 1e-8
@@ -153,31 +153,26 @@ def _region(z, n, a, params):
 # shared assembly pieces
 # ----------------------------------------------------------------------
 
-def _point(n, a, z, bits, tag):
-    """The geometry record (``auxfun._Geometry``) of a point z of region
-    ``tag`` at ``bits``, alpha ``a`` already rounded to ``bits``.  Each
-    field is taken at the width of its widest reader: u, w, z^2 and
-    log(z-2) + log(z+2) at that of h_factor's closed form on the
-    turning-point disk and of phi's elsewhere, so that h and phi see the
-    bits they would compute themselves; n/z^2 and log n also at the
-    D-function's width in A and D when that is wider."""
+def _point(n, alpha, z, bits, tag):
+    """The geometry record (``auxfun._Geometry``) of z and alpha rounded to
+    ``bits``, after the checks of ``eval_region_<tag>``.  Each field is
+    taken at the width of its widest reader: u, w, z^2 and log(z-2) +
+    log(z+2) at that of h_factor's closed form on the turning-point disk
+    and of phi's elsewhere, so that h and phi see the bits they would
+    compute themselves; n/z^2 and log n also at the D-function's width in
+    A and D when that is wider."""
+    name = f"eval_region_{tag.lower()}"
+    z = to_mpc(z, bits)
+    if tag == "B" and z == 0:
+        raise DomainError(f"{name}: z = 0 excluded")
     turning = tag == "C"
+    if not turning:
+        _require_upper_half(z, name)
     width = _h_width(z, bits + 2 * GUARD) if turning else _phi_width(z, bits + GUARD)
     s_width = width
     if tag in ("A", "D"):
         s_width = max(width, _d_width(n, z, bits + GUARD) + GUARD + 8)
-    return _geometry(n, a, z, width, s_width, turning)
-
-
-def _direct_record(n, alpha, z, bits, tag, name):
-    """The record of an evaluator called directly (not through
-    ``eval_asym``), built after that evaluator's own checks."""
-    z = to_mpc(z, bits)
-    if tag == "B" and z == 0:
-        raise DomainError(f"{name}: z = 0 excluded")
-    if tag != "C":
-        _require_upper_half(z, name)
-    return _point(n, to_mpf(alpha, bits), z, bits, tag)
+    return _geometry(n, to_mpf(alpha, bits), z, width, s_width, turning)
 
 
 def _log_prefactor(n, g, bits):
@@ -193,14 +188,14 @@ def _quarter_root_log(g):
     return -g.lw / 4
 
 
-def _leading_exponent(n, alpha, g, bits):
+def _leading_exponent(n, g, bits):
     """Master exponent shared by the outer and saturated-strip formulas:
     prefactor / D * (z^2-4)^(-1/4) e^{(2a-1/2) u - n phi - a pi i + pi i/2},
     u = Log((z + sqrt(z^2-4))/2), for the point of the record g.
 
     Returns the exponent, phi(z) and the log-prefactor."""
     a = g.a
-    dd = d_func(n, alpha, g.z, bits + GUARD, half_plane="upper", _geo=g)
+    dd = d_func(n, a, g.z, bits + GUARD, half_plane="upper", _geo=g)
     with working(bits, GUARD + 8):
         p = 2 * a - mpmath.mpf(1) / 2
         phv = phi(g.z, bits + GUARD, half_plane="upper", _geo=g)
@@ -236,11 +231,11 @@ def _require_upper_half(z, name):
 # region evaluators
 # ----------------------------------------------------------------------
 
-def eval_region_a(n: int, alpha, z, prec, _geo=None) -> AsymResult:
+def eval_region_a(n: int, alpha, z, prec) -> AsymResult:
     """Outer-region leading term; relative accuracy O(1/n)."""
     bits = bits_of(prec)
-    g = _geo or _direct_record(n, alpha, z, bits, "A", "eval_region_a")
-    w, _, _ = _leading_exponent(n, alpha, g, bits)
+    g = _point(n, alpha, z, bits, "A")
+    w, _, _ = _leading_exponent(n, g, bits)
     value = LogComplex.from_exponent(w, bits)
     if g.z.imag == 0:
         value = _snap_real(value, bits)
@@ -249,7 +244,7 @@ def eval_region_a(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     return AsymResult(value, RegionLabel("A"), round_to(bits, dropped))
 
 
-def eval_region_d(n: int, alpha, z, prec, _geo=None) -> AsymResult:
+def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     """Saturated-strip leading term.
 
     Identical in form to the outer region; the discarded correction is an
@@ -257,8 +252,8 @@ def eval_region_d(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     if it is not negligible against the relative O(1/n).
     """
     bits = bits_of(prec)
-    g = _geo or _direct_record(n, alpha, z, bits, "D", "eval_region_d")
-    w, phv, log_pref = _leading_exponent(n, alpha, g, bits)
+    g = _point(n, alpha, z, bits, "D")
+    w, phv, log_pref = _leading_exponent(n, g, bits)
     value = LogComplex.from_exponent(w, bits)
     if g.z.imag == 0:
         value = _snap_real(value, bits)
@@ -273,7 +268,7 @@ def eval_region_d(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     return AsymResult(value, RegionLabel("D"), round_to(bits, dropped), flags)
 
 
-def eval_region_b(n: int, alpha, z, prec, _geo=None) -> AsymResult:
+def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     """Band-strip two-term oscillatory form, cancellation-guarded; the same
     formula serves the origin disk, where the nodes accumulate.
 
@@ -284,7 +279,7 @@ def eval_region_b(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     by the dispatcher through conjugation.
     """
     bits = bits_of(prec)
-    g = _geo or _direct_record(n, alpha, z, bits, "B", "eval_region_b")
+    g = _point(n, alpha, z, bits, "B")
     a, u = g.a, g.u
     with working(bits, GUARD + 8):
         p = 2 * a - mpmath.mpf(1) / 2
@@ -305,7 +300,7 @@ def eval_region_b(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     return AsymResult(value, RegionLabel("B"), round_to(bits, dropped), flags)
 
 
-def eval_region_c(n: int, alpha, z, prec, _geo=None) -> AsymResult:
+def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
     """Turning-point (Airy) form, stable through z = 2.
 
     The bracket pairs (e^(pu) -+ e^(-pu))(z^2-4)^(-1/4) ftilde^(-+1/4)
@@ -334,7 +329,7 @@ def eval_region_c(n: int, alpha, z, prec, _geo=None) -> AsymResult:
     bits = bits_of(prec)
     if n < 1:
         raise ConfigError("eval_region_c requires n >= 1")
-    g = _geo or _direct_record(n, alpha, z, bits, "C", "eval_region_c")
+    g = _point(n, alpha, z, bits, "C")
     z, a, u, w = g.z, g.a, g.u, g.w
     work = bits + GUARD + 8
     # one h and one log h at the widths f_tilde_n would use, shared by
@@ -402,8 +397,6 @@ _EVALUATORS = {
 
 def _locate(n, alpha, z, params, bits):
     """``locate``'s work: (z1, label, alpha at ``bits``)."""
-    if params is None:
-        params = Params()
     z, a = _checked(z, alpha, bits)
     if z == 0:
         raise DomainError("eval_asym: z = 0 excluded")
@@ -422,7 +415,7 @@ def _locate(n, alpha, z, params, bits):
     return z1, RegionLabel(tag, negated, conjugated), a
 
 
-def locate(n: int, alpha, z, params: Params = None, prec=256):
+def locate(n: int, alpha, z, params: Params = Params(), prec=256):
     """Validate a point and reduce it to the closed first quadrant.
 
     Returns (z1, label): z1 is z after parity (negated when Re z < 0) and
@@ -440,18 +433,18 @@ def locate(n: int, alpha, z, params: Params = None, prec=256):
     return z1, label
 
 
-def eval_asym(n: int, alpha, z, params: Params = None, prec=256) -> AsymResult:
+def eval_asym(n: int, alpha, z, params: Params = Params(), prec=256) -> AsymResult:
     """Full-plane asymptotic value of the rescaled monic polynomial.
 
     Reduces z to the closed first quadrant via parity (phase shift by
-    n pi) and Schwarz conjugation (phase negation), classifies (``locate``),
-    builds the point's one geometry record (``_point``) and dispatches;
-    both reductions act exactly on the LogComplex fields.
+    n pi) and Schwarz conjugation (phase negation), classifies (``locate``)
+    and dispatches with the alpha and z1 rounded there, which the
+    evaluator does not round again; both reductions act exactly on the
+    LogComplex fields.
     """
     bits = bits_of(prec)
     z1, label, a = _locate(n, alpha, z, params, bits)
-    g = _point(n, a, z1, bits, label.tag)
-    res = _EVALUATORS[label.tag](n, alpha, z1, bits, _geo=g)
+    res = _EVALUATORS[label.tag](n, a, z1, bits)
     value = res.value
     # parity shift first (one rounded add on the reduced phase), exact
     # conjugation last: each symmetry pair then differs by a single

@@ -8,11 +8,11 @@ width widened by the bits that form cancels near 2, with no cache), the
 Gamma-ratio D-functions with their algebraic E prefactors, and the
 node-counting trio (theta, gamma, Pi).  The phases read
 u = Log((z + sqrt(z^2-4))/2), the log of the inverse Joukowski map at
-z/2, from the helper ``_u_of``.  On the asymptotic path the dispatcher
-takes u, w = sqrt(z^2-4), z^2, n/z^2 and log n once per point into a
-``_Geometry`` record; ``phi``, ``phi_tilde``, ``h_factor`` and
-``d_func`` read it through a private ``_geo`` argument, and without it
-compute the same quantities themselves.
+z/2, from the helper ``_u_of``.  u, w = sqrt(z^2-4), z^2, n/z^2 and
+log n come only from a ``_Geometry`` record: a region evaluator passes
+its point's record to ``phi``, ``phi_tilde``, ``h_factor`` and ``d_func``
+as their private ``_geo``, and without it each builds the same record at
+the width it evaluates at, then runs the same body.
 
 Branch discipline: every power/log is a principal branch of an explicit
 factor, chosen so each function is analytic exactly off its stated cut.
@@ -37,6 +37,7 @@ from .mpnum import (
     _w_root,
     bits_of,
     near_cut,
+    require_finite,
     require_off_cut,
     round_to,
     to_mpc,
@@ -106,7 +107,7 @@ def _u_of(z):
 
 
 def _band_u_w(x):
-    """(u, w) at a band point 0 < x < 2 as their upper limits
+    """(u, w) at a band point 0 < x <= 2 as their upper limits
     i acos(x/2) and i sqrt(4 - x^2), at the caller's working precision."""
     return (mpmath.mpc(0, mpmath.acos(x / 2)),
             mpmath.mpc(0, mpmath.sqrt((2 - x) * (2 + x))))
@@ -114,16 +115,16 @@ def _band_u_w(x):
 
 @dataclass(frozen=True)
 class _Geometry:
-    """The quantities of one point that its region formula reads more than
-    once.  ``z`` and ``a`` (alpha) are rounded to the evaluation width; the
-    rest are taken once, at the widest width at which a reader in the
-    point's region takes them (``asym._point``):
+    """The quantities of one point that the formulas read.  ``z`` and
+    ``a`` (alpha) are rounded to the evaluation width; the rest are taken
+    once, at the widest width at which a reader takes them (``asym._point``):
 
     zz = z^2, s = n/z^2, logn = log n, (u, w) as in :func:`_u_of` (on the
-    band, their upper limits :func:`_band_u_w`), and lw = log(z-2) +
-    log(z+2) = 2 Log w (on the closed upper half-plane the arguments of
-    the two square roots add up to an angle in [0, pi]), None on the
-    turning-point disk, whose formula does not read it.
+    band 0 < x <= 2, their upper limits :func:`_band_u_w`), and lw =
+    log(z-2) + log(z+2) = 2 Log w (on the closed upper half-plane the
+    arguments of the two square roots add up to an angle in [0, pi]),
+    None on the turning-point disk, whose formula does not read it, and in
+    a record of z alone (no n, a, s or logn either).
     """
 
     z: mpmath.mpc
@@ -136,18 +137,21 @@ class _Geometry:
     lw: mpmath.mpc | None
 
 
-def _geometry(n: int, a, z, width: int, s_width: int, turning: bool) -> _Geometry:
-    """The record of z (at the evaluation width) and alpha ``a`` for degree
-    n: u, w, zz and lw rounded once at ``width``, s and logn at
-    ``s_width``.  ``turning`` marks the turning-point disk: there h needs
-    the off-cut u and w even on the axis, and no lw is taken."""
+def _geometry(n, a, z, width: int, s_width: int = 0, turning: bool = False) -> _Geometry:
+    """The record of z and alpha ``a`` for degree n (of z alone if n is
+    None): u, w, zz and lw rounded once at ``width``, s and logn at
+    ``s_width`` (default ``width``).  ``turning`` marks the turning-point
+    disk: there h needs the off-cut u and w even on the axis, and no lw."""
     with mp.workprec(width):
-        if not turning and z.imag == 0 and 0 < z.real < 2:
+        if not turning and z.imag == 0 and 0 < z.real <= 2:
             u, w = _band_u_w(z.real)
         else:
             u, w = _u_of(z)
         zz = z * z
-        lw = None if turning else 2 * mpmath.log(w)
+        lw = None if turning or n is None else 2 * mpmath.log(w)
+    if n is None:
+        return _Geometry(z, a, zz, None, None, u, w, None)
+    s_width = s_width or width
     with mp.workprec(s_width):
         # from the rounded z^2 unless s needs more bits than it holds
         s = n / (zz if s_width == width else z * z)
@@ -194,43 +198,39 @@ def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0, _geo=None):
     purely imaginary, conjugated for 'lower'.  'reject' (default) raises
     near the cut (``mpnum.near_cut``).
     ``extra`` widens the evaluation and the returned value by that many
-    bits; the cut test stays at ``prec``.  ``_geo`` is the dispatcher's
-    record of z (:class:`_Geometry`), taken at the width used here.
+    bits; the cut test stays at ``prec``.  The form reads the record
+    (:class:`_Geometry`) of z at the evaluation width, ``_geo`` if given,
+    or near the band its own record of x = Re z.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits) if _geo is None else _geo.z
+    z = to_mpc(z, bits)
     work = bits + extra
-    if not z.real > 2 and near_cut(z, -_INF, 2, bits):
+    if not z.real > 2:
+        require_finite(z, "phi_tilde")
+    on_band = not z.real > 2 and near_cut(z, -_INF, 2, bits)
+    if on_band:
         if on_cut == "reject":
             raise DomainError(f"phi_tilde: z={z} on or too close to the cut (-inf, 2]")
         if on_cut not in ("upper", "lower"):
             raise ConfigError("on_cut must be 'reject', 'upper' or 'lower'")
         if not z.real > 0:
             raise DomainError("phi_tilde boundary values available only for Re z > 0")
-        # the closed form at x = Re z with the band limits of u and w
-        with working(work, GUARD + 8):
-            x = z.real
-            uw = (_geo.u, _geo.w) if _geo is not None and z.imag == 0 else _band_u_w(x)
-            v = _phi_tilde_form(x, uw=uw)
-            if on_cut == "lower":
-                v = mpmath.conj(v)
-        return round_to(work, v)
+        # the record of x = Re z holds the band limits of u and w
+        g = _geometry(None, None, z.real, work + GUARD + 8)
+    else:
+        g = _geo or _geometry(None, None, z, work + GUARD + 8)
     with working(work, GUARD + 8):
-        v = _phi_tilde_form(z, _geo)
+        v = _phi_tilde_form(g)
+        if on_band and on_cut == "lower":
+            v = mpmath.conj(v)
     return round_to(work, v)
 
 
-def _phi_tilde_form(z, geo=None, uw=None):
-    """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde, at the
-    caller's working precision: u, w as in :func:`_u_of`, read from the
-    record ``geo`` of z, or given as the pair ``uw`` (a band point x with
-    the limits :func:`_band_u_w` gives the upper value on the cut)."""
-    if geo is None:
-        el, w = uw or _u_of(z)
-        zz = z * z
-    else:
-        el, w, zz = geo.u, geo.w, geo.zz
-    return (2 / zz - 1) * el + w / (2 * z)
+def _phi_tilde_form(g):
+    """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde, from the
+    record g of z at the caller's working precision (the record of a band
+    point x, with the limits of u and w, gives the upper value on the cut)."""
+    return (2 / g.zz - 1) * g.u + g.w / (2 * g.z)
 
 
 def _phi_extra(z) -> int:
@@ -248,11 +248,11 @@ def phi(z, prec, half_plane: str = "auto", _geo=None):
     """phi = phi_tilde -+ i pi / z^2 on the upper/lower half-plane.
 
     Bounded near the origin (the i pi/z^2 singularities cancel); purely
-    imaginary boundary values on the band.  ``_geo``: the dispatcher's
+    imaginary boundary values on the band.  ``_geo``: an evaluator's
     record of z (:class:`_Geometry`), passed on to ``phi_tilde``.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits) if _geo is None else _geo.z
+    z = to_mpc(z, bits)
     half = _resolve_half(z, half_plane)
     # phi_tilde ~ i pi / z^2 cancels to O(1): widen both by the bits lost
     extra = _phi_extra(z)
@@ -302,11 +302,11 @@ def h_factor(z, prec, _geo=None):
     phi_tilde = O(|t|^(3/2)), t = z - 2, is formed from O(|t|^(1/2)) terms,
     and u = Log((z + w)/2) is the log of 1 + O(|t|^(1/2)): together they
     lose up to 1.5 log2(1/|t|) bits, which the working width adds back.
-    ``_geo``: the dispatcher's record of z (:class:`_Geometry`), read on
-    the upper half-plane.
+    The form reads the record (:class:`_Geometry`) of the upper image at
+    that width: ``_geo``, a record of z, if given and Im z >= 0.
     """
     bits = bits_of(prec)
-    z = to_mpc(z, bits) if _geo is None else _geo.z
+    z = to_mpc(z, bits)
     lower = z.imag < 0
     with mp.workprec(bits):
         zu = mpmath.conj(z) if lower else z
@@ -316,8 +316,10 @@ def h_factor(z, prec, _geo=None):
         raise DomainError(f"h_factor: |z-2| must be < {F_TILDE_RADIUS}")
     if t == 0:
         return mpmath.mpc(1)
-    with mp.workprec(_h_width(zu, bits)):
-        v = mpmath.mpf(-1.5) * _phi_tilde_form(zu, None if lower else _geo) / (t * mpmath.sqrt(t))
+    width = _h_width(zu, bits)
+    g = _geo if _geo and not lower else _geometry(None, None, zu, width, turning=True)
+    with mp.workprec(width):
+        v = mpmath.mpf(-1.5) * _phi_tilde_form(g) / (t * mpmath.sqrt(t))
     with mp.workprec(bits):
         v = +v  # conj rounds only the imaginary part
         if z.imag == 0:
@@ -379,22 +381,17 @@ def _d_log(w, wb, bits) -> LogComplex:
 def d_func(n: int, alpha, z, prec, half_plane: str = "auto", _geo=None) -> LogComplex:
     """D(z): Gamma(alpha - n/z^2) e^(-n/z^2) (-n/z^2)^(n/z^2-alpha+1/2) / sqrt(2 pi),
     with -1/z^2 read as e^(+-i pi)/z^2 on the upper/lower half-plane.
-    ``_geo``: the dispatcher's record of z (:class:`_Geometry`); alpha, s
-    and log n are then read from it."""
+    s = n/z^2 and log n come from the record of (n, alpha, z)
+    (:class:`_Geometry`): ``_geo`` if given, else one at the working width."""
     bits = bits_of(prec)
-    if _geo is None:
-        z, a = to_mpc(z, bits), to_mpf(alpha, bits)
-    else:
-        z, a = _geo.z, _geo.a
+    z, a = to_mpc(z, bits), to_mpf(alpha, bits)
     half = _resolve_half(z, half_plane)
     wb = _d_width(n, z, bits)
+    g = _geo or _geometry(n, a, z, wb + GUARD + 8)
+    s = g.s
     with working(wb, GUARD + 8):
-        if _geo is None:
-            s, logn = n / (z * z), mpmath.log(mpmath.mpf(n))
-        else:
-            s, logn = _geo.s, _geo.logn
         sgn = 1 if half == "upper" else -1
-        log_m = logn + sgn * mpmath.pi * 1j - 2 * mpmath.log(z)
+        log_m = g.logn + sgn * mpmath.pi * 1j - 2 * mpmath.log(z)
         w = log_gamma_complex(a - s, wb + GUARD) - s - _half_log_twopi() + (s - a + mpmath.mpf(1) / 2) * log_m
     return _d_log(w, wb, bits)
 

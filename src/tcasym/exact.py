@@ -58,6 +58,7 @@ from .mpnum import (
     fixed_raw,
     near_cut,
     raw_fixed,
+    require_finite,
     round_to,
     to_mpc,
     to_mpf,
@@ -268,8 +269,7 @@ def weight_wd(alpha, z, prec) -> LogComplex:
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
     z = to_mpc(z, bits)
-    if not mpmath.isfinite(z):  # named here: near_cut would print the reflected point
-        raise DomainError(f"weight_wd: z={z} is not finite")
+    require_finite(z, "weight_wd")  # named here: near_cut would print the reflected point
     if near_cut(mp.make_mpc((z.imag._mpf_, z.real._mpf_)), -mpmath.inf, mpmath.inf, bits):
         raise DomainError(f"weight_wd: z={z} on or too close to the imaginary axis")
     with working(bits, GUARD + 8):

@@ -52,11 +52,9 @@ def rel_err_log(log_exact: LogComplex, log_asym: LogComplex, prec):
         return round_to(bits, abs(mpmath.exp(d) - 1))
 
 
-def compare_point(n: int, alpha, z, params: Params = None, prec=256) -> EvalRecord:
+def compare_point(n: int, alpha, z, params: Params = Params(), prec=256) -> EvalRecord:
     """Evaluate both paths at one point; failures are recorded, not raised."""
     bits = bits_of(prec)
-    if params is None:
-        params = Params()
     zc = to_mpc(z, bits)
     flags = []
     log_exact = log_asym = None
@@ -115,7 +113,7 @@ class ConvergenceFit:
     flags: tuple = ()
 
 
-def convergence_fit(alpha, z, n_list, params: Params = None, prec=256) -> ConvergenceFit:
+def convergence_fit(alpha, z, n_list, params: Params = Params(), prec=256) -> ConvergenceFit:
     """Fit the empirical convergence order at one point.
 
     Requires at least 4 strictly increasing degrees; raises
@@ -194,14 +192,12 @@ def _darboux_log_value(n, alpha, x, bits):
     return LogComplex.from_exponent(w, bits)
 
 
-def darboux_check(alpha, x, n_list, prec=256, params: Params = None) -> DarbouxReport:
+def darboux_check(alpha, x, n_list, prec=256, params: Params = Params()) -> DarbouxReport:
     """Fixed-x consistency: the classical fixed-argument form and the
     saturated-strip evaluator (mapped back through the leading coefficient)
     must both converge to the exact recurrence value as n grows.
     """
     bits = bits_of(prec)
-    if params is None:
-        params = Params()
     x = to_mpf(x, bits)
     if abs(x) <= 1:
         raise ConfigError("darboux_check requires |x| > 1")
@@ -227,7 +223,7 @@ def darboux_check(alpha, x, n_list, prec=256, params: Params = None) -> DarbouxR
 # default region sampling
 # ----------------------------------------------------------------------
 
-def region_grid(tag: str, n: int, alpha, params: Params = None, prec=256,
+def region_grid(tag: str, n: int, alpha, params: Params = Params(), prec=256,
                 nre: int = 20, nim: int = 10):
     """Default sampling grid for one region: nre x nim points interior to
     the region's first-quadrant footprint.
@@ -239,8 +235,6 @@ def region_grid(tag: str, n: int, alpha, params: Params = None, prec=256,
     the region corners.
     """
     bits = bits_of(prec)
-    if params is None:
-        params = Params()
     with working(bits):
         eps = to_mpf(params.eps, bits)
         delta = to_mpf(params.delta, bits)
@@ -332,7 +326,7 @@ def _interface_points(name, n, alpha, params, bits):
 INTERFACES = ("origin/A", "origin/B", "B/A", "B/C", "C/D", "C/A", "D/A")
 
 
-def boundary_consistency(n: int, alpha, params: Params = None, prec=256,
+def boundary_consistency(n: int, alpha, params: Params = Params(), prec=256,
                          interfaces=INTERFACES) -> tuple:
     """Max |log ratio| of adjacent region evaluators on shared boundaries.
 
@@ -340,8 +334,6 @@ def boundary_consistency(n: int, alpha, params: Params = None, prec=256,
     with n; an identical-pair control row comes out exactly zero.
     """
     bits = bits_of(prec)
-    if params is None:
-        params = Params()
     out = []
     for name in interfaces:
         ra, rb = name.split("/")

@@ -64,16 +64,23 @@ def working(prec, guard: int = GUARD):
 
 
 def to_mpf(x, prec) -> mpmath.mpf:
-    """Round a real-valued input (int/float/str/mpf) to ``prec`` bits."""
-    with mp.workprec(bits_of(prec)):
-        v = mpmath.mpf(x)
-    return v
+    """Round a real-valued input (int/float/str/mpf) to ``prec`` bits.  An
+    mpf whose mantissa already fits comes back as it is."""
+    bits = bits_of(prec)
+    if isinstance(x, mpmath.mpf) and x._mpf_[3] <= bits:
+        return x
+    with mp.workprec(bits):
+        return mpmath.mpf(x)
 
 
 def to_mpc(z, prec) -> mpmath.mpc:
     """Round a complex-valued input to ``prec`` bits per component (inside the
-    context: an mpc() conversion outside would round at the ambient precision)."""
-    with mp.workprec(bits_of(prec)):
+    context: an mpc() conversion outside would round at the ambient precision).
+    An mpc whose two mantissas already fit comes back as it is."""
+    bits = bits_of(prec)
+    if isinstance(z, mpmath.mpc) and z._mpc_[0][3] <= bits and z._mpc_[1][3] <= bits:
+        return z
+    with mp.workprec(bits):
         if isinstance(z, (tuple, list)) and len(z) == 2:
             v = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1]))
         else:
@@ -208,8 +215,16 @@ def near_cut(z, lo, hi, prec) -> bool:
     return _sign(*d2, _prod(-1, xd, xd), _prod(-1, yd, yd)) < 0
 
 
+def require_finite(z, what: str):
+    """Raise :class:`DomainError`, naming ``what``, unless ``z`` is finite."""
+    if not mpmath.isfinite(z):
+        raise DomainError(f"{what}: z={z} is not finite")
+
+
 def require_off_cut(z, lo, hi, prec, what: str):
-    """Raise :class:`DomainError` if ``z`` is near the cut [lo, hi] (:func:`near_cut`)."""
+    """Raise :class:`DomainError`, naming ``what``, if ``z`` is not finite or
+    is near the cut [lo, hi] (:func:`near_cut`)."""
+    require_finite(z, what)
     if near_cut(z, lo, hi, prec):
         raise DomainError(f"{what}: z={z} lies on or too close to the cut [{lo}, {hi}]")
 

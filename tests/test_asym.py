@@ -469,6 +469,7 @@ class TestGeometryRecord:
     @example(case=(400, 1.0, ("1e-10", "3e-11"), PARAMS, 256))  # phi widened near 0
     @example(case=(400, 1.0, ("0.5", "0"), PARAMS, 128))  # band boundary value
     @example(case=(6400, 1.0, ("0.003", "0.0015"), Params(1e-3, 1e-4), 256))  # D-function wider than phi
+    @example(case=(1, 1.0, (3.0, 0.0), Params(3, 2.5), 128))  # C disk wider than h's: both calls raise
     def test_phi_and_h_bits_unchanged(self, case):
         from tcasym.auxfun import h_factor, phi
         n, alpha, z, params, bits = case
@@ -477,11 +478,12 @@ class TestGeometryRecord:
         except (ConfigError, DomainError):
             return
         g = asym._point(n, a, z1, bits, label.tag)
-        if label.tag == "C":
-            assert h_factor(z1, bits + 32, _geo=g) == h_factor(z1, bits + 32)
-            return
-        ref = _outcome(phi, z1, bits + 16, "upper")
-        v = _outcome(lambda: phi(z1, bits + 16, "upper", _geo=g))
+        if label.tag == "C":  # h at the width eval_region_c takes it
+            ref = _outcome(h_factor, z1, bits + 32)
+            v = _outcome(lambda: h_factor(z1, bits + 32, _geo=g))
+        else:
+            ref = _outcome(phi, z1, bits + 16, "upper")
+            v = _outcome(lambda: phi(z1, bits + 16, "upper", _geo=g))
         if isinstance(ref, type):
             assert v is ref
         else:

@@ -22,6 +22,7 @@ from tcasym.auxfun import (
     phi_tilde,
     theta_gamma_pi,
 )
+from tcasym.exact import weight_wd
 from tcasym.mpnum import GUARD, ConfigError, DomainError, PoleError, round_to, sqrt_zsq_minus4, to_mpc, working
 from tcasym.specfun import log_gamma_real
 
@@ -623,3 +624,30 @@ class TestUOf:
         with working(160):
             assert rel_diff(u.real, mpmath.log(2), 128) < mpmath.mpf(2) ** -120
             assert rel_diff(w.real, mpmath.mpf("1.5"), 128) < mpmath.mpf(2) ** -120
+
+
+# Every public function that runs a cut test, called at a non-finite z:
+# each names itself before the test, so the refusal says who refused.
+# phi takes its value, and so its refusal, from phi_tilde.
+_CUT_TESTERS = [
+    ("sqrt_zsq_minus4", "sqrt_zsq_minus4", lambda z: sqrt_zsq_minus4(z, 128)),
+    ("phi_tilde", "phi_tilde", lambda z: phi_tilde(z, 128, on_cut="upper")),
+    ("phi", "phi_tilde", lambda z: phi(z, 128, "upper")),
+    ("phi_hat", "phi_hat", lambda z: phi_hat(z, 128)),
+    ("d_tilde_func", "d_tilde_func", lambda z: d_tilde_func(50, 1, z, 128)),
+    ("d_hat_func", "d_hat_func", lambda z: d_hat_func(50, 1, z, 128)),
+    ("d_triple", "d_triple", lambda z: d_triple(50, 1, z, 128)),
+    ("e_func", "e_func", lambda z: e_func(2, z, 128)),
+    ("e_tilde_func", "e_tilde_func", lambda z: e_tilde_func(2, z, 128)),
+    ("e_hat_func", "e_hat_func", lambda z: e_hat_func(2, z, 128)),
+    ("weight_wd", "weight_wd", lambda z: weight_wd(1, z, 128)),
+]
+
+
+@pytest.mark.parametrize("name, refuser, call", _CUT_TESTERS, ids=[c[0] for c in _CUT_TESTERS])
+@pytest.mark.parametrize("z", [("nan", 1), ("-inf", 1), (1, "nan"), ("nan", 0)])
+def test_non_finite_refusal_names_function(name, refuser, call, z):
+    z = to_mpc(z, 128)
+    with pytest.raises(DomainError) as err:
+        call(z)
+    assert str(err.value) == f"{refuser}: z={z} is not finite"

@@ -132,6 +132,16 @@ class TestEval:
         assert code == 0 and obj["region"] == "A"
         assert "log_mod" in obj and "dropped_term_bound" in obj
 
+    def test_exact_zero_exported_as_zero(self, capsys):
+        # f_3 is odd, so f_3(0) = 0 exactly: log_mod -inf and a zero value,
+        # not a missing field
+        code, out = run_main(capsys, ["eval", "--mode", "exact", "--n", "3", "--alpha", "1",
+                                      "--z", "0,0", "--rescaled", "false"])
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["log_mod"] == "-inf"
+        assert obj["value_re"] == 0.0 and obj["value_im"] == 0.0
+
     def test_huge_value_has_no_floats(self, capsys):
         # log-scale output only once |log value| is beyond double range
         code, out = run_main(capsys, ["eval", "--mode", "exact", "--n", "1000", "--alpha", "1",

@@ -25,6 +25,7 @@ from tcasym.mpnum import (
     round_to,
     sqrt_zsq_minus4,
     to_mpc,
+    to_mpf,
     working,
 )
 
@@ -320,6 +321,49 @@ class TestLogComplexOps:
 
 def _bits(v):
     return (v.real._mpf_, v.imag._mpf_) if isinstance(v, mpmath.mpc) else v._mpf_
+
+
+_SPECIALS = (mpmath.mpf(0), mpmath.inf, -mpmath.inf, mpmath.nan)
+
+
+@st.composite
+def _near_width(draw):
+    """(bits, x, y): a width in 64 ... 1024 and two parts, each a special
+    value or an mpf whose mantissa has bits - 1, bits or bits + 1 bits."""
+    bits = draw(st.integers(64, 1024))
+
+    def part():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from(_SPECIALS))
+        w = bits + draw(st.sampled_from([-1, 0, 1]))
+        man = draw(st.integers(2 ** (w - 1), 2 ** w - 1)) | 1  # odd: exactly w bits
+        return mp.make_mpf(from_man_exp(draw(st.sampled_from([1, -1])) * man, draw(st.integers(-1100, 1100))))
+
+    return bits, part(), part()
+
+
+_WIDE = mp.make_mpf(from_man_exp(2 ** 128 + 1, -128))  # 129 bits
+
+
+class TestRounding:
+    """``to_mpf`` and ``to_mpc`` give the bits of a conversion run in its
+    own context at the target width, and return an input whose mantissas
+    already fit as the same object."""
+
+    @given(case=_near_width())
+    @example(case=(128, _WIDE, mpmath.mpf(1)))  # an mpc with only its real part wide
+    @example(case=(128, mpmath.mpf(1), _WIDE))  # ... and with only its imaginary part wide
+    @example(case=(64, mpmath.nan, -mpmath.inf))
+    def test_matches_context_path(self, case):
+        bits, x, y = case
+        z = mp.make_mpc((x._mpf_, y._mpf_))
+        with mp.workprec(bits):
+            want_x, want_z = mpmath.mpf(x), mpmath.mpc(z)
+        got_x, got_z = to_mpf(x, bits), to_mpc(z, bits)
+        assert got_x._mpf_ == want_x._mpf_
+        assert got_z._mpc_ == want_z._mpc_
+        assert (got_x is x) == (x._mpf_[3] <= bits)
+        assert (got_z is z) == (x._mpf_[3] <= bits and y._mpf_[3] <= bits)
 
 
 class TestFromExponent:
