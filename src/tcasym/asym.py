@@ -51,7 +51,9 @@ from .mpnum import (
     _prod,
     _sign,
     _sq_diff,
+    add_guarded,
     bits_of,
+    fixed_mpc,
     logc_add,
     logc_mul,
     near_cut,
@@ -60,7 +62,7 @@ from .mpnum import (
     to_mpf,
     working,
 )
-from .specfun import airy_rotated, log_gamma_real
+from .specfun import _airy_rotated, log_gamma_real
 
 REAL_SNAP_TOL = 1e-8  # relative imaginary residual allowed at real arguments
 
@@ -318,13 +320,23 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
                                     + e^(-i tau + pi i/3) Ai(conj(w) zeta),
         Ai' cos tau + Bi' sin tau = e^(i tau + pi i/3) Ai'(w zeta)
                                     + e^(-i tau - pi i/3) Ai'(conj(w) zeta).
-    Each of the four terms is a LogComplex, so e^|Im tau| is never formed;
-    each bracket is one ``logc_add`` of its two terms and the value one
-    more of the two brackets, all at the working width bits + GUARD + 8.
-    ``cancel`` is set when any of these three sums loses more than half of
-    that width.  On the real axis the value is real; its phase, which
-    carries only rounding residue there, is snapped to 0 or pi without the
-    ``real-snapped`` flag of the band formula's boundary values.
+    The four terms are mpc values, all formed GUARD bits beyond the
+    working width bits + GUARD + 8: e^(i tau) once, from Re tau reduced
+    mod 2 pi and Im tau, times e^(+-i pi/3), and e^(-i tau) as its
+    reciprocal.  mpf exponents are unbounded, so e^(+-|Im tau|) cannot
+    overflow, and each term keeps its relative accuracy however far the
+    two of a bracket are apart.  The Airy values enter at that width
+    (``specfun._airy_rotated``, not rounded to bits + GUARD first), and
+    2 sinh(pu), 2 cosh(pu) come from one exponential, widened by the bits
+    that e^(pu) - e^(-pu) cancels near z = 2.  The two brackets and the
+    value are sums under ``logc_add``'s rule at the working width
+    (``mpnum.add_guarded``): ``cancel`` is set when any of the three loses
+    more than half of that width, and a sum below 2^-(width-4) of its
+    larger term is the exact zero.  One log |m| and one atan2 give the
+    value, and log(|bracket a| + |bracket b|) the dropped term.  On the
+    real axis the value is real; its phase, which carries only rounding
+    residue there, is snapped to 0 or pi without the ``real-snapped``
+    flag of the band formula's boundary values.
     """
     bits = bits_of(prec)
     if n < 1:
@@ -338,15 +350,24 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
     with mp.workprec(bits + 2 * GUARD):
         log_h = mpmath.log(h)
     ft = _f_tilde_from_log_h(n, z, log_h, bits + GUARD)
-    ai_w, aid_w, ai_wb, aid_wb = airy_rotated(ft, bits + GUARD)
-    with mp.workprec(work):
+    # rounded to bits + GUARD, the Airy values would set the phase's error
+    # near the axis
+    P, airy = _airy_rotated(ft, bits + GUARD)
+    ai_w, aid_w, ai_wb, aid_wb = (fixed_mpc(v, P, work + GUARD) for v in airy)
+    with mp.workprec(work + GUARD):
         p = 2 * a - mpmath.mpf(1) / 2
         if w == 0:
             s_fac = mpmath.mpc(p)
             c_fac = mpmath.mpc(2)
         else:
-            s_fac = 2 * mpmath.sinh(p * u) / w
-            c_fac = 2 * mpmath.cosh(p * u)
+            # 2 sinh and 2 cosh from one exponential; e - 1/e cancels to
+            # 2 p u near z = 2, so it is formed wider by the bits lost
+            pu = p * u
+            with mp.workprec(work + GUARD + (max(0, 1 - mpmath.mag(pu)) if pu else 0)):
+                e = mpmath.exp(pu)
+                ei = 1 / e
+                s_fac = (e - ei) / w
+                c_fac = e + ei
         # q = n^(1/6) h^(1/6) (z+2)^(-1/4), one exponential
         q = mpmath.exp((g.logn + log_h) / 6 - mpmath.log(z + 2) / 4)
         fac_a = s_fac / q
@@ -355,31 +376,21 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
         # Re tau reaches n pi/4; reduced mod 2 pi, every term's phase
         # stays O(1) and keeps the absolute accuracy of the work width
         re_tau = tau.real - 2 * mpmath.pi * mpmath.nint(tau.real / (2 * mpmath.pi))
-        third = mpmath.pi / 3
-
-        def term(c, sign, shift):
-            # c e^(sign i (tau + shift)) as a LogComplex
-            if c == 0:
-                return LogComplex.zero()
-            return LogComplex(
-                round_to(work, mpmath.log(abs(c)) - sign * tau.imag),
-                round_to(work, mpmath.atan2(c.imag, c.real) + sign * (re_tau + shift)),
-            )
-
-        br_a, cancel_a = logc_add(term(fac_a * aid_w, 1, third),
-                                  term(fac_a * aid_wb, -1, third), work)
-        br_b, cancel_b = logc_add(term(fac_b * ai_w, 1, -third),
-                                  term(fac_b * ai_wb, -1, -third), work)
-        m, cancel_m = logc_add(br_a, br_b, work)
+        et = mpmath.exp(mpmath.mpc(-tau.imag, re_tau))  # e^(i tau)
+        rot = mpmath.mpc(0.5, mpmath.sqrt(3) / 2)  # e^(i pi/3)
+        e_p, e_m = et * rot, et / rot  # e^(i (tau +- pi/3))
+        s_a, cancel_a = add_guarded(aid_w * e_p, aid_wb / e_p, work)
+        s_b, cancel_b = add_guarded(ai_w * e_m, ai_wb / e_m, work)
+        br_a, br_b = fac_a * s_a, fac_b * s_b
+        m, cancel_m = add_guarded(br_a, br_b, work)
         # sqrt(pi) times the prefactor shared with the other regions
         log_pc = _log_prefactor(n, g, bits) + mpmath.log(mpmath.pi) / 2
-        if m.is_zero():
+        if m == 0:
             value = LogComplex.zero()
         else:
-            value = LogComplex(round_to(bits, log_pc + m.log_mod),
-                               round_to(bits, m.wrapped_phase(work)))
-        m_scale = mpmath.exp(br_a.log_mod) + mpmath.exp(br_b.log_mod)
-        dropped = log_pc + mpmath.log(m_scale) - g.logn
+            value = LogComplex(round_to(bits, log_pc + mpmath.log(abs(m))),
+                               round_to(bits, mpmath.atan2(m.imag, m.real)))
+        dropped = log_pc + mpmath.log(abs(br_a) + abs(br_b)) - g.logn
     if z.imag == 0 and not value.is_zero():
         value = _snap_real(value, bits)
     flags = ("cancel",) if (cancel_a or cancel_b or cancel_m) else ()

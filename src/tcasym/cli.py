@@ -32,6 +32,7 @@ from mpmath import mp
 
 from . import __version__, asym, exact, harness
 from .asym import Params
+from .auxfun import F_TILDE_RADIUS
 from .mpnum import DEFAULT_PREC, ConfigError, DomainError, LogComplex, bits_of, to_mpc, to_mpf, working
 
 CSV_HEADER = ("n,alpha,z_re,z_im,region,log_exact_mod,log_exact_phase,"
@@ -201,9 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ----------------------------------------------------------------------
 
+def _asym_params(args) -> Params:
+    """The region geometry of --delta/--eps for the asymptotic path: eps <
+    delta (``Params``), and eps below the radius of h's domain
+    |z - 2| < F_TILDE_RADIUS, which the whole turning-point disk must lie in."""
+    params = Params(delta=args.delta, eps=args.eps)
+    if args.eps >= F_TILDE_RADIUS:
+        raise ConfigError(f"--eps must be < {F_TILDE_RADIUS}, the radius of the turning-point "
+                          f"map's domain |z - 2| < {F_TILDE_RADIUS}, got eps={args.eps}")
+    return params
+
+
 def _cmd_eval(args) -> int:
     bits = bits_of(args.prec)
-    params = Params(delta=args.delta, eps=args.eps)
+    params = _asym_params(args) if args.mode == "asym" else Params(delta=args.delta, eps=args.eps)
     z = _parse_z(args.z, bits)
     alpha = _alpha(args.alpha, bits)
     out = {
@@ -280,7 +292,7 @@ def _cmd_compare(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     alpha = _alpha(args.alpha, bits)
-    Params(delta=args.delta, eps=args.eps)  # validate eps < delta up front
+    _asym_params(args)  # validate eps up front
 
     zs = [to_mpc(p, bits) for p in pts]
     tasks = [(n, str(args.alpha), z, args.delta, args.eps, bits)

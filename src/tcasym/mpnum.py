@@ -19,7 +19,8 @@ and the orthogonality sums of ``tcasym.exact``, log-gamma in
 every input converts exactly (:func:`fixed_bits`, :func:`raw_fixed`; a
 logarithm taken a few bits beyond P is cut toward zero).  Every shift
 and division of a kernel's state rounds down.  A result leaves exactly
-(:func:`fixed_raw`) or rounded once to nearest (:func:`fixed_mpf`).
+(:func:`fixed_raw`) or rounded once to nearest (:func:`fixed_mpf`,
+:func:`fixed_mpc`).
 """
 
 from __future__ import annotations
@@ -123,6 +124,12 @@ def fixed_mpf(v, P, bits):
     """The integer v scaled by 2**-P as an mpf, rounded once to nearest at
     ``bits``."""
     return mp.make_mpf(from_man_exp(v, -P, bits, round_nearest))
+
+
+def fixed_mpc(v, P, bits):
+    """The pair v = (re, im) of integers scaled by 2**-P as an mpc, each
+    part rounded once to nearest at ``bits``."""
+    return mp.make_mpc(tuple(from_man_exp(t, -P, bits, round_nearest) for t in v))
 
 
 def neg_exact(x):
@@ -290,13 +297,31 @@ def logc_mul(a: LogComplex, b: LogComplex, prec) -> LogComplex:
         return LogComplex(a.log_mod + b.log_mod, a.phase + b.phase)
 
 
+def add_guarded(x, y, prec):
+    """The cancellation rule of :func:`logc_add`, on two mpc values: returns
+    ``(x + y, cancelled)``, the sum formed at ``prec`` + GUARD bits.
+    Against the larger of |x|, |y|, a sum below 2**-(bits//2) is
+    ``cancelled`` and one below 2**-(bits-4) is the exact zero (also
+    cancelled).  Decided on squared moduli, so no square root is taken; a
+    zero term leaves the other, not cancelled."""
+    bits = bits_of(prec)
+    with mp.workprec(bits + GUARD):
+        s = x + y
+        ns = s.real * s.real + s.imag * s.imag
+        big = max(x.real * x.real + x.imag * x.imag, y.real * y.real + y.imag * y.imag)
+        if ns < mpmath.ldexp(big, -2 * (bits - 4)):
+            return mpmath.mpc(0), True
+        return s, bool(ns < mpmath.ldexp(big, -2 * (bits // 2)))
+
+
 def logc_add(a: LogComplex, b: LogComplex, prec):
     """Cancellation-guarded addition.
 
-    Returns ``(result, cancelled)``; ``cancelled`` is True when the relative
-    residual is below ``2**(-bits/2)``.  Terms that annihilate to below one
-    ulp of the working precision (opposite values up to rounding of pi)
-    snap to the exact zero.
+    Returns ``(result, cancelled)`` by the rule of :func:`add_guarded` on
+    1 + b/a (a the larger): ``cancelled`` is True when the relative
+    residual is below ``2**-(bits//2)``, and terms that annihilate to below
+    2**-(bits-4) (opposite values up to rounding of pi) snap to the exact
+    zero.
     """
     bits = bits_of(prec)
     if a.is_zero():
@@ -307,14 +332,13 @@ def logc_add(a: LogComplex, b: LogComplex, prec):
         a, b = b, a
     with mp.workprec(bits + GUARD):
         d = b.log_mod - a.log_mod
-        w = 1 + mpmath.exp(mpmath.mpc(d, b.phase - a.phase))
-        if w == 0 or abs(w) < mpmath.ldexp(1, -(bits - 4)):
+        w, cancelled = add_guarded(mpmath.mpc(1), mpmath.exp(mpmath.mpc(d, b.phase - a.phase)), bits)
+        if w == 0:
             return LogComplex.zero(), True
         lw = mpmath.log(abs(w))
         ph = a.phase + mpmath.atan2(w.imag, w.real)
         lm = a.log_mod + lw
-        cancelled = lw < -(bits // 2) * mpmath.log(2)
-    return LogComplex(round_to(prec, lm), round_to(prec, ph)), bool(cancelled)
+    return LogComplex(round_to(prec, lm), round_to(prec, ph)), cancelled
 
 
 # ----------------------------------------------------------------------

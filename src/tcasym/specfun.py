@@ -8,11 +8,16 @@ Airy: one kernel for every argument.  Ai and Ai' at z, w z and conj(w) z
 (w = e^(2 pi i/3)) and Bi, Bi' at z are fixed combinations of four
 Maclaurin sums 0F1(;b; z^3/9), b in {2/3, 4/3, 1/3, 5/3}, with Ai(0) and
 Ai'(0) (from Gamma(1/3) by the log-gamma kernel, cached for each band of
-64 widths).  The sums run at
+64 widths).  The four sums run together in one fixed-point loop on
+Python ints, in the format of ``tcasym.mpnum``: rectangular splitting
+over the shared powers of z^3/3, with the integer coefficients of each
+block in a bounded cache, a term count fixed up front from |z| and the
+width, and a stated error.  The width is
 bits + GUARD + 24 + ceil(1.93 |z|^1.5) bits, which absorbs their worst
 cancellation exp(4/3 |z|^1.5), so every value is accurate to the full
 requested precision at every argument; there is no dispatch radius and
-no sector choice.
+no sector choice.  The combinations are formed in the same fixed point
+and each value is rounded once.
 
 log-gamma: one fixed-point kernel on Python ints, for real x > 0 (the
 pair with im = 0) and for complex z, at working width p = bits + 24
@@ -56,6 +61,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 import mpmath
 from mpmath import mp
@@ -67,6 +74,7 @@ from .mpnum import (
     PoleError,
     bits_of,
     fixed_bits,
+    fixed_mpc,
     fixed_raw,
     raw_fixed,
     round_to,
@@ -379,58 +387,176 @@ def _airy_at_zero(prec: int):
     return round_to(prec, ai0), round_to(prec, aid0)
 
 
+_AIRY_P = (2, 4, 5, 1)  # 3b for the four sums 0F1(;b; z^3/9), b = 2/3, 4/3, 5/3, 1/3
+
+
+@lru_cache(maxsize=256)
+def _airy_block(m, i):
+    """The integer coefficients of block i (terms k = i m, ..., i m + m - 1)
+    of the four Airy sums, in the order of ``_AIRY_P``: for each p, the
+    products e_j = r(im+j+1) r(im+j+2) ... r(im+m), r(l) = l (p + 3l - 3),
+    listed for j = m-1 down to 0.  The last, e_0, is the block's
+    denominator D; term im+j of the sum is e_j/D times term im times X^j."""
+    ls = range(i * m + m, i * m, -1)
+    return tuple(tuple(accumulate([l * (p + 3 * l - 3) for l in ls], mul)) for p in _AIRY_P)
+
+
+def _airy_term_count(y, P):
+    """The term count N of the four sums at |z^3/9| = y and 2**-P: the
+    first N with y <= (N+1)(N+1/3)/2 and y^N/(N! (1/3)_N) < 2**-(P+2).
+    Past N the terms of every sum (b >= 1/3) fall at least by half per
+    step, so the tail of each is below 2**-(P+1).  The first condition
+    holds from some N on, and then the second as well, so a doubling and a
+    bisection find N."""
+    if y == 0:
+        return 1
+    ly, cut, lg = math.log(y), -(P + 2) * math.log(2), math.lgamma(1 / 3)
+
+    def enough(N):
+        return (2 * y <= (N + 1) * (N + 1 / 3)
+                and N * ly - math.lgamma(N + 1) - math.lgamma(N + 1 / 3) + lg < cut)
+
+    hi = 1
+    while not enough(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
+def _airy_sums(z, P):
+    """The four sums of ``_AIRY_P`` at X = z^3/3, term k of each being
+    X^k / (k! prod_(j<k) (p + 3j)), for an mpc z that converts exactly at
+    P fraction bits: (N, sums), N the term count of
+    :func:`_airy_term_count` and each sum a pair (re, im) of integers
+    scaled by 2**P.  X is formed from the exact z^3 with one floor.
+
+    Rectangular splitting (Smith, Math. Comp. 52 (1989)): with blocks of
+    m = isqrt(N) + 1 terms, the powers X^0 .. X^m are formed once and
+    shared by the four sums, and from the top block down each sum takes
+
+        S_i = (sum_j e_j X^j + X^m S_(i+1)) // D,
+
+    m products of a power by an integer of ``_airy_block``, one full
+    complex product and one division by D, so that S_0 is the sum.  Every
+    product is shifted down to 2**P and every division floors.
+
+    Error, in units u = 2**-P, with y = max(1/3, |z|^3/9),
+    sigma_b = 0F1(;b; y) the sum of the moduli of the terms at y, and
+    B = ceil(N/m) blocks: each power X^j (j <= m) is off by under
+    2j max(1, |X|)^j; block by block, a power's error enters scaled by
+    e_j/D <= 1, so the error grows to under (2m + 3) B sigma_b; the floor
+    of X moves each sum by under 2N sigma_b; the tail beyond N is under
+    2**-(P+1).  So each sum is within
+
+        E_b = ((2m + 3) B + 2N + 1) 2**-P sigma_b,
+
+    under 2**-(P-GUARD) sigma_b while (2m + 3) B + 2N + 1 < 2**GUARD: at
+    the widths of :func:`_airy_parts`, up to |z| = 320 (N = 8327 at 272
+    bits), the largest turning-point argument at n = 102400.  sigma_b
+    grows like y^(1/4 - b/2) exp(2 sqrt y), and 2 sqrt y = (2/3)|z|^1.5 is
+    the size the Airy width is set against."""
+    zr, zi = z._mpc_
+    ZR, ZI = raw_fixed(zr, P), raw_fixed(zi, P)
+    QR, QI = ZR * ZR - ZI * ZI, 2 * ZR * ZI  # z^2 at 2P, exact
+    XR = ((QR * ZR - QI * ZI) // 3) >> (2 * P)
+    XI = ((QR * ZI + QI * ZR) // 3) >> (2 * P)
+    N = _airy_term_count(math.hypot(to_float(zr), to_float(zi)) ** 3 / 9, P)
+    m = math.isqrt(N) + 1
+    one = 1 << P
+    PR, PI = [one, XR], [0, XI]
+    for _ in range(m - 1):
+        pr, pi = PR[-1], PI[-1]
+        PR.append((pr * XR - pi * XI) >> P)
+        PI.append((pr * XI + pi * XR) >> P)
+    MR, MI = PR.pop(), PI.pop()
+    PR.reverse()  # X^(m-1), ..., X^0, the order of the block coefficients
+    PI.reverse()
+    blocks = [_airy_block(m, i) for i in range(-(-N // m))]
+    sums = []
+    for q in range(len(_AIRY_P)):
+        SR = SI = 0
+        for block in reversed(blocks):
+            e = block[q]
+            AR = sum(map(mul, e, PR)) + ((MR * SR - MI * SI) >> P)
+            AI = sum(map(mul, e, PI)) + ((MR * SI + MI * SR) >> P)
+            SR, SI = AR // e[-1], AI // e[-1]
+        sums.append((SR, SI))
+    return N, sums
+
+
 def _airy_parts(z, bits):
-    """The four Maclaurin parts of Ai at z, as (width, a, b, a', b') with
+    """The four Maclaurin parts of Ai at z, as (P, a, b, a', b'), each part
+    a pair (re, im) of integers scaled by 2**P, with
 
         a  = Ai(0) 0F1(;2/3; z^3/9),         b  = Ai'(0) z 0F1(;4/3; z^3/9),
         a' = Ai(0) (z^2/2) 0F1(;5/3; z^3/9), b' = Ai'(0) 0F1(;1/3; z^3/9).
 
     Every cube root of unity w leaves z^3 unchanged, so the same four sums
     give Ai(w z) = a + w b and Ai'(w z) = w^2 a' + b', and Bi(z) =
-    sqrt(3) (a - b), Bi'(z) = sqrt(3) (a' - b').  The parts are summed
-    (mpmath's ``hyp0f1`` on its series, exact rational parameters) and
-    returned at width = bits + GUARD + 24 + ceil(1.93 |z|^1.5): the terms
-    reach exp(2/3 |z|^1.5) while Ai(w z) can be as small as
-    exp(-2/3 |z|^1.5), a cancellation of (4/3)|z|^1.5 / log 2 bits, which
-    the width absorbs, so each combination above keeps bits + GUARD + 24
+    sqrt(3) (a - b), Bi'(z) = sqrt(3) (a' - b').  The terms reach
+    exp(2/3 |z|^1.5) while Ai(w z) can be as small as exp(-2/3 |z|^1.5),
+    a cancellation of (4/3)|z|^1.5 / log 2 bits, so the parts are formed
+    to width = bits + GUARD + 24 + ceil(1.93 |z|^1.5) bits against the
+    size of the terms, and each combination keeps about bits + GUARD + 24
     bits relative to its own size.
+
+    The sums come from one fixed-point kernel (:func:`_airy_sums`) at
+    P = width + GUARD fraction bits, raised so that z converts exactly,
+    each within 2**-width of the sum of its terms' moduli (its
+    docstring has the bound).  Ai(0), Ai'(0) (rounded at the band of 64
+    widths above P, then cut to 2**-P), z and z^2/2 multiply in with a
+    floor each, adding a few units of 2**-P.
     """
     width = bits + GUARD + 24 + math.ceil(1.93 * float(abs(z)) ** 1.5)
+    zr, zi = z._mpc_
+    P = fixed_bits(width + GUARD, zr, zi)
     # one cache entry serves a band of 64 widths
-    ai0, aid0 = _airy_at_zero(-(-width // 64) * 64)
-    with mp.workprec(width):
-        x = z ** 3 / 9
-        a = ai0 * mpmath.hyp0f1((2, 3), x, force_series=True)
-        b = aid0 * z * mpmath.hyp0f1((4, 3), x, force_series=True)
-        ad = ai0 * z * z / 2 * mpmath.hyp0f1((5, 3), x, force_series=True)
-        bd = aid0 * mpmath.hyp0f1((1, 3), x, force_series=True)
-    return width, a, b, ad, bd
+    ai0, aid0 = _airy_at_zero(-(-P // 64) * 64)
+    _, ((AR, AI), (BR, BI), (CR, CI), (DR, DI)) = _airy_sums(z, P)
+    ZR, ZI = raw_fixed(zr, P), raw_fixed(zi, P)
+    QR, QI = (ZR * ZR - ZI * ZI) >> (P + 1), (ZR * ZI) >> P  # z^2/2
+    A0, A1 = raw_fixed(ai0._mpf_, P), raw_fixed(aid0._mpf_, P)
+    BR, BI = (ZR * BR - ZI * BI) >> P, (ZR * BI + ZI * BR) >> P  # z S
+    CR, CI = (QR * CR - QI * CI) >> P, (QR * CI + QI * CR) >> P
+    parts = ((A0, AR, AI), (A1, BR, BI), (A0, CR, CI), (A1, DR, DI))
+    return (P,) + tuple((c * re >> P, c * im >> P) for c, re, im in parts)
 
 
 def airy_quartet(z, prec) -> AiryQuartet:
     """Ai, Bi, Ai', Bi' at a complex point to full ``prec``-bit accuracy:
-    each is assembled from the parts of :func:`_airy_parts` with about
-    GUARD + 24 bits to spare, then rounded once."""
+    each is assembled from the parts of :func:`_airy_parts` in their fixed
+    point (sqrt 3 cut to 2**-P), then rounded once."""
     bits = bits_of(prec)
     z = to_mpc(z, prec)
-    width, a, b, ad, bd = _airy_parts(z, bits)
-    with mp.workprec(width):
-        sq3 = mpmath.sqrt(3)
-        vals = (a + b, sq3 * (a - b), ad + bd, sq3 * (ad - bd))
-    return AiryQuartet(*(to_mpc(v, prec) for v in vals))
+    P, (aR, aI), (bR, bI), (cR, cI), (dR, dI) = _airy_parts(z, bits)
+    r3 = math.isqrt(3 << (2 * P))
+    vals = ((aR + bR, aI + bI), (r3 * (aR - bR) >> P, r3 * (aI - bI) >> P),
+            (cR + dR, cI + dI), (r3 * (cR - dR) >> P, r3 * (cI - dI) >> P))
+    return AiryQuartet(*(fixed_mpc(v, P, bits) for v in vals))
+
+
+def _airy_rotated(z, bits):
+    """:func:`airy_rotated`'s four values before rounding: (P, values), each
+    value a pair (re, im) of integers scaled by 2**P, about
+    bits + GUARD + 24 bits accurate against its own size."""
+    P, (aR, aI), (bR, bI), (cR, cI), (dR, dI) = _airy_parts(z, bits)
+    s = math.isqrt(3 << (2 * P)) >> 1
+    bu, bv, cu, cv = s * bI >> P, s * bR >> P, s * cI >> P, s * cR >> P
+    aR, aI = aR - (bR >> 1), aI - (bI >> 1)  # a - b/2
+    dR, dI = dR - (cR >> 1), dI - (cI >> 1)  # b' - a'/2
+    return P, ((aR - bu, aI + bv), (dR + cu, dI - cv), (aR + bu, aI - bv), (dR - cu, dI + cv))
 
 
 def airy_rotated(z, prec):
     """(Ai(w z), Ai'(w z), Ai(conj(w) z), Ai'(conj(w) z)) for w = e^(2 pi i/3),
-    rounded to ``prec`` bits, from the four sums of :func:`_airy_parts` at z
-    (no rotated argument is ever formed).  For real z the two pairs are
-    exact complex conjugates."""
+    rounded to ``prec`` bits, from the four parts of :func:`_airy_parts` at
+    z in their fixed point (no rotated argument is ever formed).  With
+    w = -1/2 + i s, s = sqrt(3)/2 cut to 2**-P, the products s b and s a'
+    are formed once and enter the two pairs with opposite signs, so for
+    real z the pairs are exact complex conjugates."""
     bits = bits_of(prec)
-    z = to_mpc(z, prec)
-    width, a, b, ad, bd = _airy_parts(z, bits)
-    with mp.workprec(width):
-        w = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
-        wb = mpmath.conj(w)
-        vals = (a + w * b, wb * ad + bd, a + wb * b, w * ad + bd)
-    return tuple(to_mpc(v, prec) for v in vals)
-
+    P, vals = _airy_rotated(to_mpc(z, prec), bits)
+    return tuple(fixed_mpc(v, P, bits) for v in vals)

@@ -351,6 +351,34 @@ class TestErrorsAndConfig:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "config"
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--mode", "asym", "--n", "200", "--z", "2.6,0.1"],
+        ["compare", "--n-list", "1,200", "--z-list", "2.6,0.1"],
+    ])
+    @pytest.mark.parametrize("eps", ["0.5", "0.7"])
+    def test_disk_wider_than_h_domain_is_config_error(self, tmp_path, command, eps):
+        # every C point beyond |z - 2| = 0.5 would be an error row: refused
+        # up front, naming the radius, as eps >= delta is
+        csv = tmp_path / "out.csv"
+        extra = ["--out", str(csv)] if command[0] == "compare" else []
+        r = run_cli(command + ["--alpha", "1", "--eps", eps, "--delta", "1"] + extra)
+        assert r.returncode == 1
+        err = json.loads(r.stdout)["error"]
+        assert err["type"] == "config"
+        assert err["message"] == (f"--eps must be < 0.5, the radius of the turning-point map's "
+                                  f"domain |z - 2| < 0.5, got eps={eps}")
+        assert not csv.exists()
+
+    def test_wide_disk_still_classifies(self, capsys):
+        # regions and eval --mode exact never evaluate h: the wider disk
+        # stays theirs
+        code, out = run_main(capsys, ["regions", "--n", "200", "--alpha", "1", "--z", "2.6,0.1",
+                                      "--eps", "0.7", "--delta", "1"])
+        assert code == 0 and json.loads(out)["region"] == "C"
+        code, out = run_main(capsys, ["eval", "--mode", "exact", "--n", "20", "--alpha", "1",
+                                      "--z", "2.6,0.1", "--eps", "0.7", "--delta", "1"])
+        assert code == 0
+
     def test_bad_alpha(self, capsys):
         code, out = run_main(capsys, ["eval", "--mode", "exact", "--n", "3", "--alpha", "-1",
                                       "--z", "1,0"])

@@ -14,6 +14,7 @@ from tcasym.mpnum import (
     LogComplex,
     _sign,
     _w_root,
+    add_guarded,
     bits_of,
     fixed_bits,
     fixed_mpf,
@@ -223,6 +224,65 @@ class TestNearCut:
                 near_cut(z, lo, hi, bits)
             refused += 1
         assert refused == 39 * len(CUTS) * 2
+
+
+class TestAddGuarded:
+    """Region C's sums of mpc terms follow ``logc_add``'s zero and
+    ``cancel`` rule.  Brackets x + y are built with y = -x (1 - 2^-k) for a
+    loss of k bits, at C's working width for 256 bits."""
+
+    WORK = 256 + 24
+
+    @staticmethod
+    def _pair(k):
+        with working(2 * TestAddGuarded.WORK):
+            x = mpmath.mpc(3, 4) * mpmath.exp(mpmath.mpc(5, 0.7))
+            y = -x * (1 - mpmath.ldexp(1, -k)) if k else -x
+        return x, y
+
+    @staticmethod
+    def _logc(v):
+        with working(2 * TestAddGuarded.WORK):
+            return LogComplex(mpmath.log(abs(v)), mpmath.arg(v))
+
+    def _both(self, x, y):
+        s, cancelled = add_guarded(x, y, self.WORK)
+        v, logc_cancelled = logc_add(self._logc(x), self._logc(y), self.WORK)
+        assert cancelled == logc_cancelled
+        assert (s == 0) == v.is_zero()
+        return s, cancelled
+
+    def test_exact_annihilation(self):
+        s, cancelled = self._both(*self._pair(0))
+        assert s == 0 and cancelled
+
+    @pytest.mark.parametrize("k, cancelled", [(WORK // 2 - 1, False), (WORK // 2 + 1, True)])
+    def test_cancel_threshold(self, k, cancelled):
+        # a loss just below and just above half the working width
+        s, flag = self._both(*self._pair(k))
+        assert flag is cancelled and s != 0
+        with working(self.WORK):
+            x, _ = self._pair(k)
+            assert rel_diff(abs(s), mpmath.ldexp(abs(x), -k), self.WORK) < mpmath.ldexp(1, -(self.WORK - k - 8))
+
+    @pytest.mark.parametrize("k, zero", [(WORK - 5, False), (WORK - 3, True)])
+    def test_zero_threshold(self, k, zero):
+        # a residual just above and just below 2^-(work-4) of the larger term
+        s, flag = self._both(*self._pair(k))
+        assert flag and (s == 0) is zero
+
+    def test_zero_term_leaves_the_other(self):
+        x = to_mpc(self._pair(0)[0], self.WORK)
+        assert add_guarded(x, mpmath.mpc(0), self.WORK) == (x, False)
+        assert add_guarded(mpmath.mpc(0), mpmath.mpc(0), self.WORK) == (0, False)
+
+    def test_far_apart_terms(self):
+        # terms e^(+-200) apart, as the two of a bracket far from the axis
+        with working(self.WORK):
+            x = mpmath.exp(mpmath.mpc(200, 1))
+            y = mpmath.exp(mpmath.mpc(-200, 2))
+        s, flag = self._both(x, y)
+        assert not flag and s == x
 
 
 class TestLogComplexOps:

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from tcasym import specfun
 from tcasym.asym import Params
 from tcasym.harness import compare_point
-from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, round_to, to_mpc, to_mpf, working
+from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, fixed_bits, round_to, to_mpc, to_mpf, working
 from tcasym.specfun import (
+    _AIRY_P,
     LOGGAMMA_GUARD,
     AiryQuartet,
     _airy_at_zero,
+    _airy_sums,
+    _airy_term_count,
     _log_gamma_positive,
     _stirling_table,
     _stirling_threshold,
@@ -266,9 +269,14 @@ class TestLogGammaKernel:
         # log Gamma(z+1) - log Gamma(z) - log z = 0 with no 2 pi i k left
         # over: the shift product for large |Im z| winds many times around
         # the origin, and the branch of its logarithm has to be restored
+        # (z + 1 is formed at the test width, where it is exact: at the
+        # ambient 53 bits it would round, and the identity would measure
+        # that rounding, not the kernel)
         z = mpmath.mpc(re, im)
         a = log_gamma_complex(z, bits)
-        b = log_gamma_complex(z + 1, bits)
+        with working(bits):
+            zp = z + 1
+        b = log_gamma_complex(zp, bits)
         with working(bits):
             resid = abs(b - a - mpmath.log(z))
             scale = max(1, abs(b))
@@ -340,16 +348,29 @@ def _compare(n, a, z, bits=256):
 @pytest.fixture
 def real_kernel_runs(monkeypatch):
     """Counts the kernel runs on real arguments, the ones the memo serves
-    (complex arguments run the kernel on every call)."""
+    (complex arguments run the kernel on every call).  The run for
+    Gamma(1/3) that the Airy constants (``_airy_at_zero``) make on a cold
+    band of widths is left out, so the counts are the same whether or not
+    an earlier test filled that cache."""
     runs = []
     kernel = specfun._loggamma_shifted
+    airy_at_zero = specfun._airy_at_zero
+    in_airy = []
 
     def counting(z, p):
-        if isinstance(z, mpmath.mpf):
+        if isinstance(z, mpmath.mpf) and not in_airy:
             runs.append((z, p))
         return kernel(z, p)
 
+    def airy_constants(prec):
+        in_airy.append(prec)
+        try:
+            return airy_at_zero(prec)
+        finally:
+            in_airy.pop()
+
     monkeypatch.setattr(specfun, "_loggamma_shifted", counting)
+    monkeypatch.setattr(specfun, "_airy_at_zero", airy_constants)
     _log_gamma_positive.cache_clear()
     return runs
 
@@ -406,6 +427,73 @@ class TestLogGammaMemo:
             if first:
                 _compare(*_MEMO_INPUTS[i], bits=192)
             assert _compare(*_MEMO_INPUTS[i]) == expected[i]
+
+
+def _airy_kernel_width(z, bits):
+    """The width and P at which ``_airy_parts`` runs the sums for z at
+    ``bits``."""
+    width = bits + GUARD + 24 + math.ceil(1.93 * float(abs(z)) ** 1.5)
+    P = fixed_bits(width + GUARD, *z._mpc_)
+    return width, P
+
+
+def _enough(y, N, P):
+    """The term-count rule of ``_airy_term_count`` in mpmath at 128 bits."""
+    with mpmath.workprec(128):
+        y = mpmath.mpf(y)
+        return (2 * y <= (N + 1) * (N + mpmath.mpf(1) / 3)
+                and y ** N / (mpmath.factorial(N) * mpmath.rf(mpmath.mpf(1) / 3, N)) < mpmath.mpf(2) ** -(P + 2))
+
+
+class TestAirySums:
+    @settings(max_examples=12)
+    @given(r=st.floats(0, 50), theta=st.floats(-3.1416, 3.1416), bits=st.sampled_from([64, 128, 272]))
+    @example(r=50, theta=0, bits=272)  # the edge of the n = 6400 disk, real
+    @example(r=49.5, theta=2.1, bits=128)  # near arg z^3 = 0, the other cube roots
+    @example(r=31, theta=1.0472, bits=128)  # z^3 on the negative axis: the sums cancel
+    @example(r=0, theta=0, bits=64)
+    @example(r=1e-30, theta=0.3, bits=64)
+    def test_against_hyp0f1(self, r, theta, bits):
+        # each sum is within its stated bound E_b of 0F1(;b; z^3/9) taken
+        # by mpmath 64 bits beyond the kernel's P (at least width + 64),
+        # and the bound is under 2^-width sigma_b; N is the first term
+        # count that meets the rule
+        z = to_mpc(mpmath.mpc(r * math.cos(theta), r * math.sin(theta)), 64)
+        width, P = _airy_kernel_width(z, bits)
+        N, sums = _airy_sums(z, P)
+        y = float(abs(z)) ** 3 / 9
+        assert _enough(y, N, P) and (N == 1 or not _enough(y, N - 1, P))
+        m = math.isqrt(N) + 1
+        B = -(-N // m)
+        with mpmath.workprec(P + 64):
+            x = z ** 3 / 9
+            ym = max(mpmath.mpf(1) / 3, abs(z) ** 3 / 9)
+            for p, (re, im) in zip(_AIRY_P, sums):
+                b = mpmath.mpf(p) / 3
+                sigma = mpmath.hyp0f1(b, ym)
+                bound = ((2 * m + 3) * B + 2 * N + 1) * mpmath.ldexp(sigma, -P)
+                got = mpmath.mpc(mpmath.ldexp(re, -P), mpmath.ldexp(im, -P))
+                assert abs(got - mpmath.hyp0f1(b, x)) <= bound
+                assert bound <= mpmath.ldexp(sigma, -width)
+
+    def test_bound_holds_to_the_largest_disk(self):
+        # the factor of the bound stays under 2^GUARD up to |z| = 320, the
+        # edge of the turning-point disk at n = 102400
+        for r in (1, 10, 50, 100, 200, 320):
+            _, P = _airy_kernel_width(mpmath.mpc(r), 272)
+            N = _airy_term_count(r ** 3 / 9, P)
+            m = math.isqrt(N) + 1
+            assert (2 * m + 3) * -(-N // m) + 2 * N + 1 < 2 ** GUARD
+        assert N == 8327
+
+    def test_real_argument_stays_real(self):
+        # for real z every sum is real, so the rotated pairs are exact
+        # conjugates
+        _, sums = _airy_sums(to_mpc(-7.25, 64), 400)
+        assert all(im == 0 for _, im in sums)
+        ai_w, aid_w, ai_wb, aid_wb = specfun.airy_rotated(-7.25, 128)
+        for u, v in ((ai_w, ai_wb), (aid_w, aid_wb)):
+            assert u.real == v.real and u.imag + v.imag == 0 and u.imag != 0
 
 
 class TestAiryQuartet:
