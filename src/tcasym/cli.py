@@ -12,9 +12,9 @@ which case value_re/value_im floats are attached as a convenience.
 Exit codes: 0 success, 1 configuration error, 2 domain error.  Errors
 are reported as one machine-readable JSON object on stdout.
 
-``--threads N`` parallelizes compare sweeps over worker processes (each
-point is computed independently and merged in input order, so output
-bytes do not depend on N; never more workers than points, and one inline).
+``--threads N`` forks workers (POSIX only): worker r of W computes points
+r, r + W, ...; the parent only merges rows in input order, so output bytes
+do not depend on N.  At most one worker per point and usable CPU; one inline.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import marshal
 import math
+import os
 import re
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import mpmath
 from mpmath import mp
@@ -267,15 +269,44 @@ def _record_row(rec: harness.EvalRecord, bits):
     ]
 
 
-def _compare_task(task):
-    # z travels as an mpc, which pickles exactly, so worker processes see
-    # the same bits the parent computed; alpha converts from the user's
-    # string at full precision
-    n, alpha_s, z, delta, eps, bits = task
-    params = Params(delta=delta, eps=eps)
-    alpha = to_mpf(alpha_s, bits)
-    rec = harness.compare_point(n, alpha, z, params, bits)
-    return _record_row(rec, bits)
+def _compare_task(task):  # (n, alpha, z, params, bits)
+    return _record_row(harness.compare_point(*task), task[-1])
+
+
+def _forked_map(tasks, workers):
+    """The rows of ``tasks`` in input order, from ``workers`` forked children.  A failed child is
+    an error naming it (a negative code is a signal); on any error the rest are killed and reaped."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, pipes, rows = [], [], [None] * len(tasks)
+    try:
+        for r in range(workers):
+            rfd, wfd = os.pipe()
+            pipes.append(open(rfd, "rb"))
+            with open(wfd, "wb") as pipe:
+                if (pid := os.fork()) == 0:
+                    try:  # through the module's _compare_task, so a wrapper on it sees every task
+                        pipe.write(marshal.dumps([_compare_task(t) for t in tasks[r::workers]]))
+                        pipe.close()
+                        os._exit(0)  # flushes none of the inherited buffers
+                    except BaseException:
+                        sys.excepthook(*sys.exc_info())  # prints the traceback and flushes stderr
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        for r, data in enumerate(pipe.read() for pipe in pipes):
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[r], 0)[1])
+            pids[r] = 0
+            if code:
+                raise RuntimeError(f"compare worker {r} of {workers} failed with exit code {code}")
+            rows[r::workers] = marshal.loads(data)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
 
 
 def _cmd_compare(args) -> int:
@@ -291,12 +322,13 @@ def _cmd_compare(args) -> int:
         raise ConfigError("--n-list must contain degrees >= 1")
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
+    if args.threads > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--threads > 1 needs os.fork, which this platform lacks")
     alpha = _alpha(args.alpha, bits)
-    _asym_params(args)  # validate eps up front
+    params = _asym_params(args)
 
     zs = [to_mpc(p, bits) for p in pts]
-    tasks = [(n, str(args.alpha), z, args.delta, args.eps, bits)
-             for n in n_list for z in zs]
+    tasks = [(n, alpha, z, params, bits) for n in n_list for z in zs]
     sink = sys.stdout
     if args.out:
         try:
@@ -304,13 +336,9 @@ def _cmd_compare(args) -> int:
         except OSError as e:
             raise ConfigError(f"--out {args.out!r} cannot be written: {e.strerror or e}")
     try:
-        # a forked pool starts all its workers at the first submit
-        workers = min(args.threads, len(tasks))
-        if workers == 1:
-            rows = [_compare_task(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_compare_task, tasks, chunksize=4))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(args.threads, len(tasks), cpus)
+        rows = [_compare_task(t) for t in tasks] if workers == 1 else _forked_map(tasks, workers)
         if args.format == "csv":
             sink.write(CSV_HEADER + "\n")
             for row in rows:

@@ -7,8 +7,8 @@ reflection/recurrence/connection identities, the Wronskian).
 Airy: one kernel for every argument.  Ai and Ai' at z, w z and conj(w) z
 (w = e^(2 pi i/3)) and Bi, Bi' at z are fixed combinations of four
 Maclaurin sums 0F1(;b; z^3/9), b in {2/3, 4/3, 1/3, 5/3}, with Ai(0) and
-Ai'(0) (from Gamma(1/3) by the log-gamma kernel, cached for each band of
-64 widths).  The four sums run together in one fixed-point loop on
+Ai'(0) (from Gamma(1/3) by the AGM, cached for each band of 64
+widths).  The four sums run together in one fixed-point loop on
 Python ints, in the format of ``tcasym.mpnum``: rectangular splitting
 over the shared powers of z^3/3, with the integer coefficients of each
 block in a bounded cache, a term count fixed up front from |z| and the
@@ -369,18 +369,20 @@ class AiryQuartet:
     bi_d: mpmath.mpc
 
 
+def _gamma_third(p):
+    """Gamma(1/3) at width ``p`` from the AGM form of Gamma(1/3)^3 below, within
+    2^-(p-3) relative: eleven roundings of 2^-p, the cube root dividing by 3."""
+    with mp.workprec(p):
+        k = (mpmath.sqrt(6) + mpmath.sqrt(2)) / 4
+        return mpmath.cbrt(mpmath.cbrt(16) * mpmath.pi ** 2 / (mpmath.root(3, 4) * mpmath.agm(1, k)))
+
+
 @lru_cache(maxsize=8)
 def _airy_at_zero(prec: int):
-    """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3),
-    each rounded once to ``prec`` bits.  Gamma(1/3) is the exponential of
-    the log-gamma kernel's value at width p = prec + GUARD + 32, and
-    Gamma(2/3) = 2 pi / (sqrt 3 Gamma(1/3)) by reflection, so
-    Ai(0) = 3^(-1/6) Gamma(1/3) / (2 pi); the kernel's
-    (J + 4) 2^-p (|log Gamma(1/3 + s)| + 1) stays below 2^-(prec+28) up to
-    prec = 2112."""
+    """Ai(0) = 3^(-1/6) Gamma(1/3)/(2 pi) and Ai'(0) = -3^(-1/3)/Gamma(1/3), rounded to ``prec``."""
     p = prec + GUARD + 32
     with mp.workprec(p):
-        g = mpmath.exp(_loggamma_shifted(mpmath.mpf(1) / 3, p))
+        g = _gamma_third(p)
         c = mpmath.cbrt(3)
         ai0 = g / (2 * mpmath.pi * mpmath.sqrt(c))
         aid0 = -1 / (c * g)

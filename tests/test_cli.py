@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,6 +154,24 @@ class TestEval:
         assert float(obj["log_mod"]) > 700
 
 
+@pytest.fixture
+def inline_map(monkeypatch):
+    """The worker counts ``cli._forked_map`` is called with, from a stand-in
+    that runs the tasks inline; os.fork fails, so no process is started."""
+    sizes = []
+
+    def inline(tasks, workers):
+        sizes.append(workers)
+        return [cli._compare_task(t) for t in tasks]
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(cli, "_forked_map", inline)
+    monkeypatch.setattr(os, "fork", no_fork)
+    return sizes
+
+
 class TestCompare:
     def test_csv_shape_and_header(self, capsys):
         code, out = run_main(capsys, ["compare", "--n-list", "100,200,400", "--alpha", "1",
@@ -188,34 +208,92 @@ class TestCompare:
         rows = p1.read_text().strip().split("\n")[1:]
         assert {r.split(",")[4] for r in rows} == {"A", "B", "C", "D", "origin"}
 
-    def test_threads_capped_at_task_count(self, capsys, monkeypatch):
-        # a stand-in pool that records its size and maps inline, so no
-        # process is ever started whatever --threads asks for
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    def test_threads_capped_at_task_count(self, capsys, monkeypatch, inline_map):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         args = ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128"]
         two = args + ["--z-list", "1,2;0.5,0.1"]
         _, serial = run_main(capsys, two + ["--threads", "1"])
         code, out = run_main(capsys, two + ["--threads", "64"])
-        assert code == 0 and out == serial and sizes == [2]
+        assert code == 0 and out == serial and inline_map == [2]
         code, _ = run_main(capsys, args + ["--z-list", "1,2", "--threads", "64"])
-        assert code == 0 and sizes == [2]  # one task runs inline
+        assert code == 0 and inline_map == [2]  # one task runs inline
         code, _ = run_main(capsys, args + ["--z-list", "1,2;0.5,0.1;3,0.1", "--threads", "2"])
-        assert code == 0 and sizes == [2, 2]
+        assert code == 0 and inline_map == [2, 2]
+
+    def test_threads_capped_at_usable_cpus(self, capsys, monkeypatch, inline_map):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        args = ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128", "--z-list",
+                "1,2;0.5,0.1;3,0.1;2.05,0.02;0.05,0.05", "--threads"]
+        _, serial = run_main(capsys, args + ["1"])
+        code, out = run_main(capsys, args + ["10000"])
+        assert code == 0 and out == serial and inline_map == [3]
+        # without sched_getaffinity the cap is os.cpu_count(), 1 when unknown
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        code, out = run_main(capsys, args + ["10000"])
+        assert code == 0 and out == serial and inline_map == [3, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        code, out = run_main(capsys, args + ["10000"])
+        assert code == 0 and out == serial and inline_map == [3, 4]
+
+    def test_tasks_run_in_forked_children(self, capsys, monkeypatch):
+        # the contract the traced CLI relies on: every task runs in a
+        # worker, through the module's _compare_task, and the parent in none
+        task = cli._compare_task
+        monkeypatch.setattr(cli, "_compare_task", lambda t: [str(os.getpid())] + task(t))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        args = ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128",
+                "--z-list", "1,2;0.5,0.1;3,0.1;2.05,0.02;0.05,0.05"]
+        code, out = run_main(capsys, args + ["--threads", "2"])
+        pids = [line.split(",", 1)[0] for line in out.splitlines()[1:]]
+        assert code == 0 and len(pids) == 5
+        assert pids[0] == pids[2] == pids[4] != pids[1] == pids[3]  # stride split
+        assert str(os.getpid()) not in pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing, ending, code", [
+        (0, "raise", 1), (1, "raise", 1), (0, "signal", -9)])
+    def test_failed_worker_is_named_and_all_reaped(self, capsys, monkeypatch, failing, ending, code):
+        task = cli._compare_task
+
+        def flaky(t):
+            if t[2].real == (1, 0.5)[failing]:
+                if ending == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("task failed")
+            if t[2].real == 0.5:
+                time.sleep(60)  # worker 1 must be killed when worker 0 fails, not awaited
+            return task(t)
+
+        monkeypatch.setattr(cli, "_compare_task", flaky)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        args = ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128",
+                "--z-list", "1,2;0.5,0.1;3,0.1", "--threads", "2"]
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"compare worker {failing} of 2 failed with exit code {code}$"):
+            cli.main(args)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_threads_need_fork(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        args = ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128", "--z-list", "1,2;0.5,0.1"]
+        code, out = run_main(capsys, args + ["--threads", "2"])
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "config",
+                                             "message": "--threads > 1 needs os.fork, which this platform lacks"}}
+        code, out = run_main(capsys, args + ["--threads", "1"])
+        assert code == 0 and len(out.splitlines()) == 3
+
+    def test_json_same_output_across_threads(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        args = ["compare", "--n-list", "50,120", "--alpha", "0.7", "--prec", "128", "--format", "json",
+                "--z-list", "1,2;0.5,0.1;3,0.1;2.05,0.02;0.05,0.05"]
+        code1, out1 = run_main(capsys, args + ["--threads", "1"])
+        code3, out3 = run_main(capsys, args + ["--threads", "3"])
+        assert code1 == code3 == 0 and out1 == out3 and len(json.loads(out1)) == 10
 
     def test_json_format(self, capsys):
         code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1",
@@ -560,6 +638,16 @@ def test_import_leaves_numpy_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_import_loads_no_process_pool():
+    # compare forks its own workers; the executor's imports cost every
+    # launch tens of milliseconds
+    code = ("import sys, tcasym.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 @pytest.mark.slow

@@ -348,29 +348,18 @@ def _compare(n, a, z, bits=256):
 @pytest.fixture
 def real_kernel_runs(monkeypatch):
     """Counts the kernel runs on real arguments, the ones the memo serves
-    (complex arguments run the kernel on every call).  The run for
-    Gamma(1/3) that the Airy constants (``_airy_at_zero``) make on a cold
-    band of widths is left out, so the counts are the same whether or not
-    an earlier test filled that cache."""
+    (complex arguments run the kernel on every call).  The Airy constants
+    take Gamma(1/3) from the AGM, so a cold band of Airy widths adds no
+    run and the counts do not depend on what an earlier test cached."""
     runs = []
     kernel = specfun._loggamma_shifted
-    airy_at_zero = specfun._airy_at_zero
-    in_airy = []
 
     def counting(z, p):
-        if isinstance(z, mpmath.mpf) and not in_airy:
+        if isinstance(z, mpmath.mpf):
             runs.append((z, p))
         return kernel(z, p)
 
-    def airy_constants(prec):
-        in_airy.append(prec)
-        try:
-            return airy_at_zero(prec)
-        finally:
-            in_airy.pop()
-
     monkeypatch.setattr(specfun, "_loggamma_shifted", counting)
-    monkeypatch.setattr(specfun, "_airy_at_zero", airy_constants)
     _log_gamma_positive.cache_clear()
     return runs
 
@@ -514,9 +503,22 @@ class TestAiryQuartet:
     def test_zero_values_cache_bounded(self):
         assert _airy_at_zero.cache_info().maxsize == 8
 
+    @pytest.mark.parametrize("p", [64, 200, 512])
+    def test_gamma_third_within_stated_bound(self, p):
+        g = specfun._gamma_third(p)
+        with mpmath.workprec(2 * p):
+            assert abs(g / mpmath.gamma(mpmath.mpf(1) / 3) - 1) < mpmath.mpf(2) ** -(p - 3)
+
+    def test_cold_zero_values_run_no_log_gamma_kernel(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(specfun, "_loggamma_shifted", lambda z, p: runs.append(z))
+        _airy_at_zero.cache_clear()
+        _airy_at_zero(5120)  # the Stirling table at this width took seconds
+        assert runs == []
+
     @pytest.mark.parametrize("prec", [64, 320, 384, 1024, 2112])
     def test_zero_values_match_gamma_route(self, prec):
-        # the log-gamma route gives the bits of mpmath.gamma at 2/3 and 1/3
+        # the AGM route gives the bits of mpmath.gamma at 2/3 and 1/3
         with mpmath.workprec(prec + GUARD):
             third = mpmath.mpf(1) / 3
             ai0 = mpmath.cbrt(3) ** -2 / mpmath.gamma(2 * third)
