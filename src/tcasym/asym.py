@@ -27,7 +27,7 @@ separate formula error from truncation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -67,16 +67,12 @@ from .specfun import _airy_rotated, log_gamma_real
 REAL_SNAP_TOL = 1e-8  # relative imaginary residual allowed at real arguments
 
 
-@dataclass(frozen=True)
-class Params:
-    """Geometry of the region decomposition: strip height delta, disk radius eps."""
+class _ParamFields(NamedTuple):
+    """The fields of :class:`Params`, which checks them in a ``__new__``
+    that a NamedTuple body may not define."""
 
     delta: float = 0.25
     eps: float = 0.15
-
-    def __post_init__(self):
-        if not (0 < self.eps < self.delta):
-            raise ConfigError(f"require 0 < eps < delta, got eps={self.eps}, delta={self.delta}")
 
     def k_edge(self, n: int, alpha, prec):
         """Right edge of the saturated strip: sqrt(n/alpha) + delta."""
@@ -86,8 +82,24 @@ class Params:
         return round_to(bits, v)
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class Params(_ParamFields):
+    """Geometry of the region decomposition: strip height delta, disk radius eps."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not (0 < self.eps < self.delta):
+            raise ConfigError(f"require 0 < eps < delta, got eps={self.eps}, delta={self.delta}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the NamedTuple _make, which _replace calls, builds through tuple.__new__
+        return cls(*iterable)
+
+
+class RegionLabel(NamedTuple):
     """Region tag plus the reflections the dispatcher applied."""
 
     tag: str
@@ -95,8 +107,7 @@ class RegionLabel:
     conjugated: bool = False
 
 
-@dataclass(frozen=True)
-class AsymResult:
+class AsymResult(NamedTuple):
     value: LogComplex
     region: RegionLabel
     dropped_term_bound: mpmath.mpf

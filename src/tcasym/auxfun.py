@@ -24,7 +24,7 @@ and refuse real inputs otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -113,8 +113,7 @@ def _band_u_w(x):
             mpmath.mpc(0, mpmath.sqrt((2 - x) * (2 + x))))
 
 
-@dataclass(frozen=True)
-class _Geometry:
+class _Geometry(NamedTuple):
     """The quantities of one point that the formulas read.  ``z`` and
     ``a`` (alpha) are rounded to the evaluation width; the rest are taken
     once, at the widest width at which a reader takes them (``asym._point``):
@@ -424,8 +423,7 @@ def _d_reflected(n: int, alpha, z, sign: int, bits: int) -> LogComplex:
     return _d_log(w, wb, bits)
 
 
-@dataclass(frozen=True)
-class DTriple:
+class DTriple(NamedTuple):
     """D, D-tilde, D-hat at a common (n, alpha, z), all as LogComplex."""
 
     d: LogComplex

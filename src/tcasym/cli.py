@@ -20,13 +20,11 @@ do not depend on N.  At most one worker per point and usable CPU; one inline.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import marshal
 import math
 import os
 import re
-import signal
 import sys
 
 import mpmath
@@ -304,6 +302,8 @@ def _forked_map(tasks, workers):
         for pipe in pipes:
             pipe.close()
         for pid in filter(None, pids):
+            import signal  # only on an error: no import on the normal path
+
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return rows
@@ -383,7 +383,7 @@ def _cmd_ortho(args) -> int:
         "max_deg": rep.max_deg,
         "k_max": rep.k_max,
         "all_pass": rep.all_pass,
-        "entries": [dataclasses.asdict(e) for e in rep.entries],
+        "entries": [e._asdict() for e in rep.entries],
     }
     print(json.dumps(out))
     return 0 if rep.all_pass else 2

@@ -40,8 +40,8 @@ runs, platforms and mpmath backends:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, isqrt
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -67,8 +67,7 @@ from .mpnum import (
 from .specfun import log_gamma_complex, log_gamma_real
 
 
-@dataclass(frozen=True)
-class NodeMass:
+class NodeMass(NamedTuple):
     """Support point x_k = (k+alpha)^(-1/2) and its orthogonality-measure jump."""
 
     k: int
@@ -371,8 +370,7 @@ def iter_nodes_masses(alpha, k_max: int, prec):
         yield NodeMass(k, fixed_mpf(_fixed_node(A, k, P), P, bits), fixed_mpf(M, P, bits))
 
 
-@dataclass(frozen=True)
-class OrthoSum:
+class OrthoSum(NamedTuple):
     """A truncated orthogonality sum and its a-posteriori tail bound."""
 
     m: int

@@ -14,8 +14,7 @@ output bit for bit.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 
@@ -27,8 +26,7 @@ from .specfun import log_gamma_complex
 NEAR_ZERO_HAIRCUT = math.log(1000.0)  # value 1000x below term scale => near-zero
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
     """One exact-vs-asymptotic comparison row."""
 
     n: int
@@ -99,8 +97,7 @@ def compare_point(n: int, alpha, z, params: Params = Params(), prec=256) -> Eval
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceFit:
+class ConvergenceFit(NamedTuple):
     """Least-squares fit rel_err ~ C n^-p over a geometric n ladder."""
 
     z: complex
@@ -142,6 +139,8 @@ def convergence_fit(alpha, z, n_list, params: Params = Params(), prec=256) -> Co
         pts.append((math.log(r.n), math.log(r.rel_err)))
     if len(pts) < 3:
         raise ConfigError("degenerate fit: fewer than 3 usable records after near-zero exclusion")
+    import statistics  # the one use; kept off the package's import path
+
     xs, ys = zip(*pts)
     slope, intercept = statistics.linear_regression(xs, ys)
     resid = math.sqrt(statistics.fmean((y - (slope * x + intercept)) ** 2 for x, y in pts))
@@ -162,15 +161,13 @@ def convergence_fit(alpha, z, n_list, params: Params = Params(), prec=256) -> Co
 # fixed-argument (Darboux-type) consistency
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DarbouxRow:
+class DarbouxRow(NamedTuple):
     n: int
     rel_err_formula: float
     rel_err_strip: float
 
 
-@dataclass(frozen=True)
-class DarbouxReport:
+class DarbouxReport(NamedTuple):
     alpha: float
     x: float
     rows: tuple
@@ -277,8 +274,7 @@ def region_grid(tag: str, n: int, alpha, params: Params = Params(), prec=256,
 # cross-region consistency
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InterfaceCheck:
+class InterfaceCheck(NamedTuple):
     pair: str
     max_log_ratio: float
     points: tuple
@@ -356,8 +352,7 @@ def boundary_consistency(n: int, alpha, params: Params = Params(), prec=256,
 # orthogonality report
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrthoEntry:
+class OrthoEntry(NamedTuple):
     m: int
     n: int
     value: float
@@ -367,8 +362,7 @@ class OrthoEntry:
     exact_zero: bool
 
 
-@dataclass(frozen=True)
-class OrthoReport:
+class OrthoReport(NamedTuple):
     alpha: float
     max_deg: int
     k_max: int

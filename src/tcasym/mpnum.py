@@ -25,7 +25,7 @@ and division of a kernel's state rounds down.  A result leaves exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -82,7 +82,7 @@ def to_mpc(z, prec) -> mpmath.mpc:
     if isinstance(z, mpmath.mpc) and z._mpc_[0][3] <= bits and z._mpc_[1][3] <= bits:
         return z
     with mp.workprec(bits):
-        if isinstance(z, (tuple, list)) and len(z) == 2:
+        if type(z) in (tuple, list) and len(z) == 2:  # not a record, which is a tuple too
             v = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1]))
         else:
             v = mpmath.mpc(z)
@@ -240,8 +240,7 @@ def require_off_cut(z, lo, hi, prec, what: str):
 # LogComplex
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogComplex:
+class LogComplex(NamedTuple):
     """A complex value stored as exp(log_mod + i*phase).
 
     ``log_mod`` is the natural log of the modulus (``-inf`` encodes an exact

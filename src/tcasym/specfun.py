@@ -58,11 +58,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -359,8 +359,7 @@ def log_gamma_real(x, prec):
 # Airy functions
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AiryQuartet:
+class AiryQuartet(NamedTuple):
     """Ai, Bi and their derivatives at a common argument."""
 
     ai: mpmath.mpc

@@ -10,7 +10,6 @@ alpha is passed as the string "0.731", which rounds to a value with more
 significant bits than 53, so that a step taken at the ambient precision
 rather than at the working width shows in the result."""
 
-import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -94,8 +93,8 @@ def _raw(v):
         return v._mpf_
     if isinstance(v, mpmath.mpc):
         return v._mpc_
-    if dataclasses.is_dataclass(v):
-        return (type(v).__name__,) + tuple(_raw(getattr(v, f.name)) for f in dataclasses.fields(v))
+    if hasattr(v, "_fields"):  # a record: a tuple, named so that its type is compared too
+        return (type(v).__name__,) + tuple(_raw(x) for x in v)
     if isinstance(v, (tuple, list)):
         return tuple(_raw(x) for x in v)
     if isinstance(v, dict):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -63,6 +64,19 @@ class TestClassifier:
             Params(delta=0.1, eps=0.2)
         with pytest.raises(ConfigError):
             Params(delta=0.25, eps=0.25)
+        with pytest.raises(ConfigError):
+            Params(0.1, 0.2)
+        with pytest.raises(ConfigError):
+            Params(eps=0.3)
+        with pytest.raises(ConfigError):
+            Params._make([0.1, 0.2])
+        with pytest.raises(ConfigError):
+            Params()._replace(eps=0.3)
+        assert Params()._replace(eps=0.1) == Params(0.25, 0.1)
+        # a record built past the check cannot come back through a pickle
+        assert pickle.loads(pickle.dumps(Params())) == Params()
+        with pytest.raises(ConfigError):
+            pickle.loads(pickle.dumps(tuple.__new__(Params, (0.1, 0.2))))
 
 
 POINTS = {

@@ -650,6 +650,17 @@ def test_import_loads_no_process_pool():
     assert r.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("stmt", ["import tcasym.cli", "from tcasym import harness"])
+def test_import_budget(stmt):
+    # every fresh process pays for these: dataclasses pulls in inspect (and
+    # ast, dis, tokenize), about 20 ms; statistics and signal have one use each
+    code = (f"import sys; {stmt}; "
+            "print([m for m in ('dataclasses', 'inspect', 'statistics', 'signal') if m in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 @pytest.mark.slow
 class TestSelftest:
     def test_selftest_passes(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -80,7 +79,7 @@ class TestComparePoint:
     def test_determinism(self):
         a = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)
         b = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        assert a._asdict() == b._asdict()
 
 
 class TestConvergenceFit:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
+from tcasym.exact import NodeMass
 from tcasym.mpnum import (
     ConfigError,
     DomainError,
@@ -29,6 +30,7 @@ from tcasym.mpnum import (
     to_mpf,
     working,
 )
+from tcasym.specfun import AiryQuartet
 
 from conftest import near_cut_fraction, rel_diff
 
@@ -424,6 +426,19 @@ class TestRounding:
         assert got_z._mpc_ == want_z._mpc_
         assert (got_x is x) == (x._mpf_[3] <= bits)
         assert (got_z is z) == (x._mpf_[3] <= bits and y._mpf_[3] <= bits)
+
+    @pytest.mark.parametrize("record", [
+        LogComplex(mpmath.mpf(1), mpmath.mpf(2)),
+        NodeMass(3, mpmath.mpf(1), mpmath.mpf(2)),
+        AiryQuartet(*[mpmath.mpc(1, 2)] * 4),
+    ], ids=lambda r: type(r).__name__)
+    def test_record_is_not_a_number(self, record):
+        # records are tuples, and to_mpc reads a tuple of two as (re, im):
+        # only a plain one is a point
+        for convert in (to_mpf, to_mpc):
+            with pytest.raises(TypeError, match="cannot create mpf"):
+                convert(record, 64)
+        assert to_mpc((1, 2), 64) == mpmath.mpc(1, 2)
 
 
 class TestFromExponent:
