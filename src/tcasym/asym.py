@@ -98,6 +98,10 @@ class Params(_ParamFields):
         # the NamedTuple _make, which _replace calls, builds through tuple.__new__
         return cls(*iterable)
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would rebuild through tuple.__new__
+        return type(self), tuple(self)
+
 
 class RegionLabel(NamedTuple):
     """Region tag plus the reflections the dispatcher applied."""

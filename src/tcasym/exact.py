@@ -160,6 +160,13 @@ def eval_f_raw(n: int, alpha, x, prec):
     the largest bit length of (g_(n-1), g_n) into [P-16, P+16]
     (RENORM_BITS).  The mpc values are the integer state times 2**-P,
     exactly, not rounded to ``prec``.
+
+    The loop runs block by block, k = 0, 8, 16, ..., each block ending in
+    the window check.  A full block (k + 8 <= n) has its four pairs
+    written out as straight-line code, j counting up from k through the
+    pair's odd and even steps; only a last block of 1 to 3 pairs runs them
+    in a loop.  Both forms take the same operations in the same
+    order, so the state does not depend on which one ran.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
@@ -181,18 +188,66 @@ def eval_f_raw(n: int, alpha, x, prec):
     W2, S2, D2 = 2 * YR, 2 * (YR + YI), 2 * (YI - YR)
     lo, hi = P - WINDOW_BITS, P + WINDOW_BITS
     qr, qi, er, ei, scale = 0, 0, 1 << P, 0, 0
+    last = n - BLOCK_STEPS  # a block starting past this is the last one, of 1 to 3 pairs
     for k in range(0, n - 1, BLOCK_STEPS):
-        if YI:
-            for j in range(k, min(k + BLOCK_STEPS, n - 1), 2):
-                qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
-                t = W * (qr + qi)
-                er, ei = ((t - qi * S) >> Q) - (j + 1) * er, ((t + qr * D) >> Q) - (j + 1) * ei
-                W, S, D = W + W2, S + S2, D + D2
+        if k > last:
+            if YI:
+                for j in range(k, n - 1, 2):
+                    qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
+                    t = W * (qr + qi)
+                    er, ei = ((t - qi * S) >> Q) - (j + 1) * er, ((t + qr * D) >> Q) - (j + 1) * ei
+                    W, S, D = W + W2, S + S2, D + D2
+            else:
+                for j in range(k, n - 1, 2):
+                    qr = j * (er - qr) + (ma * er >> sh)
+                    er = ((W * qr) >> Q) - (j + 1) * er
+                    W += W2
+        elif YI:  # the four pairs of a full block, written out
+            j = k
+            qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
+            t = W * (qr + qi)
+            j += 1
+            er, ei = ((t - qi * S) >> Q) - j * er, ((t + qr * D) >> Q) - j * ei
+            W, S, D = W + W2, S + S2, D + D2
+            j += 1
+            qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
+            t = W * (qr + qi)
+            j += 1
+            er, ei = ((t - qi * S) >> Q) - j * er, ((t + qr * D) >> Q) - j * ei
+            W, S, D = W + W2, S + S2, D + D2
+            j += 1
+            qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
+            t = W * (qr + qi)
+            j += 1
+            er, ei = ((t - qi * S) >> Q) - j * er, ((t + qr * D) >> Q) - j * ei
+            W, S, D = W + W2, S + S2, D + D2
+            j += 1
+            qr, qi = j * (er - qr) + (ma * er >> sh), j * (ei - qi) + (ma * ei >> sh)
+            t = W * (qr + qi)
+            j += 1
+            er, ei = ((t - qi * S) >> Q) - j * er, ((t + qr * D) >> Q) - j * ei
+            W, S, D = W + W2, S + S2, D + D2
         else:
-            for j in range(k, min(k + BLOCK_STEPS, n - 1), 2):
-                qr = j * (er - qr) + (ma * er >> sh)
-                er = ((W * qr) >> Q) - (j + 1) * er
-                W += W2
+            j = k
+            qr = j * (er - qr) + (ma * er >> sh)
+            j += 1
+            er = ((W * qr) >> Q) - j * er
+            W += W2
+            j += 1
+            qr = j * (er - qr) + (ma * er >> sh)
+            j += 1
+            er = ((W * qr) >> Q) - j * er
+            W += W2
+            j += 1
+            qr = j * (er - qr) + (ma * er >> sh)
+            j += 1
+            er = ((W * qr) >> Q) - j * er
+            W += W2
+            j += 1
+            qr = j * (er - qr) + (ma * er >> sh)
+            j += 1
+            er = ((W * qr) >> Q) - j * er
+            W += W2
         m = max(qr.bit_length(), qi.bit_length(), er.bit_length(), ei.bit_length())
         if not lo <= m <= hi:
             e = m - P

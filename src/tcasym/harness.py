@@ -54,17 +54,18 @@ def compare_point(n: int, alpha, z, params: Params = Params(), prec=256) -> Eval
     """Evaluate both paths at one point; failures are recorded, not raised."""
     bits = bits_of(prec)
     zc = to_mpc(z, bits)
+    a = to_mpf(alpha, bits)  # rounded once; each path takes it unchanged
     flags = []
     log_exact = log_asym = None
     region = ""
     dropped = None
     errors = []
     try:
-        log_exact = exact.eval_monic_rescaled(n, alpha, zc, bits)
+        log_exact = exact.eval_monic_rescaled(n, a, zc, bits)
     except Exception as e:  # per-row error column; sweeps never abort
         errors.append(f"exact:{type(e).__name__}:{e}")
     try:
-        res = asym.eval_asym(n, alpha, zc, params, bits)
+        res = asym.eval_asym(n, a, zc, params, bits)
         log_asym = res.value
         region = res.region.tag
         dropped = float(res.dropped_term_bound)
@@ -85,7 +86,7 @@ def compare_point(n: int, alpha, z, params: Params = Params(), prec=256) -> Eval
                     flags.append("near-zero")
     return EvalRecord(
         n=n,
-        alpha=float(to_mpf(alpha, bits)),
+        alpha=float(a),
         z=complex(zc.real, zc.imag),
         region=region,
         log_exact=log_exact,

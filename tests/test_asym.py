@@ -73,10 +73,16 @@ class TestClassifier:
         with pytest.raises(ConfigError):
             Params()._replace(eps=0.3)
         assert Params()._replace(eps=0.1) == Params(0.25, 0.1)
-        # a record built past the check cannot come back through a pickle
-        assert pickle.loads(pickle.dumps(Params())) == Params()
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_checks_params(self, protocol):
+        # a record built past the check cannot come back through a pickle,
+        # at protocols 0 and 1 either, where copyreg would rebuild it
+        # through tuple.__new__
+        assert pickle.loads(pickle.dumps(Params(0.3, 0.2), protocol)) == Params(0.3, 0.2)
+        assert type(pickle.loads(pickle.dumps(Params(), protocol))) is Params
         with pytest.raises(ConfigError):
-            pickle.loads(pickle.dumps(tuple.__new__(Params, (0.1, 0.2))))
+            pickle.loads(pickle.dumps(tuple.__new__(Params, (0.1, 0.2)), protocol))
 
 
 POINTS = {

@@ -283,6 +283,21 @@ class TestFixedPointKernel:
     @example(n=2401, alpha=2.0, z=(0.5, 0.3), bits=128)
     @example(n=1999, alpha="1.2345678901234567890123456789012345678901234567890123456789",
              z=(1.3, 0.02), bits=256)
+    # block edges: n = 8, 16 and 1496 end on a full block of four pairs,
+    # n = 9, 17 and 1497 add the last odd step to it, and n = 15 and 1503
+    # end on a block of three pairs, run by the loop; y complex, real (on the
+    # real axis) and negative (on the imaginary axis)
+    @example(n=8, alpha=0.5, z=(1.1, 0.4), bits=128)
+    @example(n=9, alpha=1.0, z=(1.5, 0.0), bits=256)
+    @example(n=15, alpha=0.75, z=(-0.9, 0.6), bits=128)
+    @example(n=15, alpha=2.0, z=(0.0, 1.2), bits=256)
+    @example(n=16, alpha=1.5, z=(0.0, -2.2), bits=128)
+    @example(n=17, alpha=1.25, z=(-2.2, 0.0), bits=256)
+    @example(n=1496, alpha="1.2345678901234567890123456789012345678901234567890123456789012345678901234567",
+             z=(1.3, 0.02), bits=256)
+    @example(n=1497, alpha=0.5, z=(1.9, 0.0), bits=256)
+    @example(n=1503, alpha=2.0, z=(-1.7, 0.3), bits=256)
+    @example(n=1503, alpha=0.75, z=(0.0, 1.7), bits=256)
     def test_state_is_even_odd_state(self, n, alpha, z, bits):
         a = to_mpf(alpha, bits)
         with mp.workprec(bits):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tcasym import exact, harness
+from tcasym import asym, exact, harness
 from tcasym.mpnum import ConfigError, to_mpc, to_mpf
 
 
@@ -35,6 +35,28 @@ class TestComparePoint:
         for alpha in (0, -1.5):
             rec = harness.compare_point(100, alpha, mpmath.mpc(1, 2))
             assert "exact:ConfigError" in rec.error and "asym:ConfigError" in rec.error
+
+    def test_alpha_rounded_once(self, monkeypatch):
+        # a string alpha, as perfbench passes it, is rounded to 256 bits once
+        # and that one mpf goes to both paths; the record does not depend on
+        # whether the caller rounded it first
+        seen = []
+
+        def spy(f):
+            def wrapped(n, alpha, *args):
+                seen.append(alpha)
+                return f(n, alpha, *args)
+            return wrapped
+
+        monkeypatch.setattr(exact, "eval_monic_rescaled", spy(exact.eval_monic_rescaled))
+        monkeypatch.setattr(asym, "eval_asym", spy(asym.eval_asym))
+        alpha = "1.2345678901234567890123456789012345678901234567890123456789012345678901234567890"
+        z = mpmath.mpc("2.05", "0.02")
+        rec = harness.compare_point(1500, alpha, z)
+        assert len(seen) == 2 and type(seen[0]) is mpmath.mpf and seen[1] is seen[0]
+        assert seen[0] == to_mpf(alpha, 256)
+        assert rec.error is None and rec.region == "C"
+        assert harness.compare_point(1500, to_mpf(alpha, 256), z) == rec
 
     def test_near_axis_band_point(self):
         # Im z = 1e-45 < 2^-128: the band point is snapped onto the axis,
