@@ -1,18 +1,20 @@
 """Region classification and region-wise asymptotic evaluation.
 
-The rescaled monic polynomial is approximated by four closed-form leading
-terms over the five regions of the closed first quadrant: the band strip
-B and the origin disk share one two-term formula, and the turning-point
-disk C around 2, the saturated strip D and the outer region A have their
-own.  The full-plane dispatcher reduces any nonzero z to the first
-quadrant through the parity and reflection symmetries, classifies it
-(exactly: each region test is an inequality between polynomials in the
-dyadic inputs, decided in integers by ``mpnum._sign``), dispatches,
-and undoes the reduction on the LogComplex result, so the symmetries
-hold bit for bit by construction.  Each evaluator checks its point and
-builds its one geometry record (``_point``: the quantities of z that the
-formulas share, each taken once) from (n, alpha, z, prec), whoever calls
-it; z and alpha rounded by the dispatcher are not rounded again.
+The rescaled monic polynomial is approximated by three closed-form
+leading terms over the five regions of the closed first quadrant: the
+band strip B and the origin disk share the two-term band formula, the
+outer region A and the saturated strip D share one evaluator of the outer
+formula (``eval_region_d``), both on the exponents of ``_exponents``, and
+the turning-point disk C around 2 has the Airy form.  The full-plane
+dispatcher reduces any nonzero z to the first quadrant through the parity
+and reflection symmetries, classifies it (exactly: each region test is an
+inequality between polynomials in the dyadic inputs, decided in integers
+by ``mpnum._sign``), dispatches, and undoes the reduction on the
+LogComplex result, so the symmetries hold bit for bit by construction.
+Each evaluator checks its point and builds its one geometry record
+(``_point``: the quantities of z that the formulas share, each taken
+once) from (n, alpha, z, prec), whoever calls it; z and alpha rounded by
+the dispatcher are not rounded again.
 
 Real arguments are evaluated as upper-half-plane boundary values.  Every
 region's value there is asserted real (imaginary residual <= 1e-8
@@ -177,7 +179,7 @@ def _point(n, alpha, z, bits, tag):
     log(z+2) at that of h_factor's closed form on the turning-point disk
     and of phi's elsewhere, so that h and phi see the bits they would
     compute themselves; n/z^2 and log n also at the D-function's width in
-    A and D when that is wider."""
+    the outer formula (tag "D", which serves A too) when that is wider."""
     name = f"eval_region_{tag.lower()}"
     z = to_mpc(z, bits)
     if tag == "B" and z == 0:
@@ -187,7 +189,7 @@ def _point(n, alpha, z, bits, tag):
         _require_upper_half(z, name)
     width = _h_width(z, bits + 2 * GUARD) if turning else _phi_width(z, bits + GUARD)
     s_width = width
-    if tag in ("A", "D"):
+    if tag == "D":
         s_width = max(width, _d_width(n, z, bits + GUARD) + GUARD + 8)
     return _geometry(n, to_mpf(alpha, bits), z, width, s_width, turning)
 
@@ -200,27 +202,26 @@ def _log_prefactor(n, g, bits):
             - mpmath.log(2 * mpmath.pi) / 2)
 
 
-def _quarter_root_log(g):
-    """log of (z^2-4)^(-1/4) with product-principal factors."""
-    return -g.lw / 4
+def _exponents(n, g, bits):
+    """The exponents the band and outer formulas share, for the point of
+    the record g, at the caller's working width:
+        wc = log prefactor + log (z^2-4)^(-1/4)  (product-principal factors),
+        w1 = (2a-1/2) u - n phi - a pi i + pi i/2,
+        w2 = -(2a-1/2) u + n phi + a pi i,
+    u = Log((z + sqrt(z^2-4))/2).
 
-
-def _leading_exponent(n, g, bits):
-    """Master exponent shared by the outer and saturated-strip formulas:
-    prefactor / D * (z^2-4)^(-1/4) e^{(2a-1/2) u - n phi - a pi i + pi i/2},
-    u = Log((z + sqrt(z^2-4))/2), for the point of the record g.
-
-    Returns the exponent, phi(z) and the log-prefactor."""
-    a = g.a
-    dd = d_func(n, a, g.z, bits + GUARD, half_plane="upper", _geo=g)
+    Returns (phi(z), the log-prefactor, wc, w1, w2)."""
+    a, u = g.a, g.u
     with working(bits, GUARD + 8):
         p = 2 * a - mpmath.mpf(1) / 2
         phv = phi(g.z, bits + GUARD, half_plane="upper", _geo=g)
+        ipi = mpmath.mpc(0, mpmath.pi)
         log_pref = _log_prefactor(n, g, bits)
-        w = (log_pref - mpmath.mpc(dd.log_mod, dd.phase)
-             + _quarter_root_log(g) + p * g.u - n * phv
-             + mpmath.mpc(0, mpmath.pi) * (mpmath.mpf(1) / 2 - a))
-    return w, phv, log_pref
+        wc = log_pref - g.lw / 4
+        t = p * u - n * phv - a * ipi
+        w1 = t + ipi / 2
+        w2 = -t  # rounding is symmetric: -p u + n phi + a pi i, bit for bit
+    return phv, log_pref, wc, w1, w2
 
 
 def _snap_real(value: LogComplex, bits):
@@ -248,29 +249,23 @@ def _require_upper_half(z, name):
 # region evaluators
 # ----------------------------------------------------------------------
 
-def eval_region_a(n: int, alpha, z, prec) -> AsymResult:
-    """Outer-region leading term; relative accuracy O(1/n)."""
-    bits = bits_of(prec)
-    g = _point(n, alpha, z, bits, "A")
-    w, _, _ = _leading_exponent(n, g, bits)
-    value = LogComplex.from_exponent(w, bits)
-    if g.z.imag == 0:
-        value = _snap_real(value, bits)
-    with working(bits):
-        dropped = value.log_mod - g.logn
-    return AsymResult(value, RegionLabel("A"), round_to(bits, dropped))
-
-
 def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
-    """Saturated-strip leading term.
+    """Outer-formula leading term, the one evaluator of the outer region A
+    and the saturated strip D: exp(wc + w1) / D(z), with the band formula's
+    exponents and the Gamma ratio D(z); relative accuracy O(1/n).
 
-    Identical in form to the outer region; the discarded correction is an
-    absolute O(e^{n Re phi}), whose log-magnitude is reported and flagged
-    if it is not negligible against the relative O(1/n).
+    The discarded correction is the band formula's second term
+    exp(wc + w2), an absolute O(e^{n Re phi}); its log-magnitude is
+    reported when it is larger than the relative O(1/n), and flagged
+    (``dropped-term-dominant``) when it is not negligible against it, in
+    A at small n as in D.
     """
     bits = bits_of(prec)
     g = _point(n, alpha, z, bits, "D")
-    w, phv, log_pref = _leading_exponent(n, g, bits)
+    phv, log_pref, wc, w1, _ = _exponents(n, g, bits)
+    dd = d_func(n, g.a, g.z, bits + GUARD, half_plane="upper", _geo=g)
+    with working(bits, GUARD + 8):
+        w = wc + w1 - mpmath.mpc(dd.log_mod, dd.phase)
     value = LogComplex.from_exponent(w, bits)
     if g.z.imag == 0:
         value = _snap_real(value, bits)
@@ -292,27 +287,28 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     The value is exp(wc) (exp(w1) + exp(w2)), the two terms added through
     ``logc_add`` (flag ``cancel``); a real z snaps the value onto the axis
     (``real-snapped``), and the larger term over n is the dropped one.
+    For odd n the value is O(|z|) at the origin, so below |z| = 2^-GUARD
+    the terms are formed wider by the bits their sum cancels, and the
+    value and the dropped term rounded back to ``prec``.
     Valid on the closed upper half-plane minus 0; the lower half is served
     by the dispatcher through conjugation.
     """
     bits = bits_of(prec)
-    g = _point(n, alpha, z, bits, "B")
-    a, u = g.a, g.u
-    with working(bits, GUARD + 8):
-        p = 2 * a - mpmath.mpf(1) / 2
-        phv = phi(g.z, bits + GUARD, half_plane="upper", _geo=g)
-        ipi = mpmath.mpc(0, mpmath.pi)
-        wc = _log_prefactor(n, g, bits) + _quarter_root_log(g)
-        w1 = p * u - n * phv - a * ipi + ipi / 2
-        w2 = -p * u + n * phv + a * ipi
-    s, cancelled = logc_add(LogComplex.from_exponent(w1, bits),
-                            LogComplex.from_exponent(w2, bits), bits)
-    value = logc_mul(LogComplex.from_exponent(wc, bits), s, bits)
+    z, alpha = to_mpc(z, bits), to_mpf(alpha, bits)
+    wide = bits
+    if n % 2 and z != 0:
+        wide += max(0, -mpmath.mag(z) - GUARD)
+    g = _point(n, alpha, z, wide, "B")
+    _, _, wc, w1, w2 = _exponents(n, g, wide)
+    s, cancelled = logc_add(LogComplex.from_exponent(w1, wide),
+                            LogComplex.from_exponent(w2, wide), wide)
+    value = logc_mul(LogComplex.from_exponent(wc, wide), s, wide)
+    value = LogComplex(round_to(bits, value.log_mod), round_to(bits, value.phase))
     flags = ("cancel",) if cancelled else ()
     if g.z.imag == 0 and not value.is_zero():
         value = _snap_real(value, bits)
         flags += ("real-snapped",)
-    with working(bits):
+    with working(wide):
         dropped = wc.real + max(w1.real, w2.real) - g.logn
     return AsymResult(value, RegionLabel("B"), round_to(bits, dropped), flags)
 
@@ -414,7 +410,7 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
 
 _EVALUATORS = {
     "origin": eval_region_b,
-    "A": eval_region_a,
+    "A": eval_region_d,
     "B": eval_region_b,
     "C": eval_region_c,
     "D": eval_region_d,

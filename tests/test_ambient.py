@@ -31,56 +31,68 @@ Z_D = mpmath.mpc(4, "0.05")
 LC = (LogComplex(mpmath.mpf("0.3"), mpmath.mpf("1.1")), LogComplex(mpmath.mpf("0.31"), mpmath.mpf("1.09")))
 PARAMS = Params()
 BITS = 128
+MODULES = {mod.__name__.rpartition(".")[2]: mod for mod in (auxfun, asym, exact, harness, specfun)}
+
+# each case keyed by the test id it runs under: "module.function", and
+# "module.function@point" for a further point of a function, such as the
+# outer-region point of the evaluator that A and D share
 
 CALLS = {
-    auxfun.density_psi: lambda: auxfun.density_psi(X, BITS),
-    auxfun.g_prime: lambda: auxfun.g_prime(Z, BITS),
-    auxfun.phi_tilde: lambda: auxfun.phi_tilde(Z, BITS),
-    auxfun.phi: lambda: auxfun.phi(Z, BITS),
-    auxfun.phi_hat: lambda: auxfun.phi_hat(Z, BITS),
-    auxfun.h_factor: lambda: auxfun.h_factor(Z_C, BITS),
-    auxfun.f_tilde_n: lambda: auxfun.f_tilde_n(100, Z_C, BITS),
-    auxfun.d_func: lambda: auxfun.d_func(100, A, Z, BITS),
-    auxfun.d_tilde_func: lambda: auxfun.d_tilde_func(100, A, Z, BITS),
-    auxfun.d_hat_func: lambda: auxfun.d_hat_func(100, A, Z, BITS),
-    auxfun.d_triple: lambda: auxfun.d_triple(100, A, Z, BITS),
-    auxfun.e_func: lambda: auxfun.e_func(A, Z, BITS),
-    auxfun.e_tilde_func: lambda: auxfun.e_tilde_func(A, Z, BITS),
-    auxfun.e_hat_func: lambda: auxfun.e_hat_func(A, Z, BITS),
-    auxfun.theta_gamma_pi: lambda: auxfun.theta_gamma_pi(100, A, Z, BITS),
-    asym.classify_region: lambda: asym.classify_region(Z, 100, A, PARAMS, BITS),
-    asym.eval_region_a: lambda: asym.eval_region_a(100, A, Z_A, BITS),
-    asym.eval_region_b: lambda: asym.eval_region_b(100, A, Z_B, BITS),
-    asym.eval_region_c: lambda: asym.eval_region_c(100, A, Z_C, BITS),
-    asym.eval_region_d: lambda: asym.eval_region_d(100, A, Z_D, BITS),
-    asym.locate: lambda: asym.locate(100, A, Z, PARAMS, BITS),
-    asym.eval_asym: lambda: asym.eval_asym(100, A, Z, PARAMS, BITS),
-    exact.eval_f_raw: lambda: exact.eval_f_raw(60, A, Z, BITS),
-    exact.eval_f: lambda: exact.eval_f(60, A, Z, BITS),
-    exact.log_leading_coeff: lambda: exact.log_leading_coeff(60, A, BITS),
-    exact.eval_monic_rescaled: lambda: exact.eval_monic_rescaled(60, A, Z, BITS),
-    exact.weight_wd: lambda: exact.weight_wd(A, Z, BITS),
-    exact.iter_nodes_masses: lambda: list(exact.iter_nodes_masses(A, 50, BITS)),
-    exact.ortho_matrix: lambda: exact.ortho_matrix(A, 4, 200, BITS),
-    exact.h_norm: lambda: exact.h_norm(3, A, BITS),
-    harness.rel_err_log: lambda: harness.rel_err_log(*LC, BITS),
-    harness.compare_point: lambda: harness.compare_point(100, A, Z, PARAMS, BITS),
-    harness.convergence_fit: lambda: harness.convergence_fit(A, Z, [25, 50, 100, 200], PARAMS, BITS),
-    harness.darboux_check: lambda: harness.darboux_check(A, mpmath.mpf("1.5"), [20, 40], BITS),
-    harness.region_grid: lambda: harness.region_grid("B", 100, A, PARAMS, BITS, 3, 2),
-    harness.boundary_consistency: lambda: harness.boundary_consistency(100, A, PARAMS, BITS, ("B/C",)),
-    harness.ortho_report: lambda: harness.ortho_report(A, 2, 100, BITS),
-    specfun.bernoulli_fraction: lambda: specfun.bernoulli_fraction(10),
-    specfun.log_gamma_complex: lambda: specfun.log_gamma_complex(Z, BITS),
-    specfun.log_gamma_real: lambda: specfun.log_gamma_real(X, BITS),
-    specfun.airy_quartet: lambda: specfun.airy_quartet(Z, BITS),
-    specfun.airy_rotated: lambda: specfun.airy_rotated(Z, BITS),
+    "auxfun.density_psi": lambda: auxfun.density_psi(X, BITS),
+    "auxfun.g_prime": lambda: auxfun.g_prime(Z, BITS),
+    "auxfun.phi_tilde": lambda: auxfun.phi_tilde(Z, BITS),
+    "auxfun.phi": lambda: auxfun.phi(Z, BITS),
+    "auxfun.phi_hat": lambda: auxfun.phi_hat(Z, BITS),
+    "auxfun.h_factor": lambda: auxfun.h_factor(Z_C, BITS),
+    "auxfun.f_tilde_n": lambda: auxfun.f_tilde_n(100, Z_C, BITS),
+    "auxfun.d_func": lambda: auxfun.d_func(100, A, Z, BITS),
+    "auxfun.d_tilde_func": lambda: auxfun.d_tilde_func(100, A, Z, BITS),
+    "auxfun.d_hat_func": lambda: auxfun.d_hat_func(100, A, Z, BITS),
+    "auxfun.d_triple": lambda: auxfun.d_triple(100, A, Z, BITS),
+    "auxfun.e_func": lambda: auxfun.e_func(A, Z, BITS),
+    "auxfun.e_tilde_func": lambda: auxfun.e_tilde_func(A, Z, BITS),
+    "auxfun.e_hat_func": lambda: auxfun.e_hat_func(A, Z, BITS),
+    "auxfun.theta_gamma_pi": lambda: auxfun.theta_gamma_pi(100, A, Z, BITS),
+    "asym.classify_region": lambda: asym.classify_region(Z, 100, A, PARAMS, BITS),
+    "asym.eval_region_b": lambda: asym.eval_region_b(100, A, Z_B, BITS),
+    "asym.eval_region_c": lambda: asym.eval_region_c(100, A, Z_C, BITS),
+    "asym.eval_region_d": lambda: asym.eval_region_d(100, A, Z_D, BITS),
+    "asym.eval_region_d@A": lambda: asym.eval_region_d(100, A, Z_A, BITS),
+    "asym.locate": lambda: asym.locate(100, A, Z, PARAMS, BITS),
+    "asym.eval_asym": lambda: asym.eval_asym(100, A, Z, PARAMS, BITS),
+    "exact.eval_f_raw": lambda: exact.eval_f_raw(60, A, Z, BITS),
+    "exact.eval_f": lambda: exact.eval_f(60, A, Z, BITS),
+    "exact.log_leading_coeff": lambda: exact.log_leading_coeff(60, A, BITS),
+    "exact.eval_monic_rescaled": lambda: exact.eval_monic_rescaled(60, A, Z, BITS),
+    "exact.weight_wd": lambda: exact.weight_wd(A, Z, BITS),
+    "exact.iter_nodes_masses": lambda: list(exact.iter_nodes_masses(A, 50, BITS)),
+    "exact.ortho_matrix": lambda: exact.ortho_matrix(A, 4, 200, BITS),
+    "exact.h_norm": lambda: exact.h_norm(3, A, BITS),
+    "harness.rel_err_log": lambda: harness.rel_err_log(*LC, BITS),
+    "harness.compare_point": lambda: harness.compare_point(100, A, Z, PARAMS, BITS),
+    "harness.convergence_fit": lambda: harness.convergence_fit(A, Z, [25, 50, 100, 200], PARAMS, BITS),
+    "harness.darboux_check": lambda: harness.darboux_check(A, mpmath.mpf("1.5"), [20, 40], BITS),
+    "harness.region_grid": lambda: harness.region_grid("B", 100, A, PARAMS, BITS, 3, 2),
+    "harness.boundary_consistency": lambda: harness.boundary_consistency(100, A, PARAMS, BITS, ("B/C",)),
+    "harness.ortho_report": lambda: harness.ortho_report(A, 2, 100, BITS),
+    "specfun.bernoulli_fraction": lambda: specfun.bernoulli_fraction(10),
+    "specfun.log_gamma_complex": lambda: specfun.log_gamma_complex(Z, BITS),
+    "specfun.log_gamma_real": lambda: specfun.log_gamma_real(X, BITS),
+    "specfun.airy_quartet": lambda: specfun.airy_quartet(Z, BITS),
+    "specfun.airy_rotated": lambda: specfun.airy_rotated(Z, BITS),
 }
+
+
+def _function(case):
+    """The function a case of ``CALLS`` runs: the key up to any "@", which
+    names the point of a function with more than one case."""
+    modname, _, name = case.partition("@")[0].partition(".")
+    return getattr(MODULES[modname], name)
 
 
 def _public_functions():
     out = set()
-    for mod in (auxfun, asym, exact, harness, specfun):
+    for mod in MODULES.values():
         for name, f in vars(mod).items():
             if not name.startswith("_") and inspect.isfunction(f) and f.__module__ == mod.__name__:
                 out.add(f)
@@ -109,15 +121,14 @@ def _cold():
 
 
 def test_every_public_function_listed():
-    assert _public_functions() == set(CALLS)
+    assert _public_functions() == {_function(case) for case in CALLS}
 
 
-@pytest.mark.parametrize("fn", sorted(CALLS, key=lambda f: f.__module__ + "." + f.__name__),
-                         ids=lambda f: f.__module__.rpartition(".")[2] + "." + f.__name__)
-def test_bits_independent_of_ambient_precision(fn):
+@pytest.mark.parametrize("case", sorted(CALLS))
+def test_bits_independent_of_ambient_precision(case):
     results = []
     for ambient in (1000, 53):
         _cold()
         with mp.workprec(ambient):
-            results.append(_raw(CALLS[fn]()))
+            results.append(_raw(CALLS[case]()))
     assert results[0] == results[1]

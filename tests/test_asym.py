@@ -13,14 +13,13 @@ from tcasym.asym import (
     Params,
     classify_region,
     eval_asym,
-    eval_region_a,
     eval_region_b,
     eval_region_c,
     eval_region_d,
     locate,
 )
 from tcasym.harness import region_grid
-from tcasym.mpnum import ConfigError, DomainError, to_mpc, to_mpf, working
+from tcasym.mpnum import ConfigError, DomainError, LogComplex, to_mpc, to_mpf, working
 
 from conftest import logc_rel_err, to_fraction
 
@@ -200,6 +199,16 @@ class TestRegionEvaluators:
         assert "dropped-term-dominant" not in ay2.flags
         assert ay2.dropped_term_bound < ay2.value.log_mod
 
+    def test_outer_region_flags_dominant_dropped_term(self):
+        # A runs D's evaluator and its dropped-term rule: at small n the
+        # discarded e^(n Re phi) term can outweigh the relative O(1/n) in
+        # A too, and is then reported and flagged
+        ay = eval_asym(2, "1.37", mpmath.mpc("-0.859449", "0.255439"), PARAMS, 256)
+        assert ay.region.tag == "A"
+        assert "dropped-term-dominant" in ay.flags
+        with working(256):
+            assert ay.dropped_term_bound > ay.value.log_mod - mpmath.log(2)
+
     def test_c_region_no_blowup_grid(self):
         # uniform boundedness through the turning point on a dense grid
         n = 100
@@ -299,7 +308,7 @@ class TestRegionEvaluators:
             assert res.flags == ("cancel", "real-snapped"), (lo, hi)
 
     @pytest.mark.parametrize("evaluator, z", [
-        (eval_region_a, (1, -2)),
+        (eval_region_d, (1, -2)),  # the A point: A and D share one evaluator
         (eval_region_b, (1, -0.05)),
         (eval_region_d, (4, -0.05)),
     ])
@@ -577,9 +586,11 @@ class TestDispatcher:
         assert lab.tag == "B" and lab.negated and not lab.conjugated
 
     def test_band_formula_serves_origin(self):
-        # four formulas over five regions
+        # three evaluators over five regions: band (B and the origin),
+        # outer (A and D) and Airy (C)
         assert asym._EVALUATORS["origin"] is asym._EVALUATORS["B"] is eval_region_b
-        assert len(set(asym._EVALUATORS.values())) == 4
+        assert asym._EVALUATORS["A"] is asym._EVALUATORS["D"] is eval_region_d
+        assert len(set(asym._EVALUATORS.values())) == 3
 
     def test_locate_matches_dispatch(self):
         for z in (mpmath.mpc("-0.05", "-0.02"), mpmath.mpc(1, "-0.05"), mpmath.mpc("-2.05", "0.02"),
@@ -698,6 +709,28 @@ class TestRealAxisOuterRegions:
         assert "real-snapped" not in v.flags
         with mp.workprec(bits):
             assert v.value.phase == 0 or v.value.phase == +mpmath.pi, (n, alpha, x)
+
+
+class TestSnapReal:
+    """``asym._snap_real``: a phase within REAL_SNAP_TOL of a multiple of
+    pi snaps to 0 or pi, and a larger residual is an error, not a value."""
+
+    @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 6])
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_residual_below_tolerance_snaps(self, k, off):
+        with mp.workprec(128):
+            phase = k * mpmath.pi + off * asym.REAL_SNAP_TOL / 2
+            want = mpmath.mpf(0) if k % 2 == 0 else +mpmath.pi
+        v = asym._snap_real(LogComplex(mpmath.mpf("0.5"), phase), 128)
+        assert v.log_mod == mpmath.mpf("0.5") and v.phase == want
+
+    @pytest.mark.parametrize("k", [0, 1, -1, 4])
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_residual_above_tolerance_raises(self, k, off):
+        with mp.workprec(128):
+            phase = k * mpmath.pi + off * asym.REAL_SNAP_TOL * 2
+        with pytest.raises(ArithmeticError, match="imaginary residual"):
+            asym._snap_real(LogComplex(mpmath.mpf("0.5"), phase), 128)
 
 
 class TestRegionCLargeDegree:

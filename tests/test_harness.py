@@ -98,6 +98,22 @@ class TestComparePoint:
         assert rec.rel_err == pytest.approx(ref.rel_err, rel=1e-12)
         assert rec.rel_err == pytest.approx(4.1675e-4, rel=1e-4)
 
+    @pytest.mark.parametrize("on_axis", [False, True])
+    @pytest.mark.parametrize("n", [101, 401])
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_odd_degree_tiny_z(self, bits, n, on_axis):
+        # for odd n the value is O(z) at the origin, and the band formula's
+        # two terms cancel to O(|z|); once that was wider than the working
+        # width, rel_err grew like 1/|z| (353 at |z| = 1e-80 and 256 bits)
+        def rel_err(r):
+            rec = harness.compare_point(n, 1.5, (r, "0" if on_axis else r), prec=bits)
+            assert rec.error is None and rec.region == "origin"
+            return rec.rel_err
+
+        ref = rel_err("1e-20")
+        for r in ("1e-80", "1e-300"):
+            assert rel_err(r) == pytest.approx(ref, rel=1e-12), r
+
     def test_determinism(self):
         a = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)
         b = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)
@@ -221,8 +237,8 @@ class TestBoundaryConsistency:
                 assert by_name8[name] < by_name4[name]
 
     def test_identical_pair_zero(self):
-        # the saturated-side evaluators share the leading term exactly, and
-        # the origin disk runs the band formula itself
+        # A and D run one evaluator, and the origin disk runs the band
+        # formula itself
         checks = harness.boundary_consistency(400, 1, prec=160, interfaces=("D/A", "origin/B"))
         assert [c.max_log_ratio for c in checks] == [0.0, 0.0]
 

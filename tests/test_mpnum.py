@@ -361,6 +361,9 @@ class TestLogComplexOps:
         one = LogComplex.from_exponent(0, 128)
         assert logc_mul(z, one, 128).is_zero()
         assert logc_add(z, one, 128)[0] == one
+        assert logc_add(one, z, 128) == (one, False)
+        v = z.to_complex(128)
+        assert v == 0 and isinstance(v, mpmath.mpc)
 
     def test_from_to_complex_roundtrip(self, rng):
         for _ in range(20):
