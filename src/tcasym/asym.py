@@ -33,37 +33,13 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fhalf, from_int, mpf_add, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import round_nearest as _RND
 
-from .auxfun import (
-    _d_width,
-    _f_tilde_from_log_h,
-    _geometry,
-    _h_width,
-    _phi_width,
-    d_func,
-    h_factor,
-    phi,
-)
-from .mpnum import (
-    GUARD,
-    ConfigError,
-    DomainError,
-    LogComplex,
-    _dyadic,
-    _prod,
-    _sign,
-    _sq_diff,
-    add_guarded,
-    bits_of,
-    fixed_mpc,
-    logc_add,
-    logc_mul,
-    near_cut,
-    round_to,
-    to_mpc,
-    to_mpf,
-    working,
-)
+from .auxfun import (_d_width, _f_tilde_from_log_h, _geometry, _h_width, _half_log_twopi, _phi_width, d_func,
+                     h_factor, phi)
+from .mpnum import (GUARD, ConfigError, DomainError, LogComplex, _dyadic, _prod, _sign, _sq_diff, add_guarded,
+                    bits_of, fixed_mpc, logc_add, logc_mul, near_cut, round_to, to_mpc, to_mpf, working)
 from .specfun import _airy_rotated, log_gamma_real
 
 REAL_SNAP_TOL = 1e-8  # relative imaginary residual allowed at real arguments
@@ -185,8 +161,8 @@ def _point(n, alpha, z, bits, tag):
     if tag == "B" and z == 0:
         raise DomainError(f"{name}: z = 0 excluded")
     turning = tag == "C"
-    if not turning:
-        _require_upper_half(z, name)
+    if not turning and z.imag < 0:  # the formulas hold on the closed upper half-plane
+        raise DomainError(f"{name} expects Im z >= 0; use eval_asym for the lower half")
     width = _h_width(z, bits + 2 * GUARD) if turning else _phi_width(z, bits + GUARD)
     s_width = width
     if tag == "D":
@@ -194,12 +170,14 @@ def _point(n, alpha, z, bits, tag):
     return _geometry(n, to_mpf(alpha, bits), z, width, s_width, turning)
 
 
-def _log_prefactor(n, g, bits):
-    """log of Gamma(alpha) e^{n/2} / (sqrt(2 pi) n^{n/2+alpha-1/2}),
-    evaluated at the caller's working precision from the record g."""
-    return (log_gamma_real(g.a, bits + GUARD) + mpmath.mpf(n) / 2
-            - (mpmath.mpf(n) / 2 + g.a - mpmath.mpf(1) / 2) * g.logn
-            - mpmath.log(2 * mpmath.pi) / 2)
+def _log_prefactor(n, g, bits, wp):
+    """log of Gamma(alpha) e^{n/2} / (sqrt(2 pi) n^{n/2+alpha-1/2}) from the
+    record g, at width ``wp`` by raw libmp calls, the ones the context's
+    operators would make there."""
+    nh = mpf_shift(from_int(n), -1)  # n/2, exact
+    t = mpf_add(log_gamma_real(g.a, bits + GUARD)._mpf_, nh, wp, _RND)
+    u = mpf_mul(mpf_sub(mpf_add(nh, g.a._mpf_, wp, _RND), fhalf, wp, _RND), g.logn._mpf_, wp, _RND)
+    return mp.make_mpf(mpf_sub(mpf_sub(t, u, wp, _RND), _half_log_twopi(wp)._mpf_, wp, _RND))
 
 
 def _exponents(n, g, bits):
@@ -216,7 +194,7 @@ def _exponents(n, g, bits):
         p = 2 * a - mpmath.mpf(1) / 2
         phv = phi(g.z, bits + GUARD, half_plane="upper", _geo=g)
         ipi = mpmath.mpc(0, mpmath.pi)
-        log_pref = _log_prefactor(n, g, bits)
+        log_pref = _log_prefactor(n, g, bits, bits + GUARD + 8)
         wc = log_pref - g.lw / 4
         t = p * u - n * phv - a * ipi
         w1 = t + ipi / 2
@@ -237,12 +215,6 @@ def _snap_real(value: LogComplex, bits):
             )
         snapped = mpmath.mpf(0) if d0 <= dpi else +mpmath.pi
     return LogComplex(value.log_mod, snapped)
-
-
-def _require_upper_half(z, name):
-    """The region formulas hold on the closed upper half-plane only."""
-    if z.imag < 0:
-        raise DomainError(f"{name} expects Im z >= 0; use eval_asym for the lower half")
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +261,9 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     (``real-snapped``), and the larger term over n is the dropped one.
     For odd n the value is O(|z|) at the origin, so below |z| = 2^-GUARD
     the terms are formed wider by the bits their sum cancels, and the
-    value and the dropped term rounded back to ``prec``.
+    value and the dropped term rounded back to ``prec``; ``cancel`` then
+    judges the loss against what is left at ``prec``, a sum below
+    2^-(wide - prec + prec//2) of its larger term.
     Valid on the closed upper half-plane minus 0; the lower half is served
     by the dispatcher through conjugation.
     """
@@ -300,8 +274,12 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
         wide += max(0, -mpmath.mag(z) - GUARD)
     g = _point(n, alpha, z, wide, "B")
     _, _, wc, w1, w2 = _exponents(n, g, wide)
-    s, cancelled = logc_add(LogComplex.from_exponent(w1, wide),
-                            LogComplex.from_exponent(w2, wide), wide)
+    t1, t2 = LogComplex.from_exponent(w1, wide), LogComplex.from_exponent(w2, wide)
+    s, cancelled = logc_add(t1, t2, wide)
+    if cancelled and wide > bits and not s.is_zero():
+        # the widening pays for wide - bits of the loss: judge what is left at bits
+        with working(wide):
+            cancelled = max(t1.log_mod, t2.log_mod) - s.log_mod > (wide - bits + bits // 2) * mpmath.ln2
     value = logc_mul(LogComplex.from_exponent(wc, wide), s, wide)
     value = LogComplex(round_to(bits, value.log_mod), round_to(bits, value.phase))
     flags = ("cancel",) if cancelled else ()
@@ -395,7 +373,7 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
         br_a, br_b = fac_a * s_a, fac_b * s_b
         m, cancel_m = add_guarded(br_a, br_b, work)
         # sqrt(pi) times the prefactor shared with the other regions
-        log_pc = _log_prefactor(n, g, bits) + mpmath.log(mpmath.pi) / 2
+        log_pc = _log_prefactor(n, g, bits, work + GUARD) + mpmath.log(mpmath.pi) / 2
         if m == 0:
             value = LogComplex.zero()
         else:

@@ -24,26 +24,17 @@ and refuse real inputs otherwise.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fhalf, fzero, mpc_add, mpc_add_mpf, mpc_log, mpc_mul, mpc_mul_int, mpc_sub, mpc_sub_mpf,
+                          mpf_log, mpf_neg, mpf_pi, mpf_shift)
+from mpmath.libmp import round_nearest as _RND
 
-from .mpnum import (
-    GUARD,
-    ConfigError,
-    DomainError,
-    LogComplex,
-    _w_root,
-    bits_of,
-    near_cut,
-    require_finite,
-    require_off_cut,
-    round_to,
-    to_mpc,
-    to_mpf,
-    working,
-)
+from .mpnum import (GUARD, ConfigError, DomainError, LogComplex, _w_root, bits_of, near_cut, require_finite,
+                    require_off_cut, round_to, to_mpc, to_mpf, working)
 from .specfun import log_gamma_complex, log_gamma_real
 
 _INF = mpmath.inf
@@ -353,9 +344,11 @@ def _f_tilde_from_log_h(n: int, z, log_h, bits: int):
 # D-functions (Gamma-ratio jump absorbers)
 # ----------------------------------------------------------------------
 
-def _half_log_twopi():
-    # evaluated at the caller's working precision
-    return mpmath.log(2 * mpmath.pi) / 2
+@lru_cache(maxsize=8)
+def _half_log_twopi(wp):
+    """(log 2 pi)/2 at width ``wp``, formed as the context forms it there:
+    pi doubled, its log, halved."""
+    return mp.make_mpf(mpf_shift(mpf_log(mpf_shift(mpf_pi(wp, _RND), 1), wp, _RND), -1))
 
 
 def _d_width(n: int, z, bits: int) -> int:
@@ -387,12 +380,17 @@ def d_func(n: int, alpha, z, prec, half_plane: str = "auto", _geo=None) -> LogCo
     half = _resolve_half(z, half_plane)
     wb = _d_width(n, z, bits)
     g = _geo or _geometry(n, a, z, wb + GUARD + 8)
-    s = g.s
-    with working(wb, GUARD + 8):
-        sgn = 1 if half == "upper" else -1
-        log_m = g.logn + sgn * mpmath.pi * 1j - 2 * mpmath.log(z)
-        w = log_gamma_complex(a - s, wb + GUARD) - s - _half_log_twopi() + (s - a + mpmath.mpf(1) / 2) * log_m
-    return _d_log(w, wb, bits)
+    s, ar = g.s._mpc_, a._mpf_
+    # raw libmp calls at wp, the ones the context's operators would make
+    wp = wb + GUARD + 8
+    pi = mpf_pi(wp, _RND)
+    ipi = (fzero, pi if half == "upper" else mpf_neg(pi))
+    two_log_z = mpc_mul_int(mpc_log(z._mpc_, wp, _RND), 2, wp, _RND)
+    log_m = mpc_sub(mpc_add_mpf(ipi, g.logn._mpf_, wp, _RND), two_log_z, wp, _RND)
+    lg = log_gamma_complex(mp.make_mpc(mpc_sub((ar, fzero), s, wp, _RND)), wb + GUARD)._mpc_
+    w = mpc_sub_mpf(mpc_sub(lg, s, wp, _RND), _half_log_twopi(wp)._mpf_, wp, _RND)
+    w = mpc_add(w, mpc_mul(mpc_add_mpf(mpc_sub_mpf(s, ar, wp, _RND), fhalf, wp, _RND), log_m, wp, _RND), wp, _RND)
+    return _d_log(mp.make_mpc(w), wb, bits)
 
 
 def d_tilde_func(n: int, alpha, z, prec) -> LogComplex:
@@ -419,7 +417,8 @@ def _d_reflected(n: int, alpha, z, sign: int, bits: int) -> LogComplex:
     with working(wb, GUARD + 8):
         s = n / (z * z)
         log_p = mpmath.log(mpmath.mpf(n)) - 2 * mpmath.log(sign * z)
-        w = _half_log_twopi() - log_gamma_complex(1 + s - a, wb + GUARD) - s + (s - a + mpmath.mpf(1) / 2) * log_p
+        w = _half_log_twopi(wb + GUARD + 8) - log_gamma_complex(1 + s - a, wb + GUARD) - s \
+            + (s - a + mpmath.mpf(1) / 2) * log_p
     return _d_log(w, wb, bits)
 
 
@@ -464,7 +463,7 @@ def _e_log(what, cuts, factors, alpha, z, prec) -> LogComplex:
             require_off_cut(z, lo, hi, bits, what)
     with working(bits, GUARD):
         f1, f2 = factors(z)
-        w = _half_log_twopi() - log_gamma_real(a, bits + GUARD) \
+        w = _half_log_twopi(bits + GUARD) - log_gamma_real(a, bits + GUARD) \
             + (mpmath.mpf(1) / 2 - a) * (mpmath.log(f1) + mpmath.log(f2))
     return LogComplex.from_exponent(w, bits)
 

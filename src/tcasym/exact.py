@@ -45,25 +45,12 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_exp, round_floor
+from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_div_mpf, mpc_pos, mpf_add, mpf_atan2, mpf_exp, mpf_log,
+                          mpf_mul_int, mpf_pos, mpf_sqrt, mpf_sub, round_floor)
+from mpmath.libmp import round_nearest as _RND
 
-from .mpnum import (
-    GUARD,
-    ConfigError,
-    DomainError,
-    LogComplex,
-    bits_of,
-    fixed_bits,
-    fixed_mpf,
-    fixed_raw,
-    near_cut,
-    raw_fixed,
-    require_finite,
-    round_to,
-    to_mpc,
-    to_mpf,
-    working,
-)
+from .mpnum import (GUARD, ConfigError, DomainError, LogComplex, bits_of, fixed_bits, fixed_mpf, fixed_raw,
+                    near_cut, raw_fixed, require_finite, round_to, to_mpc, to_mpf, working)
 from .specfun import log_gamma_complex, log_gamma_real
 
 
@@ -269,15 +256,19 @@ def eval_f_raw(n: int, alpha, x, prec):
 
 
 def _log_g_over(n, alpha, x, bits, log_den):
-    """log(g_n(x) / d), rounded once, with log d = ``log_den()`` evaluated
-    at the working precision of ``bits`` after the kernel's checks."""
+    """log(g_n(x) / d), rounded once, with the raw log d = ``log_den(wp)``
+    taken after the kernel's checks.  The sums run at wp = bits + GUARD by
+    raw libmp calls, the ones the context's operators would make."""
     _, g, scale = eval_f_raw(n, alpha, x, bits)
     if g == 0:
         return LogComplex.zero()
-    with working(bits):
-        lm = mpmath.log(abs(g)) + scale * mpmath.log(2) - log_den()
-        ph = mpmath.atan2(g.imag, g.real)
-    return LogComplex(round_to(bits, lm), round_to(bits, ph))
+    wp = bits + GUARD
+    re, im = g._mpc_
+    lm = mpf_add(mpf_log(mpc_abs(g._mpc_, wp, _RND), wp, _RND),
+                 mpf_mul_int(mpf_log(from_int(2), wp, _RND), scale, wp, _RND), wp, _RND)
+    lm = mpf_sub(lm, log_den(wp), wp, _RND)
+    ph = mpf_atan2(im, re, wp, _RND)
+    return LogComplex(mp.make_mpf(mpf_pos(lm, bits, _RND)), mp.make_mpf(mpf_pos(ph, bits, _RND)))
 
 
 def eval_f(n: int, alpha, x, prec) -> LogComplex:
@@ -285,7 +276,7 @@ def eval_f(n: int, alpha, x, prec) -> LogComplex:
     for n <= 1, g_n = f_n and nothing is subtracted."""
     bits = bits_of(prec)
     return _log_g_over(n, alpha, x, bits,
-                       lambda: log_gamma_real(mpmath.mpf(n + 1), bits + GUARD) if n >= 2 else 0)
+                       lambda wp: log_gamma_real(mp.make_mpf(from_int(n + 1)), wp)._mpf_ if n >= 2 else fzero)
 
 
 def log_leading_coeff(n: int, alpha, prec):
@@ -301,15 +292,20 @@ def log_leading_coeff(n: int, alpha, prec):
 
 def eval_monic_rescaled(n: int, alpha, z, prec) -> LogComplex:
     """The monic polynomial at the rescaled argument: f_n(n^(-1/2) z) / gamma_n
-    = g_n Gamma(alpha) / Gamma(n+alpha), the n! of g_n and gamma_n cancelling."""
+    = g_n Gamma(alpha) / Gamma(n+alpha), the n! of g_n and gamma_n cancelling.
+    x = z/sqrt(n) is formed at bits + GUARD and rounded to ``prec``."""
     bits = bits_of(prec)
     if n < 1:
         raise ConfigError("eval_monic_rescaled requires n >= 1")
     a = to_mpf(alpha, bits)
-    with working(bits):
-        x = to_mpc(z, bits) / mpmath.sqrt(mpmath.mpf(n))
-    return _log_g_over(n, a, round_to(bits, x), bits,
-                       lambda: log_gamma_real(n + a, bits + GUARD) - log_gamma_real(a, bits + GUARD))
+    wp = bits + GUARD
+    x = mpc_div_mpf(to_mpc(z, bits)._mpc_, mpf_sqrt(from_int(n), wp, _RND), wp, _RND)
+
+    def log_den(wp):
+        na = mp.make_mpf(mpf_add(a._mpf_, from_int(n), wp, _RND))
+        return mpf_sub(log_gamma_real(na, wp)._mpf_, log_gamma_real(a, wp)._mpf_, wp, _RND)
+
+    return _log_g_over(n, a, mp.make_mpc(mpc_pos(x, bits, _RND)), bits, log_den)
 
 
 def weight_wd(alpha, z, prec) -> LogComplex:

@@ -17,10 +17,14 @@ import math
 from typing import NamedTuple
 
 import mpmath
+from mpmath import mp
+from mpmath.libmp import (fone, from_float, from_int, mpc_abs, mpc_exp, mpc_sub_mpf, mpf_add, mpf_log, mpf_lt,
+                          mpf_pos, mpf_sub)
+from mpmath.libmp import round_nearest as _RND
 
 from . import asym, exact
 from .asym import Params
-from .mpnum import ConfigError, LogComplex, bits_of, round_to, to_mpc, to_mpf, working
+from .mpnum import GUARD, ConfigError, LogComplex, bits_of, round_to, to_mpc, to_mpf, working
 from .specfun import log_gamma_complex
 
 NEAR_ZERO_HAIRCUT = math.log(1000.0)  # value 1000x below term scale => near-zero
@@ -42,12 +46,14 @@ class EvalRecord(NamedTuple):
 
 
 def rel_err_log(log_exact: LogComplex, log_asym: LogComplex, prec):
-    """|exp(log_asym - log_exact) - 1| evaluated at prec bits."""
+    """|exp(log_asym - log_exact) - 1| evaluated at prec + GUARD bits and
+    rounded to prec, by raw libmp calls."""
     bits = bits_of(prec)
-    with working(bits):
-        d = mpmath.mpc(log_asym.log_mod - log_exact.log_mod,
-                       log_asym.phase - log_exact.phase)
-        return round_to(bits, abs(mpmath.exp(d) - 1))
+    wp = bits + GUARD
+    d = (mpf_sub(log_asym.log_mod._mpf_, log_exact.log_mod._mpf_, wp, _RND),
+         mpf_sub(log_asym.phase._mpf_, log_exact.phase._mpf_, wp, _RND))
+    v = mpc_abs(mpc_sub_mpf(mpc_exp(d, wp, _RND), fone, wp, _RND), wp, _RND)
+    return mp.make_mpf(mpf_pos(v, bits, _RND))
 
 
 def compare_point(n: int, alpha, z, params: Params = Params(), prec=256) -> EvalRecord:
@@ -80,10 +86,11 @@ def compare_point(n: int, alpha, z, params: Params = Params(), prec=256) -> Eval
             rel = float(rel_err_log(log_exact, log_asym, bits))
             # magnitude far below the formula's term scale: zero of the
             # polynomial nearby, relative error ill-conditioned
-            with working(bits):
-                scale = (dropped if dropped is not None else float(log_asym.log_mod)) + mpmath.log(n)
-                if log_exact.log_mod < scale - NEAR_ZERO_HAIRCUT:
-                    flags.append("near-zero")
+            wp = bits + GUARD
+            term = from_float(dropped if dropped is not None else float(log_asym.log_mod))
+            scale = mpf_add(mpf_log(from_int(n), wp, _RND), term, wp, _RND)
+            if mpf_lt(log_exact.log_mod._mpf_, mpf_sub(scale, from_float(NEAR_ZERO_HAIRCUT), wp, _RND)):
+                flags.append("near-zero")
     return EvalRecord(
         n=n,
         alpha=float(a),

@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_man_exp, fzero, mpc_add, mpc_pos, mpf_add, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_shift, round_nearest)
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
@@ -66,33 +67,42 @@ def working(prec, guard: int = GUARD):
 
 def to_mpf(x, prec) -> mpmath.mpf:
     """Round a real-valued input (int/float/str/mpf) to ``prec`` bits.  An
-    mpf whose mantissa already fits comes back as it is."""
+    mpf whose mantissa already fits comes back as it is; a longer one is
+    rounded to nearest by one raw ``mpf_pos``, and any other input
+    converts at ``prec`` bits without entering a context."""
     bits = bits_of(prec)
-    if isinstance(x, mpmath.mpf) and x._mpf_[3] <= bits:
-        return x
-    with mp.workprec(bits):
-        return mpmath.mpf(x)
+    if isinstance(x, mpmath.mpf):
+        t = x._mpf_
+        return x if t[3] <= bits else mp.make_mpf(mpf_pos(t, bits, round_nearest))
+    return mpmath.mpf(x, prec=bits)
 
 
 def to_mpc(z, prec) -> mpmath.mpc:
-    """Round a complex-valued input to ``prec`` bits per component (inside the
-    context: an mpc() conversion outside would round at the ambient precision).
-    An mpc whose two mantissas already fit comes back as it is."""
+    """Round a complex-valued input to ``prec`` bits per component.  An mpc
+    whose two mantissas already fit comes back as it is; a longer mpc, or
+    an mpf, is rounded to nearest by one raw ``mpc_pos``/``mpf_pos``, and
+    a pair converts part by part as :func:`to_mpf` does.  Other inputs
+    convert inside the context (an mpc() conversion outside would round at
+    the ambient precision)."""
     bits = bits_of(prec)
-    if isinstance(z, mpmath.mpc) and z._mpc_[0][3] <= bits and z._mpc_[1][3] <= bits:
-        return z
+    if isinstance(z, mpmath.mpc):
+        re, im = t = z._mpc_
+        return z if re[3] <= bits and im[3] <= bits else mp.make_mpc(mpc_pos(t, bits, round_nearest))
+    if isinstance(z, mpmath.mpf):
+        return mp.make_mpc((mpf_pos(z._mpf_, bits, round_nearest), fzero))
+    if type(z) in (tuple, list) and len(z) == 2:  # not a record, which is a tuple too
+        return mp.make_mpc((to_mpf(z[0], bits)._mpf_, to_mpf(z[1], bits)._mpf_))
     with mp.workprec(bits):
-        if type(z) in (tuple, list) and len(z) == 2:  # not a record, which is a tuple too
-            v = mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1]))
-        else:
-            v = mpmath.mpc(z)
-    return v
+        return mpmath.mpc(z)
 
 
 def round_to(prec, x):
-    """Re-round a value (mpf or mpc) to ``prec`` bits."""
-    with mp.workprec(bits_of(prec)):
-        return +x
+    """Re-round an mpf or mpc to ``prec`` bits, to nearest, by one raw
+    ``mpf_pos``/``mpc_pos``."""
+    bits = bits_of(prec)
+    if isinstance(x, mpmath.mpc):
+        return mp.make_mpc(mpc_pos(x._mpc_, bits, round_nearest))
+    return mp.make_mpf(mpf_pos(x._mpf_, bits, round_nearest))
 
 
 def fixed_bits(P, *raws):
@@ -130,12 +140,6 @@ def fixed_mpc(v, P, bits):
     """The pair v = (re, im) of integers scaled by 2**-P as an mpc, each
     part rounded once to nearest at ``bits``."""
     return mp.make_mpc(tuple(from_man_exp(t, -P, bits, round_nearest) for t in v))
-
-
-def neg_exact(x):
-    """Sign flip of an mpf without context rounding (mpmath's unary minus
-    re-rounds)."""
-    return mp.make_mpf(mpmath.libmp.mpf_neg(x._mpf_))
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +290,7 @@ class LogComplex(NamedTuple):
     def conjugate(self) -> "LogComplex":
         # exact phase negation; mpmath's unary minus would round at the
         # caller's ambient precision
-        return LogComplex(self.log_mod, neg_exact(self.phase))
+        return LogComplex(self.log_mod, mp.make_mpf(mpf_neg(self.phase._mpf_)))
 
 
 def logc_mul(a: LogComplex, b: LogComplex, prec) -> LogComplex:
@@ -296,21 +300,29 @@ def logc_mul(a: LogComplex, b: LogComplex, prec) -> LogComplex:
         return LogComplex(a.log_mod + b.log_mod, a.phase + b.phase)
 
 
+def _norm2(t, wp):
+    """|t|^2 of a raw complex t, as mpmath forms re*re + im*im at ``wp``."""
+    re, im = t
+    return mpf_add(mpf_mul(re, re, wp, round_nearest), mpf_mul(im, im, wp, round_nearest), wp, round_nearest)
+
+
 def add_guarded(x, y, prec):
     """The cancellation rule of :func:`logc_add`, on two mpc values: returns
     ``(x + y, cancelled)``, the sum formed at ``prec`` + GUARD bits.
     Against the larger of |x|, |y|, a sum below 2**-(bits//2) is
     ``cancelled`` and one below 2**-(bits-4) is the exact zero (also
     cancelled).  Decided on squared moduli, so no square root is taken; a
-    zero term leaves the other, not cancelled."""
+    zero term leaves the other, not cancelled.  Raw libmp calls, each the
+    one the context's operators would make at that width."""
     bits = bits_of(prec)
-    with mp.workprec(bits + GUARD):
-        s = x + y
-        ns = s.real * s.real + s.imag * s.imag
-        big = max(x.real * x.real + x.imag * x.imag, y.real * y.real + y.imag * y.imag)
-        if ns < mpmath.ldexp(big, -2 * (bits - 4)):
-            return mpmath.mpc(0), True
-        return s, bool(ns < mpmath.ldexp(big, -2 * (bits // 2)))
+    wp = bits + GUARD
+    s = mpc_add(x._mpc_, y._mpc_, wp, round_nearest)
+    ns = _norm2(s, wp)
+    nx, ny = _norm2(x._mpc_, wp), _norm2(y._mpc_, wp)
+    big = ny if mpf_gt(ny, nx) else nx
+    if mpf_lt(ns, mpf_shift(big, -2 * (bits - 4))):
+        return mp.make_mpc((fzero, fzero)), True
+    return mp.make_mpc(s), mpf_lt(ns, mpf_shift(big, -2 * (bits // 2)))
 
 
 def logc_add(a: LogComplex, b: LogComplex, prec):

@@ -19,31 +19,24 @@ requested precision at every argument; there is no dispatch radius and
 no sector choice.  The combinations are formed in the same fixed point
 and each value is rounded once.
 
-log-gamma: one fixed-point kernel on Python ints, for real x > 0 (the
-pair with im = 0) and for complex z, at working width p = bits + 24
-(plus the bit length of |Re z| for complex z).  The state is (re, im)
-pairs in the fixed-point format of ``tcasym.mpnum``, scaled by 2^P,
-P = p + 32, raised so that z converts exactly.  It shifts z by s to
-u = z + s, Re u >= 10 + p/8, and forms
-(u - 1/2) log u - u + (log 2 pi)/2 with one raw logarithm and 1/u with
-one integer division.  It sums the Stirling series by Horner in 1/u^2
-from a term count J fixed up front (the first j with
-log2|c_j| - (2j-1) log2|u| < -(p+5), from a lower bound on |u| and the
-cut-offs derived from log2|c_j|, c_j = B_2j/(2j(2j-1)); the c_j sit
-with them in an ``lru_cache`` of 8 widths as integers c_j 2^P).  Then it
-subtracts one raw logarithm of the product z (z+1) ... (z+s-1),
-multiplied out in ints at P; for complex z the winding of that product
-is restored from a float sum of the arguments of the factors.
-Re z < 1/2 (z not real) goes through the reflection formula in mpmath,
-with the log-sin branch unwound so the result is the branch of log
-Gamma continuous on C \\ (-inf, 0].  Every shift and division rounds
-down, a few units of 2^-P per Horner step and per product factor; with
-the rounding of the two logarithms the kernel's value is far inside
-(J + 4) 2^-p (|log Gamma(z+s)| + 1) of log Gamma(z), J <= p/5 (the
-kernel's docstring has the constants).  The guard bits keep
-that below one unit in the last place of the result rounded to bits,
-except near the zeros z = 1, 2 of log Gamma, where only this absolute
-bound holds.
+log-gamma: one fixed-point kernel on Python ints (``_loggamma_shifted``),
+for real x > 0 (the pair with im = 0) and for complex z, at working
+width p = bits + 24 (plus the bit length of |Re z| for complex z).  It
+shifts to u = z + s in the Stirling zone, forms (u - 1/2) log u - u +
+(log 2 pi)/2 with one raw logarithm, sums the series by Horner in 1/u^2
+from a term count fixed up front (the coefficients sit as integers per
+width in an ``lru_cache`` of 8 widths, with (log 2 pi)/2, 2 pi and
+log pi), and subtracts one raw logarithm of the shift product, its
+factors multiplied in pairs.  Re z < 1/2 (z not real > 0) runs the same
+kernel on 1 - z and divides sin(pi z), from one raw ``mpc_sin_pi``, into
+the shift product before its logarithm, so the reflection formula costs
+no third logarithm and no mpmath context.  Imaginary parts are restored
+from float sums to the branch continuous on C \\ (-inf, 0], the upper
+limit on the cut.  The result is within (J + 4) 2^-p (|log Gamma(u)| +
+|Im z| + 1) of log Gamma(z), J <= p/5 (the kernel's docstring has the
+terms), which the guard bits keep below one unit in the last place of
+the result rounded to bits, except near the zeros of log Gamma, where
+only this absolute bound holds.
 
 Real arguments (``log_gamma_real``, and ``log_gamma_complex`` at real
 z > 0) pass through one memo, an ``lru_cache`` of 256 entries keyed on
@@ -66,20 +59,11 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_log, mpf_log, mpf_neg, mpf_pi, mpf_shift, to_float
+from mpmath.libmp import (fhalf, fzero, mpc_div, mpc_log, mpc_sin_pi, mpf_log, mpf_lt, mpf_neg, mpf_pi, mpf_shift,
+                          to_float)
 
-from .mpnum import (
-    GUARD,
-    DomainError,
-    PoleError,
-    bits_of,
-    fixed_bits,
-    fixed_mpc,
-    fixed_raw,
-    raw_fixed,
-    round_to,
-    to_mpc,
-)
+from .mpnum import (GUARD, DomainError, PoleError, bits_of, fixed_bits, fixed_mpc, fixed_raw, raw_fixed,
+                    round_to, to_mpc, to_mpf)
 
 # ----------------------------------------------------------------------
 # Bernoulli numbers (exact rationals, cached)
@@ -127,7 +111,7 @@ LOG_GUARD = 8  # bits of the kernel's two logarithms beyond its state
 @lru_cache(maxsize=8)
 def _stirling_table(p: int):
     """The log-gamma kernel's constants at working width ``p``: (log 2 pi)/2,
-    2 pi and the Stirling coefficients c_j = B_2j / (2j (2j-1)), j = 1, 2,
+    2 pi, log pi and the Stirling coefficients c_j = B_2j / (2j (2j-1)), j = 1, 2,
     ..., as integers scaled by 2**P, P = p + LOGGAMMA_GUARD (each within
     one unit), and the running maxima of the floats
     -(log2|c_j| + p + 5)/(2j-1), from which :func:`_term_count` picks the
@@ -155,7 +139,7 @@ def _stirling_table(p: int):
     wp = P + LOG_GUARD
     pi = mpf_pi(wp)
     half_log_2pi = raw_fixed(mpf_log(mpf_shift(pi, 1), wp), P - 1)
-    return half_log_2pi, raw_fixed(pi, P + 1), tuple(coeffs), tuple(cuts)
+    return half_log_2pi, raw_fixed(pi, P + 1), raw_fixed(mpf_log(pi, wp), P), tuple(coeffs), tuple(cuts)
 
 
 def _term_count(cuts, m):
@@ -181,36 +165,47 @@ def _horner(coeffs, WR, WI, P):
 
 
 def _shift_product(ZR, ZI, s, P):
-    """z (z+1) ... (z+s-1), s >= 1, as (re, im, e) scaled by 2**e: the
-    factors from z + 1 on are multiplied out at P (floor), which keeps the
-    product within 2s units of 2**-P relative, since each partial product
-    has modulus >= 1; the last factor z is multiplied in exactly."""
+    """z (z+1) ... (z+s-1), s >= 1, as (re, im, e) scaled by 2**e.  The
+    factors from z + 1 on are taken in pairs (z+j)(z+s-j) = A + j(s-j),
+    A = z^2 + s z (floored once to 2**-P), j = 1, ..., (s-1)//2, after the
+    middle factor z + s/2 when s is even, and multiplied out at P (floor);
+    each factor and partial product has modulus >= 1 (Re z >= 1/2), so the
+    product keeps within 2s units of 2**-P relative.  The last factor z is
+    multiplied in exactly."""
     if s == 1:
         return ZR, ZI, P
     one = 1 << P
-    QR, QI = ZR + one, ZI
-    if ZI:
-        for j in range(2, s):
-            FR = ZR + j * one
-            QR, QI = (QR * FR - QI * ZI) >> P, (QR * ZI + QI * FR) >> P
+    AR = ((ZR * ZR - ZI * ZI) >> P) + s * ZR
+    j0 = 1 + s % 2  # the first pair not taken up front
+    if s % 2:
+        QR, QI = AR + (s - 1) * one, ((ZR * ZI) >> (P - 1)) + s * ZI
     else:
-        for j in range(2, s):
-            QR = (QR * (ZR + j * one)) >> P
+        QR, QI = ZR + (s // 2) * one, ZI
+    if ZI:
+        AI = ((ZR * ZI) >> (P - 1)) + s * ZI
+        for j in range(j0, (s + 1) // 2):
+            FR = AR + j * (s - j) * one
+            QR, QI = (QR * FR - QI * AI) >> P, (QR * AI + QI * FR) >> P
+    else:
+        for j in range(j0, (s + 1) // 2):
+            QR = (QR * (AR + j * (s - j) * one)) >> P
     return QR * ZR - QI * ZI, QR * ZI + QI * ZR, 2 * P
 
 
 def _loggamma_shifted(z, p):
-    """log Gamma for an mpf z > 0 or an mpc z with Re z >= 1/2 at working
+    """log Gamma for an mpf z > 0 or a finite mpc z off the poles at working
     width ``p``, returned exactly as the kernel holds it (an mpf for an
     mpf z, else an mpc; no rounding).
 
     The state is pairs (re, im) of Python ints scaled by 2**P, P = p +
     LOGGAMMA_GUARD, raised so that z converts exactly; a real z is the
-    pair with im = 0.  With the shift s = max(0, t - floor(Re z)) to
-    u = z + s, Re u >= t = 10 + p/8,
+    pair with im = 0.  The kernel's argument v is z, or 1 - z (exact) for
+    a complex z with Re z < 1/2.  With the shift s = max(0, t - floor(Re v))
+    to u = v + s, Re u >= t = 10 + p/8,
 
-        log Gamma(z) = (u - 1/2) log u - u + (log 2 pi)/2
-                       + sum_{j=1..J} c_j u^(1-2j) - log(z (z+1) ... (z+s-1)).
+        log Gamma(v) = (u - 1/2) log u - u + (log 2 pi)/2
+                       + sum_{j=1..J} c_j u^(1-2j) - log(v (v+1) ... (v+s-1)),
+        log Gamma(z) = log pi - log Gamma(1 - z) + log(1 / sin(pi z)).
 
     log u is one raw ``mpc_log`` at P + LOG_GUARD bits, and 1/u comes from
     one integer division.  J is fixed before the sum: the first j with
@@ -220,38 +215,49 @@ def _loggamma_shifted(z, p):
     w = 1/u^2 (S = c_J, then S = c_j + w S down to j = 1, times 1/u), so
     every partial sum stays of the size of its coefficient; forming the
     powers u^(1-2j) one by one at P would lose them below 2**-P while
-    |c_j| grows past 2**160.  The product (z+1) ... (z+s-1) is multiplied
-    out at P, then by z exactly, and goes through one raw logarithm; for
-    complex z its principal imaginary part is moved onto the sum of the
-    arguments of the factors by 2 pi k, k rounded from the float sum of
-    atan2(Im z, Re z + j) (each in (-pi/2, pi/2) because Re(z+j) >= 1/2,
-    so the float sum is off by far less than the pi that would change k).
-    The kernel runs on whichever of z, conj(z) has Im >= 0 and conjugates
+    |c_j| grows past 2**160.  The shift product (:func:`_shift_product`),
+    for Re z < 1/2 divided by sin(pi z) from one raw ``mpc_sin_pi`` at
+    P + LOG_GUARD bits (the product is 1 for s = 0), goes through the
+    second raw logarithm.  Its principal imaginary part is moved by 2 pi k
+    onto the sum of the arguments of the factors, atan2(Im v, Re v + j),
+    each in (-pi/2, pi/2) because Re(v+j) >= 1/2, less Im log sin(pi z)
+    on the branch continuous off (-inf, 0]: sg (pi/2 - pi Re z) + a,
+    sg = -1 below the axis and 1 on it (the upper limit), with
+    a = arg(1 - e^(2 sg pi i z)) in (-pi/2, pi/2).  k comes from float
+    sums that leave a out and take pi Re z as pi m + pi (Re z - m), m the
+    nearest integer, so they are off by under pi/2 and k is exact.  The
+    kernel runs on whichever of z, conj(z) gives Im v >= 0 and conjugates
     back, so conjugate arguments give conjugate results bit for bit.
 
     Error: every shift and division rounds down, a few units of 2**-P per
     Horner step and in the leading part, and 2s units relative in the
-    product; truncating log u costs at most |u| units, and the two
-    logarithms round within 2**-(P+8) (|u log u| + |log prod|).  In all
-    the result is within (3J + 3s + 16) 2**-P (|log Gamma(z+s)| + 1) +
-    2**-(P+8) |log prod| of log Gamma(z), far inside the
-    (J + 4) 2**-p (|log Gamma(z+s)| + 1) the module promises.
+    paired product; truncating log u costs at most |u| units, and the two
+    logarithms round within 2**-(P+8) (|u log u| + |log prod|).  For
+    Re z < 1/2, log pi adds one unit, sin(pi z) is off by under
+    (pi |Im z| + 2) 2**-(P+8) relative (pi Im z is rounded before its
+    cosh and sinh), and the quotient by under 2**-(P+8) relative.  In all
+    the result is within (3J + 3s + 16) 2**-P (|log Gamma(u)| + 1) +
+    2**-(P+8) (|log prod| + pi |Im z| + 4) of log Gamma(z), far inside
+    the (J + 4) 2**-p (|log Gamma(u)| + |Im z| + 1) the module promises.
     """
     is_complex = isinstance(z, mpmath.mpc)
     zr, zi = z._mpc_ if is_complex else (z._mpf_, fzero)
-    conj = zi[0] == 1
+    reflect = is_complex and mpf_lt(zr, fhalf)
+    conj = zi[0] == 1 if not reflect else zi[0] == 0 and zi[1] != 0
     if conj:
         zi = mpf_neg(zi)
-    half_log_2pi, two_pi, coeffs, cuts = _stirling_table(p)
+    half_log_2pi, two_pi, log_pi, coeffs, cuts = _stirling_table(p)
     P = fixed_bits(p + LOGGAMMA_GUARD, zr, zi)
     d = P - p - LOGGAMMA_GUARD
     one = 1 << P
     wp = P + LOG_GUARD
     ZR, ZI = raw_fixed(zr, P), raw_fixed(zi, P)
+    if reflect:  # the kernel runs on v = 1 - z, Im v >= 0
+        ZR, ZI = one - ZR, -ZI
     shift = max(0, _stirling_threshold(p) - (ZR >> P))
     UR = ZR + shift * one
     # leading part (u - 1/2) log u - u + (log 2 pi)/2
-    lr, li = mpc_log((fixed_raw(UR, P), zi), wp)
+    lr, li = mpc_log((fixed_raw(UR, P), fixed_raw(ZI, P)), wp)
     LR, LI = raw_fixed(lr, P), raw_fixed(li, P)
     AR = UR - (one >> 1)
     out_r = ((AR * LR - ZI * LI) >> P) - UR + (half_log_2pi << d)
@@ -265,40 +271,28 @@ def _loggamma_shifted(z, p):
     SR, SI = _horner(C, WR, WI, P)
     out_r += (SR * IR - SI * II) >> P
     out_i += (SR * II + SI * IR) >> P
-    if shift:
-        QR, QI, e = _shift_product(ZR, ZI, shift, P)
-        lr, li = mpc_log((fixed_raw(QR, e), fixed_raw(QI, e)), wp)
-        out_r -= raw_fixed(lr, P)
-        out_i -= raw_fixed(li, P)
-        if ZI:
-            y, x = to_float(zi), to_float(zr)
-            args = math.fsum(math.atan2(y, x + j) for j in range(shift))
-            out_i -= round((args - to_float(li)) / (2 * math.pi)) * (two_pi << d)
+    if shift or reflect:
+        QR, QI, e = _shift_product(ZR, ZI, shift, P) if shift else (one, 0, P)
+        q = (fixed_raw(QR, e), fixed_raw(QI, e))
+        M = theta = 0  # Im log sin(pi z) is M pi + theta + a, a in (-pi/2, pi/2)
+        if reflect:
+            q = mpc_div(q, mpc_sin_pi((zr, zi), wp), wp)
+            X = one - ZR  # Re z
+            m = (X + (one >> 1)) >> P
+            sg = 1 if zi == fzero else -1  # the upper limit on the axis
+            M, theta = -sg * m, sg * (math.pi / 2 - math.pi * ((X - (m << P)) / one))
+        lr, li = mpc_log(q, wp)
+        g = math.fsum(math.atan2(ZI / one, ZR / one + j) for j in range(shift)) - theta - to_float(li)
+        k = (-M >> 1) + round(g / (2 * math.pi) + (M % 2) / 2)
+        LR, LI = raw_fixed(lr, P), raw_fixed(li, P) + k * (two_pi << d)
+        if reflect:
+            out_r, out_i = (log_pi << d) - out_r + LR, LI - out_i
+        else:
+            out_r, out_i = out_r - LR, out_i - LI
     re = fixed_raw(out_r, P)
     if not is_complex:
         return mp.make_mpf(re)
     return mp.make_mpc((re, fixed_raw(-out_i if conj else out_i, P)))
-
-
-def _log_sin_pi(z):
-    """Branch of log sin(pi z) that keeps log Gamma continuous off
-    (-inf, 0], at the caller's working precision.
-
-    For Im z >= 0: factor sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 pi i z});
-    mirrored for Im z < 0.  Real z uses the upper-half limit.  The factor
-    1 - e^{2 pi i z} only sees z minus its nearest integer k (an exact
-    subtraction) and comes from expm1, so it keeps its relative accuracy
-    as z approaches the pole at k.  Once |e^{2 pi i z}| < e^-prec, the
-    factor's log is below the working precision and is taken as 0 (expm1
-    would build an integer of about 2 pi |Im z| bits).
-    """
-    ipi = mpmath.mpc(0, mpmath.pi)
-    w = z - mpmath.nint(z.real)
-    t = 2 * ipi * w if z.imag >= 0 else -2 * ipi * w
-    tail = 0 if t.real < -mp.prec else mpmath.log(-mpmath.expm1(t))
-    if z.imag >= 0:
-        return -mpmath.log(2) + ipi / 2 - ipi * z + tail
-    return -mpmath.log(2) - ipi / 2 + ipi * z + tail
 
 
 def log_gamma_complex(z, prec):
@@ -306,24 +300,21 @@ def log_gamma_complex(z, prec):
 
     Real z on the cut evaluates to the limit from the upper half-plane;
     real z > 0 runs the real kernel of :func:`log_gamma_real`, so the
-    value is exactly real.  Raises :class:`PoleError` at non-positive
-    integers.
+    value is exactly real.  Re z < 1/2 takes the reflection formula inside
+    the kernel.  Raises :class:`PoleError` at non-positive integers.
     """
     bits = bits_of(prec)
     z = to_mpc(z, prec)
-    if not mpmath.isfinite(z):
+    zr, zi = z._mpc_
+    if not all(t[1] or t == fzero for t in z._mpc_):  # libmp keeps inf and nan with mantissa 0
         raise DomainError(f"log_gamma_complex: argument must be finite, got z={z}")
-    if z.imag == 0 and z.real > 0:
-        return to_mpc(_log_gamma_positive(z.real, bits), bits)
-    if z.imag == 0 and z.real == mpmath.floor(z.real):
-        raise PoleError(f"log_gamma_complex: pole at z={z}")
-    p = bits + GUARD + 8 + max(0, int(abs(z.real)).bit_length())
-    if z.real >= mpmath.mpf(1) / 2:
-        w = _loggamma_shifted(z, p)
-    else:
-        with mp.workprec(p):
-            w = mpmath.log(mpmath.pi) - _log_sin_pi(z) - _loggamma_shifted(1 - z, p)
-    return round_to(prec, w)
+    if zi == fzero:
+        if zr[0] == 0 and zr[1]:
+            return to_mpc(_log_gamma_positive(z.real, bits), bits)
+        if not zr[1] or zr[2] >= 0:  # a non-positive integer
+            raise PoleError(f"log_gamma_complex: pole at z={z}")
+    p = bits + GUARD + 8 + max(0, zr[2] + zr[3])  # plus the bit length of floor |Re z|
+    return round_to(bits, _loggamma_shifted(z, p))
 
 
 @lru_cache(maxsize=256)
@@ -346,8 +337,7 @@ def _log_gamma_positive(x, bits):
 def log_gamma_real(x, prec):
     """log Gamma for real x > 0 (mpf result)."""
     bits = bits_of(prec)
-    with mp.workprec(bits + GUARD + 8):
-        x = mpmath.mpf(x)
+    x = to_mpf(x, bits + GUARD + 8)
     if not mpmath.isfinite(x):
         raise DomainError(f"log_gamma_real: argument must be finite, got x={x}")
     if x <= 0:

@@ -116,7 +116,8 @@ def _raw(v):
 
 
 def _cold():
-    for cached in (specfun._stirling_table, specfun._log_gamma_positive, specfun._airy_at_zero):
+    for cached in (specfun._stirling_table, specfun._log_gamma_positive, specfun._airy_at_zero,
+                   auxfun._half_log_twopi):
         cached.cache_clear()
 
 

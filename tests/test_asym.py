@@ -694,6 +694,21 @@ class TestBandFormulaOriginDisk:
         if "cancel" not in v.flags + ref.flags:
             assert _matches(v.value, ref.value, 256), (z, n, alpha)
 
+    @pytest.mark.parametrize("on_axis", [False, True])
+    @pytest.mark.parametrize("r", ["1e-40", "1e-80", "1e-300"])
+    @pytest.mark.parametrize("n", [1, 3, 101, 401])
+    def test_odd_degree_tiny_z_not_cancelled(self, n, r, on_axis):
+        # for odd n the two terms cancel to O(|z|), and the sum is formed
+        # wider by that loss: it keeps about bits - 16 bits and is not
+        # flagged (below |z| = 2^-(bits-16) it was, and the test above
+        # skipped it), at 256 bits and in the 1024-bit reference
+        z = (r, "0" if on_axis else r)
+        v = eval_asym(n, 1.5, z, PARAMS, 256)
+        assert v.region.tag == "origin" and "cancel" not in v.flags
+        ref = eval_asym(n, 1.5, locate(n, 1.5, z, PARAMS, 256)[0], PARAMS, 1024)
+        assert "cancel" not in ref.flags
+        assert _matches(v.value, ref.value, 256)
+
 
 class TestRealAxisOuterRegions:
     """Regions A and D at a real point: the value is asserted real and its

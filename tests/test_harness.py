@@ -114,6 +114,21 @@ class TestComparePoint:
         for r in ("1e-80", "1e-300"):
             assert rel_err(r) == pytest.approx(ref, rel=1e-12), r
 
+    # the set-up points of the benchmark, one per region, at n = 150, alpha = 1
+    _SETUP = (("1", "2"), ("1", "0.05"), ("2.05", "0.02"), ("4", "0.05"), ("0.05", "0.05"))
+
+    def test_precision_contexts_counted(self, monkeypatch):
+        # the rounding helpers and the per-point glue make raw libmp calls:
+        # warm, the five points enter 46 mp.workprec contexts (156 before)
+        for z in self._SETUP:
+            harness.compare_point(150, "1", z, prec=256)
+        entered = []
+        workprec = mpmath.mp.workprec
+        monkeypatch.setattr(mpmath.mp, "workprec", lambda *a, **k: entered.append(a) or workprec(*a, **k))
+        for z in self._SETUP:
+            harness.compare_point(150, "1", z, prec=256)
+        assert len(entered) <= 46
+
     def test_determinism(self):
         a = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)
         b = harness.compare_point(150, 1, mpmath.mpc("0.3", "0.9"), prec=160)

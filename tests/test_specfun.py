@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tcasym import specfun
 from tcasym.asym import Params
 from tcasym.harness import compare_point
+from mpmath.libmp import mpc_log, mpf_neg
 from tcasym.mpnum import GUARD, DomainError, PoleError, bits_of, fixed_bits, round_to, to_mpc, to_mpf, working
 from tcasym.specfun import (
     _AIRY_P,
@@ -18,6 +19,7 @@ from tcasym.specfun import (
     _airy_sums,
     _airy_term_count,
     _log_gamma_positive,
+    _shift_product,
     _stirling_table,
     _stirling_threshold,
     _term_count,
@@ -259,7 +261,12 @@ class TestLogGammaKernel:
         assert b.imag == 0
         assert a == b.real
 
-    @given(re=st.floats(0.5, 80), im=st.floats(-400, 400), bits=st.sampled_from([128, 192, 288]))
+    @given(re=st.floats(-60, 80), im=st.floats(-400, 400), bits=st.sampled_from([128, 192, 288]))
+    # z and z + 1 on the two sides of Re z = 1/2, and reflected both
+    @example(re=0.25, im=2.0, bits=192)
+    @example(re=-0.25, im=-1e-80, bits=256)
+    @example(re=-0.75, im=0.0, bits=128)
+    @example(re=-40.5, im=300.0, bits=288)
     @example(re=0.75, im=300.0, bits=192)
     @example(re=0.75, im=-300.0, bits=288)
     @example(re=1.0, im=150.0, bits=128)
@@ -272,6 +279,8 @@ class TestLogGammaKernel:
         # (z + 1 is formed at the test width, where it is exact: at the
         # ambient 53 bits it would round, and the identity would measure
         # that rounding, not the kernel)
+        if im == 0 and re <= 0 and re == int(re):
+            return
         z = mpmath.mpc(re, im)
         a = log_gamma_complex(z, bits)
         with working(bits):
@@ -279,8 +288,19 @@ class TestLogGammaKernel:
         b = log_gamma_complex(zp, bits)
         with working(bits):
             resid = abs(b - a - mpmath.log(z))
-            scale = max(1, abs(b))
+            scale = max(1, abs(a), abs(b))  # near a pole a is far larger than b
         assert resid / scale < mpmath.mpf(2) ** -(bits - 8)
+
+    def test_shift_product_in_pairs(self):
+        # (z+j)(z+s-j) = z^2 + s z + j(s-j): the paired product is the plain
+        # one, to the few units of 2^-P its floors cost
+        P = 80
+        for s in range(1, 12):
+            for zr, zi in ((Fraction(3, 2), 0), (Fraction(3, 4), Fraction(-7, 2))):
+                z = complex(zr, zi)
+                QR, QI, e = _shift_product(int(zr * 2 ** P), int(zi * 2 ** P), s, P)
+                want = math.prod(z + j for j in range(s))
+                assert abs(complex(QR / 2 ** e, QI / 2 ** e) - want) <= 2 * s * 2.0 ** -P * 4 * abs(want)
 
     def test_shift_product_winds(self):
         # the example above really does wrap: the arguments of z + j sum
@@ -301,7 +321,7 @@ class TestLogGammaKernel:
         # first coefficient that meets the stopping rule at |z| = t, the
         # smallest modulus the Stirling sum sees, and no further
         for p in (88, 152, 296, 536):
-            _, _, coeffs, cuts = _stirling_table(p)
+            coeffs, cuts = _stirling_table(p)[-2:]
             P = p + LOGGAMMA_GUARD
             t = _stirling_threshold(p)
             exact = [bernoulli_fraction(2 * j) / ((2 * j) * (2 * j - 1))
@@ -315,7 +335,7 @@ class TestLogGammaKernel:
     @pytest.mark.parametrize("p", [152, 296])
     def test_term_count_rule(self, p):
         # J is the first j with log2|c_j| - (2j-1) log2 m < -(p+5)
-        _, _, coeffs, cuts = _stirling_table(p)
+        coeffs, cuts = _stirling_table(p)[-2:]
         for m in list(range(_stirling_threshold(p), 200)) + [500, 2000, 10 ** 6]:
             def met(j):
                 c = bernoulli_fraction(2 * j) / ((2 * j) * (2 * j - 1))
@@ -331,6 +351,73 @@ class TestLogGammaKernel:
             log_gamma_complex(mpmath.mpc(1, arg), 128)
         with pytest.raises(DomainError, match="finite"):
             log_gamma_complex(mpmath.mpc(arg, 0), 128)
+
+
+def _near_pole(k, e, sign):
+    """-k moved by sign max(1, k) 10^-e, formed exactly enough at 512 bits."""
+    with working(512, 0):
+        return -mpmath.mpf(k) + sign * max(1, k) * mpmath.mpf(10) ** -e
+
+
+class TestLogGammaReflection:
+    """Re z < 1/2, where the kernel runs on 1 - z and divides sin(pi z) into
+    its shift product: against mpmath's log-gamma at twice the width, from
+    the D arguments near -400 to 1e-30 relative of a pole, and conjugate
+    arguments give conjugate values bit for bit."""
+
+    _RE = st.one_of(st.floats(-500, 0.5, exclude_max=True),
+                    st.builds(_near_pole, st.integers(0, 500), st.integers(6, 30), st.sampled_from([-1, 1])))
+    _IM = st.one_of(st.sampled_from([0.0, 1e-80, -1e-80]),
+                    st.builds(lambda t, sign: sign * 10.0 ** t, st.floats(-12, 4), st.sampled_from([-1, 1])))
+
+    @settings(max_examples=150)
+    @given(re=_RE, im=_IM, bits=st.sampled_from([128, 256]))
+    @example(re=_near_pole(40, 30, 1), im=0.0, bits=256)
+    @example(re=_near_pole(7, 30, -1), im=1e-80, bits=128)
+    @example(re=_near_pole(0, 30, -1), im=0.0, bits=128)
+    @example(re=-399.7, im=-1e4, bits=256)
+    @example(re=0.49, im=1e-80, bits=256)
+    def test_against_library(self, re, im, bits):
+        with working(bits, 0):
+            z = mpmath.mpc(re, im)
+        if im == 0 and z.real == int(z.real):
+            return
+        v = log_gamma_complex(z, bits)
+        with working(2 * bits, 0):
+            ref = mpmath.loggamma(z)
+            assert abs(v - ref) <= mpmath.ldexp(max(1, abs(ref)), -(bits - 8)), (z, v, ref)
+        if im:  # conjugated exactly (mpmath.conj rounds at the ambient width)
+            w = log_gamma_complex(mpmath.mp.make_mpc((z.real._mpf_, mpf_neg(z.imag._mpf_))), bits)
+            assert w.real._mpf_ == v.real._mpf_ and w.imag._mpf_ == mpf_neg(v.imag._mpf_)
+
+    def test_two_raw_logarithms_and_no_mpmath_function(self, monkeypatch):
+        # the reflection runs in the kernel: its raw mpc_log (log u and
+        # log(prod / sin(pi z))) twice, and nothing of mpmath's namespace
+        # but its types, and no precision context
+        logs, names, contexts = [], [], []
+
+        class Watched:
+            def __getattr__(self, name):
+                names.append(name)
+                return getattr(mpmath, name)
+
+        def counted(*args):
+            logs.append(args)
+            return mpc_log(*args)
+
+        workprec = mpmath.mp.workprec
+        monkeypatch.setattr(specfun, "mpc_log", counted)
+        monkeypatch.setattr(specfun, "mpmath", Watched())
+        monkeypatch.setattr(mpmath.mp, "workprec", lambda *a, **k: contexts.append(a) or workprec(*a, **k))
+        for z, shifted in (((-5.25, 0.125), True), ((-0.3, 0), True), ((-400.5, 12), False), ((0.2, -3), True)):
+            arg = to_mpc(z, 256)
+            specfun._stirling_table(256 + GUARD + 8 + 9)  # a cold table takes logs of its own
+            logs.clear()
+            log_gamma_complex(arg, 256)
+            assert len(logs) == 2, (z, len(logs))
+            assert shifted == (specfun._stirling_threshold(256 + GUARD + 8) > 1 - z[0])
+        assert set(names) <= {"mpc", "mpf"}, names
+        assert contexts == []
 
 
 # compare_point inputs at two (n, alpha) pairs over points in every region,
