@@ -36,10 +36,37 @@ from mpmath import mp
 from mpmath.libmp import fhalf, from_int, mpf_add, mpf_mul, mpf_shift, mpf_sub
 from mpmath.libmp import round_nearest as _RND
 
-from .auxfun import (_d_width, _f_tilde_from_log_h, _geometry, _h_width, _half_log_twopi, _phi_width, d_func,
-                     h_factor, phi)
-from .mpnum import (GUARD, ConfigError, DomainError, LogComplex, _dyadic, _prod, _sign, _sq_diff, add_guarded,
-                    bits_of, fixed_mpc, logc_add, logc_mul, near_cut, round_to, to_mpc, to_mpf, working)
+from .auxfun import (
+    _d_width,
+    _f_tilde_from_log_h,
+    _geometry,
+    _h_width,
+    _half_log_twopi,
+    _phi_width,
+    d_func,
+    h_factor,
+    phi,
+)
+from .mpnum import (
+    GUARD,
+    ConfigError,
+    DomainError,
+    LogComplex,
+    _dyadic,
+    _prod,
+    _sign,
+    _sq_diff,
+    add_guarded,
+    bits_of,
+    fixed_mpc,
+    logc_add,
+    logc_mul,
+    near_cut,
+    round_to,
+    to_mpc,
+    to_mpf,
+    working,
+)
 from .specfun import _airy_rotated, log_gamma_real
 
 REAL_SNAP_TOL = 1e-8  # relative imaginary residual allowed at real arguments

@@ -33,8 +33,21 @@ from mpmath.libmp import (fhalf, fzero, mpc_add, mpc_add_mpf, mpc_log, mpc_mul, 
                           mpf_log, mpf_neg, mpf_pi, mpf_shift)
 from mpmath.libmp import round_nearest as _RND
 
-from .mpnum import (GUARD, ConfigError, DomainError, LogComplex, _w_root, bits_of, near_cut, require_finite,
-                    require_off_cut, round_to, to_mpc, to_mpf, working)
+from .mpnum import (
+    GUARD,
+    ConfigError,
+    DomainError,
+    LogComplex,
+    _w_root,
+    bits_of,
+    near_cut,
+    require_finite,
+    require_off_cut,
+    round_to,
+    to_mpc,
+    to_mpf,
+    working,
+)
 from .specfun import log_gamma_complex, log_gamma_real
 
 _INF = mpmath.inf

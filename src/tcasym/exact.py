@@ -49,8 +49,23 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_div_mpf, mpc_pos, mpf_ad
                           mpf_mul_int, mpf_pos, mpf_sqrt, mpf_sub, round_floor)
 from mpmath.libmp import round_nearest as _RND
 
-from .mpnum import (GUARD, ConfigError, DomainError, LogComplex, bits_of, fixed_bits, fixed_mpf, fixed_raw,
-                    near_cut, raw_fixed, require_finite, round_to, to_mpc, to_mpf, working)
+from .mpnum import (
+    GUARD,
+    ConfigError,
+    DomainError,
+    LogComplex,
+    bits_of,
+    fixed_bits,
+    fixed_mpf,
+    fixed_raw,
+    near_cut,
+    raw_fixed,
+    require_finite,
+    round_to,
+    to_mpc,
+    to_mpf,
+    working,
+)
 from .specfun import log_gamma_complex, log_gamma_real
 
 

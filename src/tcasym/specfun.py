@@ -62,8 +62,19 @@ from mpmath import mp
 from mpmath.libmp import (fhalf, fzero, mpc_div, mpc_log, mpc_sin_pi, mpf_log, mpf_lt, mpf_neg, mpf_pi, mpf_shift,
                           to_float)
 
-from .mpnum import (GUARD, DomainError, PoleError, bits_of, fixed_bits, fixed_mpc, fixed_raw, raw_fixed,
-                    round_to, to_mpc, to_mpf)
+from .mpnum import (
+    GUARD,
+    DomainError,
+    PoleError,
+    bits_of,
+    fixed_bits,
+    fixed_mpc,
+    fixed_raw,
+    raw_fixed,
+    round_to,
+    to_mpc,
+    to_mpf,
+)
 
 # ----------------------------------------------------------------------
 # Bernoulli numbers (exact rationals, cached)
