@@ -284,15 +284,15 @@ def _loggamma_shifted(z, p):
     out_i += (SR * II + SI * IR) >> P
     if shift or reflect:
         QR, QI, e = _shift_product(ZR, ZI, shift, P) if shift else (one, 0, P)
-        q = (fixed_raw(QR, e), fixed_raw(QI, e))
+        prod = (fixed_raw(QR, e), fixed_raw(QI, e))
         M = theta = 0  # Im log sin(pi z) is M pi + theta + a, a in (-pi/2, pi/2)
         if reflect:
-            q = mpc_div(q, mpc_sin_pi((zr, zi), wp), wp)
+            prod = mpc_div(prod, mpc_sin_pi((zr, zi), wp), wp)
             X = one - ZR  # Re z
             m = (X + (one >> 1)) >> P
             sg = 1 if zi == fzero else -1  # the upper limit on the axis
             M, theta = -sg * m, sg * (math.pi / 2 - math.pi * ((X - (m << P)) / one))
-        lr, li = mpc_log(q, wp)
+        lr, li = mpc_log(prod, wp)
         g = math.fsum(math.atan2(ZI / one, ZR / one + j) for j in range(shift)) - theta - to_float(li)
         k = (-M >> 1) + round(g / (2 * math.pi) + (M % 2) / 2)
         LR, LI = raw_fixed(lr, P), raw_fixed(li, P) + k * (two_pi << d)
