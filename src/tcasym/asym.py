@@ -219,7 +219,7 @@ def _exponents(n, g, bits):
     a, u = g.a, g.u
     with working(bits, GUARD + 8):
         p = 2 * a - mpmath.mpf(1) / 2
-        phv = phi(g.z, bits + GUARD, half_plane="upper", _geo=g)
+        phv = phi(g.z, bits + GUARD, _geo=g)
         ipi = mpmath.mpc(0, mpmath.pi)
         log_pref = _log_prefactor(n, g, bits, bits + GUARD + 8)
         wc = log_pref - g.lw / 4
@@ -262,7 +262,7 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     bits = bits_of(prec)
     g = _point(n, alpha, z, bits, "D")
     phv, log_pref, wc, w1, _ = _exponents(n, g, bits)
-    dd = d_func(n, g.a, g.z, bits + GUARD, half_plane="upper", _geo=g)
+    dd = d_func(n, g.a, g.z, bits + GUARD, _geo=g)
     with working(bits, GUARD + 8):
         w = wc + w1 - mpmath.mpc(dd.log_mod, dd.phase)
     value = LogComplex.from_exponent(w, bits)

@@ -17,9 +17,10 @@ the width it evaluates at, then runs the same body.
 Branch discipline: every power/log is a principal branch of an explicit
 factor, chosen so each function is analytic exactly off its stated cut.
 mpmath puts Arg on (-pi, pi], so evaluating *on* a cut yields the limit
-from the upper half-plane; functions that are half-plane-specific take an
-explicit ``half_plane`` override ('upper'/'lower') for boundary studies
-and refuse real inputs otherwise.
+from the upper half-plane.  The half-plane-specific functions (g_prime,
+phi_tilde, phi, d_func) follow one rule: Im z < 0 takes the lower
+formula, every other point the upper one, so a real z gets its limit
+from above; the limit from below is its conjugate.
 """
 
 from __future__ import annotations
@@ -51,20 +52,6 @@ from .mpnum import (
 from .specfun import log_gamma_complex, log_gamma_real
 
 _INF = mpmath.inf
-
-
-def _resolve_half(z, half_plane: str) -> str:
-    if half_plane == "auto":
-        if z.imag > 0:
-            return "upper"
-        if z.imag < 0:
-            return "lower"
-        raise DomainError(
-            "real argument needs an explicit half_plane ('upper'/'lower') for a one-sided value"
-        )
-    if half_plane not in ("upper", "lower"):
-        raise ConfigError(f"half_plane must be 'auto', 'upper' or 'lower', not {half_plane!r}")
-    return half_plane
 
 
 # ----------------------------------------------------------------------
@@ -166,67 +153,51 @@ def _geometry(n, a, z, width: int, s_width: int = 0, turning: bool = False) -> _
 # Phase functions
 # ----------------------------------------------------------------------
 
-def g_prime(z, prec, half_plane: str = "auto"):
+def g_prime(z, prec):
     """Derivative of the logarithmic potential, explicit closed form.
 
     4/z^3 log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/z^2 -+ 2 pi i / z^3 on the
-    upper/lower half-plane.  Real z raises unless ``half_plane`` selects a
-    one-sided limit, and at the pole 0 whatever the side; the lower limit
-    on the axis is the conjugate of the upper.  At the branch points +-2
-    the form is finite: -pi i/4 from above, +pi i/4 from below.
+    upper/lower half-plane.  A real z takes the upper form, its limit from
+    above, and the pole 0 raises.  At the branch points +-2 the form is
+    finite, -pi i/4.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    half = _resolve_half(z, half_plane)
-    on_axis = z.imag == 0
+    require_finite(z, "g_prime")
     if z == 0:
         raise DomainError("g_prime: pole at z = 0")
     with working(bits):
         el, w = _u_of(z)  # the upper limit on (-2, 2) by the Arg convention
-        sgn = 1 if half == "upper" or on_axis else -1
+        sgn = -1 if z.imag < 0 else 1
         z3 = z * z * z
         v = 4 * el / z3 + w / (z * z) - sgn * 2 * mpmath.pi * 1j / z3
-        if on_axis and half == "lower":
-            v = mpmath.conj(v)
     return round_to(bits, v)
 
 
-def phi_tilde(z, prec, on_cut: str = "reject", extra: int = 0, _geo=None):
+def phi_tilde(z, prec, _geo=None):
     """Regularized phase, analytic on C \\ (-inf, 2]; real negative on (2, inf).
 
     Closed form (2/z^2 - 1) log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/(2z).
-    ``on_cut='upper'``/``'lower'`` permits points near the band, Re z in
-    (0, 2), and returns the one-sided limit at x = Re z: the same form
-    with u and w at their upper limits i acos(x/2) and i sqrt(4 - x^2),
-    purely imaginary, conjugated for 'lower'.  'reject' (default) raises
-    near the cut (``mpnum.near_cut``).
-    ``extra`` widens the evaluation and the returned value by that many
-    bits; the cut test stays at ``prec``.  The form reads the record
-    (:class:`_Geometry`) of z at the evaluation width, ``_geo`` if given,
-    or near the band its own record of x = Re z.
+    A real z = x in (0, 2] takes its limit from above: the same form with
+    u and w at their upper limits i acos(x/2) and i sqrt(4 - x^2), purely
+    imaginary.  Any other point on or near the cut (``mpnum.near_cut``)
+    raises.  The form reads a record (:class:`_Geometry`) at the
+    evaluation width: on the band its own record of x, elsewhere ``_geo``
+    if given, else its own record of z.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    work = bits + extra
-    if not z.real > 2:
-        require_finite(z, "phi_tilde")
-    on_band = not z.real > 2 and near_cut(z, -_INF, 2, bits)
-    if on_band:
-        if on_cut == "reject":
+    require_finite(z, "phi_tilde")
+    if not z.real > 2 and near_cut(z, -_INF, 2, bits):
+        if z.imag or not z.real > 0:
             raise DomainError(f"phi_tilde: z={z} on or too close to the cut (-inf, 2]")
-        if on_cut not in ("upper", "lower"):
-            raise ConfigError("on_cut must be 'reject', 'upper' or 'lower'")
-        if not z.real > 0:
-            raise DomainError("phi_tilde boundary values available only for Re z > 0")
         # the record of x = Re z holds the band limits of u and w
-        g = _geometry(None, None, z.real, work + GUARD + 8)
+        g = _geometry(None, None, z.real, bits + GUARD + 8)
     else:
-        g = _geo or _geometry(None, None, z, work + GUARD + 8)
-    with working(work, GUARD + 8):
+        g = _geo or _geometry(None, None, z, bits + GUARD + 8)
+    with working(bits, GUARD + 8):
         v = _phi_tilde_form(g)
-        if on_band and on_cut == "lower":
-            v = mpmath.conj(v)
-    return round_to(work, v)
+    return round_to(bits, v)
 
 
 def _phi_tilde_form(g):
@@ -247,22 +218,21 @@ def _phi_width(z, prec) -> int:
     return prec + GUARD + _phi_extra(z) + GUARD + 8
 
 
-def phi(z, prec, half_plane: str = "auto", _geo=None):
-    """phi = phi_tilde -+ i pi / z^2 on the upper/lower half-plane.
+def phi(z, prec, _geo=None):
+    """phi = phi_tilde -+ i pi / z^2 on the upper/lower half-plane; a real z
+    takes the upper form, its limit from above.
 
     Bounded near the origin (the i pi/z^2 singularities cancel); purely
-    imaginary boundary values on the band.  ``_geo``: an evaluator's
-    record of z (:class:`_Geometry`), passed on to ``phi_tilde``.
+    imaginary on the band (0, 2].  ``_geo``: an evaluator's record of z
+    (:class:`_Geometry`), passed on to ``phi_tilde``.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    half = _resolve_half(z, half_plane)
     # phi_tilde ~ i pi / z^2 cancels to O(1): widen both by the bits lost
     extra = _phi_extra(z)
     with working(bits, GUARD + 8 + extra):
-        on_cut = half if z.imag == 0 and z.real <= 2 else "reject"
-        pt = phi_tilde(z, bits + GUARD, on_cut=on_cut, extra=extra, _geo=_geo)
-        sgn = 1 if half == "upper" else -1
+        pt = phi_tilde(z, bits + GUARD + extra, _geo=_geo)
+        sgn = -1 if z.imag < 0 else 1
         v = pt - sgn * mpmath.pi * 1j / (z * z)
     return to_mpc(v, bits)
 
@@ -383,21 +353,24 @@ def _d_log(w, wb, bits) -> LogComplex:
     return LogComplex.from_exponent(w, bits)
 
 
-def d_func(n: int, alpha, z, prec, half_plane: str = "auto", _geo=None) -> LogComplex:
+def d_func(n: int, alpha, z, prec, _geo=None) -> LogComplex:
     """D(z): Gamma(alpha - n/z^2) e^(-n/z^2) (-n/z^2)^(n/z^2-alpha+1/2) / sqrt(2 pi),
-    with -1/z^2 read as e^(+-i pi)/z^2 on the upper/lower half-plane.
+    with -1/z^2 read as e^(+-i pi)/z^2 on the upper/lower half-plane; a real
+    z takes the upper reading, its limit from above.
     s = n/z^2 and log n come from the record of (n, alpha, z)
     (:class:`_Geometry`): ``_geo`` if given, else one at the working width."""
     bits = bits_of(prec)
     z, a = to_mpc(z, bits), to_mpf(alpha, bits)
-    half = _resolve_half(z, half_plane)
+    require_finite(z, "d_func")
+    if z == 0:
+        raise DomainError("d_func: z = 0 excluded")
     wb = _d_width(n, z, bits)
     g = _geo or _geometry(n, a, z, wb + GUARD + 8)
     s, ar = g.s._mpc_, a._mpf_
     # raw libmp calls at wp, the ones the context's operators would make
     wp = wb + GUARD + 8
     pi = mpf_pi(wp, _RND)
-    ipi = (fzero, pi if half == "upper" else mpf_neg(pi))
+    ipi = (fzero, mpf_neg(pi) if z.imag < 0 else pi)
     two_log_z = mpc_mul_int(mpc_log(z._mpc_, wp, _RND), 2, wp, _RND)
     log_m = mpc_sub(mpc_add_mpf(ipi, g.logn._mpf_, wp, _RND), two_log_z, wp, _RND)
     lg = log_gamma_complex(mp.make_mpc(mpc_sub((ar, fzero), s, wp, _RND)), wb + GUARD)._mpc_

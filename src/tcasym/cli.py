@@ -215,7 +215,7 @@ def _asym_params(args) -> Params:
 
 def _cmd_eval(args) -> int:
     bits = bits_of(args.prec)
-    params = _asym_params(args) if args.mode == "asym" else Params(delta=args.delta, eps=args.eps)
+    params = _asym_params(args) if args.mode == "asym" else None  # the exact path reads no geometry
     z = _parse_z(args.z, bits)
     alpha = _alpha(args.alpha, bits)
     out = {

@@ -28,6 +28,7 @@ Z_A = mpmath.mpc(1, 2)
 Z_B = mpmath.mpc(1, "0.05")
 Z_C = mpmath.mpc("2.1", "0.05")
 Z_D = mpmath.mpc(4, "0.05")
+X_D = mpmath.mpf(4)
 LC = (LogComplex(mpmath.mpf("0.3"), mpmath.mpf("1.1")), LogComplex(mpmath.mpf("0.31"), mpmath.mpf("1.09")))
 PARAMS = Params()
 BITS = 128
@@ -40,12 +41,16 @@ MODULES = {mod.__name__.rpartition(".")[2]: mod for mod in (auxfun, asym, exact,
 CALLS = {
     "auxfun.density_psi": lambda: auxfun.density_psi(X, BITS),
     "auxfun.g_prime": lambda: auxfun.g_prime(Z, BITS),
+    "auxfun.g_prime@axis": lambda: auxfun.g_prime(1, BITS),
     "auxfun.phi_tilde": lambda: auxfun.phi_tilde(Z, BITS),
+    "auxfun.phi_tilde@band": lambda: auxfun.phi_tilde(X, BITS),
     "auxfun.phi": lambda: auxfun.phi(Z, BITS),
+    "auxfun.phi@band": lambda: auxfun.phi(X, BITS),
     "auxfun.phi_hat": lambda: auxfun.phi_hat(Z, BITS),
     "auxfun.h_factor": lambda: auxfun.h_factor(Z_C, BITS),
     "auxfun.f_tilde_n": lambda: auxfun.f_tilde_n(100, Z_C, BITS),
     "auxfun.d_func": lambda: auxfun.d_func(100, A, Z, BITS),
+    "auxfun.d_func@axis": lambda: auxfun.d_func(100, A, X_D, BITS),
     "auxfun.d_tilde_func": lambda: auxfun.d_tilde_func(100, A, Z, BITS),
     "auxfun.d_hat_func": lambda: auxfun.d_hat_func(100, A, Z, BITS),
     "auxfun.d_triple": lambda: auxfun.d_triple(100, A, Z, BITS),

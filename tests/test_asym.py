@@ -511,8 +511,8 @@ class TestGeometryRecord:
             ref = _outcome(h_factor, z1, bits + 32)
             v = _outcome(lambda: h_factor(z1, bits + 32, _geo=g))
         else:
-            ref = _outcome(phi, z1, bits + 16, "upper")
-            v = _outcome(lambda: phi(z1, bits + 16, "upper", _geo=g))
+            ref = _outcome(phi, z1, bits + 16)
+            v = _outcome(lambda: phi(z1, bits + 16, _geo=g))
         if isinstance(ref, type):
             assert v is ref
         else:

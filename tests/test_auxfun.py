@@ -94,16 +94,17 @@ class TestGPrime:
                 gaps.append(abs(g_prime(mpmath.mpc(x, eps), 192) - target))
             assert gaps[2] < gaps[1] < gaps[0]
             assert gaps[2] / gaps[1] < 0.6  # ~linear in eps
-            alpha_free = g_prime(x, 192, half_plane="upper")
+            alpha_free = g_prime(x, 192)
             assert abs(alpha_free - target) < mpmath.mpf(2) ** -180
 
     def test_saturated_boundary(self):
-        # on (2, inf) the one-sided values differ only by the -+ 2 pi i/z^3 term
+        # on (2, inf) the value at x is its limit from above, which carries
+        # the upper -2 pi i/x^3 term as its whole imaginary part
         x = mpmath.mpf(3)
-        up = g_prime(x, 160, half_plane="upper")
-        lo = g_prime(x, 160, half_plane="lower")
+        up = g_prime(x, 160)
+        near = g_prime(mpmath.mpc(x, mpmath.ldexp(1, -100)), 160)
         with working(160):
-            assert abs(up - mpmath.conj(lo)) == 0
+            assert abs(up - near) < mpmath.mpf(2) ** -98
             assert rel_diff(up.imag, -2 * mpmath.pi / 27, 160) < mpmath.mpf(2) ** -140
 
     def test_schwarz(self, rng):
@@ -113,21 +114,19 @@ class TestGPrime:
             b = g_prime(mpmath.conj(z), 128)
             assert a.real - b.real == 0 and a.imag + b.imag == 0
 
-    def test_real_axis_needs_side(self):
-        with pytest.raises(DomainError):
-            g_prime(mpmath.mpc(1, 0), 128)
+    def test_real_axis_takes_upper_limit(self):
+        # a real z takes the upper formula: its limit from above, here
+        # -i pi psi(1) in the band
+        x = mpmath.mpf(1)
+        v = g_prime(x, 128)
+        with working(128):
+            near = g_prime(mpmath.mpc(x, mpmath.ldexp(1, -60)), 128)
+            assert v.imag < 0 and abs(v - near) < mpmath.mpf(2) ** -58
 
-    def test_bad_half_plane_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            g_prime(mpmath.mpc(1, 1), 128, half_plane="up")
-        assert str(err.value) == "half_plane must be 'auto', 'upper' or 'lower', not 'up'"
-
-    @pytest.mark.parametrize("x", [0])
-    @pytest.mark.parametrize("half", ["upper", "lower"])
-    def test_excluded_points_raise_on_either_side(self, x, half):
+    def test_pole_raises(self):
         # the pole 0 is the one excluded point of the axis
         with pytest.raises(DomainError):
-            g_prime(x, 128, half_plane=half)
+            g_prime(0, 128)
 
     @pytest.mark.parametrize("x", [2, -2, pytest.param("2.00000000000000000000001", id="2+1e-23")])
     @pytest.mark.parametrize("half", ["upper", "lower"])
@@ -135,16 +134,21 @@ class TestGPrime:
         # g' is finite at the branch points +-2 (-pi i/4 from above) and
         # 1e-23 from 2, inside the cut tolerance 2^-64 at 128 bits: the
         # real-axis closed form 4 acosh(x/2)/x^3 + sqrt(x^2-4)/x^2 - 2 pi i/x^3
-        # at twice the width, conjugated below
-        v = g_prime(x, 128, half_plane=half)
+        # at twice the width is the value at x, the limit from above; the
+        # lower formula at x - i 2^-200 lies within O(2^-100) of its
+        # conjugate, the limit from below
         x = to_mpc(x, 128).real
+        if half == "upper":
+            v, tol = g_prime(x, 128), mpmath.mpf(2) ** -124
+        else:
+            with mp.workprec(128):
+                v = mpmath.conj(g_prime(mpmath.mpc(x, -mpmath.ldexp(1, -200)), 128))
+            tol = mpmath.mpf(2) ** -90
         with working(256):
             ref = 4 * mpmath.acosh(x / 2) / x ** 3 + mpmath.sqrt(x * x - 4) / x ** 2 - 2j * mpmath.pi / x ** 3
-            if half == "lower":
-                ref = mpmath.conj(ref)
-            assert abs(v - ref) < mpmath.mpf(2) ** -124, (x, half, v)
+            assert abs(v - ref) < tol, (x, half, v)
             if abs(x) == 2:
-                assert abs(v - (-1 if half == "upper" else 1) * mpmath.pi * 1j / 4) < mpmath.mpf(2) ** -124
+                assert abs(v + mpmath.pi * 1j / 4) < tol
 
 
 class TestPhiTilde:
@@ -166,35 +170,41 @@ class TestPhiTilde:
             assert abs(l_val - 1) < 1e-6
 
     def test_cut_rejected(self):
-        with pytest.raises(DomainError):
-            phi_tilde(mpmath.mpf(1), 128)
+        # a band point takes its value from above; the rest of the cut raises
+        with working(128):
+            band = phi_tilde(mpmath.mpf(1), 128)
+            near = phi_tilde(mpmath.mpc(1, mpmath.ldexp(1, -60)), 128)
+            assert band.real == 0 and abs(band - near) < mpmath.mpf(2) ** -54
         with pytest.raises(DomainError):
             phi_tilde(mpmath.mpf(-5), 128)
+        with pytest.raises(DomainError):
+            phi_tilde(mpmath.mpc(1, mpmath.ldexp(1, -70)), 128)  # off the axis, within 2^-64
 
-    @pytest.mark.parametrize("z, on_cut, error, message", [
-        (1, "above", ConfigError, "on_cut must be 'reject', 'upper' or 'lower'"),
-        (-1, "upper", DomainError, "phi_tilde boundary values available only for Re z > 0"),
-        (0, "lower", DomainError, "phi_tilde boundary values available only for Re z > 0"),
-    ])
-    def test_bad_boundary_request_rejected(self, z, on_cut, error, message):
-        with pytest.raises(error) as err:
-            phi_tilde(mpmath.mpf(z), 128, on_cut=on_cut)
-        assert str(err.value) == message
+    @pytest.mark.parametrize("z", [-1, 0])
+    def test_bad_boundary_request_rejected(self, z):
+        # the band (0, 2] has boundary values; at Re z <= 0 the axis is cut
+        with pytest.raises(DomainError) as err:
+            phi_tilde(mpmath.mpf(z), 128)
+        assert str(err.value) == f"phi_tilde: z={to_mpc(z, 128)} on or too close to the cut (-inf, 2]"
 
     def test_band_boundary_value_pure_imaginary(self):
-        v = phi_tilde(mpmath.mpf(1), 160, on_cut="upper")
+        # the value from above; the one from below is its conjugate, taken
+        # at the value's width (mpmath.conj rounds to the context's)
+        v = phi_tilde(mpmath.mpf(1), 160)
         assert v.real == 0 and v.imag > 0
-        w = phi_tilde(mpmath.mpf(1), 160, on_cut="lower")
-        assert w.imag + v.imag == 0
+        with mp.workprec(160):
+            w = mpmath.conj(v)
+        assert w.imag + v.imag == 0 and w.imag < 0
 
-    @given(bits=st.integers(64, 1024), side=st.sampled_from(["upper", "lower"]),
+    @given(bits=st.integers(64, 1024), conj=st.booleans(),
            extra=st.integers(0, 200), edge=st.sampled_from([0, 2]), t=st.floats(-30, 0))
-    @example(bits=64, side="upper", extra=0, edge=0, t=-30)
-    @example(bits=1024, side="lower", extra=200, edge=2, t=-30)
-    def test_band_value_matches_band_formula(self, bits, side, extra, edge, t):
+    @example(bits=64, conj=False, extra=0, edge=0, t=-30)
+    @example(bits=1024, conj=True, extra=200, edge=2, t=-30)
+    def test_band_value_matches_band_formula(self, bits, conj, extra, edge, t):
         # the closed form with the band limits of u and w, against the
         # purely imaginary band formula +-i [(2/x^2 - 1) acos(x/2) +
-        # sqrt(4 - x^2)/(2x)], bit for bit at the same widths; x from 1e-30
+        # sqrt(4 - x^2)/(2x)], bit for bit at the same widths (the value
+        # from above, or its conjugate, the one from below); x from 1e-30
         # to 2 - 1e-30
         with mp.workprec(4 * bits):
             d = mpmath.mpf(10) ** t
@@ -202,9 +212,12 @@ class TestPhiTilde:
         with mp.workprec(bits + extra + GUARD + 8):
             b = (2 / (x * x) - 1) * mpmath.acos(x / 2) + mpmath.sqrt((2 - x) * (2 + x)) / (2 * x)
         b = round_to(bits + extra, b)
-        v = phi_tilde(x, bits, on_cut=side, extra=extra)
+        v = phi_tilde(x, bits + extra)
+        if conj:
+            with mp.workprec(bits + extra):
+                v = mpmath.conj(v)
         # a difference of 0 is exact where a unary minus would round
-        assert v.real == 0 and (v.imag - b == 0 if side == "upper" else v.imag + b == 0)
+        assert v.real == 0 and (v.imag + b == 0 if conj else v.imag - b == 0)
 
     def test_schwarz(self, rng):
         for _ in range(10):
@@ -241,11 +254,6 @@ class TestPhiConnection:
             b = phi(mpmath.conj(z), 128)
             assert a.real - b.real == 0 and a.imag + b.imag == 0
 
-    def test_half_plane_override(self):
-        up = phi(mpmath.mpf(1), 128, half_plane="upper")
-        lo = phi(mpmath.mpf(1), 128, half_plane="lower")
-        assert up.real == 0 and lo.imag + up.imag == 0
-
     def test_quadrature_oracle(self):
         # independent route: the potential integral against the density,
         # log|phi contribution| = l/2 - integral of log|z-s| psi(s) ds
@@ -257,6 +265,83 @@ class TestPhiConnection:
             phi_re = mpmath.mpf(1) / 2 - g_re
             closed = phi(z, 128).real
             assert abs(phi_re - closed) < 1e-8
+
+
+# The value below each real point, as the functions returned it when they
+# still took a side: raw libmp tuples at 128 bits, recorded before that
+# option was removed.  D is at n = 100, alpha = 1.37.
+_LOWER_LIMITS = {
+    ("g_prime", "1"): (
+        (1, 30389171365745529248414374847961013543, -270, 125),
+        (0, 246598748566234698276557341472759401801, -129, 128)),
+    ("g_prime", "3"): (
+        (0, 66530864861337853271134720120616494219, -127, 126),
+        (0, 158374605046661740423656351579536412341, -129, 127)),
+    ("g_prime", "-1.5"): (
+        (1, 202427525969046284070783425617374145073, -281, 128),
+        (0, 283908383595208653698298990513690882437, -129, 128)),
+    ("phi_tilde", "0.5"): (
+        (0, 0, 0, 0),
+        (1, 118708611475508426927352943785173316051, -123, 127)),
+    ("phi_tilde", "1"): (
+        (0, 0, 0, 0),
+        (1, 162759008892104789334328561684931001271, -126, 127)),
+    ("phi", "1"): (
+        (0, 0, 0, 0),
+        (0, 208996274248273795261183063211073389109, -127, 128)),
+    ("phi", "3"): (
+        (1, 255806406118478604001558101733257062091, -129, 128),
+        (0, 237561907569992610635484527369304618511, -129, 128)),
+    ("d_func", "1"): (
+        (1, 207809477200846092079908333142397958207, -128, 128),
+        (1, 206842415391398302493592258139220174117, -118, 128)),
+    ("d_func", "5"): (
+        (1, 59244756415814253187056949678363836265, -126, 126),
+        (1, 102392894067472596318435010741910435963, -122, 127)),
+    ("d_func", "9"): (
+        (1, 24057997921770431568394672232428735771, -127, 125),
+        (1, 97433376813081691556470251294660630343, -126, 127)),
+}
+_SIDED_CALLS = {
+    "g_prime": lambda z: g_prime(z, 128),
+    "phi_tilde": lambda z: phi_tilde(z, 128),
+    "phi": lambda z: phi(z, 128),
+    "d_func": lambda z: d_func(100, "1.37", z, 128),
+}
+
+
+def _exponent_gap(v, w):
+    """|v - w| for mpc values; for LogComplex values the distance of their
+    exponents, the phase difference taken mod 2 pi."""
+    if isinstance(v, mpmath.mpc):
+        return abs(v - w)
+    dph = w.phase - v.phase
+    return abs(mpmath.mpc(w.log_mod - v.log_mod, dph - 2 * mpmath.pi * mpmath.nint(dph / (2 * mpmath.pi))))
+
+
+@pytest.mark.parametrize("name, x", sorted(_LOWER_LIMITS), ids=[f"{f}@{x}" for f, x in sorted(_LOWER_LIMITS)])
+def test_real_axis_takes_limit_from_above(name, x):
+    # at a real x each half-plane-specific function returns its limit from
+    # above: the gap to x + i 2^-k shrinks in step with 2^-k; its conjugate
+    # is the limit from below
+    f = _SIDED_CALLS[name]
+    v = f(mpmath.mpf(x))
+    with working(128):
+        gaps = [_exponent_gap(v, f(mpmath.mpc(x, mpmath.ldexp(1, -k)))) for k in (20, 40, 60)]
+        for a, b in zip(gaps, gaps[1:]):
+            assert 2 ** -21 < b / a < 2 ** -19, (gaps, name, x)
+    lo_re, lo_im = _LOWER_LIMITS[name, x]
+    if isinstance(v, mpmath.mpc):
+        with mp.workprec(128):
+            assert mpmath.conj(v)._mpc_ == (lo_re, lo_im)
+    else:
+        # the modulus bit for bit; the phase up to the 2 pi k by which the
+        # upper limit of log Gamma(alpha - n/x^2) leaves the real axis
+        c = v.conjugate()
+        assert c.log_mod._mpf_ == lo_re
+        with working(256):
+            turns = (mp.make_mpf(lo_im) - c.phase) / (2 * mpmath.pi)
+            assert abs(turns - mpmath.nint(turns)) < mpmath.mpf(2) ** -100
 
 
 class TestTurningPointMap:
@@ -414,9 +499,11 @@ class TestDFunctions:
     def test_pole_detection(self):
         # exact hit: alpha - n/z^2 = 1 - 50/25 = -1 at z = 5
         with pytest.raises(PoleError):
-            d_func(50, 1, mpmath.mpf(5), 128, half_plane="upper")
+            d_func(50, 1, mpmath.mpf(5), 128)
 
     def test_real_axis_guard(self):
+        with pytest.raises(DomainError):
+            d_func(50, 1, 0, 128)
         with pytest.raises(DomainError):
             d_triple(50, 1, mpmath.mpc(1.5, 0), 128)
         with pytest.raises(DomainError):
@@ -631,8 +718,8 @@ class TestUOf:
 # phi takes its value, and so its refusal, from phi_tilde.
 _CUT_TESTERS = [
     ("sqrt_zsq_minus4", "sqrt_zsq_minus4", lambda z: sqrt_zsq_minus4(z, 128)),
-    ("phi_tilde", "phi_tilde", lambda z: phi_tilde(z, 128, on_cut="upper")),
-    ("phi", "phi_tilde", lambda z: phi(z, 128, "upper")),
+    ("phi_tilde", "phi_tilde", lambda z: phi_tilde(z, 128)),
+    ("phi", "phi_tilde", lambda z: phi(z, 128)),
     ("phi_hat", "phi_hat", lambda z: phi_hat(z, 128)),
     ("d_tilde_func", "d_tilde_func", lambda z: d_tilde_func(50, 1, z, 128)),
     ("d_hat_func", "d_hat_func", lambda z: d_hat_func(50, 1, z, 128)),
@@ -644,10 +731,30 @@ _CUT_TESTERS = [
 ]
 
 
+# off the cuts too: Re z > 2 lies off phi_tilde's cut
+_NON_FINITE = [("nan", 1), ("-inf", 1), (1, "nan"), ("nan", 0), (3, "nan"), ("inf", 1), (3, "inf")]
+
+
 @pytest.mark.parametrize("name, refuser, call", _CUT_TESTERS, ids=[c[0] for c in _CUT_TESTERS])
-@pytest.mark.parametrize("z", [("nan", 1), ("-inf", 1), (1, "nan"), ("nan", 0)])
+@pytest.mark.parametrize("z", _NON_FINITE)
 def test_non_finite_refusal_names_function(name, refuser, call, z):
     z = to_mpc(z, 128)
     with pytest.raises(DomainError) as err:
         call(z)
     assert str(err.value) == f"{refuser}: z={z} is not finite"
+
+
+# the half-plane-specific functions that run no cut test refuse the same way
+_SIDED = [
+    ("g_prime", lambda z: g_prime(z, 128)),
+    ("d_func", lambda z: d_func(50, 1, z, 128)),
+]
+
+
+@pytest.mark.parametrize("name, call", _SIDED, ids=[c[0] for c in _SIDED])
+@pytest.mark.parametrize("z", _NON_FINITE)
+def test_non_finite_refusal_without_cut_test(name, call, z):
+    z = to_mpc(z, 128)
+    with pytest.raises(DomainError) as err:
+        call(z)
+    assert str(err.value) == f"{name}: z={z} is not finite"

@@ -457,6 +457,14 @@ class TestErrorsAndConfig:
                                       "--z", "2.6,0.1", "--eps", "0.7", "--delta", "1"])
         assert code == 0
 
+    def test_exact_eval_ignores_geometry(self, capsys):
+        # the exact path takes no Params: an eps >= delta it never reads
+        # leaves its JSON byte for byte as it is without them
+        args = ["eval", "--mode", "exact", "--n", "10", "--alpha", "1", "--z", "1,1"]
+        code, plain = run_main(capsys, args)
+        code2, out = run_main(capsys, args + ["--eps", "0.3", "--delta", "0.2"])
+        assert code == code2 == 0 and out == plain
+
     def test_bad_alpha(self, capsys):
         code, out = run_main(capsys, ["eval", "--mode", "exact", "--n", "3", "--alpha", "-1",
                                       "--z", "1,0"])
