@@ -745,16 +745,10 @@ def test_non_finite_refusal_names_function(name, refuser, call, z):
 
 
 # the half-plane-specific functions that run no cut test refuse the same way
-_SIDED = [
-    ("g_prime", lambda z: g_prime(z, 128)),
-    ("d_func", lambda z: d_func(50, 1, z, 128)),
-]
-
-
-@pytest.mark.parametrize("name, call", _SIDED, ids=[c[0] for c in _SIDED])
+@pytest.mark.parametrize("name", ["g_prime", "d_func"])
 @pytest.mark.parametrize("z", _NON_FINITE)
-def test_non_finite_refusal_without_cut_test(name, call, z):
+def test_non_finite_refusal_without_cut_test(name, z):
     z = to_mpc(z, 128)
     with pytest.raises(DomainError) as err:
-        call(z)
+        _SIDED_CALLS[name](z)
     assert str(err.value) == f"{name}: z={z} is not finite"
