@@ -55,7 +55,6 @@ from .mpnum import (
     LogComplex,
     PoleError,
     logc_add,
-    logc_mul,
     sqrt_zsq_minus4,
 )
 from .specfun import AiryQuartet, airy_quartet, log_gamma_complex

@@ -11,6 +11,8 @@ and reflection symmetries, classifies it (exactly: each region test is an
 inequality between polynomials in the dyadic inputs, decided in integers
 by ``mpnum._sign``), dispatches, and undoes the reduction on the
 LogComplex result, so the symmetries hold bit for bit by construction.
+Every value has a principal phase, reduced mod 2 pi once at the
+evaluator's working width (``_finish``) and never moved out of (-pi, pi].
 Each evaluator checks its point and builds its one geometry record
 (``_point``: the quantities of z that the formulas share, each taken
 once) from (n, alpha, z, prec), whoever calls it; z and alpha rounded by
@@ -33,7 +35,8 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fhalf, from_int, mpf_add, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import (fhalf, fninf, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pi, mpf_pos, mpf_shift, mpf_sub, round_ceiling, to_float, to_int)
 from mpmath.libmp import round_nearest as _RND
 
 from .auxfun import (
@@ -60,7 +63,6 @@ from .mpnum import (
     bits_of,
     fixed_mpc,
     logc_add,
-    logc_mul,
     near_cut,
     round_to,
     to_mpc,
@@ -229,19 +231,30 @@ def _exponents(n, g, bits):
     return phv, log_pref, wc, w1, w2
 
 
-def _snap_real(value: LogComplex, bits):
-    """Assert a value is real and snap its phase to 0 or pi."""
-    with mp.workprec(bits):
-        ph = value.wrapped_phase(bits)
-        d0 = abs(ph)
-        dpi = abs(abs(ph) - mpmath.pi)
-        resid = min(d0, dpi)
+def _finish(log_mod, phase, bits, wp, real):
+    """An evaluator's value from the raw log-modulus and phase it formed at
+    width ``wp``: the phase reduced mod 2 pi into (-pi, pi] there, each
+    field rounded once to ``bits``, and a real z's phase, only rounding
+    residue away from 0 or pi, snapped there (ArithmeticError beyond
+    REAL_SNAP_TOL).  A log-modulus of -inf is the exact zero."""
+    if log_mod == fninf:
+        return LogComplex.zero()
+    pi = mpf_pi(wp, _RND)
+    if mpf_gt(mpf_abs(phase), pi):
+        twopi = mpf_shift(pi, 1)
+        k = to_int(mpf_div(mpf_sub(phase, pi, wp, _RND), twopi, wp, _RND), round_ceiling)
+        phase = mpf_sub(phase, mpf_mul_int(twopi, k, wp, _RND), wp, _RND)
+    pi = mpf_pi(bits, _RND)
+    phase = mpf_pos(phase, bits, _RND)
+    if not mpf_lt(mpf_abs(phase), pi):  # -pi, or past +-pi by a quotient rounded across an integer
+        phase = pi
+    if real:
+        near = fzero if mpf_lt(mpf_abs(phase), mpf_shift(pi, -1)) else pi
+        resid = abs(to_float(mpf_sub(near, mpf_abs(phase), 53, _RND)))
         if resid > REAL_SNAP_TOL:
-            raise ArithmeticError(
-                f"value expected real; imaginary residual {mpmath.nstr(resid, 5)}"
-            )
-        snapped = mpmath.mpf(0) if d0 <= dpi else +mpmath.pi
-    return LogComplex(value.log_mod, snapped)
+            raise ArithmeticError(f"value expected real; imaginary residual {resid:.5g}")
+        phase = near
+    return LogComplex(mp.make_mpf(mpf_pos(log_mod, bits, _RND)), mp.make_mpf(phase))
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +278,7 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     dd = d_func(n, g.a, g.z, bits + GUARD, _geo=g)
     with working(bits, GUARD + 8):
         w = wc + w1 - mpmath.mpc(dd.log_mod, dd.phase)
-    value = LogComplex.from_exponent(w, bits)
-    if g.z.imag == 0:
-        value = _snap_real(value, bits)
+    value = _finish(*w._mpc_, bits, bits + GUARD + 8, g.z.imag == 0)
     flags = ()
     with working(bits):
         logn = g.logn
@@ -307,11 +318,12 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
         # the widening pays for wide - bits of the loss: judge what is left at bits
         with working(wide):
             cancelled = max(t1.log_mod, t2.log_mod) - s.log_mod > (wide - bits + bits // 2) * mpmath.ln2
-    value = logc_mul(LogComplex.from_exponent(wc, wide), s, wide)
-    value = LogComplex(round_to(bits, value.log_mod), round_to(bits, value.phase))
+    real = g.z.imag == 0 and not s.is_zero()
+    wr, wi = to_mpc(wc, wide)._mpc_
+    value = _finish(mpf_add(wr, s.log_mod._mpf_, wide, _RND), mpf_add(wi, s.phase._mpf_, wide, _RND),
+                    bits, wide, real)
     flags = ("cancel",) if cancelled else ()
-    if g.z.imag == 0 and not value.is_zero():
-        value = _snap_real(value, bits)
+    if real:
         flags += ("real-snapped",)
     with working(wide):
         dropped = wc.real + max(w1.real, w2.real) - g.logn
@@ -401,14 +413,9 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
         m, cancel_m = add_guarded(br_a, br_b, work)
         # sqrt(pi) times the prefactor shared with the other regions
         log_pc = _log_prefactor(n, g, bits, work + GUARD) + mpmath.log(mpmath.pi) / 2
-        if m == 0:
-            value = LogComplex.zero()
-        else:
-            value = LogComplex(round_to(bits, log_pc + mpmath.log(abs(m))),
-                               round_to(bits, mpmath.atan2(m.imag, m.real)))
+        log_m, arg_m = log_pc + mpmath.log(abs(m)), mpmath.atan2(m.imag, m.real)
         dropped = log_pc + mpmath.log(abs(br_a) + abs(br_b)) - g.logn
-    if z.imag == 0 and not value.is_zero():
-        value = _snap_real(value, bits)
+    value = _finish(log_m._mpf_, arg_m._mpf_, bits, work + GUARD, z.imag == 0)
     flags = ("cancel",) if (cancel_a or cancel_b or cancel_m) else ()
     return AsymResult(value, RegionLabel("C"), round_to(bits, dropped), flags)
 
@@ -463,22 +470,25 @@ def locate(n: int, alpha, z, params: Params = Params(), prec=256):
 def eval_asym(n: int, alpha, z, params: Params = Params(), prec=256) -> AsymResult:
     """Full-plane asymptotic value of the rescaled monic polynomial.
 
-    Reduces z to the closed first quadrant via parity (phase shift by
-    n pi) and Schwarz conjugation (phase negation), classifies (``locate``)
-    and dispatches with the alpha and z1 rounded there, which the
-    evaluator does not round again; both reductions act exactly on the
-    LogComplex fields.
+    Reduces z to the closed first quadrant via parity and Schwarz
+    conjugation, classifies (``locate``) and dispatches with the alpha and
+    z1 rounded there, which the evaluator does not round again.  Undoing
+    parity adds pi or -pi to the principal phase, rounded once, for odd n
+    only; undoing conjugation negates it exactly, keeping pi at pi.  An
+    exact zero stays ``LogComplex.zero()``.
     """
     bits = bits_of(prec)
     z1, label, a = _locate(n, alpha, z, params, bits)
     res = _EVALUATORS[label.tag](n, a, z1, bits)
     value = res.value
-    # parity shift first (one rounded add on the reduced phase), exact
-    # conjugation last: each symmetry pair then differs by a single
-    # identically-rounded operation and compares bit for bit.
-    if label.negated:
-        with mp.workprec(bits):
-            value = LogComplex(value.log_mod, value.phase + n * mpmath.pi)
-    if label.conjugated:
-        value = value.conjugate()
+    if not value.is_zero():
+        # parity first, then exact conjugation: each symmetry pair differs
+        # by at most one identically rounded operation, bit for bit
+        pi, t = mpf_pi(bits, _RND), value.phase._mpf_
+        if label.negated and n % 2:  # t - pi for t > 0 unless that rounds to -pi, else t + pi
+            s = mpf_sub(t, pi, bits, _RND)
+            t = s if mpf_gt(t, fzero) and s != mpf_neg(pi) else mpf_add(t, pi, bits, _RND)
+        if label.conjugated and t != pi:  # pi stays pi
+            t = mpf_neg(t)
+        value = LogComplex(value.log_mod, mp.make_mpf(t))
     return AsymResult(value, label, res.dropped_term_bound, res.flags)

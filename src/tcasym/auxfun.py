@@ -356,7 +356,9 @@ def _d_log(w, wb, bits) -> LogComplex:
 def d_func(n: int, alpha, z, prec, _geo=None) -> LogComplex:
     """D(z): Gamma(alpha - n/z^2) e^(-n/z^2) (-n/z^2)^(n/z^2-alpha+1/2) / sqrt(2 pi),
     with -1/z^2 read as e^(+-i pi)/z^2 on the upper/lower half-plane; a real
-    z takes the upper reading, its limit from above.
+    z takes the upper reading, its limit from above.  The phase is defined
+    mod 2 pi: it steps by 2 pi k onto the negative axis, where alpha - n/z^2
+    meets log Gamma's cut from below, while the value is continuous.
     s = n/z^2 and log n come from the record of (n, alpha, z)
     (:class:`_Geometry`): ``_geo`` if given, else one at the working width."""
     bits = bits_of(prec)

@@ -441,16 +441,16 @@ def _selftest_checks(bits):
             z = mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if abs(z) < 0.01:
                 continue
-            a1 = asym.eval_asym(60, 1, z, params, bits)
-            a2 = asym.eval_asym(60, 1, -z, params, bits)
-            a3 = asym.eval_asym(60, 1, mpmath.conj(z), params, bits)
-            with mp.workprec(bits):
-                pin = 60 * mpmath.pi
-                ok &= a2.value.log_mod == a1.value.log_mod
-                ok &= (a2.value.phase == a1.value.phase + pin or a2.value.phase == a1.value.phase - pin
-                       or a1.value.phase == a2.value.phase + pin or a1.value.phase == a2.value.phase - pin)
-                ok &= a3.value.log_mod == a1.value.log_mod
-                ok &= a3.value.phase == a1.value.conjugate().phase
+            for n in (60, 61):
+                a1, a2, a3 = (asym.eval_asym(n, 1, v, params, bits).value for v in (z, -z, mpmath.conj(z)))
+                with mp.workprec(bits):
+                    pi = +mpmath.pi
+                    ok &= a2.log_mod == a3.log_mod == a1.log_mod
+                    # parity: equal phases for even n, a half turn rounded once for odd n
+                    ok &= (a2.phase == a1.phase if n % 2 == 0 else
+                           a2.phase in (a1.phase + pi, a1.phase - pi) or a1.phase in (a2.phase + pi, a2.phase - pi))
+                    # conjugation: exact negation, and pi stays pi
+                    ok &= a3.phase == (pi if a1.phase == pi else -a1.phase)
         return bool(ok), "parity/conjugation bit-for-bit"
 
     def check_regions():

@@ -6,11 +6,11 @@ result back, so no hidden global precision state needs configuring and the
 same call always produces the same bits.
 
 Quantities scaling like ``exp(+-n log n)`` travel as :class:`LogComplex`
-pairs ``(log_mod, phase)``.  The phase is deliberately *not* reduced modulo
-2*pi: windings must survive p-th powers of products.  Multiplication and
-division act exactly on the fields; addition factors out the larger modulus
-and reports a cancellation flag when the terms annihilate below
-``2**(-bits/2)`` relative.  Every exponent becomes a LogComplex through
+pairs ``(log_mod, phase)``.  Intermediates (``d_func``, the E-functions,
+``from_exponent``) keep unreduced phases; results are principal, in
+(-pi, pi].  Addition factors out the larger modulus and reports a
+cancellation flag when the terms annihilate below ``2**(-bits/2)``
+relative.  Every exponent becomes a LogComplex through
 :meth:`LogComplex.from_exponent` alone, so all are rounded the same way.
 
 Fixed point, shared by the three integer kernels (the complex recurrence
@@ -248,7 +248,7 @@ class LogComplex(NamedTuple):
     """A complex value stored as exp(log_mod + i*phase).
 
     ``log_mod`` is the natural log of the modulus (``-inf`` encodes an exact
-    zero); ``phase`` is in radians and unnormalized.
+    zero); ``phase`` is in radians, principal in results.
     """
 
     log_mod: mpmath.mpf
@@ -278,26 +278,10 @@ class LogComplex(NamedTuple):
             v = mpmath.mpc(r * mpmath.cos(self.phase), r * mpmath.sin(self.phase))
         return round_to(prec, v)
 
-    def wrapped_phase(self, prec) -> mpmath.mpf:
-        """Phase reduced to (-pi, pi] for display."""
-        with working(prec):
-            p = self.phase
-            twopi = 2 * mpmath.pi
-            # ceil form keeps odd multiples of pi on the +pi side
-            p = p - twopi * mpmath.ceil((p - mpmath.pi) / twopi)
-        return round_to(prec, p)
-
     def conjugate(self) -> "LogComplex":
         # exact phase negation; mpmath's unary minus would round at the
         # caller's ambient precision
         return LogComplex(self.log_mod, mp.make_mpf(mpf_neg(self.phase._mpf_)))
-
-
-def logc_mul(a: LogComplex, b: LogComplex, prec) -> LogComplex:
-    if a.is_zero() or b.is_zero():
-        return LogComplex.zero()
-    with mp.workprec(bits_of(prec)):
-        return LogComplex(a.log_mod + b.log_mod, a.phase + b.phase)
 
 
 def _norm2(t, wp):

@@ -209,7 +209,9 @@ def _loggamma_shifted(z, p):
     mpf z, else an mpc; no rounding).
 
     The state is pairs (re, im) of Python ints scaled by 2**P, P = p +
-    LOGGAMMA_GUARD, raised so that z converts exactly; a real z is the
+    LOGGAMMA_GUARD, raised so that z converts exactly and, below |Im z| =
+    2^-GUARD, by the bits -log2 |Im z| - GUARD, so that Im log Gamma(z),
+    about psi(Re z) Im z + k pi, keeps its own p bits; a real z is the
     pair with im = 0.  The kernel's argument v is z, or 1 - z (exact) for
     a complex z with Re z < 1/2.  With the shift s = max(0, t - floor(Re v))
     to u = v + s, Re u >= t = 10 + p/8,
@@ -258,7 +260,7 @@ def _loggamma_shifted(z, p):
     if conj:
         zi = mpf_neg(zi)
     half_log_2pi, two_pi, log_pi, coeffs, cuts = _stirling_table(p)
-    P = fixed_bits(p + LOGGAMMA_GUARD, zr, zi)
+    P = fixed_bits(p + LOGGAMMA_GUARD + (max(0, -GUARD - zi[2] - zi[3]) if zi[1] else 0), zr, zi)
     d = P - p - LOGGAMMA_GUARD
     one = 1 << P
     wp = P + LOG_GUARD

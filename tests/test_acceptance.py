@@ -166,15 +166,15 @@ def test_criterion_7_symmetry_suite():
         a1 = asym.eval_asym(n, 1, z, PARAMS, 192)
         a2 = asym.eval_asym(n, 1, -z, PARAMS, 192)
         a3 = asym.eval_asym(n, 1, mpmath.conj(z), PARAMS, 192)
+        p1, p2, p3 = a1.value.phase, a2.value.phase, a3.value.phase
         with mp.workprec(192):
-            pin = n * mpmath.pi
+            pi = +mpmath.pi
             ok &= a2.value.log_mod == a1.value.log_mod
-            ok &= (a2.value.phase == a1.value.phase + pin
-                   or a2.value.phase == a1.value.phase - pin
-                   or a1.value.phase == a2.value.phase + pin
-                   or a1.value.phase == a2.value.phase - pin)
+            # parity: equal phases for even n, a half turn rounded once for odd n
+            ok &= (p2 == p1 if n % 2 == 0 else p2 in (p1 + pi, p1 - pi) or p1 in (p2 + pi, p2 - pi))
+            # conjugation: exact negation, and pi stays pi
             ok &= a3.value.log_mod == a1.value.log_mod
-            ok &= a3.value.phase == a1.value.conjugate().phase
+            ok &= p3 == (pi if p1 == pi else -p1)
     _report(7, "parity and conjugation bit-for-bit through the dispatcher", ok)
 
 

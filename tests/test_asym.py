@@ -18,7 +18,7 @@ from tcasym.asym import (
     eval_region_d,
     locate,
 )
-from tcasym.harness import region_grid
+from tcasym.harness import compare_point, region_grid
 from tcasym.mpnum import ConfigError, DomainError, LogComplex, to_mpc, to_mpf, working
 
 from conftest import logc_rel_err, to_fraction
@@ -164,8 +164,8 @@ class TestRegionEvaluators:
         for z in (mpmath.mpc(1, 0), mpmath.mpc("0.08", 0), mpmath.mpc("0.5", 0)):
             ay = eval_asym(400, 1, z, PARAMS, 192)
             assert "real-snapped" in ay.flags
-            w = ay.value.wrapped_phase(192)
-            assert w == 0 or abs(w) == mpmath.mpf(mp.make_mpf(mpmath.libmp.mpf_pi(192)))
+            w = ay.value.phase
+            assert w == 0 or w == mp.make_mpf(mpmath.libmp.mpf_pi(192, "n"))
 
     def test_oscillation_sign_pattern(self):
         # sign of the strip form tracks the exact polynomial between zeros
@@ -519,6 +519,21 @@ class TestGeometryRecord:
             assert (v.real._mpf_, v.imag._mpf_) == (ref.real._mpf_, ref.imag._mpf_), case
 
 
+def _parity_pair(p, q, n):
+    """The phases p, q of z and -z, at the ambient width: equal for even n;
+    for odd n one is the other plus or minus pi, rounded once."""
+    if n % 2 == 0:
+        return p == q
+    pi = +mpmath.pi
+    return q in (p + pi, p - pi) or p in (q + pi, q - pi)
+
+
+def _conj_phase(p):
+    """The phase of conj(z) from the phase p of z: exact negation, and pi
+    stays pi."""
+    return p if p == +mpmath.pi else -p
+
+
 class TestDispatcher:
     def test_symmetries_bitwise(self, rng):
         for _ in range(100):
@@ -531,21 +546,13 @@ class TestDispatcher:
             a3 = eval_asym(n, 1, mpmath.conj(z), PARAMS, 192)
             a4 = eval_asym(n, 1, -mpmath.conj(z), PARAMS, 192)
             with mp.workprec(192):
-                pin = n * mpmath.pi
-                # parity: one member carries the freshly rounded +-n pi shift
                 assert a2.value.log_mod == a1.value.log_mod
-                assert (a2.value.phase == a1.value.phase + pin
-                        or a2.value.phase == a1.value.phase - pin
-                        or a1.value.phase == a2.value.phase + pin
-                        or a1.value.phase == a2.value.phase - pin)
-                # conjugation: exact phase negation
+                assert _parity_pair(a1.value.phase, a2.value.phase, n)
                 assert a3.value.log_mod == a1.value.log_mod
-                assert a3.value.phase == a1.value.conjugate().phase
+                assert a3.value.phase == _conj_phase(a1.value.phase)
                 # composition
                 assert a4.value.log_mod == a1.value.log_mod
-                cc = a1.value.conjugate().phase
-                assert (a4.value.phase == cc + pin or a4.value.phase == cc - pin
-                        or cc == a4.value.phase + pin or cc == a4.value.phase - pin)
+                assert _parity_pair(_conj_phase(a1.value.phase), a4.value.phase, n)
 
     @given(n=st.integers(1, 1600), alpha=st.floats(0.3, 2.5),
            kind=st.sampled_from(EDGE_KINDS[:7]), k=st.integers(2, 60),
@@ -568,14 +575,12 @@ class TestDispatcher:
         a1, a2, a3, a4 = outs
         assert a1.region.tag == a2.region.tag == a3.region.tag == a4.region.tag
         with mp.workprec(192):
-            pin = n * mpmath.pi
             assert a2.value.log_mod == a3.value.log_mod == a4.value.log_mod == a1.value.log_mod
-            assert a2.value.phase in (a1.value.phase + pin, a1.value.phase - pin) \
-                or a1.value.phase in (a2.value.phase + pin, a2.value.phase - pin)
+            assert _parity_pair(a1.value.phase, a2.value.phase, n)
             # on the axis conj(z) is z itself: no reflection to check
-            cc = a1.value.conjugate().phase if y else a1.value.phase
+            cc = _conj_phase(a1.value.phase) if y else a1.value.phase
             assert a3.value.phase == cc
-            assert a4.value.phase in (cc + pin, cc - pin) or cc in (a4.value.phase + pin, a4.value.phase - pin)
+            assert _parity_pair(cc, a4.value.phase, n)
             assert a1.dropped_term_bound == a2.dropped_term_bound == a3.dropped_term_bound == a4.dropped_term_bound
 
     def test_routes(self):
@@ -726,26 +731,68 @@ class TestRealAxisOuterRegions:
             assert v.value.phase == 0 or v.value.phase == +mpmath.pi, (n, alpha, x)
 
 
+class TestPrincipalPhase:
+    """Every asymptotic value has its phase in (-pi, pi], the exact path's
+    convention, in all five regions and four quadrants; where both paths
+    are good, the two phases differ mod 2 pi by no more than the row's
+    rel_err allows."""
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 1600), alpha=st.floats(0.3, 2.5), kind=st.sampled_from(EDGE_KINDS[:7]),
+           k=st.integers(1, 60), sign=st.sampled_from([-1.0, 1.0]), t=st.floats(0, 1),
+           flip_re=st.booleans(), flip_im=st.booleans(), bits=st.sampled_from([128, 256]))
+    @example(n=1601, alpha=1.3, kind="k", k=3, sign=-1.0, t=0.3, flip_re=True, flip_im=False, bits=256)  # D
+    @example(n=400, alpha=1.3, kind="re_eps", k=1, sign=1.0, t=0.0, flip_re=True, flip_im=True, bits=128)  # B axis
+    def test_principal_and_close_to_exact(self, n, alpha, kind, k, sign, t, flip_re, flip_im, bits):
+        x, y = _edge_point(kind, sign * 2.0 ** -k, t, n, alpha, PARAMS, bits)
+        rec = compare_point(n, alpha, (-x if flip_re else x, -y if flip_im else y), PARAMS, bits)
+        if rec.log_asym is None:
+            return
+        with mp.workprec(bits):
+            assert -mpmath.pi < rec.log_asym.phase <= mpmath.pi, rec
+        if rec.error or rec.rel_err is None or rec.rel_err >= 0.5 or {"near-zero", "cancel"} & set(rec.flags):
+            return
+        with mp.workprec(2 * bits):
+            d = rec.log_asym.phase - rec.log_exact.phase
+            d -= 2 * mpmath.pi * mpmath.nint(d / (2 * mpmath.pi))
+            assert abs(d) <= 1.01 * rec.rel_err + mpmath.ldexp(1, -(bits - 8)), rec
+
+    @pytest.mark.parametrize("n", [101, 400])
+    @pytest.mark.parametrize("x", ["2.3", "4.1"])
+    def test_near_axis_reflections(self, n, x):
+        # D at x + i 2^-300: the evaluator's phase is within half an ulp of
+        # 0 (n = 101, x = 2.3), of -pi (n = 400, x = 2.3) or of pi at 256
+        # bits, where the rounding, a half turn or a conjugation could
+        # leave (-pi, pi]
+        z = mpmath.mpc(x, mpmath.ldexp(1, -300))
+        for v in (z, -z, mpmath.conj(z), -mpmath.conj(z)):
+            phase = eval_asym(n, "1.3", v, PARAMS, 256).value.phase
+            with mp.workprec(256):
+                assert -mpmath.pi < phase <= mpmath.pi, (n, v, phase)
+
+
 class TestSnapReal:
-    """``asym._snap_real``: a phase within REAL_SNAP_TOL of a multiple of
-    pi snaps to 0 or pi, and a larger residual is an error, not a value."""
+    """``asym._finish`` at a real z: a phase within REAL_SNAP_TOL of a
+    multiple of pi snaps to 0 or pi, and a larger residual is an error, not
+    a value."""
 
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 6])
     @pytest.mark.parametrize("off", [-1, 1])
     def test_residual_below_tolerance_snaps(self, k, off):
-        with mp.workprec(128):
+        with mp.workprec(160):
             phase = k * mpmath.pi + off * asym.REAL_SNAP_TOL / 2
+        with mp.workprec(128):
             want = mpmath.mpf(0) if k % 2 == 0 else +mpmath.pi
-        v = asym._snap_real(LogComplex(mpmath.mpf("0.5"), phase), 128)
+        v = asym._finish(mpmath.mpf("0.5")._mpf_, phase._mpf_, 128, 160, True)
         assert v.log_mod == mpmath.mpf("0.5") and v.phase == want
 
     @pytest.mark.parametrize("k", [0, 1, -1, 4])
     @pytest.mark.parametrize("off", [-1, 1])
     def test_residual_above_tolerance_raises(self, k, off):
-        with mp.workprec(128):
+        with mp.workprec(160):
             phase = k * mpmath.pi + off * asym.REAL_SNAP_TOL * 2
         with pytest.raises(ArithmeticError, match="imaginary residual"):
-            asym._snap_real(LogComplex(mpmath.mpf("0.5"), phase), 128)
+            asym._finish(mpmath.mpf("0.5")._mpf_, phase._mpf_, 128, 160, True)
 
 
 class TestRegionCLargeDegree:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shlex
 import signal
@@ -66,21 +67,36 @@ ORTHO_ALPHA1_DEG4_K20000 = (
     '{"m": 4, "n": 4, "value": 0.04482559597589137, "tail_bound": 0.0019170328659546777, "target": 0.04530469714098409, "within_bound": true, "exact_zero": false}]}\n'
 )
 
-# SHA-256 of the stdout of the seven-point acceptance `compare` below,
-# recorded when the origin disk moved to the band formula
+# Each `compare` pin below is a pair of SHA-256: of the stdout without its
+# log_asym_phase column (``_without_asym_phase``), recorded with the pin,
+# and of the whole stdout, re-recorded when the asymptotic phase became
+# principal.
+
+# the seven-point acceptance `compare`, recorded when the origin disk
+# moved to the band formula
 ACCEPTANCE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1,-2;1,-2"
-ACCEPTANCE_CSV_SHA256 = "da971174a82b8d8a76b353b7c270715dd4e525ccae8850684667c79b9cbdba39"
+ACCEPTANCE_CSV_SHA256 = ("2ea8c73ebf1457bf63e9ce22c2a6d92d2ab9ed4058befd5ca0c7c103a7db8ed8",
+                         "c7bec1aab89984b40262661ae1335e5ae11e9297eb10f469d0cd71f8a40edae3")
 
-# SHA-256 of the stdout of a region-C `compare`: a 4 x 3 grid around the
-# turning point 2 at n = 400 and 6400, recorded while h was a Taylor series
+# a region-C `compare`: a 4 x 3 grid around the turning point 2 at n = 400
+# and 6400, recorded while h was a Taylor series
 REGION_C_GRID = "1.87:2.13:4,0:0.13:3"
-REGION_C_CSV_SHA256 = "b874e169a9999826f0eccf657643ac66b3766c1c63d599d75c56b8eb578ab53c"
+REGION_C_CSV_SHA256 = ("3f84c8a3044814358866c8bfb09c2ca79626e8806fb044917a2c67b6f0d5cdf0",
+                       "dd603a7c4ca4885b86691b56a4d560a6adbd52af48d13c9381a10a9f02036468")
 
-# SHA-256 of the stdout of a high-degree `compare`: eight points over all
-# five regions at n = 1000..2500, where the exact path runs longest;
-# recorded before the recurrence step moved to one complex product
+# a high-degree `compare`: eight points over all five regions at
+# n = 1000..2500, where the exact path runs longest; recorded before the
+# recurrence step moved to one complex product
 HIGH_DEGREE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1.3,-0.1;1.9,0.12;0.9,0"
-HIGH_DEGREE_CSV_SHA256 = "e22dc9899678737e9a3794ad891fbf8bde90386d8bc3173d27447655b148f8bf"
+HIGH_DEGREE_CSV_SHA256 = ("70690ddd0d5758aa0a9a8bf8bf477c0676b45c8f0624f0bd418dcf596a4c35d6",
+                          "7a6ac9e34727f1dc25cc34a306e55e1e8c0473e69808a7589a7f5d467932d4ff")
+
+
+def _csv_digests(out):
+    """(SHA-256 of ``out`` without its log_asym_phase column, SHA-256 of ``out``)."""
+    i = cli.CSV_HEADER.split(",").index("log_asym_phase")
+    rest = "".join(",".join(f for j, f in enumerate(line.split(",")) if j != i) + "\n" for line in out.splitlines())
+    return hashlib.sha256(rest.encode()).hexdigest(), hashlib.sha256(out.encode()).hexdigest()
 
 # SHA-256 of the stdout of two `ortho` runs: every sum and tail bound of
 # the whole matrix, recorded before the real kernel moved to floor shifts
@@ -315,8 +331,19 @@ class TestCompare:
         code, out = run_main(capsys, ["compare", "--n-list", "100,400,1600", "--alpha", "1",
                                       "--prec", "256", "--z-list", ACCEPTANCE_Z_LIST])
         assert code == 0
-        assert len(out.encode()) == 8392
-        assert hashlib.sha256(out.encode()).hexdigest() == ACCEPTANCE_CSV_SHA256
+        assert len(out.encode()) == 8403
+        assert _csv_digests(out) == ACCEPTANCE_CSV_SHA256
+
+    def test_phase_columns_principal(self, capsys):
+        # both phase columns in (-pi, pi], at an odd and an even degree
+        code, out = run_main(capsys, ["compare", "--n-list", "101,400", "--alpha", "1", "--prec", "128",
+                                      "--z-list", ACCEPTANCE_Z_LIST])
+        assert code == 0
+        header, *rows = (line.split(",") for line in out.splitlines())
+        cols = [header.index("log_exact_phase"), header.index("log_asym_phase")]
+        assert len(rows) == 14
+        for row in rows:
+            assert all(abs(float(row[i])) <= math.pi for i in cols), row
 
     def test_region_c_csv_pinned(self, capsys):
         # the acceptance list has one C point; this grid has 20 C rows, disk edge included
@@ -324,14 +351,14 @@ class TestCompare:
                                       "--prec", "256", "--grid", REGION_C_GRID])
         assert code == 0
         assert [r.split(",")[4] for r in out.split("\n")[1:-1]].count("C") == 20
-        assert hashlib.sha256(out.encode()).hexdigest() == REGION_C_CSV_SHA256
+        assert _csv_digests(out) == REGION_C_CSV_SHA256
 
     def test_high_degree_csv_pinned(self, capsys):
         code, out = run_main(capsys, ["compare", "--n-list", "1000,1500,2000,2500",
                                       "--alpha", "1.234", "--z-list", HIGH_DEGREE_Z_LIST])
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 32
-        assert hashlib.sha256(out.encode()).hexdigest() == HIGH_DEGREE_CSV_SHA256
+        assert _csv_digests(out) == HIGH_DEGREE_CSV_SHA256
 
     def test_negative_point_values(self, capsys):
         # "-1,-2" as the value of --z, --z-list and --grid, not an option

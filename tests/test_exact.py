@@ -442,7 +442,7 @@ class TestWeight:
         for x in ("0.5", "1", "2"):
             v = exact.weight_wd(1, mpmath.mpf(x), 128)
             assert mpmath.isfinite(v.log_mod)
-            assert abs(v.wrapped_phase(128)) < mpmath.mpf(2) ** -100  # positive value
+            assert abs(v.phase) < mpmath.mpf(2) ** -100  # positive value
 
     def test_even_in_x(self):
         a = mpmath.mpf("0.8")

@@ -21,7 +21,6 @@ from tcasym.mpnum import (
     fixed_mpf,
     fixed_raw,
     logc_add,
-    logc_mul,
     near_cut,
     raw_fixed,
     round_to,
@@ -288,12 +287,6 @@ class TestAddGuarded:
 
 
 class TestLogComplexOps:
-    def test_mul_cancels_huge_scales(self):
-        a = LogComplex(mpmath.mpf(1000), mpmath.mpf(0))
-        b = LogComplex(mpmath.mpf(-1000), mpmath.mpf(0))
-        v = logc_mul(a, b, 128)
-        assert v.log_mod == 0 and v.phase == 0
-
     def test_add_exact_cancellation(self):
         with working(128):
             a = LogComplex(mpmath.mpf(3), mpmath.mpf(0))
@@ -331,35 +324,9 @@ class TestLogComplexOps:
             v, _ = logc_add(a, b, 192)
             assert rel_diff(v.to_complex(192), za + zb, 192) < mpmath.mpf(2) ** -(192 - 12)
 
-    def test_mul_bitwise_assoc_comm(self, rng):
-        for _ in range(40):
-            trip = []
-            for _ in range(3):
-                with working(128):
-                    trip.append(LogComplex(mpmath.mpf(rng.uniform(-900, 900)),
-                                           mpmath.mpf(rng.uniform(-40, 40))))
-            a, b, c = trip
-            ab_c = logc_mul(logc_mul(a, b, 128), c, 128)
-            a_bc = logc_mul(a, logc_mul(b, c, 128), 128)
-            ba_c = logc_mul(logc_mul(b, a, 128), c, 128)
-            # commutativity is exact; associativity holds bit-for-bit in the
-            # field arithmetic (addition of mpf is commutative, and the
-            # regrouping re-rounds identically for these magnitudes)
-            assert ba_c.log_mod == ab_c.log_mod and ba_c.phase == ab_c.phase
-            assert abs(a_bc.log_mod - ab_c.log_mod) <= abs(mpmath.ldexp(ab_c.log_mod, -126))
-
-    def test_winding_preserved(self):
-        # phase is not reduced mod 2pi: e^{i 3pi/2} e^{i 3pi/2} keeps the winding
-        with working(128):
-            a = LogComplex(mpmath.mpf(0), 3 * mpmath.pi / 2)
-            ref = 3 * mpmath.pi
-        v = logc_mul(a, a, 128)
-        assert rel_diff(v.phase, ref, 128) < 1e-36
-
     def test_zero_handling(self):
         z = LogComplex.zero()
         one = LogComplex.from_exponent(0, 128)
-        assert logc_mul(z, one, 128).is_zero()
         assert logc_add(z, one, 128)[0] == one
         assert logc_add(one, z, 128) == (one, False)
         v = z.to_complex(128)
@@ -373,15 +340,6 @@ class TestLogComplexOps:
             with working(192):
                 v = LogComplex.from_exponent(mpmath.log(z), 192)
             assert rel_diff(v.to_complex(192), z, 192) < mpmath.mpf(2) ** -(192 - 8)
-
-    def test_wrapped_phase(self):
-        with working(128):
-            v = LogComplex(mpmath.mpf(0), 7 * mpmath.pi)
-            w = v.wrapped_phase(128)
-            # 7 pi sits on the wrap boundary: either +-pi is acceptable
-            assert min(abs(w - mpmath.pi), abs(w + mpmath.pi)) < 1e-30
-            v2 = LogComplex(mpmath.mpf(0), 5 * mpmath.pi / 2)
-            assert abs(v2.wrapped_phase(128) - mpmath.pi / 2) < 1e-30
 
 
 def _bits(v):

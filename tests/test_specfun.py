@@ -420,6 +420,32 @@ class TestLogGammaReflection:
         assert contexts == []
 
 
+class TestLogGammaSmallImaginary:
+    """Im log Gamma(x + iy) is about y psi(x) + k pi for small y, so below
+    |y| = 1 it keeps ``bits`` relative only if the kernel's fraction bits
+    grow with -log2 |y|: against mpmath's log-gamma at twice the width,
+    relative, wherever |psi(x)| >= 2^-8 (near a zero of psi the imaginary
+    part is smaller still)."""
+
+    @settings(max_examples=150)
+    @given(x=st.floats(-50, 50), m=st.integers(1, 2 ** 20 - 1), k=st.integers(0, 300),
+           sign=st.sampled_from([-1, 1]), bits=st.sampled_from([128, 256]))
+    @example(x=1.3, m=1, k=266, sign=1, bits=256)  # 1.3 + 8.5e-81 i
+    @example(x=0.4619, m=1, k=266, sign=1, bits=256)  # psi(0.4619) = -2.0
+    @example(x=1.3, m=1, k=100, sign=-1, bits=256)  # 1.3 - 7.9e-31 i
+    @example(x=-7.3, m=1, k=266, sign=1, bits=128)
+    def test_imaginary_part_relative(self, x, m, k, sign, bits):
+        if x <= 0 and x == int(x):  # Re z at a pole: psi(x) is infinite there
+            return
+        z = to_mpc((x, math.ldexp(sign * m, -k)), bits)
+        v = log_gamma_complex(z, bits)
+        with working(2 * bits, 0):
+            if abs(mpmath.digamma(z.real)) < mpmath.ldexp(1, -8):
+                return
+            ref = mpmath.loggamma(z)
+            assert abs(v.imag - ref.imag) <= mpmath.ldexp(abs(ref.imag), -(bits - 8)), (z, v, ref)
+
+
 # compare_point inputs at two (n, alpha) pairs over points in every region,
 # none on the real axis: a real z past sqrt(n/alpha) would add a real
 # log-gamma argument of its own
