@@ -7,10 +7,12 @@ outer region A and the saturated strip D share one evaluator of the outer
 formula (``eval_region_d``), both on the exponents of ``_exponents``, and
 the turning-point disk C around 2 has the Airy form.  The full-plane
 dispatcher reduces any nonzero z to the first quadrant through the parity
-and reflection symmetries, classifies it (exactly: each region test is an
-inequality between polynomials in the dyadic inputs, decided in integers
-by ``mpnum._sign``), dispatches, and undoes the reduction on the
-LogComplex result, so the symmetries hold bit for bit by construction.
+and reflection symmetries (exact negations), classifies it (exactly: each
+region test is an inequality between polynomials in the dyadic inputs,
+decided in integers by ``mpnum._sign``), dispatches, and undoes the
+reduction on the LogComplex result, so the symmetries hold bit for bit by
+construction.  No point is moved onto the axis: a nearly real z is
+evaluated where it is, at every width.
 Every value has a principal phase, reduced mod 2 pi once at the
 evaluator's working width (``_finish``) and never moved out of (-pi, pi].
 Each evaluator checks its point and builds its one geometry record
@@ -22,7 +24,7 @@ Real arguments are evaluated as upper-half-plane boundary values.  Every
 region's value there is asserted real (imaginary residual <= 1e-8
 relative) and its phase snapped to 0 or pi; only the band formula, which
 combines two conjugate oscillatory terms into that real value, flags the
-snap (``real-snapped``).
+snap (``real-snapped``), at an exactly real z.
 
 Every result carries ``dropped_term_bound``: the log-magnitude of the
 largest term the formula discards, so downstream error tables can
@@ -62,8 +64,6 @@ from .mpnum import (
     add_guarded,
     bits_of,
     fixed_mpc,
-    logc_add,
-    near_cut,
     round_to,
     to_mpc,
     to_mpf,
@@ -294,14 +294,17 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     """Band-strip two-term oscillatory form, cancellation-guarded; the same
     formula serves the origin disk, where the nodes accumulate.
 
-    The value is exp(wc) (exp(w1) + exp(w2)), the two terms added through
-    ``logc_add`` (flag ``cancel``); a real z snaps the value onto the axis
-    (``real-snapped``), and the larger term over n is the dropped one.
-    For odd n the value is O(|z|) at the origin, so below |z| = 2^-GUARD
-    the terms are formed wider by the bits their sum cancels, and the
-    value and the dropped term rounded back to ``prec``; ``cancel`` then
-    judges the loss against what is left at ``prec``, a sum below
-    2^-(wide - prec + prec//2) of its larger term.
+    The value is exp(wc) (exp(w1) + exp(w2)), formed as region C forms
+    its value: the two terms are mpc values at the exponents' width, their
+    sum m is taken under ``mpnum.add_guarded``'s rule at ``wide`` (flag
+    ``cancel``), and wc + log |m| + i atan2(m) goes to ``_finish``.  An
+    exactly real z is a boundary value from above, its phase snapped to 0
+    or pi (``real-snapped``); the larger term over n is the dropped one.
+    For odd n the value is O(|z|) at the origin, so below |z| = 2^-(GUARD/2)
+    the terms are formed wider (``wide``) by the bits their sum cancels
+    less GUARD/2, and the value and the dropped term rounded back to
+    ``prec``; ``cancel`` then judges the loss against what is left at
+    ``prec``, a sum below 2^-(wide - prec + prec//2) of its larger term.
     Valid on the closed upper half-plane minus 0; the lower half is served
     by the dispatcher through conjugation.
     """
@@ -309,25 +312,24 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     z, alpha = to_mpc(z, bits), to_mpf(alpha, bits)
     wide = bits
     if n % 2 and z != 0:
-        wide += max(0, -mpmath.mag(z) - GUARD)
+        wide += max(0, -mpmath.mag(z) - GUARD // 2)
     g = _point(n, alpha, z, wide, "B")
     _, _, wc, w1, w2 = _exponents(n, g, wide)
-    t1, t2 = LogComplex.from_exponent(w1, wide), LogComplex.from_exponent(w2, wide)
-    s, cancelled = logc_add(t1, t2, wide)
-    if cancelled and wide > bits and not s.is_zero():
-        # the widening pays for wide - bits of the loss: judge what is left at bits
-        with working(wide):
-            cancelled = max(t1.log_mod, t2.log_mod) - s.log_mod > (wide - bits + bits // 2) * mpmath.ln2
-    real = g.z.imag == 0 and not s.is_zero()
-    wr, wi = to_mpc(wc, wide)._mpc_
-    value = _finish(mpf_add(wr, s.log_mod._mpf_, wide, _RND), mpf_add(wi, s.phase._mpf_, wide, _RND),
-                    bits, wide, real)
+    big = max(w1.real, w2.real)
+    wp = wide + GUARD + 8
+    with mp.workprec(wp):
+        m, cancelled = add_guarded(mpmath.exp(w1), mpmath.exp(w2), wide)
+        log_m = mpmath.log(abs(m))
+        if cancelled and wide > bits and m:
+            # the widening pays for wide - bits of the loss: judge what is left at bits
+            cancelled = big - log_m > (wide - bits + bits // 2) * mpmath.ln2
+        real = g.z.imag == 0 and m != 0
+        value = _finish((wc.real + log_m)._mpf_, (wc.imag + mpmath.atan2(m.imag, m.real))._mpf_, bits, wp, real)
     flags = ("cancel",) if cancelled else ()
     if real:
         flags += ("real-snapped",)
-    with working(wide):
-        dropped = wc.real + max(w1.real, w2.real) - g.logn
-    return AsymResult(value, RegionLabel("B"), round_to(bits, dropped), flags)
+    dropped = mpf_sub(mpf_add(wc.real._mpf_, big._mpf_, wide + GUARD, _RND), g.logn._mpf_, wide + GUARD, _RND)
+    return AsymResult(value, RegionLabel("B"), round_to(bits, mp.make_mpf(dropped)), flags)
 
 
 def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
@@ -436,32 +438,23 @@ def _locate(n, alpha, z, params, bits):
         raise DomainError("eval_asym: z = 0 excluded")
     if n < 1:
         raise ConfigError("eval_asym requires n >= 1")
-    with mp.workprec(bits):
-        negated = z.real < 0
-        z1 = -z if negated else z
-        conjugated = z1.imag < 0
-        if conjugated:
-            z1 = mpmath.conj(z1)
-    tag = _region(z1, n, a, params)
-    if tag in ("B", "origin") and z1.real > 0 and z1.imag > 0 and near_cut(z1, -mpmath.inf, mpmath.inf, bits):
-        z1 = to_mpc(z1.real, bits)
-        tag = _region(z1, n, a, params)
-    return z1, RegionLabel(tag, negated, conjugated), a
+    re, im = z._mpc_  # the reflections are raw negations, exact
+    negated = mpf_lt(re, fzero)
+    if negated:
+        re, im = mpf_neg(re), mpf_neg(im)
+    conjugated = mpf_lt(im, fzero)
+    z1 = mp.make_mpc((re, mpf_neg(im) if conjugated else im))
+    return z1, RegionLabel(_region(z1, n, a, params), negated, conjugated), a
 
 
 def locate(n: int, alpha, z, params: Params = Params(), prec=256):
     """Validate a point and reduce it to the closed first quadrant.
 
     Returns (z1, label): z1 is z after parity (negated when Re z < 0) and
-    then Schwarz conjugation (when Im < 0), and ``label`` holds the region
-    of z1 and the two reductions.  A band or origin-disk z1 with Re z1 > 0
-    and 0 < Im z1 < 2^-(bits/2) min(1, |z1|), where the band formula would
-    refuse it as on its cut, is snapped onto the axis (flagged real-snapped
-    there); below |z1| = 1 the tolerance is relative, so a tiny z1 is not
-    moved by O(|z1|).
-
-    The region (``classify_region``) and the snap (``mpnum.near_cut``) are
-    decided exactly.  Nothing is evaluated.
+    then Schwarz conjugation (when Im < 0), both exact, and ``label``
+    holds the region of z1 (``classify_region``, decided exactly) and the
+    two reductions.  No point is moved: z1 is z up to the reflections, at
+    every width.  Nothing is evaluated.
     """
     z1, label, _ = _locate(n, alpha, z, params, bits_of(prec))
     return z1, label

@@ -41,7 +41,6 @@ from .mpnum import (
     LogComplex,
     _w_root,
     bits_of,
-    near_cut,
     require_finite,
     require_off_cut,
     round_to,
@@ -177,24 +176,24 @@ def g_prime(z, prec):
 def phi_tilde(z, prec, _geo=None):
     """Regularized phase, analytic on C \\ (-inf, 2]; real negative on (2, inf).
 
-    Closed form (2/z^2 - 1) log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/(2z).
-    A real z = x in (0, 2] takes its limit from above: the same form with
-    u and w at their upper limits i acos(x/2) and i sqrt(4 - x^2), purely
-    imaginary.  Any other point on or near the cut (``mpnum.near_cut``)
-    raises.  The form reads a record (:class:`_Geometry`) at the
-    evaluation width: on the band its own record of x, elsewhere ``_geo``
-    if given, else its own record of z.
+    Closed form (2/z^2 - 1) log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/(2z),
+    taken at every z with Im z != 0 however close to the cut.  A real
+    z = x in (0, 2] takes its limit from above: the same form with u and
+    w at their upper limits i acos(x/2) and i sqrt(4 - x^2), purely
+    imaginary.  A real z <= 0 raises.  The form reads a record
+    (:class:`_Geometry`) at the evaluation width: on the band its own
+    record of x, elsewhere ``_geo`` if given, else its own record of z.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     require_finite(z, "phi_tilde")
-    if not z.real > 2 and near_cut(z, -_INF, 2, bits):
-        if z.imag or not z.real > 0:
-            raise DomainError(f"phi_tilde: z={z} on or too close to the cut (-inf, 2]")
+    if z.imag or z.real > 2:
+        g = _geo or _geometry(None, None, z, bits + GUARD + 8)
+    elif z.real > 0:
         # the record of x = Re z holds the band limits of u and w
         g = _geometry(None, None, z.real, bits + GUARD + 8)
     else:
-        g = _geo or _geometry(None, None, z, bits + GUARD + 8)
+        raise DomainError(f"phi_tilde: z={z} on the cut (-inf, 2]")
     with working(bits, GUARD + 8):
         v = _phi_tilde_form(g)
     return round_to(bits, v)

@@ -316,7 +316,8 @@ def logc_add(a: LogComplex, b: LogComplex, prec):
     1 + b/a (a the larger): ``cancelled`` is True when the relative
     residual is below ``2**-(bits//2)``, and terms that annihilate to below
     2**-(bits-4) (opposite values up to rounding of pi) snap to the exact
-    zero.
+    zero.  No evaluator calls it (they sum mpc values with
+    :func:`add_guarded`); the benchmark's span list still names it.
     """
     bits = bits_of(prec)
     if a.is_zero():

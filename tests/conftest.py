@@ -23,6 +23,19 @@ def logc_rel_err(v_exact: LogComplex, v_other: LogComplex, prec=256):
         return abs(mpmath.exp(d) - 1)
 
 
+def within_rounding(v: LogComplex, ref: LogComplex, bits):
+    """Whether v, a value rounded to ``bits``, agrees with a wider ``ref``
+    to one ulp at ``bits`` in log-modulus and to 2^-(bits-3) absolute in
+    phase, mod 2 pi; an exact zero only with an exact zero."""
+    if v.is_zero() or ref.is_zero():
+        return v.is_zero() and ref.is_zero()
+    with mpmath.workprec(2 * bits + 512):
+        ulp = mpmath.ldexp(1, mpmath.mag(ref.log_mod) - bits)
+        dp = v.phase - ref.phase
+        dp -= 2 * mpmath.pi * mpmath.nint(dp / (2 * mpmath.pi))
+        return abs(v.log_mod - ref.log_mod) <= ulp and abs(dp) <= mpmath.ldexp(1, 3 - bits)
+
+
 def to_fraction(x):
     """A finite mpf as the exact Fraction it holds."""
     man, exp = x.man_exp

@@ -70,13 +70,15 @@ ORTHO_ALPHA1_DEG4_K20000 = (
 # Each `compare` pin below is a pair of SHA-256: of the stdout without its
 # log_asym_phase column (``_without_asym_phase``), recorded with the pin,
 # and of the whole stdout, re-recorded when the asymptotic phase became
-# principal.
+# principal.  The acceptance and high-degree pins were re-recorded when
+# the band formula's two terms became mpc values summed as region C sums
+# its brackets (B and origin rows: phases, and two log_asym_mod last bits).
 
 # the seven-point acceptance `compare`, recorded when the origin disk
 # moved to the band formula
 ACCEPTANCE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1,-2;1,-2"
-ACCEPTANCE_CSV_SHA256 = ("2ea8c73ebf1457bf63e9ce22c2a6d92d2ab9ed4058befd5ca0c7c103a7db8ed8",
-                         "c7bec1aab89984b40262661ae1335e5ae11e9297eb10f469d0cd71f8a40edae3")
+ACCEPTANCE_CSV_SHA256 = ("9eb2c550f472ed43d515e671aad805f5a23d61e0bf2974e51075531a67c102ba",
+                         "f2d780256c5b969102e0b1b7bea3e733c2d33ae616045dc4f58f1c850e46dc71")
 
 # a region-C `compare`: a 4 x 3 grid around the turning point 2 at n = 400
 # and 6400, recorded while h was a Taylor series
@@ -88,8 +90,8 @@ REGION_C_CSV_SHA256 = ("3f84c8a3044814358866c8bfb09c2ca79626e8806fb044917a2c67b6
 # n = 1000..2500, where the exact path runs longest; recorded before the
 # recurrence step moved to one complex product
 HIGH_DEGREE_Z_LIST = "1,2;1,0.05;2.05,0.02;4,0.05;0.05,0.05;-1.3,-0.1;1.9,0.12;0.9,0"
-HIGH_DEGREE_CSV_SHA256 = ("70690ddd0d5758aa0a9a8bf8bf477c0676b45c8f0624f0bd418dcf596a4c35d6",
-                          "7a6ac9e34727f1dc25cc34a306e55e1e8c0473e69808a7589a7f5d467932d4ff")
+HIGH_DEGREE_CSV_SHA256 = ("cea26eaec90cc36acf17b27656628abae44e3b3d45aa850577683924fb359f84",
+                          "2091652b2a0be3a43fd6bb9335569fd7ed2ad2ba36de3fbb1e232f5cda796dac")
 
 
 def _csv_digests(out):

@@ -13,7 +13,10 @@ per region of the ``sweep`` traffic and one of the ``deep`` traffic.
 All were recorded before log-gamma's reflection half-plane moved into
 the fixed-point kernel, so any bit that moves shows here; the phases
 were re-recorded when the asymptotic phase became principal, each moved
-by 2 pi k up to rounding.
+by 2 pi k up to rounding.  The band-formula records (B and origin) were
+re-recorded when that formula's two terms became mpc values summed as
+region C sums its brackets: each moved field is now within one ulp in
+log-modulus and 2^-253 in phase of a 512-bit run.
 """
 
 import hashlib
@@ -83,24 +86,24 @@ _GOLDEN_RECORDS = {
     'sweep D': 'cddedf821fd2ebcfc607be52cd72b373aa0db03617f4517611276f26ae01728e',
     'sweep origin': '21a70dfb0af3c73d796489cb26234f56af0d20ed625e09fce91a93983017acf2',
     'deep A': 'b68713e072ba3dbd0bca883d8e3504740a407a8f8853fd727e5db72b523410a4',
-    'deep B': 'f2045da562bcb44eae284973f8f22711442bb7c20ec2ddb67752209c982478b5',
+    'deep B': 'b5c3282cc34a466c90b414d63e03623d7b1d5d0ed83fbc9dec3023bdf213e98c',
     'deep C': '60d98d191ebcf950c3d77eb0e5a2ae7d96183b83f3aadfd44c227a27a75f7a5d',
     'deep D': '7b93ab501abdae68f0ec356646e88c11cc829bd659217c58bc3683925321cb67',
-    'deep origin': '95dce597c5a414a47ea8afb2a8facceb7477c520dd00c5326b3e92078f00f15d',
+    'deep origin': '7be8565fffba8fd7215536ae98bf4e9b1a5630279705d0a2cae7fc27e7ea5352',
 }
 
 # log_asym.phase of each record, the one field the digests leave out
 _GOLDEN_PHASES = {
     'sweep A': (0, 30180357067270688201957331978381011173858569133158043475841432934575830426733, -253, 255),
-    'sweep B': (1, 79054499936989357537265426163963445466304124062271252818526006811164791487, -244, 246),
+    'sweep B': (1, 40475903967738551059079898195949284078747711519882881443085315487316373241371, -253, 255),
     'sweep C': (0, 87879348952209918567325757183524953066363264002596422139452172530003229715293, -255, 256),
     'sweep D': (0, 48077868224250177038234919369433573222235303148491566100413043759077106010169, -254, 255),
-    'sweep origin': (0, 19789639080480848003177389353097547683684520330843527125314314574258499391, -244, 244),
+    'sweep origin': (0, 81058361673649553421014586790287555312371795275135087105287432496162813504817, -256, 256),
     'deep A': (0, 74313136803341349250081519422269134549814800701239329471874534040478215996747, -255, 256),
     'deep B': (0, 0, 0, 0),
     'deep C': (1, 5677754969453033890740938486493759985164107079148194082666194103594208763397, -250, 252),
     'deep D': (0, 3019046759014495891890483311371201219232965974361668715903481897206307334887, -252, 251),
-    'deep origin': (0, 8936915892555221298127243447831729499203512265424244841864396680228103573, -241, 243),
+    'deep origin': (0, 73211214991812372874258378324637528057475172478355413744553137604428624471965, -254, 256),
 }
 
 
