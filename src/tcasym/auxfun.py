@@ -241,7 +241,7 @@ def phi_hat(z, prec):
     C \\ [-2, inf), equal to phi_tilde(-z) there, real negative on (-inf, -2)."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    require_off_cut(z, -2, _INF, bits, "phi_hat")
+    require_off_cut(z, -2, _INF, "phi_hat")
     with mp.workprec(bits):
         zn = -z
     return phi_tilde(zn, bits)
@@ -384,7 +384,7 @@ def d_tilde_func(n: int, alpha, z, prec) -> LogComplex:
     """D-tilde(z): analytic and nonzero on C \\ (-inf, 0]; -> 1 for large n."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    require_off_cut(z, -_INF, 0, bits, "d_tilde_func")
+    require_off_cut(z, -_INF, 0, "d_tilde_func")
     return _d_reflected(n, alpha, z, 1, bits)
 
 
@@ -392,7 +392,7 @@ def d_hat_func(n: int, alpha, z, prec) -> LogComplex:
     """D-hat(z): analytic on C \\ [0, inf); branch via arg(-z) in (-pi, pi)."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    require_off_cut(z, 0, _INF, bits, "d_hat_func")
+    require_off_cut(z, 0, _INF, "d_hat_func")
     return _d_reflected(n, alpha, z, -1, bits)
 
 
@@ -424,7 +424,7 @@ def d_triple(n: int, alpha, z, prec) -> DTriple:
     on the upper/lower half-plane."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    require_off_cut(z, -_INF, _INF, bits, "d_triple")
+    require_off_cut(z, -_INF, _INF, "d_triple")
     return DTriple(
         d_func(n, alpha, z, bits),
         d_tilde_func(n, alpha, z, bits),
@@ -439,19 +439,20 @@ def d_triple(n: int, alpha, z, prec) -> DTriple:
 def _e_log(what, cuts, factors, alpha, z, prec) -> LogComplex:
     """sqrt(2 pi)/Gamma(alpha) f1^(1/2-alpha) f2^(1/2-alpha) as LogComplex,
     principal powers of f1, f2 = ``factors(z)``; z must lie off each cut
-    in ``cuts`` unless alpha = 1/2, where both powers are 1.  1/2 - alpha
-    is formed in the working context, so that the bits do not depend on
-    the ambient precision."""
+    in ``cuts`` unless alpha = 1/2, where both powers are 1 and are not
+    formed (0 log 0 at +-2).  1/2 - alpha is formed in the working
+    context, so that the bits do not depend on the ambient precision."""
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     a = to_mpf(alpha, bits)
-    if a != 0.5:
-        for lo, hi in cuts:
-            require_off_cut(z, lo, hi, bits, what)
+    require_finite(z, what)
     with working(bits, GUARD):
-        f1, f2 = factors(z)
-        w = _half_log_twopi(bits + GUARD) - log_gamma_real(a, bits + GUARD) \
-            + (mpmath.mpf(1) / 2 - a) * (mpmath.log(f1) + mpmath.log(f2))
+        w = _half_log_twopi(bits + GUARD) - log_gamma_real(a, bits + GUARD)
+        if a != 0.5:
+            for lo, hi in cuts:
+                require_off_cut(z, lo, hi, what)
+            f1, f2 = factors(z)
+            w += (mpmath.mpf(1) / 2 - a) * (mpmath.log(f1) + mpmath.log(f2))
     return LogComplex.from_exponent(w, bits)
 
 

@@ -54,11 +54,11 @@ from .mpnum import (
     ConfigError,
     DomainError,
     LogComplex,
+    PoleError,
     bits_of,
     fixed_bits,
     fixed_mpf,
     fixed_raw,
-    near_cut,
     raw_fixed,
     require_finite,
     round_to,
@@ -327,21 +327,27 @@ def weight_wd(alpha, z, prec) -> LogComplex:
     """The continuous-weight extension w_d, analytic off the imaginary axis.
 
     w_d(z) = (1/z^2)^(1/z^2 - 1 - alpha) e^(alpha - 1/z^2) / Gamma(1/z^2 + 1 - alpha),
-    positive on the real axis away from zero.  z on or near the imaginary
-    axis raises by the rule of every cut (``mpnum.near_cut``): the axis is
-    the real axis of the reflected point Im z + i Re z, of the same modulus.
+    real on the real axis away from zero: positive for alpha <= 1, of
+    either sign for alpha > 1, and 0 at the poles of that Gamma.  Only
+    Re z = 0 raises.  At tiny z the width grows as in ``auxfun._d_width``:
+    the exponent's terms grow like |s log s|, s = 1/z^2.
     """
     bits = bits_of(prec)
     a = to_mpf(alpha, bits)
     z = to_mpc(z, bits)
-    require_finite(z, "weight_wd")  # named here: near_cut would print the reflected point
-    if near_cut(mp.make_mpc((z.imag._mpf_, z.real._mpf_)), -mpmath.inf, mpmath.inf, bits):
-        raise DomainError(f"weight_wd: z={z} on or too close to the imaginary axis")
-    with working(bits, GUARD + 8):
+    require_finite(z, "weight_wd")
+    if not z.real:
+        raise DomainError(f"weight_wd: z={z} on the imaginary axis")
+    wb = bits + max(0, 10 - 2 * mpmath.mag(z) - GUARD)
+    with working(wb, GUARD + 8):
         s = 1 / (z * z)
         # principal log(1/z^2); z off iR keeps z^2 off (-inf, 0]
         ls = -mpmath.log(z * z)
-        w = (s - 1 - a) * ls + (a - s) - log_gamma_complex(s + 1 - a, bits + GUARD)
+        try:
+            lg = log_gamma_complex(s + 1 - a, wb + GUARD)
+        except PoleError:  # 1/Gamma vanishes at its poles
+            return LogComplex.zero()
+        w = (s - 1 - a) * ls + (a - s) - lg
     return LogComplex.from_exponent(w, bits)
 
 

@@ -8,10 +8,7 @@ same call always produces the same bits.
 Quantities scaling like ``exp(+-n log n)`` travel as :class:`LogComplex`
 pairs ``(log_mod, phase)``.  Intermediates (``d_func``, the E-functions,
 ``from_exponent``) keep unreduced phases; results are principal, in
-(-pi, pi].  Addition factors out the larger modulus and reports a
-cancellation flag when the terms annihilate below ``2**(-bits/2)``
-relative.  Every exponent becomes a LogComplex through
-:meth:`LogComplex.from_exponent` alone, so all are rounded the same way.
+(-pi, pi].
 
 Fixed point, shared by the three integer kernels (the complex recurrence
 and the orthogonality sums of ``tcasym.exact``, log-gamma in
@@ -41,7 +38,7 @@ GUARD = 16
 
 
 class DomainError(ValueError):
-    """Input on (or within tolerance of) a branch cut or excluded set."""
+    """Input on a branch cut or in an excluded set, or not finite."""
 
 
 class PoleError(DomainError):
@@ -146,10 +143,10 @@ def fixed_mpc(v, P, bits):
 # Exact comparisons
 # ----------------------------------------------------------------------
 #
-# The region and cut tests compare polynomials in dyadic rationals (mpf
-# coordinates, the double parameters, integer degrees and cut ends), so
-# each is decided exactly: a value is the integer pair (m, e), m 2**e, and
-# a test is the sign of a sum of such pairs.
+# The region tests compare polynomials in dyadic rationals (mpf
+# coordinates, the double parameters and integer degrees), so each is
+# decided exactly: a value is the integer pair (m, e), m 2**e, and a test
+# is the sign of a sum of such pairs.
 
 def _dyadic(v):
     """(m, e) with v = m 2**e exactly, for an int, a finite float or a
@@ -199,45 +196,20 @@ def _sign(*terms) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def near_cut(z, lo, hi, prec) -> bool:
-    """Whether the mpc ``z`` lies on the real segment [lo, hi] (``lo`` may
-    be -inf and ``hi`` +inf) or within 2**-(bits/2) * min(1, |z|) of it:
-    relative to |z| below 1, so that a tiny z off the cut is not taken for
-    a cut point.
-
-    Decided exactly on z as it is: with d the distance to the segment and
-    h = bits // 2, d = 0 or d^2 4^h < min(1, |z|^2).  A non-finite z
-    raises :class:`DomainError`.
-    """
-    bits = bits_of(prec)
-    if not mpmath.isfinite(z):
-        raise DomainError(f"z={z} is not finite")
-    x, y = z.real, z.imag
-    end = lo if x < lo else hi if x > hi else None  # the end of [lo, hi] x lies beyond
-    if end is None and not y:
-        return True
-    yd = _dyadic(y)
-    d2 = [_prod(1, yd, yd)] + ([] if end is None else _sq_diff(_dyadic(x), _dyadic(end)))
-    h2 = 2 * (bits // 2)
-    d2 = [(m, e + h2) for m, e in d2]  # d^2 4^h
-    if _sign(*d2, (-1, 0)) >= 0:
-        return False
-    xd = _dyadic(x)
-    return _sign(*d2, _prod(-1, xd, xd), _prod(-1, yd, yd)) < 0
-
-
 def require_finite(z, what: str):
     """Raise :class:`DomainError`, naming ``what``, unless ``z`` is finite."""
     if not mpmath.isfinite(z):
         raise DomainError(f"{what}: z={z} is not finite")
 
 
-def require_off_cut(z, lo, hi, prec, what: str):
+def require_off_cut(z, lo, hi, what: str):
     """Raise :class:`DomainError`, naming ``what``, if ``z`` is not finite or
-    is near the cut [lo, hi] (:func:`near_cut`)."""
+    lies on the real segment [lo, hi] (``lo`` may be -inf and ``hi`` +inf):
+    Im z = 0 and lo <= Re z <= hi.  Every other point, however close, is
+    off the cut."""
     require_finite(z, what)
-    if near_cut(z, lo, hi, prec):
-        raise DomainError(f"{what}: z={z} lies on or too close to the cut [{lo}, {hi}]")
+    if not z.imag and lo <= z.real <= hi:
+        raise DomainError(f"{what}: z={z} lies on the cut [{lo}, {hi}]")
 
 
 # ----------------------------------------------------------------------
@@ -353,11 +325,12 @@ def sqrt_zsq_minus4(z, prec) -> mpmath.mpc:
 
     Computed as sqrt(z-2)*sqrt(z+2) with principal square roots: the two
     cut contributions cancel on (-inf, -2), leaving exactly the segment
-    [-2, 2] as the cut.  Points near the cut (:func:`near_cut`) raise
-    :class:`DomainError` rather than silently picking a side.
+    [-2, 2] as the cut.  Points of the cut raise :class:`DomainError`
+    rather than silently picking a side; every other point, however close,
+    evaluates where it is.
     """
     z = to_mpc(z, prec)
-    require_off_cut(z, -2, 2, prec, "sqrt_zsq_minus4")
+    require_off_cut(z, -2, 2, "sqrt_zsq_minus4")
     with working(prec):
         w = _w_root(z)
     return round_to(prec, w)

@@ -42,16 +42,6 @@ def to_fraction(x):
     return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
 
 
-def near_cut_fraction(z, lo, hi, bits):
-    """``mpnum.near_cut`` in Fractions: d = 0 or d^2 4^(bits//2) <
-    min(1, |z|^2), d the distance from z to [lo, hi]."""
-    x, y = to_fraction(z.real), to_fraction(z.imag)
-    lo, hi = (float(e) if mpmath.isinf(e) else Fraction(e) for e in (lo, hi))
-    dx = lo - x if x < lo else x - hi if x > hi else 0
-    d2 = dx * dx + y * y
-    return d2 == 0 or d2 * 4 ** (bits // 2) < min(1, x * x + y * y)
-
-
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -20,7 +20,7 @@ from tcasym.mpnum import (
     working,
 )
 
-from conftest import logc_rel_err, near_cut_fraction, rel_diff
+from conftest import logc_rel_err, rel_diff
 
 
 def hand_recurrence(n, alpha, x, prec=300):
@@ -422,21 +422,6 @@ class TestLeadingCoeff:
         assert rel_diff(v.to_complex(160), ref, 128) < mpmath.mpf(2) ** -110
 
 
-@st.composite
-def _axis_points(draw):
-    """(z, bits): z at distance 2^-(bits/2) min(1, |p|) from a point p of
-    the imaginary axis, |p| from 1e-30 to 1e3, with Re z moved by -1, 0 or
-    +1 unit in the last place at ``bits``, on either side of the axis."""
-    bits = draw(st.sampled_from([128, 256]))
-    ulps = draw(st.sampled_from([-1, 0, 1]))
-    with mp.workprec(4 * bits):
-        p = to_mpf(mpmath.mpf(10) ** draw(st.floats(-30, 3)), bits) * draw(st.sampled_from([-1, 1]))
-        d = mpmath.ldexp(min(1, abs(p)), -(bits // 2))
-        d += ulps * mpmath.ldexp(1, mpmath.mag(d) - bits)
-        x = to_mpf(d, bits) * draw(st.sampled_from([-1, 1]))
-    return mpmath.mpc(x, p), bits
-
-
 class TestWeight:
     def test_positive_on_reals(self):
         for x in ("0.5", "1", "2"):
@@ -467,22 +452,41 @@ class TestWeight:
         assert str(err.value) == f"weight_wd: z={z} is not finite"
 
     @settings(max_examples=60)
-    @given(case=_axis_points())
-    @example(case=(mpmath.mpc("1e-30", "1e-30"), 128))  # 45 degrees off the axis
-    @example(case=(mpmath.mpc("1e-18", "1e3"), 128))  # 2^-64 * 1e3 > 1e-18: absolute above |z| = 1
-    @example(case=(mpmath.mpc("1e-20", "0.5"), 128))
-    @example(case=(mpmath.mpc(0, 2), 128))
-    def test_axis_rule_is_near_cut(self, case):
-        # the imaginary axis is a cut like any other: refused exactly when
-        # the reflected point Im z + i Re z is near the real axis
-        z, bits = case
-        z = to_mpc(z, bits)
-        if near_cut_fraction(mp.make_mpc((z.imag._mpf_, z.real._mpf_)), -mpmath.inf, mpmath.inf, bits):
+    @given(y=st.floats(-1e3, 1e3).filter(lambda y: abs(y) >= 1e-30), k=st.integers(0, 1100),
+           side=st.sampled_from([-1, 0, 1]), bits=st.sampled_from([128, 256]))
+    @example(y=2.0, k=0, side=0, bits=128)
+    @example(y=0.5, k=65, side=1, bits=128)  # inside the old tolerance 2^-64 |z|
+    @example(y=-1e-30, k=1100, side=-1, bits=256)
+    def test_axis_rule_is_exact(self, y, k, side, bits):
+        # the imaginary axis is the cut: Re z = 0 raises, and a point
+        # 2^-k min(1, |y|) off it, however close, evaluates
+        with mp.workprec(bits):
+            y = to_mpf(y, bits)
+            x = side * mpmath.ldexp(min(1, abs(y)), -k)
+        z = to_mpc((x, y), bits)
+        if side == 0:
             with pytest.raises(DomainError, match="imaginary axis"):
                 exact.weight_wd(1, z, bits)
         else:
             v = exact.weight_wd(1, z, bits)
             assert mpmath.isfinite(v.log_mod) and mpmath.isfinite(v.phase)
+
+    @pytest.mark.parametrize("alpha, x", [(2, 1), (3, 1), (3, -1), (5, "0.5")])
+    def test_zero_at_gamma_poles(self, alpha, x):
+        # 1/Gamma(1/x^2 + 1 - alpha) vanishes where 1/x^2 + 1 - alpha = 0, -1, ...
+        assert exact.weight_wd(alpha, mpmath.mpf(x), 128).is_zero()
+
+    def test_sign_for_alpha_above_one(self):
+        # alpha = 3, x = 0.9: Gamma(1/0.81 - 2) < 0, so w_d = -0.64403...
+        # (mpmath's gamma at 256 bits), phase pi
+        x = to_mpf("0.9", 128)
+        v = exact.weight_wd(3, x, 128)
+        with working(256):
+            s = 1 / (x * x)
+            ref = s ** (s - 4) * mpmath.exp(3 - s) / mpmath.gamma(s - 2)
+            assert mpmath.mpf("-0.64404") < ref < mpmath.mpf("-0.64403")
+            assert abs(v.phase - mpmath.pi) < mpmath.ldexp(1, -120)
+        assert rel_diff(v.to_complex(128), ref, 128) < mpmath.mpf(2) ** -120
 
     @pytest.mark.parametrize("alpha", ["1", "0.6", "2.5"])
     def test_interpolates_masses_at_nodes(self, alpha):

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +20,6 @@ from tcasym.mpnum import (
     fixed_mpf,
     fixed_raw,
     logc_add,
-    near_cut,
     raw_fixed,
     round_to,
     sqrt_zsq_minus4,
@@ -31,7 +29,7 @@ from tcasym.mpnum import (
 )
 from tcasym.specfun import AiryQuartet
 
-from conftest import near_cut_fraction, rel_diff
+from conftest import rel_diff
 
 
 class TestPrecision:
@@ -108,10 +106,22 @@ class TestSqrtZsqMinus4:
             # exact comparisons: sums of opposite values avoid re-rounding
             assert a.real - b.real == 0 and a.imag + b.imag == 0
 
-    @pytest.mark.parametrize("z", [0, 1, -2, 2, 1.999, mpmath.mpc(0.5, 1e-30)])
+    @pytest.mark.parametrize("z", [0, 1, -2, 2, 1.999, mpmath.mpc(0.5, 0)])
     def test_cut_rejected(self, z):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="lies on the cut"):
             sqrt_zsq_minus4(z, 128)
+
+    @pytest.mark.parametrize("bits", [128, 256, 320])
+    def test_close_to_cut_evaluates(self, bits):
+        # 1e-30 above or below the cut: the value of that side, about
+        # +-i sqrt(3.75), to rounding against a run 256 bits wider
+        for y in ("1e-30", "-1e-30"):
+            z = to_mpc(("0.5", y), bits)
+            v = sqrt_zsq_minus4(z, bits)
+            with working(bits + 256):
+                ref = _w_root(z)
+            assert rel_diff(v, ref, bits + 256) <= mpmath.ldexp(1, 1 - bits)
+            assert (v.imag > 0) == (z.imag > 0)
 
     @pytest.mark.parametrize("z", [("nan", 0), ("nan", "nan"), ("inf", 0)])
     def test_non_finite_rejected(self, z):
@@ -156,75 +166,6 @@ class TestExactSign:
         total = sum(Fraction(m) * Fraction(2) ** e for m, e in terms)
         assert _sign(*terms) == (total > 0) - (total < 0)
         assert _sign(*reversed(terms)) == _sign(*terms)
-
-
-INF = mpmath.inf
-# every cut set the package tests
-CUTS = ((-INF, INF), (-INF, 2), (-INF, 0), (0, INF), (-2, INF), (-INF, -2), (2, INF), (-2, 2))
-
-
-@st.composite
-def _cut_points(draw):
-    """(z, lo, hi, bits): z at distance 2^-(bits/2) min(1, |p|) from a
-    point p of the cut, above it or beyond one of its ends, with the
-    coordinate that carries that distance moved by -1, 0 or +1 unit in the
-    last place at ``bits``; or a point of a box."""
-    lo, hi = draw(st.sampled_from(CUTS))
-    bits = draw(st.sampled_from([128, 129, 256]))
-    kind = draw(st.sampled_from(["above", "beyond", "box"]))
-    if kind == "box":
-        return to_mpc((draw(st.floats(-6, 6)), draw(st.floats(-6, 6))), bits), lo, hi, bits
-    ulps = draw(st.sampled_from([-1, 0, 1]))
-    ends = [e for e in (lo, hi) if mpmath.isfinite(e)]
-    with mp.workprec(4 * bits):
-        if kind == "beyond" and ends:
-            p = mpmath.mpf(draw(st.sampled_from(ends)))
-            side = 1 if p == hi else -1
-        else:
-            # a point of the cut, |p| from 1e-30 to 1e3
-            r = mpmath.mpf(10) ** draw(st.floats(-30, 3))
-            if len(ends) == 2:
-                p = lo + (hi - lo) * mpmath.mpf(draw(st.floats(0, 1)))
-            elif ends:
-                p = ends[0] + (r if ends[0] == lo else -r)
-            else:
-                p = r * draw(st.sampled_from([-1, 1]))
-            p = to_mpc(p, bits).real
-            side = 1j
-        z = p + side * mpmath.ldexp(min(1, abs(p)), -(bits // 2))
-        c = abs(z.imag if side == 1j else z.real)
-        if c:
-            z += ulps * side * mpmath.ldexp(1, mpmath.mag(c) - bits)
-    return to_mpc(z, bits), lo, hi, bits
-
-
-class TestNearCut:
-    """``near_cut`` decides d = 0 or d < 2^-(bits/2) min(1, |z|) exactly."""
-
-    @settings(max_examples=400)
-    @given(case=_cut_points())
-    @example(case=(mpmath.mpc(1, mpmath.ldexp(1, -64)), -INF, INF, 128))
-    @example(case=(mpmath.mpc("0.5", mpmath.ldexp(1, -65)), -2, 2, 128))
-    @example(case=(mpmath.mpc("0.5", mpmath.ldexp(1, -65)), -2, 2, 129))
-    @example(case=(mpmath.mpc(mp.make_mpf(from_man_exp(2 ** 129 + 1, -128))), -INF, 2, 256))
-    def test_matches_fraction(self, case):
-        z, lo, hi, bits = case
-        assert near_cut(z, lo, hi, bits) == near_cut_fraction(z, lo, hi, bits), case
-
-    def test_non_finite(self):
-        # a nan or an infinite coordinate is refused, whatever the cut and
-        # whatever the other coordinate
-        vals = ("nan", "inf", "-inf", 0, 1, 3, -3, "1e-80")
-        refused = 0
-        for (x, y), (lo, hi), bits in itertools.product(
-                itertools.product(vals, vals), CUTS, (128, 256)):
-            z = to_mpc((x, y), bits)
-            if mpmath.isfinite(z):
-                continue
-            with pytest.raises(DomainError, match="is not finite"):
-                near_cut(z, lo, hi, bits)
-            refused += 1
-        assert refused == 39 * len(CUTS) * 2
 
 
 class TestAddGuarded:
