@@ -8,23 +8,21 @@ formula (``eval_region_d``), both on the exponents of ``_exponents``, and
 the turning-point disk C around 2 has the Airy form.  The full-plane
 dispatcher reduces any nonzero z to the first quadrant through the parity
 and reflection symmetries (exact negations), classifies it (exactly: each
-region test is an inequality between polynomials in the dyadic inputs,
-decided in integers by ``mpnum._sign``), dispatches, and undoes the
-reduction on the LogComplex result, so the symmetries hold bit for bit by
-construction.  No point is moved onto the axis: a nearly real z is
-evaluated where it is, at every width.
-Every value has a principal phase, reduced mod 2 pi once at the
-evaluator's working width (``_finish``) and never moved out of (-pi, pi].
-Each evaluator checks its point and builds its one geometry record
-(``_point``: the quantities of z that the formulas share, each taken
-once) from (n, alpha, z, prec), whoever calls it; z and alpha rounded by
-the dispatcher are not rounded again.
+region test is decided in integers by ``mpnum._sign``), dispatches, and
+undoes the reduction on the LogComplex result, so the symmetries hold bit
+for bit by construction.  No point is moved onto the axis.  Every value
+has a principal phase, reduced mod 2 pi once at the evaluator's working
+width (``_finish``).  Each evaluator checks its point and builds its one
+geometry record (``_point``: the quantities of z that the formulas share,
+each taken once) from (n, alpha, z, prec), whoever calls it.
 
-Real arguments are evaluated as upper-half-plane boundary values.  Every
-region's value there is asserted real (imaginary residual <= 1e-8
-relative) and its phase snapped to 0 or pi; only the band formula, which
-combines two conjugate oscillatory terms into that real value, flags the
-snap (``real-snapped``), at an exactly real z.
+The arithmetic is raw libmp calls (``mpf_*``/``mpc_*``, round to nearest)
+at explicit widths, each the call that mpmath's operator or function
+would make at that width; no precision context is entered.
+
+Real arguments are evaluated as upper-half-plane boundary values, asserted
+real (imaginary residual <= 1e-8 relative) with the phase snapped to 0 or
+pi; only the band formula flags the snap (``real-snapped``).
 
 Every result carries ``dropped_term_bound``: the log-magnitude of the
 largest term the formula discards, so downstream error tables can
@@ -37,8 +35,11 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fhalf, fninf, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pi, mpf_pos, mpf_shift, mpf_sub, round_ceiling, to_float, to_int)
+from mpmath.libmp import (fhalf, fninf, fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf,
+                          mpc_exp, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_sub, mpc_zero,
+                          mpf_abs, mpf_add, mpf_atan2, mpf_div, mpf_gt, mpf_ln2, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_nint, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, to_float,
+                          to_int)
 from mpmath.libmp import round_nearest as _RND
 
 from .auxfun import (
@@ -53,17 +54,20 @@ from .auxfun import (
     phi,
 )
 from .mpnum import (
+    _TWO,
     GUARD,
     ConfigError,
     DomainError,
     LogComplex,
     _dyadic,
+    _mag,
     _prod,
     _sign,
     _sq_diff,
     add_guarded,
     bits_of,
     fixed_mpc,
+    require_finite,
     round_to,
     to_mpc,
     to_mpf,
@@ -145,9 +149,9 @@ def _checked(z, alpha, bits):
     """(z, alpha) rounded to ``bits``; ConfigError unless both are finite
     and alpha > 0."""
     z, a = to_mpc(z, bits), to_mpf(alpha, bits)
-    if not (mpmath.isfinite(a) and mpmath.isfinite(z)):
+    if not all(t[1] or t == fzero for t in (a._mpf_, *z._mpc_)):  # libmp's inf and nan have no mantissa
         raise ConfigError(f"alpha and z must be finite, got alpha={a}, z={z}")
-    if a <= 0:
+    if not mpf_gt(a._mpf_, fzero):
         raise ConfigError(f"alpha must be > 0, got alpha={a}")
     return z, a
 
@@ -187,47 +191,46 @@ def _point(n, alpha, z, bits, tag):
     the outer formula (tag "D", which serves A too) when that is wider."""
     name = f"eval_region_{tag.lower()}"
     z = to_mpc(z, bits)
-    if tag == "B" and z == 0:
+    require_finite(z, name)
+    zr = z._mpc_
+    if tag == "B" and zr == mpc_zero:
         raise DomainError(f"{name}: z = 0 excluded")
     turning = tag == "C"
-    if not turning and z.imag < 0:  # the formulas hold on the closed upper half-plane
+    if not turning and mpf_lt(zr[1], fzero):  # the formulas hold on the closed upper half-plane
         raise DomainError(f"{name} expects Im z >= 0; use eval_asym for the lower half")
-    width = _h_width(z, bits + 2 * GUARD) if turning else _phi_width(z, bits + GUARD)
-    s_width = width
-    if tag == "D":
-        s_width = max(width, _d_width(n, z, bits + GUARD) + GUARD + 8)
-    return _geometry(n, to_mpf(alpha, bits), z, width, s_width, turning)
+    width = _h_width(zr, bits + 2 * GUARD) if turning else _phi_width(zr, bits + GUARD)
+    s_width = max(width, _d_width(n, z, bits + GUARD) + GUARD + 8) if tag == "D" else width
+    return _geometry(n, to_mpf(alpha, bits)._mpf_, zr, width, s_width, turning)
 
 
 def _log_prefactor(n, g, bits, wp):
     """log of Gamma(alpha) e^{n/2} / (sqrt(2 pi) n^{n/2+alpha-1/2}) from the
-    record g, at width ``wp`` by raw libmp calls, the ones the context's
-    operators would make there."""
+    record g, raw at width ``wp``."""
     nh = mpf_shift(from_int(n), -1)  # n/2, exact
-    t = mpf_add(log_gamma_real(g.a, bits + GUARD)._mpf_, nh, wp, _RND)
-    u = mpf_mul(mpf_sub(mpf_add(nh, g.a._mpf_, wp, _RND), fhalf, wp, _RND), g.logn._mpf_, wp, _RND)
-    return mp.make_mpf(mpf_sub(mpf_sub(t, u, wp, _RND), _half_log_twopi(wp)._mpf_, wp, _RND))
+    t = mpf_add(log_gamma_real(mp.make_mpf(g.a), bits + GUARD)._mpf_, nh, wp, _RND)
+    u = mpf_mul(mpf_sub(mpf_add(nh, g.a, wp, _RND), fhalf, wp, _RND), g.logn, wp, _RND)
+    return mpf_sub(mpf_sub(t, u, wp, _RND), _half_log_twopi(wp)._mpf_, wp, _RND)
 
 
 def _exponents(n, g, bits):
     """The exponents the band and outer formulas share, for the point of
-    the record g, at the caller's working width:
+    the record g, raw at width bits + GUARD + 8:
         wc = log prefactor + log (z^2-4)^(-1/4)  (product-principal factors),
         w1 = (2a-1/2) u - n phi - a pi i + pi i/2,
         w2 = -(2a-1/2) u + n phi + a pi i,
     u = Log((z + sqrt(z^2-4))/2).
 
     Returns (phi(z), the log-prefactor, wc, w1, w2)."""
-    a, u = g.a, g.u
-    with working(bits, GUARD + 8):
-        p = 2 * a - mpmath.mpf(1) / 2
-        phv = phi(g.z, bits + GUARD, _geo=g)
-        ipi = mpmath.mpc(0, mpmath.pi)
-        log_pref = _log_prefactor(n, g, bits, bits + GUARD + 8)
-        wc = log_pref - g.lw / 4
-        t = p * u - n * phv - a * ipi
-        w1 = t + ipi / 2
-        w2 = -t  # rounding is symmetric: -p u + n phi + a pi i, bit for bit
+    a, wp = g.a, bits + GUARD + 8
+    p = mpf_sub(mpf_mul_int(a, 2, wp, _RND), fhalf, wp, _RND)
+    phv = phi(mp.make_mpc(g.z), bits + GUARD, _geo=g)._mpc_
+    pi = mpf_pi(wp, _RND)
+    log_pref = _log_prefactor(n, g, bits, wp)
+    wc = mpc_sub((log_pref, fzero), mpc_div_mpf(g.lw, from_int(4), wp, _RND), wp, _RND)
+    t = mpc_sub(mpc_mul_mpf(g.u, p, wp, _RND), mpc_mul_int(phv, n, wp, _RND), wp, _RND)
+    t = mpc_sub(t, mpc_mul_mpf((fzero, pi), a, wp, _RND), wp, _RND)
+    w1 = mpc_add(t, (fzero, mpf_shift(pi, -1)), wp, _RND)
+    w2 = mpc_neg(t)  # rounding is symmetric: -p u + n phi + a pi i, bit for bit
     return phv, log_pref, wc, w1, w2
 
 
@@ -275,19 +278,17 @@ def eval_region_d(n: int, alpha, z, prec) -> AsymResult:
     bits = bits_of(prec)
     g = _point(n, alpha, z, bits, "D")
     phv, log_pref, wc, w1, _ = _exponents(n, g, bits)
-    dd = d_func(n, g.a, g.z, bits + GUARD, _geo=g)
-    with working(bits, GUARD + 8):
-        w = wc + w1 - mpmath.mpc(dd.log_mod, dd.phase)
-    value = _finish(*w._mpc_, bits, bits + GUARD + 8, g.z.imag == 0)
-    flags = ()
-    with working(bits):
-        logn = g.logn
-        drop_rel = value.log_mod - logn
-        drop_abs = log_pref + n * phv.real
-        dropped = max(drop_rel, drop_abs)
-        if n * phv.real > -logn:
-            flags = ("dropped-term-dominant",)
-    return AsymResult(value, RegionLabel("D"), round_to(bits, dropped), flags)
+    dd = d_func(n, mp.make_mpf(g.a), mp.make_mpc(g.z), bits + GUARD, _geo=g)
+    wp = bits + GUARD + 8
+    w = mpc_sub(mpc_add(wc, w1, wp, _RND), (dd.log_mod._mpf_, dd.phase._mpf_), wp, _RND)
+    value = _finish(*w, bits, wp, g.z[1] == fzero)
+    wp = bits + GUARD
+    n_re_phi = mpf_mul_int(phv[0], n, wp, _RND)
+    drop_rel = mpf_sub(value.log_mod._mpf_, g.logn, wp, _RND)
+    drop_abs = mpf_add(log_pref, n_re_phi, wp, _RND)
+    dropped = drop_abs if mpf_gt(drop_abs, drop_rel) else drop_rel
+    flags = ("dropped-term-dominant",) if mpf_gt(n_re_phi, mpf_neg(g.logn, wp, _RND)) else ()
+    return AsymResult(value, RegionLabel("D"), mp.make_mpf(mpf_pos(dropped, bits, _RND)), flags)
 
 
 def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
@@ -310,26 +311,24 @@ def eval_region_b(n: int, alpha, z, prec) -> AsymResult:
     """
     bits = bits_of(prec)
     z, alpha = to_mpc(z, bits), to_mpf(alpha, bits)
-    wide = bits
-    if n % 2 and z != 0:
-        wide += max(0, -mpmath.mag(z) - GUARD // 2)
+    wide = bits + (max(0, -_mag(z._mpc_) - GUARD // 2) if n % 2 and z != 0 else 0)
     g = _point(n, alpha, z, wide, "B")
     _, _, wc, w1, w2 = _exponents(n, g, wide)
-    big = max(w1.real, w2.real)
+    big = w2[0] if mpf_gt(w2[0], w1[0]) else w1[0]
     wp = wide + GUARD + 8
-    with mp.workprec(wp):
-        m, cancelled = add_guarded(mpmath.exp(w1), mpmath.exp(w2), wide)
-        log_m = mpmath.log(abs(m))
-        if cancelled and wide > bits and m:
-            # the widening pays for wide - bits of the loss: judge what is left at bits
-            cancelled = big - log_m > (wide - bits + bits // 2) * mpmath.ln2
-        real = g.z.imag == 0 and m != 0
-        value = _finish((wc.real + log_m)._mpf_, (wc.imag + mpmath.atan2(m.imag, m.real))._mpf_, bits, wp, real)
-    flags = ("cancel",) if cancelled else ()
-    if real:
-        flags += ("real-snapped",)
-    dropped = mpf_sub(mpf_add(wc.real._mpf_, big._mpf_, wide + GUARD, _RND), g.logn._mpf_, wide + GUARD, _RND)
-    return AsymResult(value, RegionLabel("B"), round_to(bits, mp.make_mpf(dropped)), flags)
+    m, cancelled = add_guarded(mpc_exp(w1, wp, _RND), mpc_exp(w2, wp, _RND), wide)
+    log_m = mpf_log(mpc_abs(m, wp, _RND), wp, _RND)
+    nonzero = m != mpc_zero
+    if cancelled and wide > bits and nonzero:
+        # the widening pays for wide - bits of the loss: judge what is left at bits
+        left = mpf_mul_int(mpf_ln2(wp, _RND), wide - bits + bits // 2, wp, _RND)
+        cancelled = mpf_gt(mpf_sub(big, log_m, wp, _RND), left)
+    real = g.z[1] == fzero and nonzero
+    phase = mpf_add(wc[1], mpf_atan2(m[1], m[0], wp, _RND), wp, _RND)
+    value = _finish(mpf_add(wc[0], log_m, wp, _RND), phase, bits, wp, real)
+    flags = ("cancel",) * cancelled + ("real-snapped",) * real
+    dropped = mpf_sub(mpf_add(wc[0], big, wide + GUARD, _RND), g.logn, wide + GUARD, _RND)
+    return AsymResult(value, RegionLabel("B"), mp.make_mpf(mpf_pos(dropped, bits, _RND)), flags)
 
 
 def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
@@ -350,76 +349,74 @@ def eval_region_c(n: int, alpha, z, prec) -> AsymResult:
                                     + e^(-i tau + pi i/3) Ai(conj(w) zeta),
         Ai' cos tau + Bi' sin tau = e^(i tau + pi i/3) Ai'(w zeta)
                                     + e^(-i tau - pi i/3) Ai'(conj(w) zeta).
-    The four terms are mpc values, all formed GUARD bits beyond the
-    working width bits + GUARD + 8: e^(i tau) once, from Re tau reduced
-    mod 2 pi and Im tau, times e^(+-i pi/3), and e^(-i tau) as its
-    reciprocal.  mpf exponents are unbounded, so e^(+-|Im tau|) cannot
-    overflow, and each term keeps its relative accuracy however far the
-    two of a bracket are apart.  The Airy values enter at that width
-    (``specfun._airy_rotated``, not rounded to bits + GUARD first), and
-    2 sinh(pu), 2 cosh(pu) come from one exponential, widened by the bits
-    that e^(pu) - e^(-pu) cancels near z = 2.  The two brackets and the
-    value are sums under ``logc_add``'s rule at the working width
-    (``mpnum.add_guarded``): ``cancel`` is set when any of the three loses
-    more than half of that width, and a sum below 2^-(width-4) of its
-    larger term is the exact zero.  One log |m| and one atan2 give the
-    value, and log(|bracket a| + |bracket b|) the dropped term.  On the
-    real axis the value is real; its phase, which carries only rounding
-    residue there, is snapped to 0 or pi without the ``real-snapped``
-    flag of the band formula's boundary values.
+    The four terms are complex values formed GUARD bits beyond the working
+    width bits + GUARD + 8: e^(i tau) once, from Re tau reduced mod 2 pi
+    and Im tau, times e^(+-i pi/3), and e^(-i tau) as its reciprocal; mpf
+    exponents are unbounded, so no term overflows or loses its relative
+    accuracy, however far the two of a bracket are apart.  The Airy values
+    enter at that width (``specfun._airy_rotated``), and 2 sinh(pu),
+    2 cosh(pu) come from one exponential, widened by the bits that
+    e^(pu) - e^(-pu) cancels near z = 2.  The two brackets and the value
+    are sums under ``mpnum.add_guarded``'s rule at the working width:
+    ``cancel`` when any of the three loses more than half of that width,
+    the exact zero below 2^-(width-4) of the larger term.  One log |m| and
+    one atan2 give the value, log(|bracket a| + |bracket b|) the dropped
+    term.  On the real axis the phase, only rounding residue away from 0
+    or pi, is snapped there without the ``real-snapped`` flag.
     """
     bits = bits_of(prec)
     if n < 1:
         raise ConfigError("eval_region_c requires n >= 1")
     g = _point(n, alpha, z, bits, "C")
-    z, a, u, w = g.z, g.a, g.u, g.w
-    work = bits + GUARD + 8
-    # one h and one log h at the widths f_tilde_n would use, shared by
-    # ftilde and h^(1/6)
-    h = h_factor(z, bits + 2 * GUARD, _geo=g)
-    with mp.workprec(bits + 2 * GUARD):
-        log_h = mpmath.log(h)
+    z, a = g.z, g.a
+    work, wp = bits + GUARD + 8, bits + 2 * GUARD + 8
+    # one h and one log h at f_tilde_n's widths, for ftilde and h^(1/6)
+    log_h = mpc_log(h_factor(mp.make_mpc(z), bits + 2 * GUARD, _geo=g)._mpc_, bits + 2 * GUARD, _RND)
     ft = _f_tilde_from_log_h(n, z, log_h, bits + GUARD)
     # rounded to bits + GUARD, the Airy values would set the phase's error
     # near the axis
-    P, airy = _airy_rotated(ft, bits + GUARD)
-    ai_w, aid_w, ai_wb, aid_wb = (fixed_mpc(v, P, work + GUARD) for v in airy)
-    with mp.workprec(work + GUARD):
-        p = 2 * a - mpmath.mpf(1) / 2
-        if w == 0:
-            s_fac = mpmath.mpc(p)
-            c_fac = mpmath.mpc(2)
-        else:
-            # 2 sinh and 2 cosh from one exponential; e - 1/e cancels to
-            # 2 p u near z = 2, so it is formed wider by the bits lost
-            pu = p * u
-            with mp.workprec(work + GUARD + (max(0, 1 - mpmath.mag(pu)) if pu else 0)):
-                e = mpmath.exp(pu)
-                ei = 1 / e
-                s_fac = (e - ei) / w
-                c_fac = e + ei
-        # q = n^(1/6) h^(1/6) (z+2)^(-1/4), one exponential
-        q = mpmath.exp((g.logn + log_h) / 6 - mpmath.log(z + 2) / 4)
-        fac_a = s_fac / q
-        fac_b = c_fac * q
-        tau = a * mpmath.pi - mpmath.pi * g.s
-        # Re tau reaches n pi/4; reduced mod 2 pi, every term's phase
-        # stays O(1) and keeps the absolute accuracy of the work width
-        re_tau = tau.real - 2 * mpmath.pi * mpmath.nint(tau.real / (2 * mpmath.pi))
-        et = mpmath.exp(mpmath.mpc(-tau.imag, re_tau))  # e^(i tau)
-        rot = mpmath.mpc(0.5, mpmath.sqrt(3) / 2)  # e^(i pi/3)
-        e_p, e_m = et * rot, et / rot  # e^(i (tau +- pi/3))
-        s_a, cancel_a = add_guarded(aid_w * e_p, aid_wb / e_p, work)
-        s_b, cancel_b = add_guarded(ai_w * e_m, ai_wb / e_m, work)
-        br_a, br_b = fac_a * s_a, fac_b * s_b
-        m, cancel_m = add_guarded(br_a, br_b, work)
-        # sqrt(pi) times the prefactor shared with the other regions
-        log_pc = _log_prefactor(n, g, bits, work + GUARD) + mpmath.log(mpmath.pi) / 2
-        log_m, arg_m = log_pc + mpmath.log(abs(m)), mpmath.atan2(m.imag, m.real)
-        dropped = log_pc + mpmath.log(abs(br_a) + abs(br_b)) - g.logn
-    value = _finish(log_m._mpf_, arg_m._mpf_, bits, work + GUARD, z.imag == 0)
+    P, airy = _airy_rotated(mp.make_mpc(ft), bits + GUARD)
+    ai_w, aid_w, ai_wb, aid_wb = (fixed_mpc(v, P, wp)._mpc_ for v in airy)
+    p = mpf_sub(mpf_mul_int(a, 2, wp, _RND), fhalf, wp, _RND)
+    if g.w == mpc_zero:
+        s_fac, c_fac = (p, fzero), (_TWO, fzero)
+    else:
+        # 2 sinh and 2 cosh from one exponential; e - 1/e cancels to
+        # 2 p u near z = 2, so it is formed wider by the bits lost
+        pu = mpc_mul_mpf(g.u, p, wp, _RND)
+        we = wp + (max(0, 1 - _mag(pu)) if pu != mpc_zero else 0)
+        e = mpc_exp(pu, we, _RND)
+        ei = mpc_mpf_div(fone, e, we, _RND)
+        s_fac = mpc_div(mpc_sub(e, ei, we, _RND), g.w, we, _RND)
+        c_fac = mpc_add(e, ei, we, _RND)
+    # q = n^(1/6) h^(1/6) (z+2)^(-1/4), one exponential
+    q = mpc_div_mpf(mpc_add_mpf(log_h, g.logn, wp, _RND), from_int(6), wp, _RND)
+    q = mpc_exp(mpc_sub(q, mpc_div_mpf(mpc_log(mpc_add_mpf(z, _TWO, wp, _RND), wp, _RND), from_int(4), wp, _RND),
+                        wp, _RND), wp, _RND)
+    fac_a = mpc_div(s_fac, q, wp, _RND)
+    fac_b = mpc_mul(c_fac, q, wp, _RND)
+    pi = mpf_pi(wp, _RND)
+    tau = mpc_sub((mpf_mul(a, pi, wp, _RND), fzero), mpc_mul_mpf(g.s, pi, wp, _RND), wp, _RND)
+    # Re tau reaches n pi/4; reduced mod 2 pi, every term's phase
+    # stays O(1) and keeps the absolute accuracy of the work width
+    twopi = mpf_shift(pi, 1)
+    k = mpf_nint(mpf_div(tau[0], twopi, wp, _RND), wp, _RND)
+    re_tau = mpf_sub(tau[0], mpf_mul(twopi, k, wp, _RND), wp, _RND)
+    et = mpc_exp((mpf_neg(tau[1]), re_tau), wp, _RND)  # e^(i tau)
+    rot = (fhalf, mpf_shift(mpf_sqrt(from_int(3), wp, _RND), -1))  # e^(i pi/3)
+    e_p, e_m = mpc_mul(et, rot, wp, _RND), mpc_div(et, rot, wp, _RND)  # e^(i (tau +- pi/3))
+    s_a, cancel_a = add_guarded(mpc_mul(aid_w, e_p, wp, _RND), mpc_div(aid_wb, e_p, wp, _RND), work)
+    s_b, cancel_b = add_guarded(mpc_mul(ai_w, e_m, wp, _RND), mpc_div(ai_wb, e_m, wp, _RND), work)
+    br_a, br_b = mpc_mul(fac_a, s_a, wp, _RND), mpc_mul(fac_b, s_b, wp, _RND)
+    m, cancel_m = add_guarded(br_a, br_b, work)
+    # sqrt(pi) times the prefactor shared with the other regions
+    log_pc = mpf_add(_log_prefactor(n, g, bits, wp), mpf_shift(mpf_log(pi, wp, _RND), -1), wp, _RND)
+    log_m = mpf_add(log_pc, mpf_log(mpc_abs(m, wp, _RND), wp, _RND), wp, _RND)
+    dropped = mpf_add(mpc_abs(br_a, wp, _RND), mpc_abs(br_b, wp, _RND), wp, _RND)
+    dropped = mpf_sub(mpf_add(log_pc, mpf_log(dropped, wp, _RND), wp, _RND), g.logn, wp, _RND)
+    value = _finish(log_m, mpf_atan2(m[1], m[0], wp, _RND), bits, wp, z[1] == fzero)
     flags = ("cancel",) if (cancel_a or cancel_b or cancel_m) else ()
-    return AsymResult(value, RegionLabel("C"), round_to(bits, dropped), flags)
+    return AsymResult(value, RegionLabel("C"), mp.make_mpf(mpf_pos(dropped, bits, _RND)), flags)
 
 
 _EVALUATORS = {

@@ -3,16 +3,17 @@
 Contents: the limiting zero density psi (band |x| <= 2, saturated
 2/|x|^3 outside), the explicit derivative of the logarithmic potential,
 the regularized phase functions phi-tilde / phi / phi-hat, the conformal
-turning-point map (its cofactor h is the closed form in phi-tilde, at a
-width widened by the bits that form cancels near 2, with no cache), the
+turning-point map (its cofactor h is the closed form in phi-tilde), the
 Gamma-ratio D-functions with their algebraic E prefactors, and the
 node-counting trio (theta, gamma, Pi).  The phases read
 u = Log((z + sqrt(z^2-4))/2), the log of the inverse Joukowski map at
-z/2, from the helper ``_u_of``.  u, w = sqrt(z^2-4), z^2, n/z^2 and
-log n come only from a ``_Geometry`` record: a region evaluator passes
-its point's record to ``phi``, ``phi_tilde``, ``h_factor`` and ``d_func``
-as their private ``_geo``, and without it each builds the same record at
-the width it evaluates at, then runs the same body.
+z/2 (``_u_of``).  u, w = sqrt(z^2-4), z^2, n/z^2 and log n come from a
+raw ``_Geometry`` record: a region evaluator passes its point's record to
+``phi``, ``phi_tilde``, ``h_factor`` and ``d_func`` as their private
+``_geo``; without it each builds one.  Near 2 the closed form of
+phi-tilde cancels 1.5 log2(1/|z - 2|) bits, so h evaluates it that much
+wider (``_h_width``).  The record and the functions the evaluators call
+make raw libmp calls at explicit widths.
 
 Branch discipline: every power/log is a principal branch of an explicit
 factor, chosen so each function is analytic exactly off its stated cut.
@@ -30,8 +31,11 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fhalf, fzero, mpc_add, mpc_add_mpf, mpc_log, mpc_mul, mpc_mul_int, mpc_sub, mpc_sub_mpf,
-                          mpf_log, mpf_neg, mpf_pi, mpf_shift)
+from mpmath.libmp import (fhalf, fone, from_float, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_conjugate,
+                          mpc_div, mpc_div_mpf, mpc_exp, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
+                          mpc_neg, mpc_pos, mpc_shift, mpc_sqrt, mpc_sub, mpc_sub_mpf, mpc_zero, mpf_acos, mpf_add,
+                          mpf_div, mpf_ge, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_nint, mpf_pi,
+                          mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sqrt, mpf_sub)
 from mpmath.libmp import round_nearest as _RND
 
 from .mpnum import (
@@ -39,6 +43,8 @@ from .mpnum import (
     ConfigError,
     DomainError,
     LogComplex,
+    _mag,
+    _TWO,
     _w_root,
     bits_of,
     require_finite,
@@ -87,65 +93,57 @@ def density_psi(x, prec):
 # Inverse Joukowski log (product-principal branches)
 # ----------------------------------------------------------------------
 
-def _u_of(z):
-    """(u, w): w = sqrt(z-2) sqrt(z+2) and u = Log((z + w)/2), so that
-    cosh u = z/2 and sinh u = w/2, at the caller's working precision.  On
-    the closed first quadrant the log's argument never meets (-inf, 0], and
-    a band z gets the upper limit."""
-    w = _w_root(z)
-    return mpmath.log((z + w) / 2), w
-
-
-def _band_u_w(x):
-    """(u, w) at a band point 0 < x <= 2 as their upper limits
-    i acos(x/2) and i sqrt(4 - x^2), at the caller's working precision."""
-    return (mpmath.mpc(0, mpmath.acos(x / 2)),
-            mpmath.mpc(0, mpmath.sqrt((2 - x) * (2 + x))))
+def _u_of(z, wp):
+    """(u, w) of a raw complex z, raw at width ``wp``: w = sqrt(z-2) sqrt(z+2)
+    and u = Log((z + w)/2), so that cosh u = z/2 and sinh u = w/2.  On the
+    closed first quadrant the log's argument never meets (-inf, 0], and a
+    band z gets the upper limit."""
+    w = _w_root(z, wp)
+    return mpc_log(mpc_shift(mpc_add(z, w, wp, _RND), -1), wp, _RND), w
 
 
 class _Geometry(NamedTuple):
-    """The quantities of one point that the formulas read.  ``z`` and
+    """The quantities of one point that the formulas read, raw.  ``z`` and
     ``a`` (alpha) are rounded to the evaluation width; the rest are taken
     once, at the widest width at which a reader takes them (``asym._point``):
 
     zz = z^2, s = n/z^2, logn = log n, (u, w) as in :func:`_u_of` (on the
-    band 0 < x <= 2, their upper limits :func:`_band_u_w`), and lw =
+    band 0 < x <= 2, their upper limits i acos(x/2), i sqrt(4 - x^2)), lw =
     log(z-2) + log(z+2) = 2 Log w (on the closed upper half-plane the
     arguments of the two square roots add up to an angle in [0, pi]),
     None on the turning-point disk, whose formula does not read it, and in
     a record of z alone (no n, a, s or logn either).
     """
 
-    z: mpmath.mpc
-    a: mpmath.mpf
-    zz: mpmath.mpc
-    s: mpmath.mpc
-    logn: mpmath.mpf
-    u: mpmath.mpc
-    w: mpmath.mpc
-    lw: mpmath.mpc | None
+    z: tuple
+    a: tuple
+    zz: tuple
+    s: tuple
+    logn: tuple
+    u: tuple
+    w: tuple
+    lw: tuple | None
 
 
 def _geometry(n, a, z, width: int, s_width: int = 0, turning: bool = False) -> _Geometry:
-    """The record of z and alpha ``a`` for degree n (of z alone if n is
-    None): u, w, zz and lw rounded once at ``width``, s and logn at
+    """The record of the raw z and alpha ``a`` for degree n (of z alone if
+    n is None): u, w, zz and lw rounded once at ``width``, s and logn at
     ``s_width`` (default ``width``).  ``turning`` marks the turning-point
     disk: there h needs the off-cut u and w even on the axis, and no lw."""
-    with mp.workprec(width):
-        if not turning and z.imag == 0 and 0 < z.real <= 2:
-            u, w = _band_u_w(z.real)
-        else:
-            u, w = _u_of(z)
-        zz = z * z
-        lw = None if turning or n is None else 2 * mpmath.log(w)
+    re, im = z
+    if not turning and im == fzero and mpf_gt(re, fzero) and not mpf_gt(re, _TWO):
+        r = mpf_mul(mpf_sub(_TWO, re, width, _RND), mpf_add(re, _TWO, width, _RND), width, _RND)
+        u, w = (fzero, mpf_acos(mpf_shift(re, -1), width, _RND)), (fzero, mpf_sqrt(r, width, _RND))
+    else:
+        u, w = _u_of(z, width)
+    zz = mpc_mul(z, z, width, _RND)
     if n is None:
         return _Geometry(z, a, zz, None, None, u, w, None)
+    lw = None if turning else mpc_mul_int(mpc_log(w, width, _RND), 2, width, _RND)
     s_width = s_width or width
-    with mp.workprec(s_width):
-        # from the rounded z^2 unless s needs more bits than it holds
-        s = n / (zz if s_width == width else z * z)
-        logn = mpmath.log(n)
-    return _Geometry(z, a, zz, s, logn, u, w, lw)
+    # from the rounded z^2 unless s needs more bits than it holds
+    s = mpc_mpf_div(from_int(n), zz if s_width == width else mpc_mul(z, z, s_width, _RND), s_width, _RND)
+    return _Geometry(z, a, zz, s, mpf_log(from_int(n), s_width, _RND), u, w, lw)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +164,7 @@ def g_prime(z, prec):
     if z == 0:
         raise DomainError("g_prime: pole at z = 0")
     with working(bits):
-        el, w = _u_of(z)  # the upper limit on (-2, 2) by the Arg convention
+        el, w = map(mp.make_mpc, _u_of(z._mpc_, mp.prec))  # the upper limit on (-2, 2) by the Arg convention
         sgn = -1 if z.imag < 0 else 1
         z3 = z * z * z
         v = 4 * el / z3 + w / (z * z) - sgn * 2 * mpmath.pi * 1j / z3
@@ -180,41 +178,41 @@ def phi_tilde(z, prec, _geo=None):
     taken at every z with Im z != 0 however close to the cut.  A real
     z = x in (0, 2] takes its limit from above: the same form with u and
     w at their upper limits i acos(x/2) and i sqrt(4 - x^2), purely
-    imaginary.  A real z <= 0 raises.  The form reads a record
-    (:class:`_Geometry`) at the evaluation width: on the band its own
-    record of x, elsewhere ``_geo`` if given, else its own record of z.
+    imaginary.  A real z <= 0 raises.  The form reads ``_geo``, an
+    evaluator's record of z (:class:`_Geometry`), if given.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     require_finite(z, "phi_tilde")
-    if z.imag or z.real > 2:
-        g = _geo or _geometry(None, None, z, bits + GUARD + 8)
-    elif z.real > 0:
-        # the record of x = Re z holds the band limits of u and w
-        g = _geometry(None, None, z.real, bits + GUARD + 8)
-    else:
-        raise DomainError(f"phi_tilde: z={z} on the cut (-inf, 2]")
-    with working(bits, GUARD + 8):
-        v = _phi_tilde_form(g)
-    return round_to(bits, v)
+    return mp.make_mpc(_phi_tilde(z._mpc_, bits, _geo, bits + GUARD + 8))
 
 
-def _phi_tilde_form(g):
-    """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde, from the
-    record g of z at the caller's working precision (the record of a band
-    point x, with the limits of u and w, gives the upper value on the cut)."""
-    return (2 / g.zz - 1) * g.u + g.w / (2 * g.z)
+def _phi_tilde(z, bits, g, wp):
+    """phi_tilde of a finite raw z, raw, rounded to ``bits``: the closed form
+    at width ``wp`` from the record g of z, or from one of its own."""
+    re, im = z
+    if im == fzero and not mpf_gt(re, fzero):
+        raise DomainError(f"phi_tilde: z={mp.make_mpc(z)} on the cut (-inf, 2]")
+    g = g or _geometry(None, None, z, wp)
+    if im != fzero or mpf_gt(re, _TWO):
+        v = _phi_tilde_form(g, wp)
+    else:  # the same form in the real z, z^2 and imaginary u, w of a band record
+        c = mpf_sub(mpf_rdiv_int(2, g.zz[0], wp, _RND), fone, wp, _RND)
+        v = mpc_add(mpc_mul_mpf(g.u, c, wp, _RND), mpc_div_mpf(g.w, mpf_mul_int(re, 2, wp, _RND), wp, _RND), wp, _RND)
+    return mpc_pos(v, bits, _RND)
 
 
-def _phi_extra(z) -> int:
-    """Bits by which ``phi`` widens phi_tilde: phi_tilde ~ i pi / z^2
-    cancels to O(1) near the origin."""
-    return max(0, 2 - 2 * mpmath.mag(z) - GUARD) if z else 0
+def _phi_tilde_form(g, wp):
+    """(2/z^2 - 1) u + w/(2z), the closed form of phi_tilde, raw at width
+    ``wp`` from the record g of z."""
+    c = mpc_sub_mpf(mpc_mpf_div(_TWO, g.zz, wp, _RND), fone, wp, _RND)
+    return mpc_add(mpc_mul(c, g.u, wp, _RND), mpc_div(g.w, mpc_mul_int(g.z, 2, wp, _RND), wp, _RND), wp, _RND)
 
 
 def _phi_width(z, prec) -> int:
-    """The width at which ``phi(z, prec)`` evaluates phi_tilde's closed form."""
-    return prec + GUARD + _phi_extra(z) + GUARD + 8
+    """``phi(z, prec)``'s width for phi_tilde's closed form at the raw z, and
+    for all its steps, widened by the bits phi_tilde ~ i pi/z^2 cancels to O(1)."""
+    return prec + GUARD + (max(0, 2 - 2 * _mag(z) - GUARD) if z != mpc_zero else 0) + GUARD + 8
 
 
 def phi(z, prec, _geo=None):
@@ -223,17 +221,19 @@ def phi(z, prec, _geo=None):
 
     Bounded near the origin (the i pi/z^2 singularities cancel); purely
     imaginary on the band (0, 2].  ``_geo``: an evaluator's record of z
-    (:class:`_Geometry`), passed on to ``phi_tilde``.
+    (:class:`_Geometry`), read for phi_tilde.  Raw libmp calls throughout.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    # phi_tilde ~ i pi / z^2 cancels to O(1): widen both by the bits lost
-    extra = _phi_extra(z)
-    with working(bits, GUARD + 8 + extra):
-        pt = phi_tilde(z, bits + GUARD + extra, _geo=_geo)
-        sgn = -1 if z.imag < 0 else 1
-        v = pt - sgn * mpmath.pi * 1j / (z * z)
-    return to_mpc(v, bits)
+    require_finite(z, "phi_tilde")  # phi takes its value, and its refusal, from phi_tilde
+    z = z._mpc_
+    fw = _phi_width(z, bits)
+    pt = _phi_tilde(z, fw - GUARD - 8, _geo, fw)
+    wp = fw - GUARD
+    pi = mpf_pi(wp, _RND)
+    ipi = (fzero, mpf_neg(pi) if mpf_lt(z[1], fzero) else pi)
+    v = mpc_sub(pt, mpc_div(ipi, mpc_mul(z, z, wp, _RND), wp, _RND), wp, _RND)
+    return mp.make_mpc(mpc_pos(v, bits, _RND))
 
 
 def phi_hat(z, prec):
@@ -242,9 +242,7 @@ def phi_hat(z, prec):
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     require_off_cut(z, -2, _INF, "phi_hat")
-    with mp.workprec(bits):
-        zn = -z
-    return phi_tilde(zn, bits)
+    return phi_tilde(mp.make_mpc(mpc_neg(z._mpc_)), bits)
 
 
 # ----------------------------------------------------------------------
@@ -255,12 +253,10 @@ F_TILDE_RADIUS = 0.5
 
 
 def _h_width(z, prec) -> int:
-    """The width at which ``h_factor(z, prec)`` evaluates phi_tilde's closed
-    form: ceil(1.5 max(0, -mag t)) bits over ``prec``, t = z - 2, see
-    :func:`h_factor`."""
-    with mp.workprec(prec):
-        t = z - 2
-    extra = (3 * max(0, -mpmath.mag(t)) + 1) // 2 if t else 0
+    """``h_factor(z, prec)``'s width for phi_tilde's closed form at the raw
+    z: ceil(1.5 max(0, -mag t)) bits over ``prec``, t = z - 2 (:func:`h_factor`)."""
+    t = mpc_sub_mpf(z, _TWO, prec, _RND)
+    extra = (3 * max(0, -_mag(t)) + 1) // 2 if t != mpc_zero else 0
     return prec + extra + GUARD + 8
 
 
@@ -279,24 +275,21 @@ def h_factor(z, prec, _geo=None):
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
-    lower = z.imag < 0
-    with mp.workprec(bits):
-        zu = mpmath.conj(z) if lower else z
-        t = zu - 2  # exact once Re z lies in (1.5, 2.5)
-        outside = abs(t) >= F_TILDE_RADIUS
-    if outside:
+    require_finite(z, "h_factor")
+    z = z._mpc_
+    lower = mpf_lt(z[1], fzero)
+    zu = mpc_conjugate(z, bits, _RND) if lower else z
+    t = mpc_sub_mpf(zu, _TWO, bits, _RND)  # exact once Re z lies in (1.5, 2.5)
+    if mpf_ge(mpc_abs(t, bits, _RND), from_float(F_TILDE_RADIUS)):
         raise DomainError(f"h_factor: |z-2| must be < {F_TILDE_RADIUS}")
-    if t == 0:
+    if t == mpc_zero:
         return mpmath.mpc(1)
     width = _h_width(zu, bits)
     g = _geo if _geo and not lower else _geometry(None, None, zu, width, turning=True)
-    with mp.workprec(width):
-        v = mpmath.mpf(-1.5) * _phi_tilde_form(g) / (t * mpmath.sqrt(t))
-    with mp.workprec(bits):
-        v = +v  # conj rounds only the imaginary part
-        if z.imag == 0:
-            return mpmath.mpc(v.real)
-        return mpmath.conj(v) if lower else v
+    v = mpc_div(mpc_mul_mpf(_phi_tilde_form(g, width), from_float(-1.5), width, _RND),
+                mpc_mul(t, mpc_sqrt(t, width, _RND), width, _RND), width, _RND)
+    re, im = mpc_pos(v, bits, _RND)  # conjugation negates the rounded imaginary part
+    return mp.make_mpc((re, fzero if z[1] == fzero else mpf_neg(im) if lower else im))
 
 
 def f_tilde_n(n: int, z, prec):
@@ -308,18 +301,18 @@ def f_tilde_n(n: int, z, prec):
     if n < 1:
         raise ConfigError("f_tilde_n requires n >= 1")
     z = to_mpc(z, bits)
-    h = h_factor(z, bits + GUARD)
-    with working(bits, GUARD):
-        log_h = mpmath.log(h)
-    return _f_tilde_from_log_h(n, z, log_h, bits)
+    log_h = mpc_log(h_factor(z, bits + GUARD)._mpc_, bits + GUARD, _RND)
+    return mp.make_mpc(_f_tilde_from_log_h(n, z._mpc_, log_h, bits))
 
 
 def _f_tilde_from_log_h(n: int, z, log_h, bits: int):
-    """n^(2/3) (z-2) h^(2/3) from log h, h = h_factor(z), taken at
-    ``bits + GUARD``; rounded to ``bits``."""
-    with working(bits, GUARD):
-        v = mpmath.mpf(n) ** (mpmath.mpf(2) / 3) * (z - 2) * mpmath.exp(mpmath.mpf(2) / 3 * log_h)
-    return to_mpc(v, bits)
+    """n^(2/3) (z-2) h^(2/3) from the raw log h, h = h_factor(z), taken at
+    ``bits + GUARD``; raw, rounded to ``bits``."""
+    wp = bits + GUARD
+    two_3 = mpf_div(_TWO, from_int(3), wp, _RND)
+    v = mpc_mul_mpf(mpc_sub_mpf(z, _TWO, wp, _RND), mpf_pow(from_int(n, wp, _RND), two_3, wp, _RND), wp, _RND)
+    v = mpc_mul(v, mpc_exp(mpc_mul_mpf(log_h, two_3, wp, _RND), wp, _RND), wp, _RND)
+    return mpc_pos(v, bits, _RND)
 
 
 # ----------------------------------------------------------------------
@@ -339,17 +332,19 @@ def _d_width(n: int, z, bits: int) -> int:
     while the exponent stays O(1); past 2**GUARD the terms would cost the
     exponent its absolute accuracy, and s the fraction that sets the Gamma
     factor's phase, so the width grows by the excess."""
-    return bits + max(0, n.bit_length() + 10 - 2 * mpmath.mag(z) - GUARD) if z else bits
+    return bits + max(0, n.bit_length() + 10 - 2 * _mag(z._mpc_) - GUARD) if z else bits
 
 
 def _d_log(w, wb, bits) -> LogComplex:
-    """exp(w) for a D-function exponent w computed at width ``wb``; when
-    widened, its phase, of size |s|, is first reduced mod 2 pi at that
-    width, as no rounding to ``bits`` would keep it."""
+    """exp(w) for a raw D-function exponent w computed at width ``wb``;
+    when widened, its phase, of size |s|, is first reduced mod 2 pi at that
+    width (wb + GUARD + 8), as no rounding to ``bits`` would keep it."""
     if wb > bits:
-        with working(wb, GUARD + 8):
-            w -= 2j * mpmath.pi * mpmath.nint(w.imag / (2 * mpmath.pi))
-    return LogComplex.from_exponent(w, bits)
+        wp = wb + GUARD + 8
+        twopi = mpf_shift(mpf_pi(wp, _RND), 1)
+        k = mpf_nint(mpf_div(w[1], twopi, wp, _RND), wp, _RND)
+        w = mpc_sub(w, mpc_mul_mpf((fzero, twopi), k, wp, _RND), wp, _RND)
+    return LogComplex.from_exponent(mp.make_mpc(w), bits)
 
 
 def d_func(n: int, alpha, z, prec, _geo=None) -> LogComplex:
@@ -366,18 +361,17 @@ def d_func(n: int, alpha, z, prec, _geo=None) -> LogComplex:
     if z == 0:
         raise DomainError("d_func: z = 0 excluded")
     wb = _d_width(n, z, bits)
-    g = _geo or _geometry(n, a, z, wb + GUARD + 8)
-    s, ar = g.s._mpc_, a._mpf_
-    # raw libmp calls at wp, the ones the context's operators would make
     wp = wb + GUARD + 8
+    g = _geo or _geometry(n, a._mpf_, z._mpc_, wp)
+    s, ar = g.s, a._mpf_
     pi = mpf_pi(wp, _RND)
     ipi = (fzero, mpf_neg(pi) if z.imag < 0 else pi)
     two_log_z = mpc_mul_int(mpc_log(z._mpc_, wp, _RND), 2, wp, _RND)
-    log_m = mpc_sub(mpc_add_mpf(ipi, g.logn._mpf_, wp, _RND), two_log_z, wp, _RND)
+    log_m = mpc_sub(mpc_add_mpf(ipi, g.logn, wp, _RND), two_log_z, wp, _RND)
     lg = log_gamma_complex(mp.make_mpc(mpc_sub((ar, fzero), s, wp, _RND)), wb + GUARD)._mpc_
     w = mpc_sub_mpf(mpc_sub(lg, s, wp, _RND), _half_log_twopi(wp)._mpf_, wp, _RND)
     w = mpc_add(w, mpc_mul(mpc_add_mpf(mpc_sub_mpf(s, ar, wp, _RND), fhalf, wp, _RND), log_m, wp, _RND), wp, _RND)
-    return _d_log(mp.make_mpc(w), wb, bits)
+    return _d_log(w, wb, bits)
 
 
 def d_tilde_func(n: int, alpha, z, prec) -> LogComplex:
@@ -406,7 +400,7 @@ def _d_reflected(n: int, alpha, z, sign: int, bits: int) -> LogComplex:
         log_p = mpmath.log(mpmath.mpf(n)) - 2 * mpmath.log(sign * z)
         w = _half_log_twopi(wb + GUARD + 8) - log_gamma_complex(1 + s - a, wb + GUARD) - s \
             + (s - a + mpmath.mpf(1) / 2) * log_p
-    return _d_log(w, wb, bits)
+    return _d_log(w._mpc_, wb, bits)
 
 
 class DTriple(NamedTuple):

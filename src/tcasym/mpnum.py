@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, fzero, mpc_add, mpc_pos, mpf_add, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
-                          mpf_pos, mpf_shift, round_nearest)
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_exp, mpc_mul, mpc_pos,
+                          mpc_sqrt, mpc_sub_mpf, mpf_add, mpf_atan2, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_shift, mpf_sub, round_nearest)
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
@@ -35,6 +36,8 @@ MIN_PREC = 64
 # Guard bits used inside elementary operations before rounding to the
 # requested width.
 GUARD = 16
+
+_TWO = (0, 1, 1, 1)  # the raw mpf 2
 
 
 class DomainError(ValueError):
@@ -262,23 +265,22 @@ def _norm2(t, wp):
     return mpf_add(mpf_mul(re, re, wp, round_nearest), mpf_mul(im, im, wp, round_nearest), wp, round_nearest)
 
 
-def add_guarded(x, y, prec):
-    """The cancellation rule of :func:`logc_add`, on two mpc values: returns
-    ``(x + y, cancelled)``, the sum formed at ``prec`` + GUARD bits.
-    Against the larger of |x|, |y|, a sum below 2**-(bits//2) is
-    ``cancelled`` and one below 2**-(bits-4) is the exact zero (also
-    cancelled).  Decided on squared moduli, so no square root is taken; a
-    zero term leaves the other, not cancelled.  Raw libmp calls, each the
-    one the context's operators would make at that width."""
-    bits = bits_of(prec)
+def add_guarded(x, y, bits):
+    """The cancellation rule of :func:`logc_add`, on two raw complex
+    values: returns ``(x + y, cancelled)``, the raw sum formed at ``bits``
+    + GUARD bits.  Against the larger of |x|, |y|, a sum below
+    2**-(bits//2) is ``cancelled`` and one below 2**-(bits-4) is the exact
+    zero (also cancelled).  Decided on squared moduli, so no square root
+    is taken; a zero term leaves the other, not cancelled.  Raw libmp
+    calls, each the one the context's operators would make at that width."""
     wp = bits + GUARD
-    s = mpc_add(x._mpc_, y._mpc_, wp, round_nearest)
+    s = mpc_add(x, y, wp, round_nearest)
     ns = _norm2(s, wp)
-    nx, ny = _norm2(x._mpc_, wp), _norm2(y._mpc_, wp)
+    nx, ny = _norm2(x, wp), _norm2(y, wp)
     big = ny if mpf_gt(ny, nx) else nx
     if mpf_lt(ns, mpf_shift(big, -2 * (bits - 4))):
-        return mp.make_mpc((fzero, fzero)), True
-    return mp.make_mpc(s), mpf_lt(ns, mpf_shift(big, -2 * (bits // 2)))
+        return (fzero, fzero), True
+    return s, mpf_lt(ns, mpf_shift(big, -2 * (bits // 2)))
 
 
 def logc_add(a: LogComplex, b: LogComplex, prec):
@@ -298,25 +300,31 @@ def logc_add(a: LogComplex, b: LogComplex, prec):
         return a, False
     if b.log_mod > a.log_mod:
         a, b = b, a
-    with mp.workprec(bits + GUARD):
-        d = b.log_mod - a.log_mod
-        w, cancelled = add_guarded(mpmath.mpc(1), mpmath.exp(mpmath.mpc(d, b.phase - a.phase)), bits)
-        if w == 0:
-            return LogComplex.zero(), True
-        lw = mpmath.log(abs(w))
-        ph = a.phase + mpmath.atan2(w.imag, w.real)
-        lm = a.log_mod + lw
-    return LogComplex(round_to(prec, lm), round_to(prec, ph)), cancelled
+    wp, rnd = bits + GUARD, round_nearest
+    d = mpf_sub(b.log_mod._mpf_, a.log_mod._mpf_, wp, rnd), mpf_sub(b.phase._mpf_, a.phase._mpf_, wp, rnd)
+    w, cancelled = add_guarded((fone, fzero), mpc_exp(d, wp, rnd), bits)
+    if w == (fzero, fzero):
+        return LogComplex.zero(), True
+    lm = mpf_add(a.log_mod._mpf_, mpf_log(mpc_abs(w, wp, rnd), wp, rnd), wp, rnd)
+    ph = mpf_add(a.phase._mpf_, mpf_atan2(w[1], w[0], wp, rnd), wp, rnd)
+    return LogComplex(mp.make_mpf(mpf_pos(lm, bits, rnd)), mp.make_mpf(mpf_pos(ph, bits, rnd))), cancelled
 
 
 # ----------------------------------------------------------------------
 # Branch-cut-aware elementary functions
 # ----------------------------------------------------------------------
 
-def _w_root(z):
-    """sqrt(z-2) sqrt(z+2), principal factors: analytic off [-2, 2], ~z at
-    infinity; evaluated at the caller's working precision."""
-    return mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)
+def _w_root(z, wp):
+    """sqrt(z-2) sqrt(z+2) of a raw complex z, principal factors: analytic
+    off [-2, 2], ~z at infinity; raw, each call at width ``wp``."""
+    return mpc_mul(mpc_sqrt(mpc_sub_mpf(z, _TWO, wp, round_nearest), wp, round_nearest),
+                   mpc_sqrt(mpc_add_mpf(z, _TWO, wp, round_nearest), wp, round_nearest), wp, round_nearest)
+
+
+def _mag(z) -> int:
+    """``mpmath.mag`` of a nonzero finite raw complex z, e with |z| <= 2**e."""
+    m = [t[2] + t[3] for t in z if t[1]]  # exp + bc of the finite nonzero parts
+    return m[0] if len(m) == 1 else 1 + max(m, default=0)
 
 
 def sqrt_zsq_minus4(z, prec) -> mpmath.mpc:
@@ -329,8 +337,7 @@ def sqrt_zsq_minus4(z, prec) -> mpmath.mpc:
     rather than silently picking a side; every other point, however close,
     evaluates where it is.
     """
-    z = to_mpc(z, prec)
+    bits = bits_of(prec)
+    z = to_mpc(z, bits)
     require_off_cut(z, -2, 2, "sqrt_zsq_minus4")
-    with working(prec):
-        w = _w_root(z)
-    return round_to(prec, w)
+    return mp.make_mpc(mpc_pos(_w_root(z._mpc_, bits + GUARD), bits, round_nearest))

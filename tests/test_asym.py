@@ -253,9 +253,9 @@ class TestRegionEvaluators:
         calls = []
         orig_u = auxfun._u_of
 
-        def counting_u(z):
+        def counting_u(z, wp):
             calls.append("u")
-            return orig_u(z)
+            return orig_u(z, wp)
 
         monkeypatch.setattr(auxfun, "_u_of", counting_u)
         for z in (POINTS[tag], -POINTS[tag], mpmath.conj(POINTS[tag])):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from tcasym import auxfun
+from tcasym.asym import eval_region_b, eval_region_c, eval_region_d
 from tcasym.auxfun import (
     DTriple,
     d_func,
@@ -38,7 +39,7 @@ def _h_closed_form(z):
     turning-point map, at the ambient precision.  Valid off the real segment
     left of 2 (the two branch jumps cancel, so this continues analytically
     across the band)."""
-    w = auxfun._w_root(z)
+    w = mp.make_mpc(auxfun._w_root(z._mpc_, mp.prec))
     el = mpmath.log((z + w) / 2)
     pt = (2 / (z * z) - 1) * el + w / (2 * z)
     return mpmath.mpf(-1.5) * pt * mpmath.exp(mpmath.mpf(-1.5) * mpmath.log(z - 2))
@@ -819,8 +820,8 @@ class TestUOf:
     @example(x=1e6, y=3e5, bits=128)
     def test_cosh_sinh_and_range(self, x, y, bits):
         z = mpmath.mpc(x, y)
+        u, w = map(mp.make_mpc, auxfun._u_of(z._mpc_, bits))
         with mp.workprec(bits):
-            u, w = auxfun._u_of(z)
             assert 0 <= u.imag <= mpmath.pi / 2
             assert u.real >= -mpmath.ldexp(1, -(bits - 8))
         with mp.workprec(bits + 64):
@@ -830,8 +831,7 @@ class TestUOf:
 
     def test_log2_pin(self):
         # (z + w)/2 = 2 at z = 5/2, where w = 3/2
-        with mp.workprec(128):
-            u, w = auxfun._u_of(mpmath.mpc("2.5"))
+        u, w = map(mp.make_mpc, auxfun._u_of(mpmath.mpc("2.5")._mpc_, 128))
         assert u.imag == 0 and w.imag == 0
         with working(160):
             assert rel_diff(u.real, mpmath.log(2), 128) < mpmath.mpf(2) ** -120
@@ -869,11 +869,24 @@ def test_non_finite_refusal_names_function(name, refuser, call, z):
     assert str(err.value) == f"{refuser}: z={z} is not finite"
 
 
-# the half-plane-specific functions that run no cut test refuse the same way
-@pytest.mark.parametrize("name", ["g_prime", "d_func"])
+# the half-plane-specific functions that run no cut test refuse the same
+# way, and so do h_factor (and f_tilde_n through it) and the evaluators
+_NO_CUT_TEST = {
+    "g_prime": _SIDED_CALLS["g_prime"],
+    "d_func": _SIDED_CALLS["d_func"],
+    "h_factor": lambda z: h_factor(z, 128),
+    "f_tilde_n": lambda z: f_tilde_n(50, z, 128),
+    "eval_region_b": lambda z: eval_region_b(51, 1, z, 128),
+    "eval_region_c": lambda z: eval_region_c(50, 1, z, 128),
+    "eval_region_d": lambda z: eval_region_d(50, 1, z, 128),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NO_CUT_TEST))
 @pytest.mark.parametrize("z", _NON_FINITE)
 def test_non_finite_refusal_without_cut_test(name, z):
     z = to_mpc(z, 128)
     with pytest.raises(DomainError) as err:
-        _SIDED_CALLS[name](z)
-    assert str(err.value) == f"{name}: z={z} is not finite"
+        _NO_CUT_TEST[name](z)
+    refuser = "h_factor" if name == "f_tilde_n" else name
+    assert str(err.value) == f"{refuser}: z={z} is not finite"

@@ -9,6 +9,7 @@ from mpmath.libmp import from_man_exp
 
 from tcasym.exact import NodeMass
 from tcasym.mpnum import (
+    GUARD,
     ConfigError,
     DomainError,
     LogComplex,
@@ -118,8 +119,7 @@ class TestSqrtZsqMinus4:
         for y in ("1e-30", "-1e-30"):
             z = to_mpc(("0.5", y), bits)
             v = sqrt_zsq_minus4(z, bits)
-            with working(bits + 256):
-                ref = _w_root(z)
+            ref = mp.make_mpc(_w_root(z._mpc_, bits + 256 + GUARD))
             assert rel_diff(v, ref, bits + 256) <= mpmath.ldexp(1, 1 - bits)
             assert (v.imag > 0) == (z.imag > 0)
 
@@ -134,9 +134,8 @@ class TestSqrtZsqMinus4:
         # the product of principal roots behind sqrt_zsq_minus4 (and behind
         # u in auxfun) gives a band point its upper-half-plane limit
         # +i sqrt(4-x^2); a point just below the band sees the conjugate
-        with working(128):
-            up = _w_root(mpmath.mpc(1))
-            below = _w_root(mpmath.mpc(1, "-1e-30"))
+        up = mp.make_mpc(_w_root(mpmath.mpc(1)._mpc_, 128 + GUARD))
+        below = mp.make_mpc(_w_root(mpmath.mpc(1, "-1e-30")._mpc_, 128 + GUARD))
         with working(160):
             ref = mpmath.sqrt(mpmath.mpf(3))
             assert up.real == 0 and abs(up.imag - ref) < mpmath.mpf(2) ** -125
@@ -144,8 +143,7 @@ class TestSqrtZsqMinus4:
         # off the cut it is the branch ~z on both rays: the two cut
         # contributions cancel on (-inf, -2)
         for x in (3, -3):
-            with working(128):
-                v = _w_root(mpmath.mpc(x))
+            v = mp.make_mpc(_w_root(mpmath.mpc(x)._mpc_, 128 + GUARD))
             with working(160):
                 ref = mpmath.sign(x) * mpmath.sqrt(mpmath.mpf(5))
             assert v.imag == 0 and rel_diff(v, ref, 128) < mpmath.mpf(2) ** -120
@@ -188,7 +186,8 @@ class TestAddGuarded:
             return LogComplex(mpmath.log(abs(v)), mpmath.arg(v))
 
     def _both(self, x, y):
-        s, cancelled = add_guarded(x, y, self.WORK)
+        s, cancelled = add_guarded(x._mpc_, y._mpc_, self.WORK)
+        s = mp.make_mpc(s)
         v, logc_cancelled = logc_add(self._logc(x), self._logc(y), self.WORK)
         assert cancelled == logc_cancelled
         assert (s == 0) == v.is_zero()
@@ -215,8 +214,9 @@ class TestAddGuarded:
 
     def test_zero_term_leaves_the_other(self):
         x = to_mpc(self._pair(0)[0], self.WORK)
-        assert add_guarded(x, mpmath.mpc(0), self.WORK) == (x, False)
-        assert add_guarded(mpmath.mpc(0), mpmath.mpc(0), self.WORK) == (0, False)
+        zero = mpmath.mpc(0)._mpc_
+        assert add_guarded(x._mpc_, zero, self.WORK) == (x._mpc_, False)
+        assert add_guarded(zero, zero, self.WORK) == (zero, False)
 
     def test_far_apart_terms(self):
         # terms e^(+-200) apart, as the two of a bracket far from the axis

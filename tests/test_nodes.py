@@ -79,6 +79,7 @@ def test_second_term_at_nodes(alpha, k):
         assert classify_region(z, n, alpha, Params(), BITS) == "D"
         g = asym._point(n, alpha, z, BITS, "D")
         _, _, wc, _, w2 = asym._exponents(n, g, BITS)
+        wc, w2 = mpmath.mp.make_mpc(wc), mpmath.mp.make_mpc(w2)  # raw, like the whole record
         with working(BITS):
             v = n * mpmath.expm1(wc + w2 - _log_exact(n, a, k))
             assert abs(v.imag) < mpmath.mpf(2) ** -100, (alpha, k, m, v)
