@@ -11,9 +11,9 @@ z/2 (``_u_of``).  u, w = sqrt(z^2-4), z^2, n/z^2 and log n come from a
 raw ``_Geometry`` record: a region evaluator passes its point's record to
 ``phi``, ``phi_tilde``, ``h_factor`` and ``d_func`` as their private
 ``_geo``; without it each builds one.  Near 2 the closed form of
-phi-tilde cancels 1.5 log2(1/|z - 2|) bits, so h evaluates it that much
-wider (``_h_width``).  The record and the functions the evaluators call
-make raw libmp calls at explicit widths.
+phi-tilde cancels 1.5 log2(1/|z - 2|) bits, so h, and phi-tilde without
+a record, evaluate it that much wider (``_h_width``).  The record and
+the functions the evaluators call make raw libmp calls at explicit widths.
 
 Branch discipline: every power/log is a principal branch of an explicit
 factor, chosen so each function is analytic exactly off its stated cut.
@@ -178,13 +178,15 @@ def phi_tilde(z, prec, _geo=None):
     taken at every z with Im z != 0 however close to the cut.  A real
     z = x in (0, 2] takes its limit from above: the same form with u and
     w at their upper limits i acos(x/2) and i sqrt(4 - x^2), purely
-    imaginary.  A real z <= 0 raises.  The form reads ``_geo``, an
-    evaluator's record of z (:class:`_Geometry`), if given.
+    imaginary.  A real z <= 0 raises.  The form, O(|t|^(3/2)) from
+    O(|t|^(1/2)) terms, t = z - 2, is taken at :func:`_h_width`; ``_geo``,
+    an evaluator's record of z (:class:`_Geometry`), at its own width.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     require_finite(z, "phi_tilde")
-    return mp.make_mpc(_phi_tilde(z._mpc_, bits, _geo, bits + GUARD + 8))
+    wp = bits + GUARD + 8 if _geo else _h_width(z._mpc_, bits)
+    return mp.make_mpc(_phi_tilde(z._mpc_, bits, _geo, wp))
 
 
 def _phi_tilde(z, bits, g, wp):
