@@ -26,9 +26,11 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from . import __version__, asym, exact, harness
 from .asym import Params
@@ -98,13 +100,13 @@ def _parse_z(s: str, bits, option="--z"):
     return to_mpc([_number(t.strip(), bits, option) for t in (re_s, im_s)], bits)
 
 
-def _parse_grid(s: str):
+def _parse_grid(s: str, bits):
     """'re0:re1:nre,im0:im1:nim' -> list of (re, im) mpf pairs, inclusive
-    linear spacing, re-major order."""
+    linear spacing, re-major order.  Each endpoint is checked as a
+    --z-list coordinate is; each point r0 + (r1 - r0) j/(k - 1) is formed
+    exactly from the typed decimals and rounded once to ``bits``."""
     try:
-        re_part, im_part = s.split(",")
-        r0, r1, nr = re_part.split(":")
-        i0, i1, ni = im_part.split(":")
+        (r0, r1, nr), (i0, i1, ni) = (part.split(":") for part in s.split(","))
         nr, ni = int(nr), int(ni)
         if nr < 1 or ni < 1:
             raise ValueError
@@ -112,22 +114,22 @@ def _parse_grid(s: str):
         raise ConfigError(f"--grid expects 're0:re1:nre,im0:im1:nim', got {s!r}")
 
     def axis(a, b, k):
-        a, b = _number(a, 64, "--grid"), _number(b, 64, "--grid")
-        if k == 1:
-            return [a]
-        return [a + (b - a) * j / (k - 1) for j in range(k)]
+        ends = [t.strip() for t in (a, b)]
+        for t in ends:
+            _number(t, bits, "--grid")
+        try:
+            a, b = map(Fraction, ends)
+        except ValueError:
+            raise ConfigError(f"--grid expects decimal endpoints, got {s!r}")
+        pts = (a + (b - a) * j / max(k - 1, 1) for j in range(k))
+        return [mp.make_mpf(from_rational(v.numerator, v.denominator, bits, round_nearest)) for v in pts]
 
-    with mp.workprec(64):
-        res = axis(r0, r1, nr)
-        ims = axis(i0, i1, ni)
-        return [(re, im) for re in res for im in ims]
+    res, ims = axis(r0, r1, nr), axis(i0, i1, ni)
+    return [(re, im) for re in res for im in ims]
 
 
 def _parse_z_list(s: str, bits):
-    out = []
-    for item in s.split(";"):
-        if item.strip():
-            out.append(_parse_z(item, bits, "--z-list"))
+    out = [_parse_z(item, bits, "--z-list") for item in s.split(";") if item.strip()]
     if not out:
         raise ConfigError("--z-list is empty")
     return out
@@ -313,7 +315,7 @@ def _cmd_compare(args) -> int:
     bits = bits_of(args.prec)
     if (args.grid is None) == (args.z_list is None):
         raise ConfigError("exactly one of --grid / --z-list is required")
-    pts = _parse_grid(args.grid) if args.grid else _parse_z_list(args.z_list, bits)
+    pts = _parse_grid(args.grid, bits) if args.grid else _parse_z_list(args.z_list, bits)
     try:
         n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
     except ValueError:

@@ -81,10 +81,12 @@ ACCEPTANCE_CSV_SHA256 = ("9eb2c550f472ed43d515e671aad805f5a23d61e0bf2974e5107553
                          "f2d780256c5b969102e0b1b7bea3e733c2d33ae616045dc4f58f1c850e46dc71")
 
 # a region-C `compare`: a 4 x 3 grid around the turning point 2 at n = 400
-# and 6400, recorded while h was a Taylor series
+# and 6400, recorded while h was a Taylor series; re-recorded when the grid
+# points became the typed decimals rounded once to --prec (they were
+# spaced at 64 bits), which moved the log columns of all 24 rows
 REGION_C_GRID = "1.87:2.13:4,0:0.13:3"
-REGION_C_CSV_SHA256 = ("3f84c8a3044814358866c8bfb09c2ca79626e8806fb044917a2c67b6f0d5cdf0",
-                       "dd603a7c4ca4885b86691b56a4d560a6adbd52af48d13c9381a10a9f02036468")
+REGION_C_CSV_SHA256 = ("38e2b57ac42011b18f15a20dcfa26a3ea001ae2f7a9b316abef6e9d547d435cf",
+                       "68d696fb58bc43589e32bfcce8b004fbaa9ababba54ac2b1da84a625a6f0b394")
 
 # a high-degree `compare`: eight points over all five regions at
 # n = 1000..2500, where the exact path runs longest; recorded before the
@@ -384,6 +386,16 @@ class TestCompare:
                                       "--grid", "junk"])
         assert code == 1
         assert json.loads(out)["error"]["type"] == "config"
+
+    def test_grid_rows_are_z_list_rows(self, capsys):
+        # each grid point is its decimal rounded once to --prec, as in
+        # --z-list; the points were spaced at 64 bits, so the log columns
+        # differed from the 20th digit on
+        args = ["compare", "--n-list", "100,401", "--alpha", "1.5", "--prec", "256"]
+        _, grid = run_main(capsys, args + ["--grid", "0.4:1.6:3,0.05:0.3:2"])
+        z_list = ";".join(f"{x},{y}" for x in ("0.4", "1.0", "1.6") for y in ("0.05", "0.3"))
+        _, listed = run_main(capsys, args + ["--z-list", z_list])
+        assert grid == listed and len(grid.splitlines()) == 1 + 12
 
     def test_grid_axis_of_one_point(self, capsys):
         # a count of 1 gives the axis its first end alone
