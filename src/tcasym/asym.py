@@ -35,11 +35,11 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fhalf, fninf, fone, from_float, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
-                          mpc_div_mpf, mpc_exp, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_neg,
-                          mpc_sub, mpc_zero, mpf_abs, mpf_add, mpf_atan2, mpf_div, mpf_gt, mpf_ln2, mpf_log, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_neg, mpf_nint, mpf_pi, mpf_pos, mpf_rdiv_int, mpf_shift, mpf_sqrt,
-                          mpf_sub, round_ceiling, to_float, to_int)
+from mpmath.libmp import (fhalf, fninf, fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf,
+                          mpc_exp, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_sub, mpc_zero,
+                          mpf_abs, mpf_add, mpf_atan2, mpf_div, mpf_gt, mpf_ln2, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_nint, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, to_float,
+                          to_int)
 from mpmath.libmp import round_nearest as _RND
 
 from .auxfun import (
@@ -68,8 +68,10 @@ from .mpnum import (
     bits_of,
     fixed_mpc,
     require_finite,
+    round_to,
     to_mpc,
     to_mpf,
+    working,
 )
 from .specfun import _airy_rotated, log_gamma_real
 
@@ -86,9 +88,9 @@ class _ParamFields(NamedTuple):
     def k_edge(self, n: int, alpha, prec):
         """Right edge of the saturated strip: sqrt(n/alpha) + delta."""
         bits = bits_of(prec)
-        wp = bits + GUARD
-        v = mpf_sqrt(mpf_rdiv_int(n, to_mpf(alpha, bits)._mpf_, wp, _RND), wp, _RND)
-        return mp.make_mpf(mpf_pos(mpf_add(v, from_float(self.delta), wp, _RND), bits, _RND))
+        with working(bits):
+            v = mpmath.sqrt(n / to_mpf(alpha, bits)) + mpmath.mpf(self.delta)
+        return round_to(bits, v)
 
 
 class Params(_ParamFields):
