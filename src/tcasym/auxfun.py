@@ -9,10 +9,10 @@ node-counting trio (theta, gamma, Pi).  The phases read
 u = Log((z + sqrt(z^2-4))/2), the log of the inverse Joukowski map at
 z/2 (``_u_of``).  u, w = sqrt(z^2-4), z^2, n/z^2 and log n come from a
 raw ``_Geometry`` record: a region evaluator passes its point's record to
-``phi``, ``phi_tilde``, ``h_factor`` and ``d_func`` as their private
-``_geo``; without it each builds one.  Near 2 the closed form of
-phi-tilde cancels 1.5 log2(1/|z - 2|) bits, so h, and phi-tilde without
-a record, evaluate it that much wider (``_h_width``).  The record and
+``phi``, ``h_factor`` and ``d_func`` as their private ``_geo``; without
+it each builds one, as ``phi_tilde`` always does.  Near 2 the closed form
+of phi-tilde cancels 1.5 log2(1/|z - 2|) bits, so h and phi-tilde
+evaluate it that much wider (``_h_width``).  The record and
 the functions the evaluators call make raw libmp calls at explicit widths.
 
 Branch discipline: every power/log is a principal branch of an explicit
@@ -171,7 +171,7 @@ def g_prime(z, prec):
     return round_to(bits, v)
 
 
-def phi_tilde(z, prec, _geo=None):
+def phi_tilde(z, prec):
     """Regularized phase, analytic on C \\ (-inf, 2]; real negative on (2, inf).
 
     Closed form (2/z^2 - 1) log((z + sqrt(z^2-4))/2) + sqrt(z^2-4)/(2z),
@@ -179,14 +179,12 @@ def phi_tilde(z, prec, _geo=None):
     z = x in (0, 2] takes its limit from above: the same form with u and
     w at their upper limits i acos(x/2) and i sqrt(4 - x^2), purely
     imaginary.  A real z <= 0 raises.  The form, O(|t|^(3/2)) from
-    O(|t|^(1/2)) terms, t = z - 2, is taken at :func:`_h_width`; ``_geo``,
-    an evaluator's record of z (:class:`_Geometry`), at its own width.
+    O(|t|^(1/2)) terms, t = z - 2, is taken at :func:`_h_width`.
     """
     bits = bits_of(prec)
     z = to_mpc(z, bits)
     require_finite(z, "phi_tilde")
-    wp = bits + GUARD + 8 if _geo else _h_width(z._mpc_, bits)
-    return mp.make_mpc(_phi_tilde(z._mpc_, bits, _geo, wp))
+    return mp.make_mpc(_phi_tilde(z._mpc_, bits, None, _h_width(z._mpc_, bits)))
 
 
 def _phi_tilde(z, bits, g, wp):
