@@ -149,7 +149,7 @@ def _checked(z, alpha, bits):
     """(z, alpha) rounded to ``bits``; ConfigError unless both are finite
     and alpha > 0."""
     z, a = to_mpc(z, bits), to_mpf(alpha, bits)
-    if not all(t[1] or t == fzero for t in (a._mpf_, *z._mpc_)):  # libmp's inf and nan have no mantissa
+    if not (mpmath.isfinite(a) and mpmath.isfinite(z)):
         raise ConfigError(f"alpha and z must be finite, got alpha={a}, z={z}")
     if not mpf_gt(a._mpf_, fzero):
         raise ConfigError(f"alpha must be > 0, got alpha={a}")
