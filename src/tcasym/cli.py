@@ -115,10 +115,8 @@ def _parse_grid(s: str, bits):
 
     def axis(a, b, k):
         ends = [t.strip() for t in (a, b)]
-        for t in ends:
-            _number(t, bits, "--grid")
-        try:
-            a, b = map(Fraction, ends)
+        try:  # a zero is 0 whatever its exponent; a nonzero one's is bounded by the double range
+            a, b = (Fraction(t) if _number(t, bits, "--grid") else Fraction(0) for t in ends)
         except ValueError:
             raise ConfigError(f"--grid expects decimal endpoints, got {s!r}")
         pts = (a + (b - a) * j / max(k - 1, 1) for j in range(k))

@@ -397,6 +397,14 @@ class TestCompare:
         _, listed = run_main(capsys, args + ["--z-list", z_list])
         assert grid == listed and len(grid.splitlines()) == 1 + 12
 
+    def test_grid_zero_endpoint_with_huge_exponent(self, capsys):
+        # a zero endpoint is 0 whatever its exponent reads; forming it as
+        # an exact fraction first would build 10**999999999
+        args = ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128", "--grid"]
+        _, huge = run_main(capsys, args + ["0e-999999999:1:2,-0e999999999:1:2"])
+        _, plain = run_main(capsys, args + ["0:1:2,0:1:2"])
+        assert huge == plain and len(huge.splitlines()) == 1 + 4
+
     def test_grid_axis_of_one_point(self, capsys):
         # a count of 1 gives the axis its first end alone
         code, out = run_main(capsys, ["compare", "--n-list", "50", "--alpha", "1", "--prec", "128",
